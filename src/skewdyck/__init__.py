@@ -51,7 +51,6 @@ from .reverse import (
     RlSolution,
     rl_cancelling_root,
     rl_g0,
-    rl_prefix_counts,
     rl_root_s1,
     solve_rl,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "render_tikz",
     "rl_cancelling_root",
     "rl_g0",
-    "rl_prefix_counts",
     "rl_root_s1",
     "run_verification",
     "solve_rl",

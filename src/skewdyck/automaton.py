@@ -1,18 +1,24 @@
 """Exact integer counting over the three-layer path automaton.
 
 States are (level k, layer), where the layer records the last step
-consumed: F for U (and the empty word), G for D, H for L.  Left-to-right
-transitions, for down-step size t:
+consumed: F for U (and the empty word), G for D, H for L.  One edge
+list holds the left-to-right transitions for down-step size t:
 
     U: (k, F|G)   -> (k+1, F)      (U never follows L)
     D: (k+t, F|G|H) -> (k, G)
     L: (k+t, G|H)   -> (k, H)      (L never follows U)
 
-The right-to-left table walks the same graph with every arrow reversed.
-Nonempty reversed scans start from the level-0 D- and L-states; the
-level-0 F cell is pinned to zero (a reversed scan stops at the origin
-rather than walking past it) and the empty word is carried by the
-G and H seeds, counted once via the G column.
+Both scan directions walk that one list; the right-to-left table
+follows every arrow of it backwards.  Nonempty reversed scans start
+from the level-0 D- and L-states; the level-0 F cell is pinned to zero
+(a reversed scan stops at the origin rather than walking past it) and
+the empty word is carried by the G and H seeds, counted once via the G
+column.  These per-direction facts sit in ``_SCANS``, next to the
+edges.
+
+The walk keeps only the previous row and computes only the levels that
+can still fall back into the stored window, so a table of levels
+k <= k_max takes O(n * k_max) memory.
 
 This table is the oracle the closed forms are measured against, so the
 arithmetic is plain Python integers end to end: no modulus, no floats,
@@ -21,10 +27,10 @@ no overflow.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add
 
 from .series import Series
 
@@ -37,7 +43,50 @@ class Layer(Enum):
 
 _LIDX = {Layer.F: 0, Layer.G: 1, Layer.H: 2}
 
-DIRECTIONS = ("LR", "RL")
+
+def _lr_edges(t: int) -> tuple[tuple[tuple[Layer, ...], Layer, int], ...]:
+    """Left-to-right transitions as (source layers, target layer, level change)."""
+    return (
+        ((Layer.F, Layer.G), Layer.F, 1),  # U never follows L
+        ((Layer.F, Layer.G, Layer.H), Layer.G, -t),  # D
+        ((Layer.G, Layer.H), Layer.H, -t),  # L never follows U
+    )
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """What a scan direction fixes besides the direction of the arrows."""
+
+    backward: bool  # walk every edge from its target to its sources
+    seeds: tuple[Layer, ...]  # level-0 layers holding the empty word
+    closed: tuple[Layer, ...]  # level-0 layers summed into the closed count
+    pinned: tuple[Layer, ...]  # level-0 layers held at zero after step 0
+
+
+_SCANS = {
+    "LR": _Scan(False, seeds=(Layer.F,), closed=tuple(Layer), pinned=()),
+    "RL": _Scan(True, seeds=(Layer.G, Layer.H), closed=(Layer.G,), pinned=(Layer.F,)),
+}
+
+DIRECTIONS = tuple(_SCANS)
+
+
+def _arcs(t: int, scan: _Scan) -> list[tuple[int, int, int]]:
+    """(source index, target index, level change) for every arrow of a scan."""
+    arcs = []
+    for sources, target, delta in _lr_edges(t):
+        for source in sources:
+            if scan.backward:
+                arcs.append((_LIDX[target], _LIDX[source], -delta))
+            else:
+                arcs.append((_LIDX[source], _LIDX[target], delta))
+    return arcs
+
+
+def _stored(row: list[list[int]], k_max: int) -> list[list[int]]:
+    """Levels k <= k_max of a walked row as [F, G, H] cells, zero-filled."""
+    cells = [list(cell) for cell in zip(*(col[: k_max + 1] for col in row))]
+    return cells + [[0, 0, 0] for _ in range(k_max + 1 - len(cells))]
 
 
 class CountTable:
@@ -48,8 +97,7 @@ class CountTable:
         self.n_max = n_max
         self.k_max = k_max
         self.direction = direction
-        self._grid = grid  # grid[n][k][layer-index], k up to the storage bound
-        self._k_store = len(grid[0]) - 1 if grid and grid[0] else -1
+        self._grid = grid  # grid[n][k][layer-index] for k <= k_max
 
     def count(self, n: int, k: int, layer: Layer) -> int:
         if not (0 <= n <= self.n_max and 0 <= k <= self.k_max):
@@ -57,8 +105,6 @@ class CountTable:
                 f"cell (n={n}, k={k}) outside the table bounds "
                 f"(n<={self.n_max}, k<={self.k_max})"
             )
-        if k > self._k_store:
-            return 0
         return self._grid[n][k][_LIDX[layer]]
 
     def level_total(self, n: int, k: int) -> int:
@@ -71,9 +117,7 @@ class CountTable:
         the G column alone carries the closed total (its seed counts the
         empty word exactly once; the H seed would double-count it).
         """
-        if self.direction == "LR":
-            return self.level_total(n, 0)
-        return self.count(n, 0, Layer.G)
+        return sum(self.count(n, 0, layer) for layer in _SCANS[self.direction].closed)
 
     def column(self, layer: Layer, k: int) -> list[int]:
         """Counts for a fixed (layer, level) across n = 0..n_max."""
@@ -83,40 +127,14 @@ class CountTable:
         """The same column as an exact series in z, known to O(z^(n_max+1))."""
         return Series(0, [Fraction(c) for c in self.column(layer, k)])
 
-    def to_csv(self) -> str:
-        lines = ["n,k,layer,count"]
-        for n in range(self.n_max + 1):
-            for k in range(self.k_max + 1):
-                for layer in Layer:
-                    lines.append(f"{n},{k},{layer.value},{self.count(n, k, layer)}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        cells = [
-            {"n": n, "k": k, "layer": layer.value, "count": str(self.count(n, k, layer))}
-            for n in range(self.n_max + 1)
-            for k in range(self.k_max + 1)
-            for layer in Layer
-        ]
-        return json.dumps(
-            {
-                "t": self.t,
-                "direction": self.direction,
-                "n_max": self.n_max,
-                "k_max": self.k_max,
-                "counts": cells,
-            },
-            indent=2,
-        )
-
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
     """Build the counting table for down-step size t.
 
-    ``k_max`` bounds the exposed levels and defaults to n_max (no word
-    outlevels its step count going left to right).  Internally the grid
-    is sized to cover every reachable level for the chosen direction, so
-    all exposed cells are exact.
+    ``k_max`` bounds the stored levels and defaults to n_max (no word
+    outlevels its step count going left to right).  Row n is walked up
+    to the highest level that n steps can reach and that can still fall
+    to k_max by step n_max, so every stored cell is exact.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -129,39 +147,29 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
 
-    # reachable levels: <= n going LR (all-U), <= t*n going RL (all rev-down)
-    k_store = max(k_max, n_max if direction == "LR" else t * n_max)
-    width = k_store + 1
-    grid = [[[0, 0, 0] for _ in range(width)] for _ in range(n_max + 1)]
+    scan = _SCANS[direction]
+    arcs = _arcs(t, scan)
+    rise = max(delta for _, _, delta in arcs)
+    drop = -min(delta for _, _, delta in arcs)
 
-    iF, iG, iH = 0, 1, 2
-    if direction == "LR":
-        grid[0][0][iF] = 1
-    else:
-        grid[0][0][iG] = 1
-        grid[0][0][iH] = 1
-
-    def cell(n, k, idx):
-        if 0 <= k <= k_store:
-            return grid[n][k][idx]
-        return 0
-
+    prev = [[0], [0], [0]]  # prev[layer-index][k] for the last walked row
+    for layer in scan.seeds:
+        prev[_LIDX[layer]][0] = 1
+    grid = [_stored(prev, k_max)]
     for n in range(1, n_max + 1):
-        p = n - 1
-        for k in range(width):
-            if direction == "LR":
-                if k >= 1:
-                    grid[n][k][iF] = cell(p, k - 1, iF) + cell(p, k - 1, iG)
-                grid[n][k][iG] = cell(p, k + t, iF) + cell(p, k + t, iG) + cell(p, k + t, iH)
-                grid[n][k][iH] = cell(p, k + t, iG) + cell(p, k + t, iH)
-            else:
-                if k >= 1:
-                    grid[n][k][iF] = cell(p, k + 1, iF) + (cell(p, k - t, iG) if k >= t else 0)
-                grid[n][k][iG] = cell(p, k + 1, iF) + (
-                    cell(p, k - t, iG) + cell(p, k - t, iH) if k >= t else 0
+        hi = min(rise * n, k_max + drop * (n_max - n))
+        row = [[0] * (hi + 1) for _ in prev]
+        for src, dst, delta in arcs:
+            # target levels lo..top, whose source level k - delta was walked
+            lo, top = max(0, delta), min(hi, len(prev[src]) - 1 + delta)
+            if lo <= top:
+                row[dst][lo : top + 1] = map(
+                    add, row[dst][lo : top + 1], prev[src][lo - delta : top + 1 - delta]
                 )
-                if k >= t:
-                    grid[n][k][iH] = cell(p, k - t, iG) + cell(p, k - t, iH)
+        for layer in scan.pinned:
+            row[_LIDX[layer]][0] = 0
+        grid.append(_stored(row, k_max))
+        prev = row
 
     return CountTable(t, n_max, k_max, direction, grid)
 

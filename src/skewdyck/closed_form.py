@@ -14,14 +14,13 @@ lets the table adjudicate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import kernel
 from .automaton import CountTable, dp_counts
-from .series import Series
+from .series import Series, SeriesError
 
 
 def r_series(order: int = 32) -> Series:
@@ -30,14 +29,16 @@ def r_series(order: int = 32) -> Series:
     root = Series.poly({0: 1, 1: -8, 2: 4}, work).sqrt()
     numerator = Series.poly({0: 1, 1: 2}, work) - root
     r = numerator.shift(-1) / 6
-    assert r.valuation >= 0, "pole cancellation failed in R(z)"
+    if r.valuation < 0:
+        raise SeriesError("pole cancellation failed in R(z)")
     return r.truncate(order)
 
 
 def r_coefficient(n: int) -> int:
     """Exact integer [z^n] R(z)."""
     c = r_series(n + 1).coeff(n)
-    assert c.denominator == 1
+    if c.denominator != 1:
+        raise SeriesError(f"[z^{n}] R = {c} is not an integer")
     return c.numerator
 
 
@@ -45,12 +46,13 @@ def narayana_sum(n: int) -> int:
     """(1/n) * sum(3^i * C(n,i) * C(n,i+1) for i < n), exactly.
 
     The products C(n,i) C(n,i+1) / n are n times the Narayana numbers,
-    so the division is always exact; that is asserted, not rounded.
+    so the division is always exact; that is checked, not rounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     s = sum(3**i * comb(n, i) * comb(n, i + 1) for i in range(n))
-    assert s % n == 0, f"weighted Narayana sum not divisible by n={n}"
+    if s % n:
+        raise ValueError(f"weighted Narayana sum not divisible by n={n}")
     return s // n
 
 
@@ -112,7 +114,8 @@ def discrepancy_report(
     for n in range(1, n_max + 1):
         rc = r.coeff(n)
         kc = solution.total.coeff(3 * n)
-        assert rc.denominator == 1 and kc.denominator == 1
+        if rc.denominator != 1 or kc.denominator != 1:
+            raise SeriesError(f"non-integer R or kernel total at length {3 * n}")
         rows.append(
             CoeffReport(
                 n=n,
@@ -124,37 +127,3 @@ def discrepancy_report(
         )
     return rows
 
-
-def report_markdown(rows: list[CoeffReport]) -> str:
-    lines = [
-        "| n | length | [z^n] R | Narayana sum | kernel total | table count | R = table | kernel = table |",
-        "|---|--------|---------|--------------|--------------|-------------|-----------|----------------|",
-    ]
-    for row in rows:
-        lines.append(
-            f"| {row.n} | {3 * row.n} | {row.r_coeff} | {row.narayana_value} "
-            f"| {row.kernel_total} | {row.dp_total} "
-            f"| {'yes' if row.r_matches_dp else 'NO'} "
-            f"| {'yes' if row.kernel_matches_dp else 'NO'} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_json(rows: list[CoeffReport]) -> str:
-    return json.dumps(
-        [
-            {
-                "n": row.n,
-                "length": 3 * row.n,
-                "r_coeff": str(row.r_coeff),
-                "narayana_value": str(row.narayana_value),
-                "kernel_total": str(row.kernel_total),
-                "dp_total": str(row.dp_total),
-                "narayana_matches_r": row.narayana_matches_r,
-                "kernel_matches_dp": row.kernel_matches_dp,
-                "r_matches_dp": row.r_matches_dp,
-            }
-            for row in rows
-        ],
-        indent=2,
-    )

@@ -132,7 +132,8 @@ def compare_table(
         oeis_value = terms.get(n)
         dp_value = table.closed_count(3 * n)
         r_value = r.coeff(n)
-        assert r_value.denominator == 1
+        if r_value.denominator != 1:
+            raise OeisError(f"[z^{n}] R = {r_value} is not an integer")
         rows.append(
             {
                 "n": n,

@@ -37,7 +37,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Layer, dp_counts
 from .series import AlgebraicEq, Series, SeriesError, newton_root
 
 DEFAULT_ORDER = 64
@@ -135,13 +134,3 @@ def solve_rl(order: int = DEFAULT_ORDER) -> RlSolution:
         g0=rl_g0(order, t1=t1),
     )
 
-
-def rl_prefix_counts(k: int, n: int, t: int = 2) -> int:
-    """Exact right-to-left partial-scan count at level k after n steps.
-
-    Delegates to the reversed counting table; the G column is the one
-    whose level-0 entry carries the closed total, so it is the column
-    reported.  No closed form is exported for these.
-    """
-    table = dp_counts(t, n, k_max=k, direction="RL")
-    return table.count(n, k, Layer.G)

@@ -302,7 +302,8 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
         r5 = closed_form.r_coefficient(5)
         total15 = sol.total if sol.total.frontier > 15 else kernel.solve_t2(16).total
         k15 = total15.coeff(15)
-        assert k15.denominator == 1
+        if k15.denominator != 1:
+            raise ValueError(f"kernel total has non-integer z^15 coefficient {k15}")
         k15 = k15.numerator
         sides = []
         if dp15 == k15:

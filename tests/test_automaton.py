@@ -1,6 +1,8 @@
 """Counting-table tests: oracle equivalence, totals, functional equations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdyck.automaton import (
     Layer,
@@ -146,6 +148,49 @@ class TestReversedTable:
         for n in range(25):
             assert lr.closed_count(n) == rl.closed_count(n)
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_mirror_consistency_through_40(self, t):
+        lr = dp_counts(t, 40, k_max=0)
+        rl = dp_counts(t, 40, k_max=0, direction="RL")
+        assert [lr.closed_count(n) for n in range(41)] == [rl.closed_count(n) for n in range(41)]
+
+
+class TestRandomCells:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        t=st.integers(2, 5),
+        n=st.integers(0, 12),
+        k=st.integers(0, 12),
+        layer=st.sampled_from(Layer),
+    )
+    def test_cell_matches_enumeration(self, t, n, k, layer):
+        expected = sum(
+            1
+            for word in enumerate_words(t, n, closed_only=False)
+            if word.final_level() == k and word_layer(word) == layer
+        )
+        assert prefix_count(t, layer, k, n) == expected
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        t=st.integers(2, 5),
+        n_max=st.integers(0, 20),
+        a=st.integers(0, 30),
+        extra=st.integers(0, 3),
+        direction=st.sampled_from(["LR", "RL"]),
+    )
+    def test_pruned_window_matches_unpruned(self, t, n_max, a, extra, direction):
+        # no level above n_max (LR) or t*n_max (RL) is ever reached, so a
+        # table that wide prunes nothing
+        reach = n_max if direction == "LR" else t * n_max
+        b = max(a + 1, reach) + extra
+        pruned = dp_counts(t, n_max, k_max=a, direction=direction)
+        full = dp_counts(t, n_max, k_max=b, direction=direction)
+        for n in range(n_max + 1):
+            for k in range(a + 1):
+                for layer in Layer:
+                    assert pruned.count(n, k, layer) == full.count(n, k, layer), (n, k, layer)
+
 
 class TestColumnRecurrence:
     def test_t2_columns_satisfy_kernel_recurrence(self):
@@ -174,19 +219,3 @@ class TestFunctionalEquations:
         with pytest.raises(ValueError, match="t=2"):
             verify_functional_equations(3, 8, 20, "RL")
 
-
-class TestExports:
-    def test_csv_shape(self):
-        table = dp_counts(2, 3, k_max=2)
-        lines = table.to_csv().strip().splitlines()
-        assert lines[0] == "n,k,layer,count"
-        assert len(lines) == 1 + 4 * 3 * 3
-        assert "3,0,G,1" in lines
-
-    def test_json_counts_are_strings(self):
-        import json
-
-        table = dp_counts(2, 3, k_max=1)
-        data = json.loads(table.to_json())
-        assert data["t"] == 2
-        assert all(isinstance(cell["count"], str) for cell in data["counts"])

@@ -1,6 +1,5 @@
 """R(z), the Narayana-weighted sum, the Lagrange identity, and the report."""
 
-import json
 from math import comb
 
 import pytest
@@ -11,8 +10,6 @@ from skewdyck.closed_form import (
     narayana_sum,
     r_coefficient,
     r_series,
-    report_json,
-    report_markdown,
 )
 from skewdyck.series import Series
 
@@ -111,14 +108,6 @@ class TestDiscrepancyReport:
         assert row5.r_coeff == 562
         assert row5.dp_total == 563
         assert not row5.r_matches_dp
-
-    def test_markdown_and_json_exports(self, rows):
-        md = report_markdown(rows)
-        assert md.splitlines()[0].startswith("| n |")
-        assert "| 5 | 15 | 562 |" in md
-        data = json.loads(report_json(rows))
-        assert data[4]["r_matches_dp"] is False
-        assert data[0]["kernel_matches_dp"] is True
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck.automaton import dp_counts
+from skewdyck.automaton import Layer, dp_counts, prefix_count
 from skewdyck.kernel import (
     eval_poly_at_series,
     good_root,
@@ -18,7 +18,6 @@ from skewdyck.reverse import (
     rl_cancelling_root,
     rl_g0,
     rl_g0_rational,
-    rl_prefix_counts,
     rl_root_s1,
     solve_rl,
 )
@@ -110,25 +109,25 @@ class TestSolveRl:
 
 
 class TestRlPrefixCounts:
+    """Right-to-left prefix counts come from the reversed table's G column."""
+
     def test_closed_counts_through_g_column(self):
-        assert rl_prefix_counts(0, 3) == 1
-        assert rl_prefix_counts(0, 0) == 1
+        assert prefix_count(2, Layer.G, 0, 3, "RL") == 1
+        assert prefix_count(2, Layer.G, 0, 0, "RL") == 1
 
     def test_level_one_after_one_step_is_empty(self):
         # both reversed step kinds climb by t=2, so nothing sits at
         # level 1 after a single step (computed, and pinned here)
-        assert rl_prefix_counts(1, 1) == 0
-        assert rl_prefix_counts(2, 1) == 2
+        assert prefix_count(2, Layer.G, 1, 1, "RL") == 0
+        assert prefix_count(2, Layer.G, 2, 1, "RL") == 2
 
     def test_matches_reversed_table(self):
-        from skewdyck.automaton import Layer
-
         table = dp_counts(2, 9, k_max=4, direction="RL")
         for k in range(5):
             for n in range(10):
-                assert rl_prefix_counts(k, n) == table.count(n, k, Layer.G)
+                assert prefix_count(2, Layer.G, k, n, "RL") == table.count(n, k, Layer.G)
 
     def test_closed_counts_match_lr_through_30(self):
         lr = dp_counts(2, 30, k_max=0)
         for n in range(31):
-            assert rl_prefix_counts(0, n) == lr.closed_count(n)
+            assert prefix_count(2, Layer.G, 0, n, "RL") == lr.closed_count(n)
