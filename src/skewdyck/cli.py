@@ -19,16 +19,31 @@ from .verify import run_verification
 
 DEFAULT_ORDER = 64
 
+# Resource bounds on CLI input, so that a typo cannot run for hours or
+# allocate gigabytes.  Each is several times the largest size the
+# benchmark runs, and every command finishes in seconds at its cap.
+MAX_SERIES_ORDER = 2048
+MAX_VERIFY_ORDER = 512
+MAX_LENGTH = 4000  # count --n; oeis --n-max builds the table to length 3n
+MAX_OEIS_N = MAX_LENGTH // 3
+
 _SERIES_CHOICES = "g0, h0, total, s4, s6, s1, rl-g0, R, prefix:<F|G|H>:<k>"
 
 TABLE_FORMATS = ("table", "csv", "json", "markdown")
 
 
-def _order_arg(text: str) -> int:
-    value = int(text)
-    if value < 8:
-        raise argparse.ArgumentTypeError("order must be at least 8")
-    return value
+def _int_in(name: str, lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi] (hi None: no upper bound)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = name  # argparse names the type in "invalid ... value"
+    return parse
 
 
 def _t_arg(text: str) -> int:
@@ -56,6 +71,8 @@ def _n_range_arg(text: str) -> tuple[int, int]:
         lo = hi = int(text)
     if lo < 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad length range {text!r}")
+    if hi > MAX_LENGTH:
+        raise argparse.ArgumentTypeError(f"length must be at most {MAX_LENGTH}, got {hi}")
     return lo, hi
 
 
@@ -116,6 +133,11 @@ def _series_for(name: str, order: int):
                 k = int(parts[2])
             except ValueError:
                 raise ValueError(f"bad prefix level in {name!r}") from None
+            if order + k > MAX_SERIES_ORDER:
+                raise ValueError(
+                    f"prefix level {k} at order {order} needs the kernel solution "
+                    f"beyond the order cap ({MAX_SERIES_ORDER})"
+                )
             return kernel.prefix_series_t2(Layer(parts[1]), k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 
@@ -197,13 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="exact series expansions")
     p.add_argument("which", help=f"one of: {_SERIES_CHOICES}")
-    p.add_argument("--order", type=_order_arg, default=DEFAULT_ORDER)
+    p.add_argument(
+        "--order", type=_int_in("order", 8, MAX_SERIES_ORDER), default=DEFAULT_ORDER
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("render", help="diagrams of all closed paths of one length")
     p.add_argument("--t", type=_t_arg, default=2)
-    p.add_argument("--n", type=int, required=True)
+    # the upper bound is the enumerator's cap, reported as a command error
+    p.add_argument("--n", type=_int_in("length", 0), required=True)
     p.add_argument(
         "--mode",
         choices=RENDER_MODES,
@@ -217,14 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("verify", help="run the full cross-validation suite")
-    p.add_argument("--order", type=_order_arg, default=DEFAULT_ORDER)
+    p.add_argument(
+        "--order", type=_int_in("order", 8, MAX_VERIFY_ORDER), default=DEFAULT_ORDER
+    )
     p.add_argument("--t", type=_t_list_arg, default=(2, 3), help="comma-separated t values")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oeis", help="compare a sequence's b-file against the table")
     p.add_argument("sequence", help="sequence id, e.g. A007564")
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_int_in("n-max", 0, MAX_OEIS_N), default=12)
     p.add_argument("--t", type=_t_arg, default=2)
     p.add_argument("--cache-dir", help="b-file cache directory")
     p.add_argument("--offline", action="store_true")

@@ -22,7 +22,7 @@ cancel out of the answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -146,6 +146,8 @@ class KernelSolution:
 
     ``c_f`` and ``c_g`` are the prefix-series constants:
     f_k = c_f * s^(-k-1) / z,  g_k = c_g * s^(-k-1),  h_k = h0 * s^(-k).
+    ``s_inv`` is s^-1 on the window of ``s``; its powers are memoised per
+    solution by `s_inv_power`.
     """
 
     t: int
@@ -158,6 +160,19 @@ class KernelSolution:
     g1_plus_h1: Series
     c_f: Series
     c_g: Series
+    s_inv: Series
+    _s_inv_powers: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def s_inv_power(self, k: int) -> Series:
+        """s^(-k) for k >= 1, each power computed once per solution."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        powers = self._s_inv_powers
+        if not powers:
+            powers.append(self.s_inv)
+        while len(powers) < k:
+            powers.append(powers[-1] * self.s_inv)
+        return powers[k - 1]
 
     def to_json(self) -> str:
         fields = {
@@ -187,9 +202,9 @@ def solve_t2(order: int = DEFAULT_ORDER) -> KernelSolution:
     """
     work = order + 4
     s = good_root(2, work)
-    inv_zs = s.shift(1).reciprocal()  # 1/(z s)
-    g0 = inv_zs - 1
     s_inv = s.reciprocal()
+    inv_zs = s_inv.shift(-1)  # 1/(z s)
+    g0 = inv_zs - 1
     h0 = inv_zs - (s_inv * s_inv).shift(1) - 1
     total = g0 + h0 + 1
     f1 = (g0 + 1).shift(1)
@@ -208,6 +223,8 @@ def solve_t2(order: int = DEFAULT_ORDER) -> KernelSolution:
         g1_plus_h1=cut(g1_plus_h1),
         c_f=cut(c_f),
         c_g=cut(c_g),
+        # s is cut at O(z^order) from its z^-1 lead, so s^-1 keeps order + 1 terms from z
+        s_inv=s_inv.truncate(order + 2),
     )
 
 
@@ -227,13 +244,12 @@ def prefix_series_t2(
         raise ValueError("k must be >= 0")
     if solution is None:
         solution = solve_t2(order + k + 3)
-    s_inv = solution.s.reciprocal()
     if layer is Layer.F:
-        out = (solution.c_f * s_inv ** (k + 1)).shift(-1)
+        out = (solution.c_f * solution.s_inv_power(k + 1)).shift(-1)
     elif layer is Layer.G:
-        out = solution.c_g * s_inv ** (k + 1)
+        out = solution.c_g * solution.s_inv_power(k + 1)
     else:
-        out = solution.h0 if k == 0 else solution.h0 * s_inv**k
+        out = solution.h0 if k == 0 else solution.h0 * solution.s_inv_power(k)
     if out.frontier < order:
         raise SeriesError(
             f"solution order {solution.order} too small for level {k} at O(z^{order})"

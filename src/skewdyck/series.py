@@ -7,8 +7,16 @@ Every series here stands for
 with ``frontier = valuation + len(coeffs)``.  Precision is tracked
 explicitly: arithmetic returns results on the window the operands actually
 support (the min-rule for addition, shifted by valuations for products)
-and never claims coefficients beyond it.  Coefficients are
-`fractions.Fraction` throughout; floats are rejected outright.
+and never claims coefficients beyond it.  Coefficients are stored as
+`fractions.Fraction` values and floats are rejected outright.
+
+The quadratic kernels (products, reciprocals, square roots) do not do
+`Fraction` arithmetic: each operand is put over one common denominator,
+the O(n^2) work runs on the Python-int numerators, and every output
+coefficient is normalised back to a `Fraction` once.  Reciprocals and
+square roots are Newton iterations that double their working precision
+on each step (Brent & Kung 1978; von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 9), and so is `newton_root`.
 
 Negative exponents are supported down to any finite valuation, which is
 all the counting work needs (the useful algebraic roots have a single
@@ -19,7 +27,7 @@ z=0 must be removed by an explicit substitution before solving.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 
 class SeriesError(ValueError):
@@ -44,6 +52,89 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
     if rp * rp != p or rq * rq != q:
         return None
     return Fraction(rp, rq)
+
+
+# -- integer kernels ---------------------------------------------------------
+#
+# A vector of rationals travels as (nums, den): the value of entry i is
+# nums[i] / den, with den > 0 and gcd(den, *nums) == 1.
+
+
+def _to_ints(coeffs) -> tuple[list[int], int]:
+    """Numerators of `coeffs` over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _to_fractions(nums: list[int], den: int) -> list[Fraction]:
+    if den == 1:
+        return [Fraction(x) for x in nums]
+    return [Fraction(x, den) for x in nums]
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """(nums, den) with the common factor removed and den > 0."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _mul_ints(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of two integer polynomials."""
+    out = [0] * n
+    nz_b = [(j, y) for j, y in enumerate(b[:n]) if y]
+    for i, x in enumerate(a[:n]):
+        if x:
+            room = n - i
+            for j, y in nz_b:
+                if j >= room:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _reciprocal_ints(a: list[int], den: int, n: int) -> tuple[list[int], int]:
+    """First n coefficients of den / a(z), for a(0) != 0.
+
+    Newton's iteration x <- x + x (1 - (a/den) x), doubling the number of
+    correct coefficients each step.  With x/e right to h terms, the
+    product (a/den)(x/e) = p/(den e) is 1 + O(z^h), so the correction
+    x (1 - p/(den e)) only has terms from z^h on and only p[h:] enters.
+    """
+    x, e = _reduced([den], a[0])  # x = den / a0
+    while len(x) < n:
+        h = len(x)
+        m = min(2 * h, n)
+        p = _mul_ints(a, x, m)
+        de = den * e
+        x = [c * de for c in x] + _mul_ints(x, [-c for c in p[h:m]], m - h)
+        x, e = _reduced(x, de * e)
+    return x, e
+
+
+def _inverse_sqrt_ints(
+    a: list[int], den: int, r0: Fraction, n: int
+) -> tuple[list[int], int]:
+    """First n coefficients of (a(z)/den)^(-1/2) with constant term 1/r0.
+
+    Newton's iteration w <- w + w (1 - (a/den) w^2) / 2; as for the
+    reciprocal, (a/den)(w/f)^2 = p/(den f^2) is 1 + O(z^h) once w/f is
+    right to h terms.
+    """
+    w, f = [r0.denominator], r0.numerator
+    while len(w) < n:
+        h = len(w)
+        m = min(2 * h, n)
+        p = _mul_ints(a, _mul_ints(w, w, m), m)
+        scale = 2 * den * f * f
+        w = [c * scale for c in w] + _mul_ints(w, [-c for c in p[h:m]], m - h)
+        w, f = _reduced(w, scale * f)
+    return w, f
 
 
 class Series:
@@ -153,13 +244,17 @@ class Series:
             return NotImplemented
         frontier = min(self._frontier, other._frontier)
         lo = min(self._val, other._val, frontier)
-        out = [Fraction(0)] * (frontier - lo)
-        for src in (self, other):
-            for i, c in enumerate(src._coeffs):
-                e = src._val + i
-                if e < frontier:
-                    out[e - lo] += c
-        return Series(lo, out)
+        parts = [
+            (src._val - lo, *_to_ints(src._coeffs[: max(frontier - src._val, 0)]))
+            for src in (self, other)
+        ]
+        den = lcm(parts[0][2], parts[1][2])
+        out = [0] * (frontier - lo)
+        for offset, nums, d in parts:
+            scale = den // d
+            for i, x in enumerate(nums, offset):
+                out[i] += x * scale
+        return Series(lo, _to_fractions(*_reduced(out, den)))
 
     __radd__ = __add__
 
@@ -197,16 +292,9 @@ class Series:
             return Series.zero(frontier)
         val = self._val + other._val
         n = frontier - val  # == min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self._coeffs):
-            if i >= n or a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if i + j >= n:
-                    break
-                if b != 0:
-                    out[i + j] += a * b
-        return Series(val, out)
+        a, da = _to_ints(self._coeffs[:n])
+        b, db = _to_ints(other._coeffs[:n])
+        return Series(val, _to_fractions(*_reduced(_mul_ints(a, b, n), da * db)))
 
     __rmul__ = __mul__
 
@@ -261,17 +349,8 @@ class Series:
         """
         if self.is_zero():
             raise SeriesError("no reciprocal: series is zero to its order")
-        c = self._coeffs
-        n = len(c)
-        inv0 = 1 / c[0]
-        out = [inv0] + [Fraction(0)] * (n - 1)
-        for m in range(1, n):
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                if c[i] != 0:
-                    acc += c[i] * out[m - i]
-            out[m] = -acc * inv0
-        return Series(-self._val, out)
+        a, den = _to_ints(self._coeffs)
+        return Series(-self._val, _to_fractions(*_reciprocal_ints(a, den, len(a))))
 
     def sqrt(self) -> "Series":
         """Square root with positive leading coefficient.
@@ -292,15 +371,12 @@ class Series:
             raise SeriesError(
                 f"leading coefficient {c[0]} is not the square of a rational"
             )
-        n = len(c)
-        out = [r0] + [Fraction(0)] * (n - 1)
-        half = 1 / (2 * r0)
-        for m in range(1, n):
-            acc = c[m]
-            for i in range(1, m):
-                acc -= out[i] * out[m - i]
-            out[m] = acc * half
-        return Series(self._val // 2, out)
+        a, den = _to_ints(c)
+        n = len(a)
+        w, f = _inverse_sqrt_ints(a, den, r0, n)
+        # sqrt(a) = a * a^(-1/2)
+        root = _reduced(_mul_ints(a, w, n), den * f)
+        return Series(self._val // 2, _to_fractions(*root))
 
     # -- comparisons -------------------------------------------------------
 
@@ -361,13 +437,6 @@ class Series:
             "order": self.order,
             "coeffs": [str(c) for c in self._coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Series":
-        coeffs = [Fraction(c) for c in data["coeffs"]]
-        if len(coeffs) != data["order"]:
-            raise SeriesError("order field disagrees with the coefficient list")
-        return cls(data["valuation"], coeffs)
 
 
 class AlgebraicEq:
@@ -444,8 +513,11 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
     The seed must be a simple root of P(v, 0): a vanishing derivative
     means the root ramifies at z = 0 and needs a substitution first
     (fractional-power expansions are out of scope).  Each iteration
-    doubles the number of correct coefficients; the residual is checked
-    after the final step and a nonzero residual raises.
+    doubles the number of correct coefficients, so step k works on a
+    window of min(2**k, order) coefficients only: with v right to h
+    terms, v - P(v)/P'(v) is right to 2h, and P'(v) is needed to just h
+    terms.  The residual is checked at the full order after the final
+    step and a nonzero residual raises.
     """
     seed = _as_fraction(seed)
     if order < 1:
@@ -458,13 +530,15 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
             f"root at seed {seed} is ramified (derivative vanishes at z=0); "
             "apply a normalizing substitution before solving"
         )
-    v = Series.constant(seed, order)
-    iterations = max(order - 1, 1).bit_length() + 1
-    for _ in range(iterations):
-        residual = eq.eval(v).truncate(order)
-        if residual.is_zero():
-            break
-        v = (v - residual * deq.eval(v).reciprocal()).truncate(order)
+    v = Series.constant(seed, 1)
+    m = 1
+    while m < order:
+        h, m = m, min(2 * m, order)
+        v = Series(v.valuation, v.coeffs + (0,) * (m - v.frontier))  # to O(z^m)
+        residual = eq.eval(v).truncate(m)
+        if not residual.is_zero():
+            step = residual * deq.eval(v.truncate(m - h)).reciprocal()
+            v = (v - step).truncate(m)
     residual = eq.eval(v).truncate(order)
     if not residual.is_zero():
         raise SeriesError("newton iteration failed to cancel the residual")

@@ -180,7 +180,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
         w = order - 2
         one_ok = ((sol.s.shift(1)) * (sol.g0 + 1) - 1).truncate(w).is_zero()
         diff_ok = (
-            ((sol.g0 - sol.h0) - (sol.g0 + 1).shift(2) * sol.s.reciprocal())
+            ((sol.g0 - sol.h0) - (sol.g0 + 1).shift(2) * sol.s_inv)
             .truncate(w)
             .is_zero()
         )

@@ -1,10 +1,12 @@
 """CLI behaviour: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from skewdyck.cli import main
+from skewdyck.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -95,6 +97,110 @@ class TestSeries:
             main(["series", "g0", "--order", "4"])
 
 
+# sha256 of `series <selector> --order <order> --format <format>` output,
+# recorded with the Fraction-per-coefficient engine (commit 283c104) so
+# that no later change to the series engine alters a byte unnoticed.
+SERIES_DIGESTS = {
+    ("g0", 8, "text"): "d86956cddcfa9281a8774862df98266423d41e7b805929d28309d388cb97160b",
+    ("g0", 8, "json"): "18865abaa027c8d4b6d5b2cb6242ab9de0df289211058be7f18279d06dd1cec8",
+    ("g0", 61, "text"): "e64fec02f6c8079dcdd6d40a96d8117b694951b7d924af1ff95ac071bdca0669",
+    ("g0", 61, "json"): "0e07864c04faa4a2fb184e71c2db9592efc432b656f0d83855c7b1e5b7f6a71b",
+    ("g0", 192, "text"): "ba6360f4b0179a7c12ff56ae730c00cc6109a95f6133b8b7cc808aaa7ddd4476",
+    ("g0", 192, "json"): "f374d30eb3590e3d217eb81e0b9fd34b885eff92c8b1a8f8bab8f2f7203798bf",
+    ("h0", 8, "text"): "91c05254ed3705d91802964b5d697f42f7380beb7d5e0f6eabbe5c1782baa798",
+    ("h0", 8, "json"): "88e6143c3492f5c6c1668dfa253d0aec3d01b4e38e32e91aef1645a409216af4",
+    ("h0", 61, "text"): "929453b6b70d71f1127399101061ed6dc3b77ff6336b58b97f36c88506df90e8",
+    ("h0", 61, "json"): "c54ad6ce1a92185d138a9762a83e30efc1642f62a25e73bc0c18efd83a730b08",
+    ("h0", 192, "text"): "6b050ceb23b1243484584e31099cc420dd595d0732dec69eff5446af6de2da23",
+    ("h0", 192, "json"): "5f5a608cbd929837471131b3d68cce115ef34d7e1e0b7688587bc61177d413d0",
+    ("total", 8, "text"): "e4f7dbd6439014fdb7f0323a6a4e53ab76353e91bdf865cf0968816632222130",
+    ("total", 8, "json"): "34b0ffd24dbf867f3efc0fc18e05e8e002f9d8e49a92a4f4d3923a51fa2f3a52",
+    ("total", 61, "text"): "22dd34b3215688b2672d3b51d0877926cff6fea430907d85fd1d170c12a0ad46",
+    ("total", 61, "json"): "032e80aa1994777ecf12dc22929a4e0b3d78da1287147eda8219cd1957b3a474",
+    ("total", 192, "text"): "b5e483c0582246122fc0941b00c7cd0f65541400e0fe5ac5ed78cc9f7988cfb5",
+    ("total", 192, "json"): "4b2bcd3d31972ebc6bb088101e03acf3310ce2db398d84aa616944cae9d8598b",
+    ("s4", 8, "text"): "93d46e99b8667ff7077e571482fbede0682e28bd1f7372c6f17a8b70bcd200bc",
+    ("s4", 8, "json"): "9f8aec91c7e0691b266c5f84fae2eb48c180b663a3fa32e19f86c3eca108e38b",
+    ("s4", 61, "text"): "8573f028e9a311889e6ad35f8200588ef932427328f3944c721a65cec322b122",
+    ("s4", 61, "json"): "be6f47fa6d789753380778ad5001aa9366646f773996a02cbfe27f29dfdc3faf",
+    ("s4", 192, "text"): "f8af1d26a860a10e65ba9f096e0ba7ff1fb9a4efaa1caa76e7de3d96e0cee483",
+    ("s4", 192, "json"): "5d5c4d5e83d185510699c5bfa1bf473e988f38d9994d89218d99b81cc0e60040",
+    ("s6", 8, "text"): "9731256c6e7f71bb9be23d6f5f94362eca7a2d4d1a64984fd4a7ea893ed43389",
+    ("s6", 8, "json"): "8ac19cd123f44353abc16575ebeed6df17ba9ba16cbab928c20f8f6c78170574",
+    ("s6", 61, "text"): "9a5843f7e2f02c6dc5ec323a42711b49065e772cb54499b535dc2bdd27b9c14d",
+    ("s6", 61, "json"): "ca03818d1ba1c02c878569773761760b25c020ec1179cd9e105d8fa83b64de2d",
+    ("s6", 192, "text"): "78d4ffd5361fff33cc3e296cc841f824bfdb3f03dade483cb7b30dd89a2f867d",
+    ("s6", 192, "json"): "0e9f4fa941b23b8f1a5947875e889cdd6b527e6e874cb0cd8c9830511c6722ac",
+    ("s1", 8, "text"): "043e214c3aa472ed31f1aae33d64c02bfa44522ace66814829a229bc17567c6c",
+    ("s1", 8, "json"): "c64552c47e1f6ba5e0ae12e050bccc06e930626ffcae94ef0637ed071ac4aba1",
+    ("s1", 61, "text"): "d9b655222b2e2fe66574611920fc34f75bb1e8cbc7e78417b5758ad50420217e",
+    ("s1", 61, "json"): "7d08b706a20724f57efb3174f38a4a3e26c35a004bb0337727e48ae765e3432d",
+    ("s1", 192, "text"): "0a37ca5796dd7dae2bb05d86ed2467d80521af51949d26e53458a7782277977d",
+    ("s1", 192, "json"): "f608bd83409f529266134ec942eaf317ea6d6c804af288f4912f86a62be4ca0c",
+    ("rl-g0", 8, "text"): "e4f7dbd6439014fdb7f0323a6a4e53ab76353e91bdf865cf0968816632222130",
+    ("rl-g0", 8, "json"): "34b0ffd24dbf867f3efc0fc18e05e8e002f9d8e49a92a4f4d3923a51fa2f3a52",
+    ("rl-g0", 61, "text"): "22dd34b3215688b2672d3b51d0877926cff6fea430907d85fd1d170c12a0ad46",
+    ("rl-g0", 61, "json"): "032e80aa1994777ecf12dc22929a4e0b3d78da1287147eda8219cd1957b3a474",
+    ("rl-g0", 192, "text"): "b5e483c0582246122fc0941b00c7cd0f65541400e0fe5ac5ed78cc9f7988cfb5",
+    ("rl-g0", 192, "json"): "4b2bcd3d31972ebc6bb088101e03acf3310ce2db398d84aa616944cae9d8598b",
+    ("R", 8, "text"): "bd9199a28c742f5aad4a6af17f67a5d6e91bcaac24ad61b87c659e23d32982ac",
+    ("R", 8, "json"): "591be81c473a90a0dd31ddfe93dfd48d9a2bf07ff5fa7b0121ace27fcf98aa2f",
+    ("R", 61, "text"): "e271e3c3ef01efbd6b4c58f39b1849faff2506c142bc190cb9aa26b21ad7458b",
+    ("R", 61, "json"): "eec4391a01d057b6802d74d227b93d59160ac9b31f8fa08736bc88e1f631a664",
+    ("R", 192, "text"): "6298b78f295bd112b62e1b857050780dcf967fc9c38716be9ecb219945467869",
+    ("R", 192, "json"): "f52cf45a79c905d6955f738ece584cf301bf1a872a190d99eb8b5e7efb138b6c",
+    ("prefix:F:0", 8, "text"): "5d4b6ab481eafc2ed60ea33cda929c518bfe5cc31db39dc3161d9aff5c033487",
+    ("prefix:F:0", 8, "json"): "85490d88f8de0b5d5a33ca76023e5043f09ef42eaeb34280d6620701546918c0",
+    ("prefix:F:0", 61, "text"): "d9c0ff732de13633c55751d16db1abf7e4c4c5256c925a15feb30f2c23857676",
+    ("prefix:F:0", 61, "json"): "c3b5da264f464d54c5bc9091012aabf27f271a72ec7b2ed3a39419c738109165",
+    ("prefix:F:0", 192, "text"): "d4bd73583ff229cd09d995fbac4165160b45d781414ec956ba3c8f67f8720d6b",
+    ("prefix:F:0", 192, "json"): "911ea529a1db1d544ddf8f834d3618743061898c08ce1e1a15fc1b63278821d7",
+    ("prefix:F:4", 8, "text"): "f68b622a81a00d61924c4d75d0f2cd0bd049a29591c09bf97d0275844b3c046b",
+    ("prefix:F:4", 8, "json"): "861b7cdb2cb42f9b448877e622697071607aa7edd898a6e5656e331b06bb0a8c",
+    ("prefix:F:4", 61, "text"): "42f6708d8235c11cd0a01f6085e73fbf869b0b61d9a7f0265a6ca058d3f8f76f",
+    ("prefix:F:4", 61, "json"): "606c262b2ec38823edd0aebd8c2ef00d4a3606868e502bad6082574bddf86743",
+    ("prefix:F:4", 192, "text"): "97c30ae703f0048770b2d312f08ecef44812a32fd0b2ee975a71a5395bc03c54",
+    ("prefix:F:4", 192, "json"): "05e55d53fb36684b234250b8ccd4ca39e90019fd8755aa59e67d491bd2934c1a",
+    ("prefix:G:0", 8, "text"): "d86956cddcfa9281a8774862df98266423d41e7b805929d28309d388cb97160b",
+    ("prefix:G:0", 8, "json"): "18865abaa027c8d4b6d5b2cb6242ab9de0df289211058be7f18279d06dd1cec8",
+    ("prefix:G:0", 61, "text"): "e64fec02f6c8079dcdd6d40a96d8117b694951b7d924af1ff95ac071bdca0669",
+    ("prefix:G:0", 61, "json"): "0e07864c04faa4a2fb184e71c2db9592efc432b656f0d83855c7b1e5b7f6a71b",
+    ("prefix:G:0", 192, "text"): "ba6360f4b0179a7c12ff56ae730c00cc6109a95f6133b8b7cc808aaa7ddd4476",
+    ("prefix:G:0", 192, "json"): "f374d30eb3590e3d217eb81e0b9fd34b885eff92c8b1a8f8bab8f2f7203798bf",
+    ("prefix:G:4", 8, "text"): "43ec6813b391796072b9ccf1bc85b6cf41852f53c74d86f7b9a630699aacbed8",
+    ("prefix:G:4", 8, "json"): "e576f9315219ac0b188d6f8cfd88c540f9eb0dd4e3a4991518a679daa5dd3c75",
+    ("prefix:G:4", 61, "text"): "624b6abb1664cb779f93132567132894037cf528602fdbe03690cb9353b2998a",
+    ("prefix:G:4", 61, "json"): "5281eef5582e6790c6fdfbd78b4fe82be78a2f31b043fa07b7665fa972d90c0a",
+    ("prefix:G:4", 192, "text"): "a3bd563b19f298ea85e5781e91a00d9aada13772b75500ef5280899ac206310d",
+    ("prefix:G:4", 192, "json"): "79e062811ea235c49b4c711dff4860837195748dc55db3a557970f5ab64d716e",
+    ("prefix:H:0", 8, "text"): "91c05254ed3705d91802964b5d697f42f7380beb7d5e0f6eabbe5c1782baa798",
+    ("prefix:H:0", 8, "json"): "88e6143c3492f5c6c1668dfa253d0aec3d01b4e38e32e91aef1645a409216af4",
+    ("prefix:H:0", 61, "text"): "929453b6b70d71f1127399101061ed6dc3b77ff6336b58b97f36c88506df90e8",
+    ("prefix:H:0", 61, "json"): "c54ad6ce1a92185d138a9762a83e30efc1642f62a25e73bc0c18efd83a730b08",
+    ("prefix:H:0", 192, "text"): "6b050ceb23b1243484584e31099cc420dd595d0732dec69eff5446af6de2da23",
+    ("prefix:H:0", 192, "json"): "5f5a608cbd929837471131b3d68cce115ef34d7e1e0b7688587bc61177d413d0",
+    ("prefix:H:4", 8, "text"): "cce4dcb93ecd84fedd3e17070cece3ce6720291be9d25b291be378776394d013",
+    ("prefix:H:4", 8, "json"): "9965e036fc287a43a726318d4c9b3f3ee33b4633d69382d15722bdf8a7cef459",
+    ("prefix:H:4", 61, "text"): "dc0a8a06b3ce778bafe7c3d4e4e4e58bcc60b5e555ed2220d4703a16de7e7795",
+    ("prefix:H:4", 61, "json"): "72c88b3059de195e7c6f4965cd4705f4c83537743a51ca7bec37355883ab3e7a",
+    ("prefix:H:4", 192, "text"): "caba2a94203dd243441e85834f542322adbe3f011b9c707838c36c2a9d5464c4",
+    ("prefix:H:4", 192, "json"): "56d297120be9b371c3d57b3befa96a3e593700f94207527e166e0b757bdd4195",
+}
+
+
+class TestSeriesBytes:
+    @pytest.mark.parametrize("selector", sorted({sel for sel, _, _ in SERIES_DIGESTS}))
+    def test_output_digests(self, capsys, selector):
+        expected = {k: v for k, v in SERIES_DIGESTS.items() if k[0] == selector}
+        got = {}
+        for key in expected:
+            _, order, fmt = key
+            rc, out, _ = run(capsys, "series", selector, "--order", str(order), "--format", fmt)
+            assert rc == 0
+            got[key] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == expected
+
+
 class TestRender:
     def test_stdout_svg(self, capsys):
         rc, out, _ = run(capsys, "render", "--t", "2", "--n", "9", "--mode", "plain")
@@ -140,6 +246,40 @@ class TestVerify:
         assert rc == 0
         data = json.loads(out)
         assert data["passed"] is True
+
+
+class TestBounds:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["series", "g0", "--order", "4"], "order must be between 8 and 2048, got 4"),
+            (["series", "g0", "--order", "2049"], "order must be between 8 and 2048, got 2049"),
+            (["series", "g0", "--order", "x"], "invalid order value: 'x'"),
+            (["verify", "--order", "513"], "order must be between 8 and 512, got 513"),
+            (["count", "--n", "0:4001"], "length must be at most 4000, got 4001"),
+            (["count", "--n", "4001"], "length must be at most 4000, got 4001"),
+            (["render", "--n", "-1"], "length must be at least 0, got -1"),
+            (["oeis", "A007564", "--n-max", "1334"], "n-max must be between 0 and 1333, got 1334"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_prefix_level_beyond_cap(self, capsys):
+        rc, _, err = run(capsys, "series", "prefix:F:2000", "--order", "64")
+        assert rc == 1
+        assert "beyond the order cap (2048)" in err
+
+    def test_benchmark_vectors_within_caps(self):
+        # every argument vector the benchmark can draw must still parse
+        expected = Path(__file__).parents[1] / "bench" / "expected.json"
+        vectors = json.loads(expected.read_text())["digests"]
+        parser = build_parser()
+        for argv in vectors:
+            parser.parse_args(argv.replace("{out}", "out.svg").split())
 
 
 class TestOeis:

@@ -121,6 +121,17 @@ class TestSolveT2:
         rhs = (sol.g0 + 1).shift(2) * sol.s.reciprocal()
         assert (lhs - rhs).truncate(38).is_zero()
 
+    @pytest.mark.parametrize("order", [8, 9, 40])
+    def test_s_inv_powers_are_memoised_on_the_window_of_s(self, order):
+        sol = solve_t2(order)
+        inv = sol.s.reciprocal()
+        assert sol.s_inv == inv
+        for k in (3, 1, 5):
+            assert sol.s_inv_power(k) == inv**k
+        assert sol.s_inv_power(5) is sol.s_inv_power(5)
+        with pytest.raises(ValueError):
+            sol.s_inv_power(0)
+
     def test_g1_plus_h1_matches_table(self, sol):
         table = dp_counts(2, 24, k_max=1)
         for n in range(25):

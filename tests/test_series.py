@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewdyck.series import AlgebraicEq, Series, SeriesError, newton_root
 
@@ -188,12 +190,145 @@ class TestNewton:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        a = Series(-1, [Fraction(1), Fraction(-3, 16), Fraction(0), Fraction(2)])
-        data = a.to_json()
-        assert data["coeffs"][1] == "-3/16"
-        assert Series.from_json(data) == a
-
     def test_exact_strings(self):
         data = Series.poly({2: Fraction(1, 3)}, 4).to_json()
         assert all(isinstance(c, str) for c in data["coeffs"])
+        a = Series(-1, [Fraction(1), Fraction(-3, 16), Fraction(0), Fraction(2)])
+        assert a.to_json() == {
+            "valuation": -1, "order": 4, "coeffs": ["1", "-3/16", "0", "2"],
+        }
+
+
+# -- property tests against a plain-Fraction schoolbook reference ------------
+#
+# The engine runs its quadratic kernels on integer numerators with
+# precision-doubling Newton iterations; the references below are the
+# textbook coefficient recurrences on `Fraction`s, one term at a time.
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+leads = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+)
+nonzero = leads | rationals.filter(bool)
+
+
+@st.composite
+def series(draw, nonzero_lead=False, max_order=12):
+    val = draw(st.integers(-4, 4))
+    order = draw(st.integers(1, max_order))
+    coeffs = draw(st.lists(rationals, min_size=order, max_size=order))
+    if nonzero_lead:
+        coeffs[0] = draw(nonzero)
+    return Series(val, coeffs)
+
+
+def ref_mul(a, b):
+    frontier = min(a.frontier + b.valuation, b.frontier + a.valuation)
+    if a.is_zero() or b.is_zero():
+        return Series.zero(frontier)
+    n = frontier - a.valuation - b.valuation
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a.coeffs[:n]):
+        for j, y in enumerate(b.coeffs[: n - i]):
+            out[i + j] += x * y
+    return Series(a.valuation + b.valuation, out)
+
+
+def ref_reciprocal(a):
+    c = a.coeffs
+    out = [1 / c[0]]
+    for m in range(1, len(c)):
+        out.append(-sum(c[i] * out[m - i] for i in range(1, m + 1)) / c[0])
+    return Series(-a.valuation, out)
+
+
+def ref_sqrt(a, r0):
+    c = a.coeffs
+    out = [r0]
+    for m in range(1, len(c)):
+        out.append((c[m] - sum(out[i] * out[m - i] for i in range(1, m))) / (2 * r0))
+    return Series(a.valuation // 2, out)
+
+
+def ref_root(table, seed, order):
+    """Root of sum(z-poly * v^p) term by term: v_m = -[z^m] P(v_<m) / P_v(seed, 0)."""
+
+    def times(x, y):
+        return [sum(x[i] * y[m - i] for i in range(m + 1)) for m in range(order)]
+
+    def evaluate(v):
+        acc = [Fraction(0)] * order
+        for p, zpoly in table.items():
+            term = [Fraction(0)] * order
+            for e, c in zpoly.items():
+                if e < order:
+                    term[e] = Fraction(c)
+            for _ in range(p):
+                term = times(term, v)
+            acc = [x + y for x, y in zip(acc, term)]
+        return acc
+
+    slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in table.items() if p)
+    v = [seed] + [Fraction(0)] * (order - 1)
+    for m in range(1, order):
+        v[m] = -evaluate(v)[m] / slope
+    return Series(0, v)
+
+
+class TestProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(series(), series(), series())
+    def test_ring_laws(self, a, b, c):
+        assert ((a + b) + c).agrees(a + (b + c))
+        assert (a + b).agrees(b + a)
+        assert (a * b) == (b * a)
+        assert ((a * b) * c).agrees(a * (b * c))
+        assert (a * (b + c)).agrees(a * b + a * c)
+        assert (a - a).is_zero()
+        assert a * Series.one(a.order + 1) == a
+
+    @settings(deadline=None, max_examples=200)
+    @given(series(), series())
+    def test_mul_matches_reference(self, a, b):
+        assert a * b == ref_mul(a, b)
+
+    @settings(deadline=None, max_examples=200)
+    @given(series(nonzero_lead=True))
+    def test_reciprocal_matches_reference(self, a):
+        inv = a.reciprocal()
+        assert inv == ref_reciprocal(a)
+        assert inv.reciprocal() == a
+        assert a * inv == Series.one(a.order)
+
+    @settings(deadline=None, max_examples=200)
+    @given(series(nonzero_lead=True), nonzero)
+    def test_sqrt_matches_reference(self, b, r0):
+        # an even valuation and a square lead: scale b so its lead is r0**2
+        a = b * (r0 * r0 / b.coeffs[0])
+        a = a.shift(-(a.valuation % 2))
+        root = a.sqrt()
+        assert root == ref_sqrt(a, abs(r0))
+        assert root * root == a
+        square = b * b
+        assert square.sqrt() == (b if b.coeffs[0] > 0 else -b)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.dictionaries(
+            st.integers(1, 4),
+            st.dictionaries(st.integers(0, 3), rationals, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        nonzero | st.just(Fraction(0)),
+        st.integers(1, 10),
+    )
+    def test_newton_root_matches_reference(self, table, seed, order):
+        # the constant term puts a root at the seed: P(seed, 0) = 0
+        c0 = -sum(Fraction(zp.get(0, 0)) * seed**p for p, zp in table.items())
+        table = {**table, 0: {**table.get(0, {}), 0: c0}}
+        slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in table.items() if p)
+        assume(slope != 0)
+        v = newton_root(AlgebraicEq(table), seed, order)
+        assert v == ref_root(table, seed, order).truncate(order)
+        assert v.frontier == order
