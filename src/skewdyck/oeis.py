@@ -13,8 +13,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-import urllib.error
-import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -89,6 +87,9 @@ def load_terms(
         raise OeisError(
             f"no cached or bundled terms for {seq_id}; rerun without --offline to fetch"
         )
+    # imported here: the HTTP stack costs every other CLI command start-up time
+    import urllib.error
+    import urllib.request
     try:
         with urllib.request.urlopen(b_file_url(seq_id), timeout=timeout) as resp:
             text = resp.read().decode("utf-8")

@@ -6,13 +6,16 @@ axis and may not contain UL or LU as adjacent pairs.  Closed words end
 back on the axis.  The drawing convention stretches down-steps: U maps
 to (+1, +1), D to (+2, -t), and L either to a true left step (-2, -t)
 or, in the default overlay style, to a forward (+2, -t) segment tagged
-red so the emitters can offset it visually.
+red so the emitters can offset it visually.  A realized word is its
+tuple of integer vertices, read off one step-vector table per mode and
+t; segments are derived from consecutive vertices on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 
 class Step(Enum):
@@ -20,8 +23,9 @@ class Step(Enum):
     D = "D"
     L = "L"
 
-    def level_delta(self, t: int) -> int:
-        return 1 if self is Step.U else -t
+    # members are singletons compared by identity; Enum's own __hash__
+    # hashes the name in Python, which dominated every step lookup
+    __hash__ = object.__hash__
 
 
 # canonical (and lexicographic) step order: U < D < L
@@ -29,7 +33,17 @@ STEP_ORDER = (Step.U, Step.D, Step.L)
 
 DEFAULT_ENUMERATION_CAP = 24
 
-GEOMETRY_MODES = ("red-overlay", "left")
+# horizontal run of each step per geometry mode; the rise is its level change
+_STEP_DX = {
+    "red-overlay": {Step.U: 1, Step.D: 2, Step.L: 2},
+    "left": {Step.U: 1, Step.D: 2, Step.L: -2},
+}
+GEOMETRY_MODES = tuple(_STEP_DX)
+
+
+def _level_deltas(t: int) -> dict[Step, int]:
+    """Level change of each step: U climbs one unit, D and L drop t."""
+    return {Step.U: 1, Step.D: -t, Step.L: -t}
 
 
 @dataclass(frozen=True)
@@ -61,12 +75,7 @@ class SkewWord:
 
     def levels(self) -> tuple[int, ...]:
         """Running level after each step."""
-        out = []
-        level = 0
-        for s in self.steps:
-            level += s.level_delta(self.t)
-            out.append(level)
-        return tuple(out)
+        return tuple(accumulate(map(_level_deltas(self.t).__getitem__, self.steps)))
 
     def final_level(self) -> int:
         return self.levels()[-1] if self.steps else 0
@@ -95,16 +104,18 @@ def validate(word: SkewWord) -> ValidationResult:
     pair's first step), and "below-axis" (a prefix dips under level 0).
     Invalid words are findings, not errors.
     """
+    U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
+    if word.steps and word.steps[0] is not U:
+        return ValidationResult(False, "first-step", 0)
+    delta = _level_deltas(word.t)
     level = 0
     prev: Step | None = None
     for i, s in enumerate(word.steps):
-        if i == 0 and s is not Step.U:
-            return ValidationResult(False, "first-step", 0)
-        if prev is Step.U and s is Step.L:
+        if prev is U and s is L:
             return ValidationResult(False, "UL", i - 1)
-        if prev is Step.L and s is Step.U:
+        if prev is L and s is U:
             return ValidationResult(False, "LU", i - 1)
-        level += s.level_delta(word.t)
+        level += delta[s]
         if level < 0:
             return ValidationResult(False, "below-axis", i)
         prev = s
@@ -137,6 +148,8 @@ def enumerate_words(
             f"length {n} exceeds the exhaustive-enumeration cap ({cap}); "
             "use the automaton counting table (dp_counts/total) instead"
         )
+    U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
+    delta = _level_deltas(t)
     out: list[SkewWord] = []
     prefix: list[Step] = []
 
@@ -152,11 +165,11 @@ def enumerate_words(
             if r < 0 or r % (t + 1):
                 return
         for s in STEP_ORDER:
-            if last is Step.U and s is Step.L:
+            if last is U and s is L:
                 continue
-            if last is Step.L and s is Step.U:
+            if last is L and s is U:
                 continue
-            new_level = level + s.level_delta(t)
+            new_level = level + delta[s]
             if new_level < 0:
                 continue
             prefix.append(s)
@@ -171,18 +184,22 @@ def enumerate_words(
 class PathGeometry:
     """Stretched polyline realization of a word.
 
-    Segments are ((x0, y0), (x1, y1)) integer pairs; colors tag each
-    segment "black" (U, D) or "red" (L).  Consecutive segments chain:
-    each starts where the previous one ended, beginning at the origin.
+    ``vertices`` are the integer (x, y) points the polyline passes
+    through, one per step plus the origin it starts from.  ``colors[i]``
+    tags the step from ``vertices[i]`` to ``vertices[i + 1]`` "black"
+    (U, D) or "red" (L).
     """
 
-    segments: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    vertices: tuple[tuple[int, int], ...]
     colors: tuple[str, ...]
 
-    def points(self) -> tuple[tuple[int, int], ...]:
-        if not self.segments:
-            return ((0, 0),)
-        return (self.segments[0][0],) + tuple(seg[1] for seg in self.segments)
+    @property
+    def segments(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """One ((x0, y0), (x1, y1)) pair of consecutive vertices per step."""
+        return tuple(zip(self.vertices, self.vertices[1:]))
+
+
+_COLORS = {Step.U: "black", Step.D: "black", Step.L: "red"}
 
 
 def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
@@ -197,21 +214,11 @@ def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
     check = validate(word)
     if not check:
         raise ValueError(f"cannot realize an invalid word ({check})")
-    x, y = 0, 0
-    segments = []
-    colors = []
-    for s in word.steps:
-        if s is Step.U:
-            dx, dy = 1, 1
-        elif s is Step.D:
-            dx, dy = 2, -word.t
-        else:
-            dx = -2 if mode == "left" else 2
-            dy = -word.t
-        segments.append(((x, y), (x + dx, y + dy)))
-        colors.append("red" if s is Step.L else "black")
-        x, y = x + dx, y + dy
-    return PathGeometry(tuple(segments), tuple(colors))
+    dx, dy = _STEP_DX[mode], _level_deltas(word.t)
+    xs = accumulate(map(dx.__getitem__, word.steps), initial=0)
+    ys = accumulate(map(dy.__getitem__, word.steps), initial=0)
+    colors = tuple(map(_COLORS.__getitem__, word.steps))
+    return PathGeometry(tuple(zip(xs, ys)), colors)
 
 
 def _collinear_overlap(seg_a, seg_b) -> bool:

@@ -5,25 +5,22 @@ document onto a shared grid height, one diagram per word.  In the
 default overlay style the L-steps ride forward with the black polyline
 and a red copy, nudged by a quarter unit, marks them; in left style the
 red segments point backwards for real.  Output is deterministic: no
-timestamps, fixed ordering, plain decimal coordinates.
+timestamps, fixed ordering, plain decimal coordinates.  Coordinates
+stay integers throughout: a quarter unit is a whole 5 px in SVG, and
+only the TikZ overlay nudge is printed from a count of quarter units.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .paths import PathGeometry, SkewWord, Step, enumerate_words, realize
 
 RENDER_MODES = ("plain", "skew")
-OVERLAY_SHIFT = Fraction(1, 4)
+OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
 
-def _fmt(x) -> str:
-    """Plain decimal text for integers and exact quarters."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return str(float(f))
+def _quarters(q: int) -> str:
+    """Plain decimal text for q/4: whole numbers bare, else as in 6.25."""
+    return str(q // 4) if q % 4 == 0 else str(q / 4)
 
 
 def words_for_mode(t: int, n: int, mode: str) -> list[SkewWord]:
@@ -40,19 +37,19 @@ def _grid_box(geos: list[PathGeometry]) -> tuple[int, int, int]:
     """Shared (x_min, x_max, y_max) over a document's geometries."""
     x_min, x_max, y_max = 0, 1, 1
     for geo in geos:
-        for x, y in geo.points():
-            x_min = min(x_min, x)
-            x_max = max(x_max, x)
-            y_max = max(y_max, y)
+        for x, y in geo.vertices:
+            if x < x_min:
+                x_min = x
+            elif x > x_max:
+                x_max = x
+            if y > y_max:
+                y_max = y
     return x_min, x_max, y_max
 
 
-def _overlay_segments(geo: PathGeometry):
-    """Red quarter-shifted copies for each L segment (overlay style)."""
-    for seg, color in zip(geo.segments, geo.colors):
-        if color == "red":
-            (x0, y0), (x1, y1) = seg
-            yield (x0 + OVERLAY_SHIFT, y0), (x1, y1 + OVERLAY_SHIFT)
+def _red_segments(geo: PathGeometry):
+    """The ((x0, y0), (x1, y1)) segments of the L steps."""
+    return [seg for seg, color in zip(geo.segments, geo.colors) if color == "red"]
 
 
 def render_tikz(
@@ -63,35 +60,32 @@ def render_tikz(
     """One tikzpicture per word: help-line grid, thick path, red marks."""
     geos = [realize(w, mode=style) for w in words]
     x_min, x_max, y_max = _grid_box(geos)
+    indent = "\t\t" if mirrored else "\t"
+    head = ["\\begin{tikzpicture}[scale=0.2]"]
+    if mirrored:
+        head.append("\t\\begin{scope}[xscale=-1,yscale=1]")
+    head.append(f"{indent}\\draw[help lines] ({x_min},0) grid ({x_max},{y_max});")
+    tail = ["\t\\end{scope}"] if mirrored else []
+    tail.append("\\end{tikzpicture}")
     blocks = []
     for geo in geos:
-        lines = ["\\begin{tikzpicture}[scale=0.2]"]
-        indent = "\t"
-        if mirrored:
-            lines.append("\t\\begin{scope}[xscale=-1,yscale=1]")
-            indent = "\t\t"
-        lines.append(
-            f"{indent}\\draw[help lines] ({x_min},0) grid ({x_max},{y_max});"
-        )
+        lines = head.copy()
         if style == "red-overlay":
-            pts = " -- ".join(f"({_fmt(x)},{_fmt(y)})" for x, y in geo.points())
-            if len(geo.points()) > 1:
+            if len(geo.vertices) > 1:
+                pts = " -- ".join(f"({x},{y})" for x, y in geo.vertices)
                 lines.append(f"{indent}\\draw[thick] {pts};")
-            for (sx, sy), (ex, ey) in _overlay_segments(geo):
+            # the red copy of an L step, nudged right at its start and up at its end
+            for (x0, y0), (x1, y1) in _red_segments(geo):
                 lines.append(
-                    f"{indent}\\draw[thick,red] ({_fmt(sx)},{_fmt(sy)}) -- ({_fmt(ex)},{_fmt(ey)});"
+                    f"{indent}\\draw[thick,red] ({_quarters(4 * x0 + OVERLAY_SHIFT)},{y0}) "
+                    f"-- ({x1},{_quarters(4 * y1 + OVERLAY_SHIFT)});"
                 )
         else:
-            # left style: one draw per color run so the red is the real segment
-            for seg, color in zip(geo.segments, geo.colors):
-                (x0, y0), (x1, y1) = seg
+            # left style: one draw per segment so the red is the real segment
+            for ((x0, y0), (x1, y1)), color in zip(geo.segments, geo.colors):
                 pen = "thick,red" if color == "red" else "thick"
-                lines.append(
-                    f"{indent}\\draw[{pen}] ({_fmt(x0)},{_fmt(y0)}) -- ({_fmt(x1)},{_fmt(y1)});"
-                )
-        if mirrored:
-            lines.append("\t\\end{scope}")
-        lines.append("\\end{tikzpicture}")
+                lines.append(f"{indent}\\draw[{pen}] ({x0},{y0}) -- ({x1},{y1});")
+        lines += tail
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -119,16 +113,19 @@ def render_svg(
     doc_w = _SVG_MARGIN * 2 + per_row * dia_w + (per_row - 1) * _SVG_GAP
     doc_h = _SVG_MARGIN * 2 + max(n_rows, 0) * dia_h + max(n_rows - 1, 0) * _SVG_GAP
 
-    def px(x) -> str:
-        if mirrored:
-            x = x_max - x + 0  # reflect inside the shared box
-        else:
-            x = x - x_min
-        return _fmt(Fraction(x) * _SVG_CELL)
+    # pixel x of grid x: reflected inside the shared box when mirrored
+    x_sign, x_origin = (-1, x_max) if mirrored else (1, x_min)
+    px = {x: (x - x_origin) * x_sign * _SVG_CELL for x in range(x_min, x_max + 1)}
+    py = {y: (y_max - y) * _SVG_CELL for y in range(y_max + 1)}
+    # the overlay's quarter-unit nudge in pixels, after any reflection
+    nudge = OVERLAY_SHIFT * _SVG_CELL // 4
 
-    def py(y) -> str:
-        return _fmt(Fraction(y_max - y) * _SVG_CELL)
-
+    grid = [f"M{gx * _SVG_CELL} 0V{dia_h}" for gx in range(cols + 1)]
+    grid += [f"M0 {gy * _SVG_CELL}H{dia_w}" for gy in range(rows + 1)]
+    grid_path = (
+        f'    <path class="grid" d="{" ".join(grid)}" '
+        f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
+    )
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{doc_w}" height="{doc_h}" '
@@ -139,34 +136,25 @@ def render_svg(
         tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
         ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
         out.append(f'  <g class="diagram" transform="translate({tx},{ty})">')
-        grid = []
-        for gx in range(cols + 1):
-            grid.append(f"M{gx * _SVG_CELL} 0V{dia_h}")
-        for gy in range(rows + 1):
-            grid.append(f"M0 {gy * _SVG_CELL}H{dia_w}")
-        out.append(
-            f'    <path class="grid" d="{" ".join(grid)}" '
-            f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
-        )
+        out.append(grid_path)
         if style == "red-overlay":
-            if geo.segments:
-                pts = " ".join(f"{px(x)},{py(y)}" for x, y in geo.points())
+            if len(geo.vertices) > 1:
+                pts = " ".join(f"{px[x]},{py[y]}" for x, y in geo.vertices)
                 out.append(
                     f'    <polyline class="path" points="{pts}" '
                     f'stroke="black" stroke-width="2" fill="none"/>'
                 )
-            for (sx, sy), (ex, ey) in _overlay_segments(geo):
+            for (x0, y0), (x1, y1) in _red_segments(geo):
                 out.append(
-                    f'    <line class="skew" x1="{px(sx)}" y1="{py(sy)}" '
-                    f'x2="{px(ex)}" y2="{py(ey)}" stroke="red" stroke-width="2"/>'
+                    f'    <line class="skew" x1="{px[x0] + x_sign * nudge}" y1="{py[y0]}" '
+                    f'x2="{px[x1]}" y2="{py[y1] - nudge}" stroke="red" stroke-width="2"/>'
                 )
         else:
-            for seg, color in zip(geo.segments, geo.colors):
-                (sx, sy), (ex, ey) = seg
+            for ((x0, y0), (x1, y1)), color in zip(geo.segments, geo.colors):
                 cls = "skew" if color == "red" else "path"
                 out.append(
-                    f'    <line class="{cls}" x1="{px(sx)}" y1="{py(sy)}" '
-                    f'x2="{px(ex)}" y2="{py(ey)}" stroke="{color}" stroke-width="2"/>'
+                    f'    <line class="{cls}" x1="{px[x0]}" y1="{py[y0]}" '
+                    f'x2="{px[x1]}" y2="{py[y1]}" stroke="{color}" stroke-width="2"/>'
                 )
         out.append("  </g>")
     out.append("</svg>")

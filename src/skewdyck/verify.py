@@ -189,32 +189,31 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
 
     def prefix_check():
         n_hi = max(4, min(24, order - 12))
-        table = dp_counts(2, n_hi, k_max=8)
+        k_hi = 8
+        table = dp_counts(2, n_hi, k_max=k_hi)
         for layer in Layer:
-            for k in range(9):
+            for k in range(k_hi + 1):
                 ser = kernel.prefix_series_t2(layer, k, n_hi + 1, sol)
                 for n in range(n_hi + 1):
                     if ser.coeff(n) != Fraction(table.count(n, k, layer)):
                         return False, f"{layer.value}_{k} differs at z^{n}"
-        return True, f"closed forms match the table for k <= 8, n <= {n_hi}"
+        return True, f"closed forms match the table for k <= {k_hi}, n <= {n_hi}"
     guard("prefix closed forms vs table t=2", prefix_check)
 
     def recurrence_all():
         ord_rec = max(2, min(30, order - 13))
+        k_hi = 6
         for layer in Layer:
-            if not kernel.recurrence_check(layer, 6, ord_rec, sol).all_hold:
+            if not kernel.recurrence_check(layer, k_hi, ord_rec, sol).all_hold:
                 return False, f"layer {layer.value}"
-        return True, f"order-4 level recurrence holds through z^{ord_rec}, k <= 6"
+        return True, f"order-4 level recurrence holds through z^{ord_rec}, k <= {k_hi}"
     guard("level recurrence t=2", recurrence_all)
 
+    def ratio_check(t):
+        report = kernel.ratio_property(t, 4, min(20, order - 4))
+        return report.all_hold, f"column k = column k+1 * root, k <= {report.k_max}"
     for t in sorted(set(t_list) | {2, 4}):
-        guard(
-            f"geometric ratio t={t}",
-            lambda t=t: (
-                kernel.ratio_property(t, 4, min(20, order - 4)).all_hold,
-                "column k = column k+1 * root, k <= 4",
-            ),
-        )
+        guard(f"geometric ratio t={t}", lambda t=t: ratio_check(t))
 
     # coefficient formulas
     def narayana_check():

@@ -223,6 +223,46 @@ class TestRender:
         assert "cap" in err
 
 
+# sha256 of the `render --out` file for
+# (t, n, mode, style, mirrored, format), recorded with the Fraction
+# coordinate emitters (commit 64666ca) so that no later change to
+# `paths` or `render` alters a byte of a figure unnoticed.
+RENDER_DIGESTS = {
+    (2, 0, "skew", "red-overlay", True, "svg"): "8afbd57f3b6a4069c1311b6654f4665aaf214947ab1b02d31999f0c7a930bcca",
+    (2, 1, "skew", "red-overlay", False, "tikz"): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    (2, 9, "skew", "red-overlay", False, "svg"): "d43a70935c9d00bef839e528bcd349ec4b4b60a36a59f2694de45eec9ba5789f",
+    (2, 9, "skew", "red-overlay", True, "tikz"): "e1347138b2d1482f5e22fef4115f5ffb209fa59e58b45764aec12db02e7bdc5b",
+    (2, 12, "skew", "left", False, "tikz"): "47fb7130b1c18c09bdd340a79d1d2fc2ff9eb5cf01dc1dc816ef67aac0dbab19",
+    (2, 12, "plain", "left", True, "svg"): "bb4486ceb256f717d2a7294e90a12bfd8cd503cf42558d0520dafe2044b80842",
+    (2, 12, "skew", "red-overlay", True, "svg"): "58b5f05a7adbb96e3eef65681e34477a2c67d897ea92401200a2f38b210e3a13",
+    (3, 12, "skew", "left", True, "svg"): "45f79d2451e03b02889c77bbb05595b7078aa2a90f751bf7ddec7b5b8acf5f0c",
+    (3, 12, "plain", "red-overlay", False, "tikz"): "5bb6661fd65e18857ff8d24cc527953b618e4a376048a0d2f7af17621d610192",
+    (3, 16, "skew", "red-overlay", False, "tikz"): "ab57e40e855f82c852567428f500dca13456d425141b9f1bc74a4664e0279d53",
+    (3, 16, "skew", "left", False, "svg"): "e4c4f4bf4a2c5b1ebe582934c952922d120121275fff671e081e7f6ec5687923",
+    (3, 16, "plain", "left", True, "tikz"): "2176a90077955b58e2dff50e0c549901045552f2f4a3380480050ab2e606b13e",
+    (3, 16, "plain", "red-overlay", True, "svg"): "3f41fae2cb2e10eee9de8c0e628485cf37116572eaf314e00c048d59fa9b4616",
+    (4, 10, "plain", "left", False, "svg"): "39fd369d3e051171221f1c6201a41dbd1afb3fbd728b2d5e4aed3ac995fc9bf2",
+    (4, 15, "skew", "red-overlay", True, "tikz"): "541173c8306225bee2129a18207f22b1cfdded4c7b4d745a366b43d6cc63f018",
+    (4, 15, "skew", "left", True, "tikz"): "82d0719ec2caa46d4966b2524ff88c1544024cef1c6be2549db7a7034353c2ea",
+    (4, 15, "plain", "red-overlay", False, "svg"): "a52335c8b94de066f1dcb52494e769af7f6d58f11f41f931ca9f6dac80caf90b",
+    (4, 15, "skew", "red-overlay", False, "svg"): "7b1bfdbc747201c7054cecfaa70e5dab0b83e0ea4caddd5508ca415da006f1b2",
+}
+
+
+class TestRenderBytes:
+    @pytest.mark.parametrize("vector", sorted(RENDER_DIGESTS))
+    def test_output_digest(self, tmp_path, capsys, vector):
+        t, n, mode, style, mirrored, fmt = vector
+        target = tmp_path / f"fig.{fmt}"
+        argv = [
+            "render", "--t", str(t), "--n", str(n), "--mode", mode,
+            "--style", style, "--format", fmt, "--out", str(target),
+        ]
+        rc, _, _ = run(capsys, *argv, *(["--mirrored"] if mirrored else []))
+        assert rc == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == RENDER_DIGESTS[vector]
+
+
 class TestVerify:
     def test_small_order_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--order", "12", "--t", "2")

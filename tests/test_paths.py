@@ -8,10 +8,14 @@ comparisons are a genuine second opinion.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdyck.paths import (
+    STEP_ORDER,
     SkewWord,
     Step,
+    ValidationResult,
     enumerate_words,
     is_closed,
     overlap_diagnostic,
@@ -39,6 +43,40 @@ def brute_valid(t, text):
 
 def brute_level(t, text):
     return sum(1 if ch == "U" else -t for ch in text)
+
+
+def reference_validate(word):
+    # the rule order of the original validator: first-step, UL, LU,
+    # below-axis, checked step by step with each step's own level change
+    level = 0
+    prev = None
+    for i, s in enumerate(word.steps):
+        if i == 0 and s is not Step.U:
+            return ValidationResult(False, "first-step", 0)
+        if prev is Step.U and s is Step.L:
+            return ValidationResult(False, "UL", i - 1)
+        if prev is Step.L and s is Step.U:
+            return ValidationResult(False, "LU", i - 1)
+        level += 1 if s is Step.U else -word.t
+        if level < 0:
+            return ValidationResult(False, "below-axis", i)
+        prev = s
+    return ValidationResult(True)
+
+
+@st.composite
+def valid_words(draw):
+    # grow a word one allowed step at a time; the drawn integers pick
+    # among the steps that keep it valid, and it stops when none does
+    t = draw(st.integers(2, 5))
+    steps = []
+    for pick in draw(st.lists(st.integers(0, 2), max_size=14)):
+        prefix = "".join(s.value for s in steps)
+        allowed = [s for s in STEP_ORDER if brute_valid(t, prefix + s.value)]
+        if not allowed:
+            break
+        steps.append(allowed[pick % len(allowed)])
+    return SkewWord(t, tuple(steps))
 
 
 def step_lex_key(text):
@@ -102,6 +140,17 @@ class TestValidate:
                 assert got == expected
 
 
+class TestValidateDifferential:
+    @settings(deadline=None, max_examples=500)
+    @given(
+        t=st.integers(2, 5),
+        steps=st.lists(st.sampled_from(STEP_ORDER), max_size=14),
+    )
+    def test_same_result_as_reference(self, t, steps):
+        word = SkewWord(t, tuple(steps))
+        assert validate(word) == reference_validate(word)
+
+
 class TestIsClosed:
     def test_examples(self):
         assert is_closed(w(2, "UUD"))
@@ -157,31 +206,48 @@ class TestEnumerate:
 class TestRealize:
     def test_uud_segments(self):
         geo = realize(w(2, "UUD"))
-        assert geo.points() == ((0, 0), (1, 1), (2, 2), (4, 0))
+        assert geo.vertices == ((0, 0), (1, 1), (2, 2), (4, 0))
         assert geo.colors == ("black", "black", "black")
 
     def test_empty_geometry(self):
         geo = realize(SkewWord(2, ()))
         assert geo.segments == ()
-        assert geo.points() == ((0, 0),)
+        assert geo.vertices == ((0, 0),)
 
     def test_left_mode_walks_backwards(self):
         geo = realize(w(2, "UUUUDL"), mode="left")
-        assert geo.points() == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (4, 0))
+        assert geo.vertices == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (4, 0))
         assert geo.colors[-1] == "red"
 
     def test_overlay_mode_keeps_moving_right(self):
         geo = realize(w(2, "UUUUDL"), mode="red-overlay")
-        assert geo.points()[-1] == (8, 0)
+        assert geo.vertices[-1] == (8, 0)
         assert geo.colors[-1] == "red"
 
     def test_t3_vertical_drop(self):
         geo = realize(w(3, "UUUD"))
-        assert geo.points()[-1] == (5, 0)
+        assert geo.vertices[-1] == (5, 0)
 
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
             realize(w(2, "UUL"))
+
+    @settings(deadline=None, max_examples=300)
+    @given(word=valid_words(), mode=st.sampled_from(["red-overlay", "left"]))
+    def test_vertices_chain_from_origin(self, word, mode):
+        t = word.t
+        vectors = {
+            Step.U: (1, 1),
+            Step.D: (2, -t),
+            Step.L: (-2, -t) if mode == "left" else (2, -t),
+        }
+        geo = realize(word, mode=mode)
+        assert geo.vertices[0] == (0, 0)
+        assert len(geo.vertices) == len(word) + 1
+        for (x0, y0), (x1, y1), s in zip(geo.vertices, geo.vertices[1:], word.steps):
+            assert (x1 - x0, y1 - y0) == vectors[s]
+        assert geo.colors == tuple("red" if s is Step.L else "black" for s in word.steps)
+        assert geo.segments == tuple(zip(geo.vertices, geo.vertices[1:]))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

@@ -1,9 +1,11 @@
 """Figure emitters: diagram counts, red marks, golden structure."""
 
+from fractions import Fraction
+
 import pytest
 
 from skewdyck.paths import Step, enumerate_words
-from skewdyck.render import render_document, words_for_mode
+from skewdyck.render import _quarters, render_document, words_for_mode
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -18,6 +20,19 @@ GOLDEN_SVG_N3 = """<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="
   </g>
 </svg>
 """
+
+
+def reference_fmt(x):
+    # the Fraction-based coordinate formatter the emitters first used
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return str(float(f))
+
+
+def test_quarter_formatter_matches_reference():
+    for q in range(-400, 401):
+        assert _quarters(q) == reference_fmt(Fraction(q, 4)), q
 
 
 class TestWordSelection:

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import skewdyck
@@ -26,3 +29,14 @@ def test_no_floats_in_series():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
             found.append(f"line {node.lineno}: float() call")
     assert not found, f"floats in series.py: {found}"
+
+
+def test_cli_import_skips_http_stack():
+    # only an online `oeis` fetch needs urllib.request; every other
+    # command would pay its import time at start-up
+    code = "import skewdyck.cli, sys; print('urllib.request' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(skewdyck.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "False"
