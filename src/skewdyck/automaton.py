@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from operator import add
 
 from .series import Series
@@ -125,7 +124,7 @@ class CountTable:
 
     def column_series(self, layer: Layer, k: int) -> Series:
         """The same column as an exact series in z, known to O(z^(n_max+1))."""
-        return Series(0, [Fraction(c) for c in self.column(layer, k)])
+        return Series(0, self.column(layer, k))
 
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:

@@ -77,15 +77,14 @@ def kernel_poly(t: int) -> KernelSpec:
 def eval_poly_at_series(coeffs_by_power: Mapping[int, Mapping[int, int]], u: Series) -> Series:
     """Evaluate a {u-power: z-poly} table at a (possibly Laurent) series."""
     acc = None
-    powers: dict[int, Series] = {}
-
-    def u_pow(p: int) -> Series:
-        if p not in powers:
-            powers[p] = Series.one(u.order) if p == 0 else u_pow(p - 1) * u
-        return powers[p]
+    # u^0 .. u^max built in a loop: a recursive u^p = u^(p-1) * u would
+    # pass the recursion limit for the 2t-th power once t is about 500
+    powers = [Series.one(u.order)]
+    for _ in range(max(coeffs_by_power)):
+        powers.append(powers[-1] * u)
 
     for p, zpoly in coeffs_by_power.items():
-        up = u_pow(p)
+        up = powers[p]
         for e, c in zpoly.items():
             term = (up * c).shift(e)
             acc = term if acc is None else acc + term

@@ -2,21 +2,23 @@
 
 Every series here stands for
 
-    sum(coeffs[i] * z**(valuation + i) for i in range(len(coeffs))) + O(z**frontier)
+    sum(nums[i] / den * z**(valuation + i) for i in range(len(nums))) + O(z**frontier)
 
-with ``frontier = valuation + len(coeffs)``.  Precision is tracked
+with ``frontier = valuation + len(nums)``.  Precision is tracked
 explicitly: arithmetic returns results on the window the operands actually
 support (the min-rule for addition, shifted by valuations for products)
 and never claims coefficients beyond it.  Coefficients are stored as
-`fractions.Fraction` values and floats are rejected outright.
+Python-int numerators over one common denominator, in one canonical
+form: ``den > 0``, ``gcd(den, *nums) == 1`` and a nonzero leading
+numerator (a series that is zero on its window has ``nums == ()`` and
+``den == 1``).  Equal series therefore have equal fields.  Every ring
+operation reads and writes that form; `fractions.Fraction` values are
+built only where coefficients are handed out (`coeffs`, `coeff`,
+`terms`).  Floats are rejected outright.
 
-The quadratic kernels (products, reciprocals, square roots) do not do
-`Fraction` arithmetic: each operand is put over one common denominator,
-the O(n^2) work runs on the Python-int numerators, and every output
-coefficient is normalised back to a `Fraction` once.  Reciprocals and
-square roots are Newton iterations that double their working precision
-on each step (Brent & Kung 1978; von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 9), and so is `newton_root`.
+Reciprocals and square roots are Newton iterations that double their
+working precision on each step (Brent & Kung 1978; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 9), and so is `newton_root`.
 
 Negative exponents are supported down to any finite valuation, which is
 all the counting work needs (the useful algebraic roots have a single
@@ -34,13 +36,28 @@ class SeriesError(ValueError):
     """An operation a truncated series cannot honestly perform."""
 
 
-def _as_fraction(x) -> Fraction:
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
     # bool is an int subclass; no other types are exact
     raise TypeError(f"exact rational coefficient expected, got {type(x).__name__}")
+
+
+def _as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
+
+
+def _ratio_text(x: int, den: int) -> str:
+    """The text of x/den exactly as `str(Fraction(x, den))` gives it."""
+    if den == 1:
+        return str(x)
+    g = gcd(x, den)
+    if g == den:
+        return str(x // g)
+    return f"{x // g}/{den // g}"
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -60,20 +77,6 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
 # nums[i] / den, with den > 0 and gcd(den, *nums) == 1.
 
 
-def _to_ints(coeffs) -> tuple[list[int], int]:
-    """Numerators of `coeffs` over their least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _to_fractions(nums: list[int], den: int) -> list[Fraction]:
-    if den == 1:
-        return [Fraction(x) for x in nums]
-    return [Fraction(x, den) for x in nums]
-
-
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     """(nums, den) with the common factor removed and den > 0."""
     g = gcd(den, *nums)
@@ -84,7 +87,7 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     return [x // g for x in nums], den // g
 
 
-def _mul_ints(a: list[int], b: list[int], n: int) -> list[int]:
+def _mul_ints(a, b, n: int) -> list[int]:
     """The first n coefficients of the product of two integer polynomials."""
     out = [0] * n
     nz_b = [(j, y) for j, y in enumerate(b[:n]) if y]
@@ -98,7 +101,7 @@ def _mul_ints(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _reciprocal_ints(a: list[int], den: int, n: int) -> tuple[list[int], int]:
+def _reciprocal_ints(a, den: int, n: int) -> tuple[list[int], int]:
     """First n coefficients of den / a(z), for a(0) != 0.
 
     Newton's iteration x <- x + x (1 - (a/den) x), doubling the number of
@@ -117,9 +120,7 @@ def _reciprocal_ints(a: list[int], den: int, n: int) -> tuple[list[int], int]:
     return x, e
 
 
-def _inverse_sqrt_ints(
-    a: list[int], den: int, r0: Fraction, n: int
-) -> tuple[list[int], int]:
+def _inverse_sqrt_ints(a, den: int, r0: Fraction, n: int) -> tuple[list[int], int]:
     """First n coefficients of (a(z)/den)^(-1/2) with constant term 1/r0.
 
     Newton's iteration w <- w + w (1 - (a/den) w^2) / 2; as for the
@@ -137,28 +138,69 @@ def _inverse_sqrt_ints(
     return w, f
 
 
+# -- canonical form ----------------------------------------------------------
+
+
+def _raw(val: int, nums: tuple, den: int, frontier: int) -> "Series":
+    """A series from fields that are already in canonical form."""
+    s = object.__new__(Series)
+    s._val = val
+    s._nums = nums
+    s._den = den
+    s._frontier = frontier
+    return s
+
+
+def _fill(s: "Series", val: int, nums, den: int) -> "Series":
+    """Store sum(nums[i]/den z^(val+i)) + O(z^(val+len(nums))) canonically in s.
+
+    ``den`` must be positive; every caller multiplies positive denominators.
+    """
+    n = len(nums)
+    lead = 0
+    while lead < n and not nums[lead]:
+        lead += 1
+    s._frontier = val + n
+    if lead == n:
+        s._val, s._nums, s._den = val + n, (), 1
+        return s
+    if lead:
+        nums = nums[lead:]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    s._val = val + lead
+    s._nums = tuple(nums)
+    s._den = den
+    return s
+
+
+def _canonical(val: int, nums, den: int) -> "Series":
+    return _fill(object.__new__(Series), val, nums, den)
+
+
 class Series:
     """Immutable truncated Laurent series with exact coefficients."""
 
-    __slots__ = ("_val", "_coeffs", "_frontier")
+    __slots__ = ("_val", "_nums", "_den", "_frontier")
 
     def __init__(self, valuation: int, coeffs):
-        cs = [_as_fraction(c) for c in coeffs]
-        frontier = valuation + len(cs)
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        # normalized: leading stored coefficient is nonzero, or the series is
-        # identically zero on its window (empty coefficient tuple)
-        self._coeffs = tuple(cs[lead:])
-        self._val = valuation + lead if self._coeffs else frontier
-        self._frontier = frontier
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            nums, den = cs, 1
+        else:
+            pairs = [_ratio(c) for c in cs]
+            den = lcm(*(q for _, q in pairs))
+            nums = [p * (den // q) for p, q in pairs]
+        _fill(self, valuation, nums, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, frontier: int) -> "Series":
-        return cls(frontier, [])
+        return _raw(frontier, (), 1, frontier)
 
     @classmethod
     def constant(cls, c, frontier: int) -> "Series":
@@ -174,7 +216,8 @@ class Series:
             raise SeriesError(
                 f"window up to O(z^{frontier}) cannot hold a z^{exp} term"
             )
-        return cls(exp, [c] + [0] * (frontier - exp - 1))
+        p, q = _ratio(c)
+        return _canonical(exp, [p] + [0] * (frontier - exp - 1), q)
 
     @classmethod
     def poly(cls, terms: dict, frontier: int) -> "Series":
@@ -184,10 +227,12 @@ class Series:
         lo = min(terms)
         if max(terms) >= frontier:
             raise SeriesError(f"polynomial term beyond the O(z^{frontier}) window")
-        cs = [Fraction(0)] * (frontier - lo)
-        for e, c in terms.items():
-            cs[e - lo] = _as_fraction(c)
-        return cls(lo, cs)
+        pairs = [(e, *_ratio(c)) for e, c in terms.items()]
+        den = lcm(*(q for _, _, q in pairs))
+        nums = [0] * (frontier - lo)
+        for e, p, q in pairs:
+            nums[e - lo] = p * (den // q)
+        return _canonical(lo, nums, den)
 
     # -- structure ---------------------------------------------------------
 
@@ -197,12 +242,13 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     @property
     def order(self) -> int:
         """Number of known coefficients (window length)."""
-        return len(self._coeffs)
+        return len(self._nums)
 
     @property
     def frontier(self) -> int:
@@ -210,7 +256,7 @@ class Series:
         return self._frontier
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coeff(self, n: int) -> Fraction:
         """Exact coefficient of z**n.
@@ -225,45 +271,38 @@ class Series:
             )
         if n < self._val:
             return Fraction(0)
-        return self._coeffs[n - self._val]
+        return Fraction(self._nums[n - self._val], self._den)
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero known terms."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                yield self._val + i, c
+        den = self._den
+        for i, x in enumerate(self._nums, self._val):
+            if x:
+                yield i, Fraction(x, den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Series):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return self
             other = Series.constant(other, self._frontier)
-        if not isinstance(other, Series):
-            return NotImplemented
         frontier = min(self._frontier, other._frontier)
         lo = min(self._val, other._val, frontier)
-        parts = [
-            (src._val - lo, *_to_ints(src._coeffs[: max(frontier - src._val, 0)]))
-            for src in (self, other)
-        ]
-        den = lcm(parts[0][2], parts[1][2])
+        den = self._den if self._den == other._den else lcm(self._den, other._den)
         out = [0] * (frontier - lo)
-        for offset, nums, d in parts:
-            scale = den // d
-            for i, x in enumerate(nums, offset):
+        for src in (self, other):
+            scale = den // src._den
+            for i, x in enumerate(src._nums[: max(frontier - src._val, 0)], src._val - lo):
                 out[i] += x * scale
-        return Series(lo, _to_fractions(*_reduced(out, den)))
+        return _canonical(lo, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Series.__new__(Series)
-        res._val = self._val
-        res._coeffs = tuple(-c for c in self._coeffs)
-        res._frontier = self._frontier
-        return res
+        return _raw(self._val, tuple(-x for x in self._nums), self._den, self._frontier)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -276,34 +315,28 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            k = _as_fraction(other)
-            if k == 0:
-                return Series.zero(self._frontier)
-            res = Series.__new__(Series)
-            res._val = self._val
-            res._coeffs = tuple(c * k for c in self._coeffs)
-            res._frontier = self._frontier
-            return res
         if not isinstance(other, Series):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            p, q = _ratio(other)
+            if not p:
+                return Series.zero(self._frontier)
+            return _canonical(self._val, [x * p for x in self._nums], self._den * q)
         frontier = min(self._frontier + other._val, other._frontier + self._val)
-        if self.is_zero() or other.is_zero():
+        if not self._nums or not other._nums:
             return Series.zero(frontier)
         val = self._val + other._val
         n = frontier - val  # == min(self.order, other.order)
-        a, da = _to_ints(self._coeffs[:n])
-        b, db = _to_ints(other._coeffs[:n])
-        return Series(val, _to_fractions(*_reduced(_mul_ints(a, b, n), da * db)))
+        return _canonical(val, _mul_ints(self._nums, other._nums, n), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = _as_fraction(other)
-            if k == 0:
+            p, q = _ratio(other)
+            if not p:
                 raise ZeroDivisionError("series divided by zero scalar")
-            return self * (1 / k)
+            return self * Fraction(q, p)
         if not isinstance(other, Series):
             return NotImplemented
         return self * other.reciprocal()
@@ -327,11 +360,7 @@ class Series:
 
     def shift(self, m: int) -> "Series":
         """Multiply by z**m (exact; the window shifts with it)."""
-        res = Series.__new__(Series)
-        res._val = self._val + m
-        res._coeffs = self._coeffs
-        res._frontier = self._frontier + m
-        return res
+        return _raw(self._val + m, self._nums, self._den, self._frontier + m)
 
     def truncate(self, frontier: int) -> "Series":
         """Forget coefficients at or beyond the given exponent."""
@@ -339,7 +368,7 @@ class Series:
             return self
         if frontier <= self._val:
             return Series.zero(frontier)
-        return Series(self._val, list(self._coeffs[: frontier - self._val]))
+        return _canonical(self._val, self._nums[: frontier - self._val], self._den)
 
     def reciprocal(self) -> "Series":
         """Multiplicative inverse as a Laurent series.
@@ -347,10 +376,10 @@ class Series:
         The lead coefficient must be visible on the window; a series that
         is zero to its order has no reciprocal.
         """
-        if self.is_zero():
+        a = self._nums
+        if not a:
             raise SeriesError("no reciprocal: series is zero to its order")
-        a, den = _to_ints(self._coeffs)
-        return Series(-self._val, _to_fractions(*_reciprocal_ints(a, den, len(a))))
+        return _canonical(-self._val, *_reciprocal_ints(a, self._den, len(a)))
 
     def sqrt(self) -> "Series":
         """Square root with positive leading coefficient.
@@ -359,24 +388,23 @@ class Series:
         square of a rational; anything else has no Laurent square root
         and raises (no fractional exponents are ever produced).
         """
-        if self.is_zero():
+        a, den = self._nums, self._den
+        if not a:
             raise SeriesError("square root of a series with no visible nonzero term")
         if self._val % 2:
             raise SeriesError(
                 f"odd valuation {self._val}: no Laurent square root exists"
             )
-        c = self._coeffs
-        r0 = _fraction_sqrt(c[0])
-        if r0 is None or r0 == 0:
+        lead = Fraction(a[0], den)
+        r0 = _fraction_sqrt(lead)
+        if r0 is None:
             raise SeriesError(
-                f"leading coefficient {c[0]} is not the square of a rational"
+                f"leading coefficient {lead} is not the square of a rational"
             )
-        a, den = _to_ints(c)
         n = len(a)
         w, f = _inverse_sqrt_ints(a, den, r0, n)
         # sqrt(a) = a * a^(-1/2)
-        root = _reduced(_mul_ints(a, w, n), den * f)
-        return Series(self._val // 2, _to_fractions(*root))
+        return _canonical(self._val // 2, _mul_ints(a, w, n), den * f)
 
     # -- comparisons -------------------------------------------------------
 
@@ -403,8 +431,9 @@ class Series:
             return NotImplemented
         return (
             self._val == other._val
-            and self._coeffs == other._coeffs
+            and self._den == other._den
             and self._frontier == other._frontier
+            and self._nums == other._nums
         )
 
     __hash__ = None
@@ -413,17 +442,20 @@ class Series:
 
     def __str__(self) -> str:
         parts = []
-        for e, c in self.terms():
+        den = self._den
+        for e, x in enumerate(self._nums, self._val):
+            if not x:
+                continue
+            a = abs(x)
             if e == 0:
-                mono = str(abs(c))
+                mono = _ratio_text(a, den)
             else:
                 zs = "z" if e == 1 else f"z^{e}"
-                a = abs(c)
-                mono = zs if a == 1 else f"{a}*{zs}"
+                mono = zs if a == den else f"{_ratio_text(a, den)}*{zs}"
             if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
+                parts.append(mono if x > 0 else f"-{mono}")
             else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+                parts.append(f"+ {mono}" if x > 0 else f"- {mono}")
         body = " ".join(parts) if parts else "0"
         return f"{body} + O(z^{self._frontier})"
 
@@ -432,10 +464,11 @@ class Series:
 
     def to_json(self) -> dict:
         """Exact-string JSON form: {valuation, order, coeffs}."""
+        den = self._den
         return {
             "valuation": self._val,
             "order": self.order,
-            "coeffs": [str(c) for c in self._coeffs],
+            "coeffs": [_ratio_text(x, den) for x in self._nums],
         }
 
 
@@ -534,7 +567,7 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
     m = 1
     while m < order:
         h, m = m, min(2 * m, order)
-        v = Series(v.valuation, v.coeffs + (0,) * (m - v.frontier))  # to O(z^m)
+        v = _canonical(v._val, v._nums + (0,) * (m - v._frontier), v._den)  # to O(z^m)
         residual = eq.eval(v).truncate(m)
         if not residual.is_zero():
             step = residual * deq.eval(v.truncate(m - h)).reciprocal()

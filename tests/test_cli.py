@@ -281,11 +281,40 @@ class TestVerify:
         [line] = [l for l in out.splitlines() if "adjudication" in l]
         assert "563" in line and "562" in line
 
+    def test_large_t_passes(self, capsys):
+        # u^(2t) in the residual check used to pass the recursion limit
+        rc, out, _ = run(capsys, "verify", "--order", "8", "--t", "600")
+        assert rc == 0
+        assert "PASS  good-root residual t=600" in out
+
     def test_json_format(self, capsys):
         rc, out, _ = run(capsys, "verify", "--order", "12", "--t", "2", "--format", "json")
         assert rc == 0
         data = json.loads(out)
         assert data["passed"] is True
+
+
+# sha256 of `verify --order <order> --t <ts> --format <format>` stdout for
+# the three verify-suite benchmark vectors, recorded with the Fraction
+# coefficient store (commit 6585347) so that a change to the series
+# engine cannot alter a byte of a verify report unnoticed.
+VERIFY_DIGESTS = {
+    (48, "2,3,4", "text"): "cab25804789dc13fbc9e02f942a4f3569ea476dd27d267fc2fa7e9163473a286",
+    (48, "2,3,4", "json"): "89aec04735d37d088171a9b160fba6775b9ea045b4df78cb7622187fb632c6a9",
+    (64, "2", "text"): "75c3d64926542aac37ef8349d1ef575fbe3083610aa423127c74881dbdd0cf02",
+    (64, "2", "json"): "77aaa10509314806acd034985d04192e60a3c250e68dfbcd5f1f6fb0defce4b0",
+    (96, "2,3", "text"): "2d542b28a9b651375944583d0abf69283292ef3c48915398225d05ce4b697bfd",
+    (96, "2,3", "json"): "0f9edd0d2fc0e90013a04396adc250cf670e0d73902b7e2d973ad5046cc5f61a",
+}
+
+
+class TestVerifyBytes:
+    @pytest.mark.parametrize("vector", sorted(VERIFY_DIGESTS))
+    def test_output_digest(self, capsys, vector):
+        order, ts, fmt = vector
+        rc, out, _ = run(capsys, "verify", "--order", str(order), "--t", ts, "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[vector]
 
 
 class TestBounds:

@@ -77,6 +77,11 @@ class TestGoodRoot:
         assert s.valuation == -1
         assert kernel_residual(kernel_poly(4), s).truncate(20).is_zero()
 
+    def test_residual_zero_t600(self):
+        # u^(2t) used to be built by recursion, past the recursion limit
+        s = good_root(600, 16)
+        assert kernel_residual(kernel_poly(600), s).is_zero()
+
     def test_product_consistency(self):
         # s * (z s) and z * s^2 must agree on their shared window
         s = good_root(2, 24)

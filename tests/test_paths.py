@@ -128,6 +128,10 @@ class TestValidate:
         with pytest.raises(ValueError):
             SkewWord(1, ())
 
+    def test_non_step_rejected_at_construction(self):
+        with pytest.raises(TypeError, match="Step members"):
+            SkewWord(2, (Step.U, "U", Step.D))
+
     def test_exhaustive_against_brute_force(self):
         for t in (2, 3):
             for n in range(7):
@@ -169,6 +173,18 @@ class TestEnumerate:
 
     def test_length_nine_count(self):
         assert len(enumerate_words(2, 9)) == 19
+
+    def test_words_equal_constructed_words(self):
+        # enumerated words skip the per-step check but are ordinary words
+        for t, n in ((2, 9), (3, 12)):
+            for word in enumerate_words(t, n, closed_only=False):
+                again = SkewWord(t, list(word.steps))
+                assert word == again and hash(word) == hash(again)
+                assert type(word.steps) is tuple
+
+    def test_non_integer_t_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_words(2.0, 3)
 
     def test_sorted_and_unique(self):
         words = [str(x) for x in enumerate_words(2, 12)]

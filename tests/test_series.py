@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -332,3 +333,196 @@ class TestProperties:
         v = newton_root(AlgebraicEq(table), seed, order)
         assert v == ref_root(table, seed, order).truncate(order)
         assert v.frontier == order
+
+
+# -- stored representation against a plain-Fraction model -------------------
+#
+# `Series` stores integer numerators over one denominator in a canonical
+# form.  `Model` keeps the same values the obvious way, as a list of
+# `Fraction`s with the leading zeros stripped; random operation chains
+# run on both, and every presentation method must agree with the model.
+
+
+class Model:
+    def __init__(self, val, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        frontier = val + len(cs)
+        lead = 0
+        while lead < len(cs) and cs[lead] == 0:
+            lead += 1
+        self.cs = cs[lead:]
+        self.val = val + lead if self.cs else frontier
+        self.frontier = frontier
+
+    def __eq__(self, other):
+        return (self.val, self.cs, self.frontier) == (other.val, other.cs, other.frontier)
+
+    def zero(self, frontier):
+        return Model(frontier, [])
+
+    def add(self, other, sign=1):
+        f = min(self.frontier, other.frontier)
+        lo = min(self.val, other.val, f)
+        out = [Fraction(0)] * (f - lo)
+        for src, sgn in ((self, 1), (other, sign)):
+            for i, c in enumerate(src.cs):
+                if src.val + i < f:
+                    out[src.val + i - lo] += sgn * c
+        return Model(lo, out)
+
+    def scale(self, k):
+        if k == 0:
+            return self.zero(self.frontier)
+        return Model(self.val, [c * k for c in self.cs])
+
+    def mul(self, other):
+        f = min(self.frontier + other.val, other.frontier + self.val)
+        if not self.cs or not other.cs:
+            return self.zero(f)
+        n = f - self.val - other.val
+        out = [Fraction(0)] * n
+        for i, x in enumerate(self.cs[:n]):
+            for j, y in enumerate(other.cs[: n - i]):
+                out[i + j] += x * y
+        return Model(self.val + other.val, out)
+
+    def shift(self, m):
+        return Model(self.val + m, self.cs) if self.cs else self.zero(self.frontier + m)
+
+    def truncate(self, f):
+        if f >= self.frontier:
+            return self
+        if f <= self.val:
+            return self.zero(f)
+        return Model(self.val, self.cs[: f - self.val])
+
+    def reciprocal(self):
+        c = self.cs
+        out = [1 / c[0]]
+        for m in range(1, len(c)):
+            out.append(-sum(c[i] * out[m - i] for i in range(1, m + 1)) / c[0])
+        return Model(-self.val, out)
+
+    def sqrt(self, r0):
+        c = self.cs
+        out = [r0]
+        for m in range(1, len(c)):
+            out.append((c[m] - sum(out[i] * out[m - i] for i in range(1, m))) / (2 * r0))
+        return Model(self.val // 2, out)
+
+    def text(self):
+        parts = []
+        for i, c in enumerate(self.cs):
+            if c == 0:
+                continue
+            e = self.val + i
+            a = abs(c)
+            zs = "z" if e == 1 else f"z^{e}"
+            mono = str(a) if e == 0 else (zs if a == 1 else f"{a}*{zs}")
+            if not parts:
+                parts.append(mono if c > 0 else f"-{mono}")
+            else:
+                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+        return f"{' '.join(parts) if parts else '0'} + O(z^{self.frontier})"
+
+
+exact = st.integers(-9, 9) | rationals
+scalars = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7)) | st.integers(-4, 4)
+
+
+@st.composite
+def chains(draw):
+    """A pool of (Series, Model) pairs grown by a random operation chain."""
+    pool = []
+    for _ in range(2):
+        val = draw(st.integers(-3, 3))
+        coeffs = draw(st.lists(exact, min_size=0, max_size=7))
+        pool.append((Series(val, coeffs), Model(val, coeffs)))
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "scale", "add-scalar", "shift", "truncate", "reciprocal", "sqrt"]))
+        (s, m), (s2, m2) = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+        if op == "add":
+            pool.append((s + s2, m.add(m2)))
+        elif op == "sub":
+            pool.append((s - s2, m.add(m2, -1)))
+        elif op == "mul":
+            pool.append((s * s2, m.mul(m2)))
+        elif op == "scale":
+            k = draw(scalars)
+            pool.append((k * s if draw(st.booleans()) else s * k, m.scale(Fraction(k))))
+        elif op == "add-scalar":
+            k = draw(scalars)
+            if m.frontier > 0:
+                pool.append((s + k, m.add(Model(0, [k] + [0] * (m.frontier - 1)))))
+        elif op == "shift":
+            k = draw(st.integers(-3, 3))
+            pool.append((s.shift(k), m.shift(k)))
+        elif op == "truncate":
+            f = draw(st.integers(m.val - 1, m.frontier + 1))
+            pool.append((s.truncate(f), m.truncate(f)))
+        elif op == "reciprocal" and m.cs:
+            pool.append((s.reciprocal(), m.reciprocal()))
+        elif op == "sqrt" and m.cs:
+            # a square always has a root; its lead is positive
+            sq, msq = s * s, m.mul(m)
+            pool.append((sq.sqrt(), msq.sqrt(abs(m.cs[0]))))
+    return pool
+
+
+def assert_canonical(s):
+    nums, den = s._nums, s._den
+    assert type(nums) is tuple and type(den) is int and den > 0
+    assert all(type(x) is int for x in nums)
+    assert gcd(den, *nums) == 1
+    assert (nums == () and den == 1) or nums[0] != 0
+    assert s._frontier == s._val + len(nums)
+
+
+class TestRepresentation:
+    @settings(deadline=None, max_examples=150)
+    @given(chains())
+    def test_canonical_form(self, pool):
+        for s, _ in pool:
+            assert_canonical(s)
+
+    @settings(deadline=None, max_examples=150)
+    @given(chains())
+    def test_presentation_matches_model(self, pool):
+        for s, m in pool:
+            assert (s.valuation, s.frontier, s.order) == (m.val, m.frontier, len(m.cs))
+            assert s.coeffs == tuple(m.cs)
+            assert all(type(c) is Fraction for c in s.coeffs)
+            for n in range(m.val - 2, m.frontier):
+                want = m.cs[n - m.val] if n >= m.val else 0
+                assert s.coeff(n) == want and type(s.coeff(n)) is Fraction
+            with pytest.raises(SeriesError):
+                s.coeff(m.frontier)
+            assert list(s.terms()) == [(m.val + i, c) for i, c in enumerate(m.cs) if c]
+            assert str(s) == m.text()
+            assert s.to_json() == {
+                "valuation": m.val, "order": len(m.cs), "coeffs": [str(c) for c in m.cs],
+            }
+
+    @settings(deadline=None, max_examples=150)
+    @given(chains())
+    def test_equality_is_equality_of_values(self, pool):
+        for s, m in pool:
+            for s2, m2 in pool:
+                assert (s == s2) == (m == m2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(chains(), scalars.filter(bool), st.integers(-3, 3))
+    def test_routes_to_one_value_agree(self, pool, k, m):
+        (a, _), (b, _) = pool[0], pool[-1]
+        window = min(a.frontier, b.frontier)
+        assert (a + b) - b == a.truncate(window)
+        assert (a - a) + a == a
+        assert a * b == b * a
+        assert (a * k) / k == a
+        assert a * Fraction(k) * Fraction(1, k) == a
+        assert a.shift(m).shift(-m) == a
+        assert Series(a.valuation, a.coeffs) == a
+        assert -(-a) == a
+        if not a.is_zero():
+            assert a.reciprocal().reciprocal() == a
+            assert (a * a).sqrt() == (a if a.coeffs[0] > 0 else -a)
