@@ -13,8 +13,8 @@ form: ``den > 0``, ``gcd(den, *nums) == 1`` and a nonzero leading
 numerator (a series that is zero on its window has ``nums == ()`` and
 ``den == 1``).  Equal series therefore have equal fields.  Every ring
 operation reads and writes that form; `fractions.Fraction` values are
-built only where coefficients are handed out (`coeffs`, `coeff`,
-`terms`).  Floats are rejected outright.
+built only where coefficients are handed out or printed (`coeffs`,
+`coeff`, `terms`, `__str__`, `to_json`).  Floats are rejected outright.
 
 Reciprocals and square roots are Newton iterations that double their
 working precision on each step (Brent & Kung 1978; von zur Gathen &
@@ -48,16 +48,6 @@ def _ratio(x) -> tuple[int, int]:
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
-
-
-def _ratio_text(x: int, den: int) -> str:
-    """The text of x/den exactly as `str(Fraction(x, den))` gives it."""
-    if den == 1:
-        return str(x)
-    g = gcd(x, den)
-    if g == den:
-        return str(x // g)
-    return f"{x // g}/{den // g}"
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -216,8 +206,7 @@ class Series:
             raise SeriesError(
                 f"window up to O(z^{frontier}) cannot hold a z^{exp} term"
             )
-        p, q = _ratio(c)
-        return _canonical(exp, [p] + [0] * (frontier - exp - 1), q)
+        return cls(exp, [c] + [0] * (frontier - exp - 1))
 
     @classmethod
     def poly(cls, terms: dict, frontier: int) -> "Series":
@@ -442,20 +431,17 @@ class Series:
 
     def __str__(self) -> str:
         parts = []
-        den = self._den
-        for e, x in enumerate(self._nums, self._val):
-            if not x:
-                continue
-            a = abs(x)
+        for e, c in self.terms():
             if e == 0:
-                mono = _ratio_text(a, den)
+                mono = str(abs(c))
             else:
                 zs = "z" if e == 1 else f"z^{e}"
-                mono = zs if a == den else f"{_ratio_text(a, den)}*{zs}"
+                a = abs(c)
+                mono = zs if a == 1 else f"{a}*{zs}"
             if not parts:
-                parts.append(mono if x > 0 else f"-{mono}")
+                parts.append(mono if c > 0 else f"-{mono}")
             else:
-                parts.append(f"+ {mono}" if x > 0 else f"- {mono}")
+                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
         body = " ".join(parts) if parts else "0"
         return f"{body} + O(z^{self._frontier})"
 
@@ -464,11 +450,10 @@ class Series:
 
     def to_json(self) -> dict:
         """Exact-string JSON form: {valuation, order, coeffs}."""
-        den = self._den
         return {
             "valuation": self._val,
             "order": self.order,
-            "coeffs": [_ratio_text(x, den) for x in self._nums],
+            "coeffs": [str(c) for c in self.coeffs],
         }
 
 
