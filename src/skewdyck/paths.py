@@ -61,15 +61,6 @@ class SkewWord:
             raise TypeError("steps must be Step members")
 
     @classmethod
-    def _of_steps(cls, t: int, steps: tuple[Step, ...]) -> "SkewWord":
-        """A word whose t is checked and whose steps are a tuple of Step
-        members already; skips the per-step type check of the constructor."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "t", t)
-        object.__setattr__(word, "steps", steps)
-        return word
-
-    @classmethod
     def from_string(cls, t: int, text: str) -> "SkewWord":
         try:
             return cls(t, tuple(Step(ch) for ch in text))
@@ -148,7 +139,7 @@ def enumerate_words(
     the counting table.  Lengths above ``cap`` (default 24) are refused:
     use the automaton counting table for totals at that size.
     """
-    if not isinstance(t, int) or t < 2:
+    if t < 2:
         raise ValueError("t must be >= 2")
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -166,7 +157,7 @@ def enumerate_words(
         m = n - len(prefix)
         if m == 0:
             if not closed_only or level == 0:
-                out.append(SkewWord._of_steps(t, tuple(prefix)))
+                out.append(SkewWord(t, tuple(prefix)))
             return
         if closed_only:
             # reaching 0 needs a up-steps with a = (t*m - level)/(t+1)

@@ -157,10 +157,7 @@ def _fill(s: "Series", val: int, nums, den: int) -> "Series":
     if lead:
         nums = nums[lead:]
     if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [x // g for x in nums]
-            den //= g
+        nums, den = _reduced(nums, den)
     s._val = val + lead
     s._nums = tuple(nums)
     s._den = den
@@ -177,14 +174,9 @@ class Series:
     __slots__ = ("_val", "_nums", "_den", "_frontier")
 
     def __init__(self, valuation: int, coeffs):
-        cs = list(coeffs)
-        if all(type(c) is int for c in cs):
-            nums, den = cs, 1
-        else:
-            pairs = [_ratio(c) for c in cs]
-            den = lcm(*(q for _, q in pairs))
-            nums = [p * (den // q) for p, q in pairs]
-        _fill(self, valuation, nums, den)
+        pairs = [_ratio(c) for c in coeffs]
+        den = lcm(*(q for _, q in pairs))
+        _fill(self, valuation, [p * (den // q) for p, q in pairs], den)
 
     # -- constructors ------------------------------------------------------
 
@@ -368,7 +360,8 @@ class Series:
         a = self._nums
         if not a:
             raise SeriesError("no reciprocal: series is zero to its order")
-        return _canonical(-self._val, *_reciprocal_ints(a, self._den, len(a)))
+        x, e = _reciprocal_ints(a, self._den, len(a))  # already canonical
+        return _raw(-self._val, tuple(x), e, len(a) - self._val)
 
     def sqrt(self) -> "Series":
         """Square root with positive leading coefficient.
@@ -552,7 +545,11 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
     m = 1
     while m < order:
         h, m = m, min(2 * m, order)
-        v = _canonical(v._val, v._nums + (0,) * (m - v._frontier), v._den)  # to O(z^m)
+        # pad to O(z^m): zeros after a nonzero lead keep the form canonical
+        if v._nums:
+            v = _raw(v._val, v._nums + (0,) * (m - v._frontier), v._den, m)
+        else:
+            v = Series.zero(m)
         residual = eq.eval(v).truncate(m)
         if not residual.is_zero():
             step = residual * deq.eval(v.truncate(m - h)).reciprocal()

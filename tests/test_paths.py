@@ -174,14 +174,6 @@ class TestEnumerate:
     def test_length_nine_count(self):
         assert len(enumerate_words(2, 9)) == 19
 
-    def test_words_equal_constructed_words(self):
-        # enumerated words skip the per-step check but are ordinary words
-        for t, n in ((2, 9), (3, 12)):
-            for word in enumerate_words(t, n, closed_only=False):
-                again = SkewWord(t, list(word.steps))
-                assert word == again and hash(word) == hash(again)
-                assert type(word.steps) is tuple
-
     def test_non_integer_t_rejected(self):
         with pytest.raises(ValueError):
             enumerate_words(2.0, 3)
