@@ -30,14 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
+from typing import TYPE_CHECKING
 
-from .series import Series
+if TYPE_CHECKING:
+    from .series import Series
 
 
 class Layer(Enum):
     F = "F"  # last step U, or the empty word
     G = "G"  # last step D
     H = "H"  # last step L
+
+    # members are singletons compared by identity; Enum's own __hash__
+    # hashes the name in Python, once per _LIDX lookup of a cell read
+    __hash__ = object.__hash__
 
 
 _LIDX = {Layer.F: 0, Layer.G: 1, Layer.H: 2}
@@ -124,6 +130,8 @@ class CountTable:
 
     def column_series(self, layer: Layer, k: int) -> Series:
         """The same column as an exact series in z, known to O(z^(n_max+1))."""
+        from .series import Series  # the counting table itself stays integer-only
+
         return Series(0, self.column(layer, k))
 
 
@@ -280,6 +288,8 @@ def verify_functional_equations(
     identically through ``z_order``.  Right-to-left equations are only
     on record for t = 2.
     """
+    from .series import Series
+
     if direction == "RL" and t != 2:
         raise ValueError("right-to-left equations are only established for t=2")
     if table is None:

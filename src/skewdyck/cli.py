@@ -4,18 +4,17 @@ Subcommands: count (closed totals), series (exact expansions), render
 (SVG/TikZ figures), verify (the full cross-validation suite), and oeis
 (b-file comparison).  All numeric output is exact decimal text; given
 the same arguments every command prints the same bytes.
+
+Each command imports the layers it runs inside its own function, so a
+start-up pays only for the route that the command takes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import closed_form, kernel, oeis, reverse
-from .automaton import Layer, dp_counts
-from .render import RENDER_MODES, render_document
-from .verify import run_verification
+from . import RENDER_MODES
 
 DEFAULT_ORDER = 64
 
@@ -82,6 +81,8 @@ def _emit_table(headers: list[str], rows: list[list], fmt: str) -> str:
         lines += [",".join(str(c) for c in row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        import json
+
         return json.dumps(
             [dict(zip(headers, (str(c) for c in row))) for row in rows], indent=2
         ) + "\n"
@@ -102,6 +103,8 @@ def _emit_table(headers: list[str], rows: list[list], fmt: str) -> str:
 
 
 def _cmd_count(args) -> int:
+    from .automaton import dp_counts
+
     lo, hi = args.n
     table = dp_counts(args.t, hi, k_max=0)
     rows = [[n, table.closed_count(n)] for n in range(lo, hi + 1)]
@@ -110,6 +113,9 @@ def _cmd_count(args) -> int:
 
 
 def _series_for(name: str, order: int):
+    from . import closed_form, kernel, reverse
+    from .automaton import Layer
+
     if name == "g0":
         return kernel.solve_t2(order).g0
     if name == "h0":
@@ -145,6 +151,8 @@ def _series_for(name: str, order: int):
 def _cmd_series(args) -> int:
     ser = _series_for(args.which, args.order)
     if args.format == "json":
+        import json
+
         sys.stdout.write(json.dumps(ser.to_json(), indent=2) + "\n")
     else:
         sys.stdout.write(str(ser) + "\n")
@@ -152,6 +160,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_document
+
     doc = render_document(
         args.t,
         args.n,
@@ -170,6 +180,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(order=args.order, t_list=args.t)
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
@@ -179,13 +191,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oeis(args) -> int:
-    rows = oeis.compare_table(
-        args.sequence,
-        args.n_max,
-        t=args.t,
-        cache_dir=args.cache_dir,
-        offline=args.offline,
-    )
+    from .oeis import OeisError, compare_table
+
+    try:
+        rows = compare_table(
+            args.sequence,
+            args.n_max,
+            t=args.t,
+            cache_dir=args.cache_dir,
+            offline=args.offline,
+        )
+    except OeisError as exc:
+        return _error(exc)
     headers = ["n", "oeis", "table(3n)", "R", "oeis=table", "oeis=R"]
     body = [
         [
@@ -261,14 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> int:
+    """Report a command error on stderr; its exit status is 1."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, oeis.OeisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ only the TikZ overlay nudge is printed from a count of quarter units.
 
 from __future__ import annotations
 
+from . import RENDER_MODES
 from .paths import PathGeometry, SkewWord, Step, enumerate_words, realize
 
-RENDER_MODES = ("plain", "skew")
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
 

@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from skewdyck.cli import build_parser, main
+from skewdyck.render import words_for_mode
 
 
 def run(capsys, *argv):
@@ -222,6 +224,18 @@ class TestRender:
         assert rc == 1
         assert "cap" in err
 
+    def test_mode_choices_are_the_modes_render_accepts(self):
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        mode = next(a for a in commands.choices["render"]._actions if a.dest == "mode")
+        assert sorted(mode.choices) == ["plain", "skew"]
+        for choice in mode.choices:
+            words_for_mode(2, 3, choice)  # accepted
+        with pytest.raises(ValueError, match="mode must be one of"):
+            words_for_mode(2, 3, "fancy")
+
 
 # sha256 of the `render --out` file for
 # (t, n, mode, style, mirrored, format), recorded with the Fraction
@@ -374,6 +388,17 @@ class TestOeis:
         )
         assert rc == 1
         assert "no cached or bundled" in err
+
+    def test_error_is_one_stderr_line(self, tmp_path, capsys):
+        # the command, not main, catches OeisError: status and line stay
+        rc, out, err = run(
+            capsys, "oeis", "A999999", "--offline", "--cache-dir", str(tmp_path)
+        )
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: no cached or bundled terms for A999999; "
+            "rerun without --offline to fetch\n"
+        )
 
     def test_cache_is_used_when_present(self, tmp_path, capsys):
         (tmp_path / "A000002.txt").write_text("# fake sequence\n0 1\n1 1\n2 4\n3 19\n")

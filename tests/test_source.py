@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import skewdyck
 
 
@@ -40,3 +42,57 @@ def test_cli_import_skips_http_stack():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+_LAYERS = [
+    f"skewdyck.{path.stem}"
+    for path in sorted(Path(skewdyck.__file__).parent.glob("*.py"))
+    if path.stem not in ("__init__", "cli")
+]
+
+# (argv, modules the command must not load).  Each command imports only
+# the layers on its own route; `-S` keeps site hooks out of the picture.
+_IMPORT_VECTORS = {
+    "help": (["--help"], [*_LAYERS, "fractions", "dataclasses", "json"]),
+    "count": (
+        ["count", "--n", "0:20"],
+        ["skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions"],
+    ),
+    "render": (
+        ["render", "--n", "6"],
+        ["skewdyck.series", "skewdyck.automaton", "skewdyck.kernel"],
+    ),
+    "series": (
+        ["series", "total", "--order", "16"],
+        ["skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis"],
+    ),
+    "verify": (["verify", "--order", "16", "--t", "2"], []),
+    "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
+}
+
+_RUN_AND_LIST_MODULES = """
+import contextlib, io, sys
+from skewdyck import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code)
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("command", sorted(_IMPORT_VECTORS))
+def test_command_imports_only_its_layers(command, tmp_path):
+    argv, absent = _IMPORT_VECTORS[command]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(skewdyck.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _RUN_AND_LIST_MODULES, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "0"
+    loaded = set(out[1:])
+    assert "urllib.request" not in loaded
+    assert sorted(loaded.intersection(absent)) == []
