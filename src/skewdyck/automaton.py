@@ -27,10 +27,9 @@ no overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import add
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .series import Series
@@ -58,8 +57,7 @@ def _lr_edges(t: int) -> tuple[tuple[tuple[Layer, ...], Layer, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class _Scan:
+class _Scan(NamedTuple):
     """What a scan direction fixes besides the direction of the arrows."""
 
     backward: bool  # walk every edge from its target to its sources
@@ -252,8 +250,7 @@ def _residual_ok(resid: dict, z_order: int) -> tuple[bool, str | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class EquationReport:
+class EquationReport(NamedTuple):
     t: int
     direction: str
     u_degree: int

@@ -202,6 +202,13 @@ class PathGeometry:
 _COLORS = {Step.U: "black", Step.D: "black", Step.L: "red"}
 
 
+def _step_dx(mode: str) -> dict[Step, int]:
+    """The horizontal run of each step in a geometry mode."""
+    if mode not in GEOMETRY_MODES:
+        raise ValueError(f"mode must be one of {GEOMETRY_MODES}, got {mode!r}")
+    return _STEP_DX[mode]
+
+
 def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
     """Geometry of a valid word.
 
@@ -209,16 +216,27 @@ def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
     "red-overlay" keeps L pointing forward (+2, -t) and relies on the
     red tag, matching the customary figures.
     """
-    if mode not in GEOMETRY_MODES:
-        raise ValueError(f"mode must be one of {GEOMETRY_MODES}, got {mode!r}")
+    dx = _step_dx(mode)
     check = validate(word)
     if not check:
         raise ValueError(f"cannot realize an invalid word ({check})")
-    dx, dy = _STEP_DX[mode], _level_deltas(word.t)
+    dy = _level_deltas(word.t)
     xs = accumulate(map(dx.__getitem__, word.steps), initial=0)
     ys = accumulate(map(dy.__getitem__, word.steps), initial=0)
     colors = tuple(map(_COLORS.__getitem__, word.steps))
     return PathGeometry(tuple(zip(xs, ys)), colors)
+
+
+def extent(word: SkewWord, mode: str = "red-overlay") -> tuple[int, int, int]:
+    """(x_min, x_max, y_max) over the vertices ``realize(word, mode)`` builds.
+
+    Reads the same step-vector tables as ``realize`` but neither checks
+    the word nor builds its vertices, so a document can size its shared
+    grid before it realizes any word.
+    """
+    xs = list(accumulate(map(_step_dx(mode).__getitem__, word.steps), initial=0))
+    ys = accumulate(map(_level_deltas(word.t).__getitem__, word.steps), initial=0)
+    return min(xs), max(xs), max(ys)
 
 
 def _collinear_overlap(seg_a, seg_b) -> bool:

@@ -224,6 +224,18 @@ class TestRender:
         assert rc == 1
         assert "cap" in err
 
+    @pytest.mark.parametrize("before", [None, b"an earlier figure\n"], ids=["absent", "existing"])
+    def test_cap_exceeded_leaves_out_file_alone(self, tmp_path, capsys, before):
+        # a failed render must neither create nor truncate the --out file
+        target = tmp_path / "fig.svg"
+        if before is not None:
+            target.write_bytes(before)
+        rc, out, err = run(capsys, "render", "--t", "2", "--n", "27", "--out", str(target))
+        assert rc == 1
+        assert "cap" in err
+        assert out == ""
+        assert (target.read_bytes() if target.exists() else None) == before
+
     def test_mode_choices_are_the_modes_render_accepts(self):
         parser = build_parser()
         commands = next(

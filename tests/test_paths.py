@@ -17,6 +17,7 @@ from skewdyck.paths import (
     Step,
     ValidationResult,
     enumerate_words,
+    extent,
     is_closed,
     overlap_diagnostic,
     realize,
@@ -256,10 +257,14 @@ class TestRealize:
             assert (x1 - x0, y1 - y0) == vectors[s]
         assert geo.colors == tuple("red" if s is Step.L else "black" for s in word.steps)
         assert geo.segments == tuple(zip(geo.vertices, geo.vertices[1:]))
+        xs, ys = zip(*geo.vertices)
+        assert extent(word, mode=mode) == (min(xs), max(xs), max(ys))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             realize(w(2, "UUD"), mode="sideways")
+        with pytest.raises(ValueError, match="mode"):
+            extent(w(2, "UUD"), mode="sideways")
 
 
 class TestOverlapDiagnostic:

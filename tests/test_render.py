@@ -1,11 +1,15 @@
 """Figure emitters: diagram counts, red marks, golden structure."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skewdyck.paths import Step, enumerate_words
-from skewdyck.render import _quarters, render_document, words_for_mode
+from skewdyck import RENDER_MODES, render
+from skewdyck.paths import GEOMETRY_MODES, Step, enumerate_words, realize
+from skewdyck.render import _grid_box, _quarters, render_document, words_for_mode
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -114,3 +118,42 @@ class TestTikz:
     def test_bad_format(self):
         with pytest.raises(ValueError, match="format"):
             render_document(2, 3, fmt="png")
+
+
+class TestGridBox:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        t=st.integers(2, 5),
+        n=st.integers(0, 14),
+        mode=st.sampled_from(RENDER_MODES),
+        style=st.sampled_from(GEOMETRY_MODES),
+    )
+    @example(t=2, n=1, mode="skew", style="red-overlay")  # no closed word at all
+    @example(t=2, n=0, mode="plain", style="left")  # only the empty word
+    def test_box_pass_matches_realized_vertices(self, t, n, mode, style):
+        # reference rule: the (0, 1, 1) floor widened by every vertex of
+        # every realized geometry
+        words = words_for_mode(t, n, mode)
+        x_min, x_max, y_max = 0, 1, 1
+        for w in words:
+            for x, y in realize(w, mode=style).vertices:
+                x_min, x_max, y_max = min(x_min, x), max(x_max, x), max(y_max, y)
+        assert _grid_box(words, style) == (x_min, x_max, y_max)
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
+    # each realize call records how many geometries of earlier calls are
+    # still alive; one word at a time leaves at most the previous one
+    refs, alive = [], []
+
+    def tracked(word, mode="red-overlay"):
+        alive.append(sum(ref() is not None for ref in refs))
+        geo = realize(word, mode)
+        refs.append(weakref.ref(geo))
+        return geo
+
+    monkeypatch.setattr(render, "realize", tracked)
+    render_document(2, 9, mode="skew", fmt=fmt)
+    assert len(alive) == 19
+    assert max(alive) <= 1

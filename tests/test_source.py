@@ -56,7 +56,7 @@ _IMPORT_VECTORS = {
     "help": (["--help"], [*_LAYERS, "fractions", "dataclasses", "json"]),
     "count": (
         ["count", "--n", "0:20"],
-        ["skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions"],
+        ["skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions", "dataclasses"],
     ),
     "render": (
         ["render", "--n", "6"],
