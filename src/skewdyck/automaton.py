@@ -204,41 +204,38 @@ def prefix_count(t: int, layer: Layer, k: int, n: int, direction: str = "LR") ->
 #     u^t G   = z (F - lowF) + z (G - lowG) + z (H - lowH)
 #     u^t H   = z (G - lowG) + z (H - lowH)
 #
-# where lowX truncates the terms below u^t.  Right to left (t = 2):
+# where lowX drops the terms below u^t.  Right to left (t = 2):
 #
 #     u (F - u f1)        = u^3 z G + z (F - u f1 - u^2 f2)
 #     u (G - g0 - u g1)   = z (F - u f1 - u^2 f2) + u^3 z G + u^3 z H
 #     H - 1               = u^2 z G + u^2 z H
 #
-# The u-polynomials below carry Series coefficients from the table, so
-# the check confirms the summed equations exactly on the truncation.
+# Each equation is written below as left side minus right side: a
+# constant at u^0 and terms (coefficient, layer, u-shift, z-shift,
+# dropped levels), so (-1, F, 0, 1, (1, 2)) is -z (F - u f1 - u^2 f2).
+# The tables come from the equations above, not from the edge list, so
+# the check stays independent of the table it checks.
 
 
-def _up_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for j, s in b.items():
-        out[j] = out[j] + s if j in out else s
-    return out
-
-
-def _up_neg(a: dict) -> dict:
-    return {j: -s for j, s in a.items()}
-
-def _up_zscale(a: dict, shift: int = 1) -> dict:
-    """Multiply every coefficient by z**shift."""
-    return {j: s.shift(shift) for j, s in a.items()}
-
-
-def _up_ushift(a: dict, m: int) -> dict:
-    return {j + m: s for j, s in a.items()}
-
-
-def _up_trunc(a: dict, deg: int) -> dict:
-    return {j: s for j, s in a.items() if j <= deg}
-
-
-def _up_low(a: dict, below: int) -> dict:
-    return {j: s for j, s in a.items() if j < below}
+def _equations(t: int, direction: str) -> tuple:
+    """(name, constant, terms) for each layer equation of a scan direction."""
+    F, G, H = Layer
+    if direction == "LR":
+        low = tuple(range(t))  # lowX: the levels below t
+        return (
+            ("layer-F", -1, ((1, F, 0, 0, ()), (-1, F, 1, 1, ()), (-1, G, 1, 1, ()))),
+            ("layer-G", 0, (
+                (1, G, t, 0, ()), (-1, F, 0, 1, low), (-1, G, 0, 1, low), (-1, H, 0, 1, low),
+            )),
+            ("layer-H", 0, ((1, H, t, 0, ()), (-1, G, 0, 1, low), (-1, H, 0, 1, low))),
+        )
+    return (  # right to left, t = 2
+        ("layer-F", 0, ((1, F, 1, 0, (1,)), (-1, G, 3, 1, ()), (-1, F, 0, 1, (1, 2)))),
+        ("layer-G", 0, (
+            (1, G, 1, 0, (0, 1)), (-1, F, 0, 1, (1, 2)), (-1, G, 3, 1, ()), (-1, H, 3, 1, ()),
+        )),
+        ("layer-H", -1, ((1, H, 0, 0, ()), (-1, G, 2, 1, ()), (-1, H, 2, 1, ()))),
+    )
 
 
 def _residual_ok(resid: dict, z_order: int) -> tuple[bool, str | None]:
@@ -285,8 +282,6 @@ def verify_functional_equations(
     identically through ``z_order``.  Right-to-left equations are only
     on record for t = 2.
     """
-    from .series import Series
-
     if direction == "RL" and t != 2:
         raise ValueError("right-to-left equations are only established for t=2")
     if table is None:
@@ -294,53 +289,19 @@ def verify_functional_equations(
     if table.n_max < z_order or table.k_max < u_degree or table.direction != direction:
         raise ValueError("table too small for the requested verification")
 
-    F = {k: table.column_series(Layer.F, k) for k in range(u_degree + 1)}
-    G = {k: table.column_series(Layer.G, k) for k in range(u_degree + 1)}
-    H = {k: table.column_series(Layer.H, k) for k in range(u_degree + 1)}
-    one = {0: Series.one(z_order + 2)}
-
-    checks = []
-    if direction == "LR":
-        fg = _up_add(F, G)
-        r1 = _up_add(F, _up_neg(_up_add(one, _up_ushift(_up_zscale(fg), 1))))
-        checks.append(("layer-F", r1))
-        for name, lhs_col, rhs_cols in (
-            ("layer-G", G, (F, G, H)),
-            ("layer-H", H, (G, H)),
-        ):
-            resid = _up_ushift(lhs_col, t)
-            for col in rhs_cols:
-                tail = _up_add(col, _up_neg(_up_low(col, t)))
-                resid = _up_add(resid, _up_neg(_up_zscale(tail)))
-            checks.append((name, resid))
-    else:
-        f1, f2 = F[1], F[2]
-        g0, g1 = G[0], G[1]
-        f_tail = _up_add(F, _up_neg({1: f1, 2: f2}))  # F - u f1 - u^2 f2
-        r1 = _up_add(
-            _up_ushift(_up_add(F, _up_neg({1: f1})), 1),
-            _up_neg(_up_add(_up_ushift(_up_zscale(G), 3), _up_zscale(f_tail))),
-        )
-        checks.append(("layer-F", r1))
-        g_head = _up_add(G, _up_neg({0: g0, 1: g1}))
-        r2 = _up_add(
-            _up_ushift(g_head, 1),
-            _up_neg(
-                _up_add(
-                    _up_zscale(f_tail),
-                    _up_add(_up_ushift(_up_zscale(G), 3), _up_ushift(_up_zscale(H), 3)),
-                )
-            ),
-        )
-        checks.append(("layer-G", r2))
-        r3 = _up_add(
-            _up_add(H, _up_neg(one)),
-            _up_neg(_up_add(_up_ushift(_up_zscale(G), 2), _up_ushift(_up_zscale(H), 2))),
-        )
-        checks.append(("layer-H", r3))
-
+    levels = range(u_degree + 1)
+    cols = {layer: [table.column_series(layer, k) for k in levels] for layer in Layer}
     results = []
-    for name, resid in checks:
-        ok, bad = _residual_ok(_up_trunc(resid, u_degree), z_order)
+    for name, constant, terms in _equations(t, direction):
+        resid = {}
+        for j in levels:
+            parts = [
+                cols[layer][j - du].shift(dz) * c
+                for c, layer, du, dz, dropped in terms
+                if j >= du and j - du not in dropped
+            ]
+            if parts:
+                resid[j] = sum(parts, constant if j == 0 else 0)
+        ok, bad = _residual_ok(resid, z_order)
         results.append((name, ok, bad))
     return EquationReport(t, direction, u_degree, z_order, tuple(results))

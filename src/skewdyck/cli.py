@@ -197,7 +197,6 @@ def _cmd_oeis(args) -> int:
         rows = compare_table(
             args.sequence,
             args.n_max,
-            t=args.t,
             cache_dir=args.cache_dir,
             offline=args.offline,
         )
@@ -269,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis", help="compare a sequence's b-file against the table")
     p.add_argument("sequence", help="sequence id, e.g. A007564")
     p.add_argument("--n-max", type=_int_in("n-max", 0, MAX_OEIS_N), default=12)
-    p.add_argument("--t", type=_t_arg, default=2)
     p.add_argument("--cache-dir", help="b-file cache directory")
     p.add_argument("--offline", action="store_true")
     p.add_argument("--format", choices=TABLE_FORMATS, default="table")

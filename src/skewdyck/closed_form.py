@@ -14,9 +14,9 @@ lets the table adjudicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from . import kernel
 from .automaton import CountTable, dp_counts
@@ -69,8 +69,7 @@ def lagrange_identity_check(n: int) -> bool:
     return b % n == 0 and a - b == b // n
 
 
-@dataclass(frozen=True)
-class CoeffReport:
+class CoeffReport(NamedTuple):
     """One comparison row for the length-3n closed-path count."""
 
     n: int

@@ -12,24 +12,30 @@ from the rational seed v(0) = 1:
 
     v^(2t) - v^(2t-1) - z^(t+1) v^t + 2 z^(t+1) v^(t-1) - z^(2t+2) = 0.
 
-For t = 2 the surviving root gives closed forms for the whole solution;
-they are verified against the counting table rather than re-derived by
-polynomial division (checking beats symbol pushing here).  The remaining
-roots are never expanded: two of them ramify at z = 0 and all of them
-cancel out of the answer.
+Every level column is geometric in the surviving root s: the level-k
+prefix series are f_k = s^-k, g_k = g0 s^-k and h_k = h0 s^-k.  For
+t = 2 the level-0 series g0 and h0 come from s in closed form, so the
+root gives the whole solution; it is verified against the counting
+table rather than re-derived by polynomial division (checking beats
+symbol pushing here).  The remaining roots are never expanded: two of
+them ramify at z = 0 and all of them cancel out of the answer.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 from .automaton import CountTable, Layer, dp_counts
 from .series import AlgebraicEq, Series, SeriesError, newton_root
 
 DEFAULT_ORDER = 64
+
+# Published expansion of the t=2 good root.
+S4_PUBLISHED = {
+    -1: 1, 2: -1, 5: -2, 8: -8, 11: -39, 14: -210,
+    17: -1203, 20: -7192, 23: -44362, 26: -280250,
+}
 
 # Published expansion of the t=3 good root, kept for cross-checking only.
 # The tail is suspected of transcription errors (the z^31 entry breaks the
@@ -47,42 +53,24 @@ S6_PUBLISHED = {
 }
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """K_t as {u-power: {z-exponent: integer coefficient}}."""
-
-    t: int
-    coeffs_by_power: Mapping[int, Mapping[int, int]]
-
-    def as_algebraic_eq(self) -> AlgebraicEq:
-        return AlgebraicEq(self.coeffs_by_power)
-
-
-def kernel_poly(t: int) -> KernelSpec:
-    """The kernel denominator K_t(u, z)."""
+def kernel_poly(t: int) -> dict[int, dict[int, int]]:
+    """The kernel denominator K_t(u, z) as {u-power: {z-exponent: coefficient}}."""
     if t < 2:
         raise ValueError("t must be >= 2")
-    return KernelSpec(
-        t,
-        {
-            2 * t: {1: 1},
-            2 * t - 1: {0: -1},
-            t: {2: -1},
-            t - 1: {1: 2},
-            0: {3: -1},
-        },
-    )
+    return {
+        2 * t: {1: 1},
+        2 * t - 1: {0: -1},
+        t: {2: -1},
+        t - 1: {1: 2},
+        0: {3: -1},
+    }
 
 
-def eval_poly_at_series(coeffs_by_power: Mapping[int, Mapping[int, int]], u: Series) -> Series:
-    """Evaluate a {u-power: z-poly} table at a (possibly Laurent) series."""
+def _weighted_sum(
+    coeffs_by_power: Mapping[int, Mapping[int, int]], powers: Sequence[Series]
+) -> Series:
+    """Sum of c z^e powers[p] over the terms c z^e u^p of the table."""
     acc = None
-    # u^0 .. u^max built in a loop: a recursive u^p = u^(p-1) * u would
-    # pass the recursion limit for the 2t-th power once t is about 500
-    powers = [Series.one(u.order)]
-    for _ in range(max(coeffs_by_power)):
-        powers.append(powers[-1] * u)
-
     for p, zpoly in coeffs_by_power.items():
         up = powers[p]
         for e, c in zpoly.items():
@@ -91,8 +79,14 @@ def eval_poly_at_series(coeffs_by_power: Mapping[int, Mapping[int, int]], u: Ser
     return acc
 
 
-def kernel_residual(spec: KernelSpec, u: Series) -> Series:
-    return eval_poly_at_series(spec.coeffs_by_power, u)
+def eval_poly_at_series(coeffs_by_power: Mapping[int, Mapping[int, int]], u: Series) -> Series:
+    """Evaluate a {u-power: z-poly} table at a (possibly Laurent) series."""
+    # u^0 .. u^max built in a loop: a recursive u^p = u^(p-1) * u would
+    # pass the recursion limit for the 2t-th power once t is about 500
+    powers = [Series.one(u.order)]
+    for _ in range(max(coeffs_by_power)):
+        powers.append(powers[-1] * u)
+    return _weighted_sum(coeffs_by_power, powers)
 
 
 def good_root(t: int, order: int = DEFAULT_ORDER) -> Series:
@@ -139,14 +133,13 @@ def compare_with_published(computed: Series, published: Mapping[int, int]) -> li
     return rows
 
 
-@dataclass(frozen=True)
-class KernelSolution:
-    """The complete t=2 solution derived from the surviving root.
+class KernelSolution(NamedTuple):
+    """The complete t=2 solution derived from the surviving root s.
 
-    ``c_f`` and ``c_g`` are the prefix-series constants:
-    f_k = c_f * s^(-k-1) / z,  g_k = c_g * s^(-k-1),  h_k = h0 * s^(-k).
-    ``s_inv`` is s^-1 on the window of ``s``; its powers are memoised per
-    solution by `s_inv_power`.
+    The level-k prefix series follow the geometric law f_k = s^-k,
+    g_k = g0 s^-k and h_k = h0 s^-k.  ``s_inv`` is s^-1 on the window of
+    ``s``; ``s_inv_powers`` memoises its powers for `s_inv_power` and is
+    created with each solution.
     """
 
     t: int
@@ -155,49 +148,24 @@ class KernelSolution:
     g0: Series
     h0: Series
     total: Series
-    f1: Series
-    g1_plus_h1: Series
-    c_f: Series
-    c_g: Series
     s_inv: Series
-    _s_inv_powers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    s_inv_powers: list
 
     def s_inv_power(self, k: int) -> Series:
         """s^(-k) for k >= 1, each power computed once per solution."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        powers = self._s_inv_powers
-        if not powers:
-            powers.append(self.s_inv)
+        powers = self.s_inv_powers
         while len(powers) < k:
             powers.append(powers[-1] * self.s_inv)
         return powers[k - 1]
-
-    def to_json(self) -> str:
-        fields = {
-            "t": self.t,
-            "order": self.order,
-            "s": self.s,
-            "g0": self.g0,
-            "h0": self.h0,
-            "total": self.total,
-            "f1": self.f1,
-            "g1_plus_h1": self.g1_plus_h1,
-            "c_f": self.c_f,
-            "c_g": self.c_g,
-        }
-        return json.dumps(
-            {k: (v.to_json() if isinstance(v, Series) else v) for k, v in fields.items()},
-            indent=2,
-        )
 
 
 def solve_t2(order: int = DEFAULT_ORDER) -> KernelSolution:
     """Closed forms for t = 2, all to O(z^order).
 
     With s the surviving root:  1 + g0 = 1/(z s),
-    h0 = 1/(z s) - z/s^2 - 1,  total = 1 + g0 + h0,  f1 = z + z g0,
-    g1 + h1 = h0 s / z.
+    h0 = 1/(z s) - z/s^2 - 1,  total = 1 + g0 + h0.
     """
     work = order + 4
     s = good_root(2, work)
@@ -206,24 +174,17 @@ def solve_t2(order: int = DEFAULT_ORDER) -> KernelSolution:
     g0 = inv_zs - 1
     h0 = inv_zs - (s_inv * s_inv).shift(1) - 1
     total = g0 + h0 + 1
-    f1 = (g0 + 1).shift(1)
-    g1_plus_h1 = (h0 * s).shift(-1)
-    c_f = Series.one(work) - (g0 + 1).shift(3) - (h0 * s).shift(1)
-    c_g = (g0 + 1).shift(2) + h0 * s
-    cut = lambda x: x.truncate(order)
+    # s is cut at O(z^order) from its z^-1 lead, so s^-1 keeps order + 1 terms from z
+    s_inv = s_inv.truncate(order + 2)
     return KernelSolution(
         t=2,
         order=order,
-        s=cut(s),
-        g0=cut(g0),
-        h0=cut(h0),
-        total=cut(total),
-        f1=cut(f1),
-        g1_plus_h1=cut(g1_plus_h1),
-        c_f=cut(c_f),
-        c_g=cut(c_g),
-        # s is cut at O(z^order) from its z^-1 lead, so s^-1 keeps order + 1 terms from z
-        s_inv=s_inv.truncate(order + 2),
+        s=s.truncate(order),
+        g0=g0.truncate(order),
+        h0=h0.truncate(order),
+        total=total.truncate(order),
+        s_inv=s_inv,
+        s_inv_powers=[s_inv],
     )
 
 
@@ -235,20 +196,20 @@ def prefix_series_t2(
 ) -> Series:
     """Closed-form series for level-k prefixes in one layer (t = 2).
 
-    Each is a genuine power series: the level eats k powers of the
-    root's 1/z lead, so the lowest term is z^k (the all-U word) for the
-    F layer and correspondingly higher for G and H.
+    The geometric law: s^-k for F (1 at k = 0), g0 s^-k for G and
+    h0 s^-k for H.  Each is a genuine power series: s^-k starts at z^k
+    (the all-U word), and g0 and h0 start higher still.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if solution is None:
         solution = solve_t2(order + k + 3)
     if layer is Layer.F:
-        out = (solution.c_f * solution.s_inv_power(k + 1)).shift(-1)
-    elif layer is Layer.G:
-        out = solution.c_g * solution.s_inv_power(k + 1)
+        out = Series.one(solution.order) if k == 0 else solution.s_inv_power(k)
     else:
-        out = solution.h0 if k == 0 else solution.h0 * solution.s_inv_power(k)
+        out = solution.g0 if layer is Layer.G else solution.h0
+        if k:
+            out = out * solution.s_inv_power(k)
     if out.frontier < order:
         raise SeriesError(
             f"solution order {solution.order} too small for level {k} at O(z^{order})"
@@ -266,22 +227,16 @@ def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
     which for t = 2 reads z a_k - a_(k+1) - z^2 a_(k+2) + 2 z a_(k+3)
     - z^3 a_(k+4).  Returns one residual per checkable window position.
     """
-    spec = kernel_poly(t)
+    poly = kernel_poly(t)
     depth = 2 * t
-    out = []
-    for k in range(len(columns) - depth):
-        acc = None
-        for p, zpoly in spec.coeffs_by_power.items():
-            col = columns[k + depth - p]
-            for e, c in zpoly.items():
-                term = (col * c).shift(e)
-                acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    # u^p stands for column k + depth - p: the window read backwards
+    return [
+        _weighted_sum(poly, columns[k : k + depth + 1][::-1])
+        for k in range(len(columns) - depth)
+    ]
 
 
-@dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     layer: Layer
     k_max: int
     order: int
@@ -307,8 +262,7 @@ def recurrence_check(
     return RecurrenceReport(layer, k_max, order, ok)
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     t: int
     k_max: int
     order: int

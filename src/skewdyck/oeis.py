@@ -113,11 +113,10 @@ def load_terms(
 def compare_table(
     seq_id: str,
     n_max: int,
-    t: int = 2,
     cache_dir: Path | str | None = None,
     offline: bool = False,
 ) -> list[dict]:
-    """Rows (n, OEIS a(n), table count at length 3n, [z^n] R) with flags.
+    """Rows (n, OEIS a(n), t = 2 table count at length 3n, [z^n] R) with flags.
 
     The table column is the ground truth for path counts; where the
     sequence diverges from it, the flags say so rather than anybody
@@ -126,7 +125,7 @@ def compare_table(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     terms = load_terms(seq_id, cache_dir=cache_dir, offline=offline)
-    table = dp_counts(t, 3 * n_max, k_max=0)
+    table = dp_counts(2, 3 * n_max, k_max=0)
     r = r_series(n_max + 1)
     rows = []
     for n in range(n_max + 1):

@@ -33,9 +33,8 @@ prefix counts are served by the counting table instead.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .series import AlgebraicEq, Series, SeriesError, newton_root
 
@@ -106,23 +105,11 @@ def rl_g0_rational(order: int = DEFAULT_ORDER) -> Series:
     return ((1 - zt1sq) / (1 - zt1sq * 2)).truncate(order)
 
 
-@dataclass(frozen=True)
-class RlSolution:
+class RlSolution(NamedTuple):
     order: int
     s1: Series
     t1: Series
     g0: Series
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "s1": self.s1.to_json(),
-                "t1": self.t1.to_json(),
-                "g0": self.g0.to_json(),
-            },
-            indent=2,
-        )
 
 
 def solve_rl(order: int = DEFAULT_ORDER) -> RlSolution:

@@ -129,19 +129,15 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
         guard(
             f"good-root residual t={t}",
             lambda t=t, s=s: (
-                kernel.kernel_residual(kernel.kernel_poly(t), s)
+                kernel.eval_poly_at_series(kernel.kernel_poly(t), s)
                 .truncate(order - 2 * t)
                 .is_zero(),
                 f"zero through z^{order - 2 * t - 1}",
             ),
         )
 
-    s4_published = {
-        -1: 1, 2: -1, 5: -2, 8: -8, 11: -39, 14: -210,
-        17: -1203, 20: -7192, 23: -44362, 26: -280250,
-    }
     def s4_check():
-        window = {e: c for e, c in s4_published.items() if e < order}
+        window = {e: c for e, c in kernel.S4_PUBLISHED.items() if e < order}
         rows = kernel.compare_with_published(roots[2], window)
         bad = [r for r in rows if not r["matches"]]
         return not bad, f"{len(rows)} published coefficients checked"
@@ -257,7 +253,9 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     def rl_root_checks():
         w = order - 6
         quartic_ok = (
-            kernel.kernel_residual(kernel.kernel_poly(2), rl.s1).truncate(w).is_zero()
+            kernel.eval_poly_at_series(kernel.kernel_poly(2), rl.s1)
+            .truncate(w)
+            .is_zero()
         )
         reflected_ok = (
             kernel.eval_poly_at_series(reverse.RECIPROCAL_KERNEL, rl.t1)

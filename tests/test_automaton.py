@@ -207,11 +207,12 @@ class TestFunctionalEquations:
         report = verify_functional_equations(t, 8, 20, direction)
         assert report.all_hold, str(report)
 
-    def test_violation_is_reported_not_raised(self):
+    @pytest.mark.parametrize("t,direction", [(2, "LR"), (3, "LR"), (2, "RL")])
+    def test_violation_is_reported_not_raised(self, t, direction):
         # a corrupted table must produce a finding, not silence
-        table = dp_counts(2, 20, k_max=8)
+        table = dp_counts(t, 20, k_max=8, direction=direction)
         table._grid[9][0][1] += 1  # tamper with one G cell
-        report = verify_functional_equations(2, 8, 20, "LR", table)
+        report = verify_functional_equations(t, 8, 20, direction, table)
         assert not report.all_hold
         assert any(bad for _, ok, bad in report.results if not ok)
 

@@ -355,6 +355,7 @@ class TestBounds:
             (["count", "--n", "4001"], "length must be at most 4000, got 4001"),
             (["render", "--n", "-1"], "length must be at least 0, got -1"),
             (["oeis", "A007564", "--n-max", "1334"], "n-max must be between 0 and 1333, got 1334"),
+            (["oeis", "A007564", "--t", "3"], "unrecognized arguments: --t 3"),
         ],
     )
     def test_usage_errors(self, capsys, argv, message):

@@ -9,7 +9,6 @@ from skewdyck.kernel import (
     eval_poly_at_series,
     good_root,
     kernel_poly,
-    kernel_residual,
     solve_t2,
 )
 from skewdyck.reverse import (
@@ -40,7 +39,7 @@ class TestS1:
 
     def test_quartic_residual_zero(self):
         s1 = rl_root_s1(30)
-        assert kernel_residual(kernel_poly(2), s1).truncate(24).is_zero()
+        assert eval_poly_at_series(kernel_poly(2), s1).truncate(24).is_zero()
 
     def test_reciprocal_solves_reflected_kernel(self):
         s1 = rl_root_s1(30)
@@ -99,13 +98,6 @@ class TestSolveRl:
         assert rl.s1.valuation == 2
         assert rl.t1.valuation == 1
         assert rl.g0.coeff(0) == 1
-
-    def test_json(self):
-        import json
-
-        data = json.loads(solve_rl(12).to_json())
-        assert data["order"] == 12
-        assert data["s1"]["coeffs"][0] == "1/2"
 
 
 class TestRlPrefixCounts:

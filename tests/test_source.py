@@ -64,7 +64,10 @@ _IMPORT_VECTORS = {
     ),
     "series": (
         ["series", "total", "--order", "16"],
-        ["skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis"],
+        [
+            "skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis",
+            "json", "dataclasses",
+        ],
     ),
     "verify": (["verify", "--order", "16", "--t", "2"], []),
     "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
