@@ -16,9 +16,16 @@ the empty word is carried by the G and H seeds, counted once via the G
 column.  These per-direction facts sit in ``_SCANS``, next to the
 edges.
 
+Every level change is congruent to one residue c modulo a period m
+(the gcd of the differences between the changes; m = t+1 in both
+directions, c = 1 left to right and c = t right to left), so a word of
+n steps sits at a level k = c*n (mod m).  Each walked row holds only
+that residue class, and every arrow becomes one index shift per row.
 The walk keeps only the previous row and computes only the levels that
 can still fall back into the stored window, so a table of levels
-k <= k_max takes O(n * k_max) memory.
+k <= k_max takes O(n * k_max) memory, and the walked rows are about
+m times shorter than a dense walk's.  The stored table is dense: the
+unreachable cells read zero.
 
 This table is the oracle the closed forms are measured against, so the
 arithmetic is plain Python integers end to end: no modulus, no floats,
@@ -28,6 +35,7 @@ no overflow.
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -86,10 +94,27 @@ def _arcs(t: int, scan: _Scan) -> list[tuple[int, int, int]]:
     return arcs
 
 
-def _stored(row: list[list[int]], k_max: int) -> list[list[int]]:
-    """Levels k <= k_max of a walked row as [F, G, H] cells, zero-filled."""
-    cells = [list(cell) for cell in zip(*(col[: k_max + 1] for col in row))]
-    return cells + [[0, 0, 0] for _ in range(k_max + 1 - len(cells))]
+def _period(arcs: list[tuple[int, int, int]]) -> tuple[int, int]:
+    """(m, c): every level change is c mod m, so n steps end at k = c*n mod m.
+
+    m is the gcd of the differences between the level changes, so it is
+    the largest period the arcs keep; c is any one change reduced mod m.
+    """
+    deltas = [delta for _, _, delta in arcs]
+    m = gcd(*(delta - deltas[0] for delta in deltas))
+    return m, deltas[0] % m
+
+
+def _stored(row: list[list[int]], base: int, m: int, k_max: int) -> list[list[int]]:
+    """Levels k <= k_max of a walked row as [F, G, H] cells, zero-filled.
+
+    Cell j of the walked row sits at level base + m*j; the levels between
+    are out of reach and stay zero.
+    """
+    cells = [[0, 0, 0] for _ in range(k_max + 1)]
+    for k, cell in zip(range(base, k_max + 1, m), zip(*row)):
+        cells[k] = list(cell)
+    return cells
 
 
 class CountTable:
@@ -139,7 +164,9 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
     ``k_max`` bounds the stored levels and defaults to n_max (no word
     outlevels its step count going left to right).  Row n is walked up
     to the highest level that n steps can reach and that can still fall
-    to k_max by step n_max, so every stored cell is exact.
+    to k_max by step n_max, so every stored cell is exact.  Only the
+    levels k = c*n (mod m) are walked (see ``_period``); the others are
+    out of reach and stored as zeros.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -156,25 +183,40 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
     arcs = _arcs(t, scan)
     rise = max(delta for _, _, delta in arcs)
     drop = -min(delta for _, _, delta in arcs)
+    m, c = _period(arcs)
+    # arcs into one layer with one level change share one index shift
+    groups: dict[tuple[int, int], list[int]] = {}
+    for src, dst, delta in arcs:
+        groups.setdefault((dst, delta), []).append(src)
 
-    prev = [[0], [0], [0]]  # prev[layer-index][k] for the last walked row
+    prev = [[0], [0], [0]]  # prev[layer-index][j] is level prev_base + m*j
     for layer in scan.seeds:
         prev[_LIDX[layer]][0] = 1
-    grid = [_stored(prev, k_max)]
+    prev_base = 0
+    grid = [_stored(prev, prev_base, m, k_max)]
     for n in range(1, n_max + 1):
+        base = c * n % m
         hi = min(rise * n, k_max + drop * (n_max - n))
-        row = [[0] * (hi + 1) for _ in prev]
-        for src, dst, delta in arcs:
-            # target levels lo..top, whose source level k - delta was walked
-            lo, top = max(0, delta), min(hi, len(prev[src]) - 1 + delta)
-            if lo <= top:
-                row[dst][lo : top + 1] = map(
-                    add, row[dst][lo : top + 1], prev[src][lo - delta : top + 1 - delta]
-                )
-        for layer in scan.pinned:
-            row[_LIDX[layer]][0] = 0
-        grid.append(_stored(row, k_max))
-        prev = row
+        width = (hi - base) // m + 1  # levels base, base + m, ... <= hi
+        row = [[0] * width for _ in prev]
+        written = set()
+        for (dst, delta), srcs in groups.items():
+            # row cell j reads prev cell j + shift, at level (base + m*j) - delta
+            shift = (base - delta - prev_base) // m
+            lo, top = max(0, -shift), min(width, len(prev[0]) - shift)
+            if lo < top:
+                cells = prev[srcs[0]][lo + shift : top + shift]
+                for src in srcs[1:]:
+                    cells = map(add, cells, prev[src][lo + shift : top + shift])
+                if dst in written:  # a second level change into the same layer
+                    cells = map(add, cells, row[dst][lo:top])
+                row[dst][lo:top] = cells
+                written.add(dst)
+        if base == 0:
+            for layer in scan.pinned:
+                row[_LIDX[layer]][0] = 0
+        grid.append(_stored(row, base, m, k_max))
+        prev, prev_base = row, base
 
     return CountTable(t, n_max, k_max, direction, grid)
 

@@ -13,7 +13,7 @@ t; segments are derived from consecutive vertices on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
 
@@ -30,6 +30,7 @@ class Step(Enum):
 
 # canonical (and lexicographic) step order: U < D < L
 STEP_ORDER = (Step.U, Step.D, Step.L)
+_STEPS = frozenset(Step)
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -46,19 +47,49 @@ def _level_deltas(t: int) -> dict[Step, int]:
     return {Step.U: 1, Step.D: -t, Step.L: -t}
 
 
-@dataclass(frozen=True)
-class SkewWord:
+class _Frozen:
+    """Immutable slotted record: equality, hashing and repr over ``_fields``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SkewWord(_Frozen):
     """A candidate word; validity is checked, not enforced by construction."""
 
+    __slots__ = _fields = ("t", "steps")
     t: int
     steps: tuple[Step, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 2:
-            raise ValueError(f"down-step magnitude t must be an integer >= 2, got {self.t}")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if any(not isinstance(s, Step) for s in self.steps):
+    def __init__(self, t: int, steps):
+        if not isinstance(t, int) or t < 2:
+            raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
+        steps = tuple(steps)
+        if not _STEPS.issuperset(steps):
             raise TypeError("steps must be Step members")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def from_string(cls, t: int, text: str) -> "SkewWord":
@@ -81,11 +112,10 @@ class SkewWord:
         return self.levels()[-1] if self.steps else 0
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    rule: str | None = None
-    index: int | None = None
+# collections.namedtuple rather than typing.NamedTuple: `render` would
+# otherwise import typing for this one class
+class ValidationResult(namedtuple("ValidationResult", "ok rule index", defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -180,8 +210,7 @@ def enumerate_words(
     return out
 
 
-@dataclass(frozen=True)
-class PathGeometry:
+class PathGeometry(_Frozen):
     """Stretched polyline realization of a word.
 
     ``vertices`` are the integer (x, y) points the polyline passes
@@ -190,8 +219,14 @@ class PathGeometry:
     (U, D) or "red" (L).
     """
 
+    _fields = ("vertices", "colors")
+    __slots__ = (*_fields, "__weakref__")
     vertices: tuple[tuple[int, int], ...]
     colors: tuple[str, ...]
+
+    def __init__(self, vertices: tuple[tuple[int, int], ...], colors: tuple[str, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "colors", colors)
 
     @property
     def segments(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:

@@ -8,9 +8,8 @@ single adjudication line computed fresh on every run.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
 from .automaton import Layer, dp_counts, verify_functional_equations
@@ -18,19 +17,20 @@ from .paths import Step, enumerate_words
 from .series import Series
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class VerificationReport:
-    order: int
-    t_list: tuple[int, ...]
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """The checks of one run, in order, and the notes on what was reduced."""
+
+    def __init__(self, order: int, t_list: tuple[int, ...]):
+        self.order = order
+        self.t_list = t_list
+        self.checks: list[CheckResult] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -48,6 +48,8 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only the JSON format pays for it
+
         return json.dumps(
             {
                 "order": self.order,

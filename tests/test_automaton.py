@@ -192,6 +192,61 @@ class TestRandomCells:
                     assert pruned.count(n, k, layer) == full.count(n, k, layer), (n, k, layer)
 
 
+def dense_walk(t, n_max, direction, k_top):
+    """rows[n][layer][k] for every level k <= k_top, from the step rules alone.
+
+    Left to right, U (+1) may follow U, D or nothing; D (-t) may follow
+    anything; L (-t) may follow D or L; no level goes below 0.  Right to
+    left undoes one step per row: the G and H seeds hold the empty word,
+    and the level-0 F cell is held at zero after step 0.
+    """
+    F, G, H = Layer
+    width = max(k_top, t * n_max) + t + 2  # above every level either scan reaches
+    row = {layer: [0] * width for layer in Layer}
+    for layer in (F,) if direction == "LR" else (G, H):
+        row[layer][0] = 1
+    rows = [row]
+    for _ in range(n_max):
+        old, row = row, {layer: [0] * width for layer in Layer}
+        for k in range(width - t):
+            if direction == "LR":
+                row[F][k + 1] += old[F][k] + old[G][k]
+                row[G][k] += old[F][k + t] + old[G][k + t] + old[H][k + t]
+                row[H][k] += old[G][k + t] + old[H][k + t]
+            else:  # each rule above, from its target back to its sources
+                row[F][k] += old[F][k + 1]
+                row[G][k] += old[F][k + 1]
+                row[F][k + t] += old[G][k]
+                row[G][k + t] += old[G][k] + old[H][k]
+                row[H][k + t] += old[G][k] + old[H][k]
+        if direction == "RL":
+            row[F][0] = 0
+        rows.append(row)
+    return rows
+
+
+class TestStridedWalk:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        t=st.integers(2, 7),
+        n_max=st.integers(0, 40),
+        k_max=st.one_of(st.none(), st.integers(0, 12)),
+        direction=st.sampled_from(["LR", "RL"]),
+    )
+    def test_cells_match_dense_walk(self, t, n_max, k_max, direction):
+        table = dp_counts(t, n_max, k_max=k_max, direction=direction)
+        rows = dense_walk(t, n_max, direction, table.k_max)
+        # every step changes the level by 1 (LR) or -1 (RL) mod t+1
+        c = 1 if direction == "LR" else t
+        for n in range(n_max + 1):
+            for k in range(table.k_max + 1):
+                for layer in Layer:
+                    got = table.count(n, k, layer)
+                    assert got == rows[n][layer][k], (n, k, layer)
+                    if (k - c * n) % (t + 1):
+                        assert got == 0, (n, k, layer)
+
+
 class TestColumnRecurrence:
     def test_t2_columns_satisfy_kernel_recurrence(self):
         table = dp_counts(2, 24, k_max=12)

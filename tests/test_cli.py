@@ -51,6 +51,25 @@ class TestCount:
         assert exc.value.code == 2
 
 
+# sha256 of `count` stdout at lengths beyond the benchmark's sizes,
+# recorded with the dense counting walk (commit 34ee6ca) so that a
+# change to the walk cannot alter a byte of a large table unnoticed.
+COUNT_DIGESTS = {
+    ("--t", "2", "--n", "0:1500"): "4f1eee150e7fcd99669ef459aef031318cc946878e7cdd9a8a7b83d15faca7c5",
+    ("--t", "3", "--n", "0:1200", "--format", "csv"): (
+        "6bd21a82773df1c6a1876266b6a6ab688775f558db9f31baca7fe0b836d970cc"
+    ),
+}
+
+
+class TestCountBytes:
+    @pytest.mark.parametrize("argv", sorted(COUNT_DIGESTS))
+    def test_output_digest(self, capsys, argv):
+        rc, out, _ = run(capsys, "count", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[argv]
+
+
 class TestSeries:
     def test_g0_text(self, capsys):
         rc, out, _ = run(capsys, "series", "g0", "--order", "22")

@@ -33,6 +33,31 @@ def test_no_floats_in_series():
     assert not found, f"floats in series.py: {found}"
 
 
+def test_no_costly_imports():
+    # dataclasses pulls in inspect, and json is needed only where JSON is
+    # written; either at module level would tax every command's start-up
+    found = []
+    for path in sorted(Path(skewdyck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in (name.partition(".")[0] for name in names):
+                if name == "dataclasses" or (name == "json" and id(node) not in in_functions):
+                    found.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not found, f"costly imports in the package: {found}"
+
+
 def test_cli_import_skips_http_stack():
     # only an online `oeis` fetch needs urllib.request; every other
     # command would pay its import time at start-up
@@ -60,7 +85,7 @@ _IMPORT_VECTORS = {
     ),
     "render": (
         ["render", "--n", "6"],
-        ["skewdyck.series", "skewdyck.automaton", "skewdyck.kernel"],
+        ["skewdyck.series", "skewdyck.automaton", "skewdyck.kernel", "dataclasses"],
     ),
     "series": (
         ["series", "total", "--order", "16"],
@@ -69,7 +94,7 @@ _IMPORT_VECTORS = {
             "json", "dataclasses",
         ],
     ),
-    "verify": (["verify", "--order", "16", "--t", "2"], []),
+    "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json"]),
     "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
 }
 
