@@ -25,6 +25,8 @@ MAX_SERIES_ORDER = 2048
 MAX_VERIFY_ORDER = 512
 MAX_LENGTH = 4000  # count --n; oeis --n-max builds the table to length 3n
 MAX_OEIS_N = MAX_LENGTH // 3
+MAX_VERIFY_T = 600  # each verify --t value; its kernel has degree 2t
+MAX_VERIFY_TS = 8  # how many values verify --t may list
 
 _SERIES_CHOICES = "g0, h0, total, s4, s6, s1, rl-g0, R, prefix:<F|G|H>:<k>"
 
@@ -45,20 +47,21 @@ def _int_in(name: str, lo: int, hi: int | None = None):
     return parse
 
 
-def _t_arg(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("t must be at least 2")
-    return value
+_t_arg = _int_in("t", 2)
+_verify_t = _int_in("t", 2, MAX_VERIFY_T)
 
 
 def _t_list_arg(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        values = tuple(_verify_t(part) for part in text.split(",") if part)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad t list {text!r}") from None
-    if not values or any(t < 2 for t in values):
+    if not values:
         raise argparse.ArgumentTypeError("t list needs comma-separated integers >= 2")
+    if len(values) > MAX_VERIFY_TS:
+        raise argparse.ArgumentTypeError(
+            f"t list must hold at most {MAX_VERIFY_TS} values, got {len(values)}"
+        )
     return values
 
 
@@ -73,6 +76,9 @@ def _n_range_arg(text: str) -> tuple[int, int]:
     if hi > MAX_LENGTH:
         raise argparse.ArgumentTypeError(f"length must be at most {MAX_LENGTH}, got {hi}")
     return lo, hi
+
+
+_n_range_arg.__name__ = "length"  # argparse names the type in "invalid ... value"
 
 
 def _emit_table(headers: list[str], rows: list[list], fmt: str) -> str:

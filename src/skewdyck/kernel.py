@@ -7,10 +7,14 @@ The layer generating functions share the kernel denominator
 Exactly one root of K_t in u has a 1/z leading term; it is the root that
 survives in the power-series solution, and every level column of the
 counting table is geometric in it.  The root is expanded by substituting
-u = v/z, which clears the pole and leaves an equation Newton can solve
-from the rational seed v(0) = 1:
+u = v/z, which clears the pole; with the lowest power of z divided out,
+Newton solves
 
-    v^(2t) - v^(2t-1) - z^(t+1) v^t + 2 z^(t+1) v^(t-1) - z^(2t+2) = 0.
+    v^(2t) - v^(2t-1) - z^(t+1) v^t + 2 z^(t+1) v^(t-1) - z^(2t+2) = 0
+
+from the rational seed v(0) = 1.  `substituted` derives that equation
+from `kernel_poly`, and `reflected` the right-to-left kernel, so
+`kernel_poly` is the one kernel polynomial written out in the code.
 
 Every level column is geometric in the surviving root s: the level-k
 prefix series are f_k = s^-k, g_k = g0 s^-k and h_k = h0 s^-k.  For
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .automaton import CountTable, Layer, dp_counts
-from .series import AlgebraicEq, Series, SeriesError, newton_root
+from .series import Series, SeriesError, newton_root
 
 DEFAULT_ORDER = 64
 
@@ -66,6 +70,23 @@ def kernel_poly(t: int) -> dict[int, dict[int, int]]:
     }
 
 
+def substituted(poly: dict, a: int) -> dict:
+    """P(z^a v, z) with the lowest power of z divided out, in v.
+
+    The substitution u = z^a v moves a root of valuation a to one with a
+    nonzero constant term, which is where `newton_root` starts.
+    """
+    moved = {p: {e + a * p: c for e, c in zp.items()} for p, zp in poly.items()}
+    low = min(e for zp in moved.values() for e in zp)
+    return {p: {e - low: c for e, c in zp.items()} for p, zp in moved.items()}
+
+
+def reflected(poly: dict) -> dict:
+    """-u^d P(1/u, z) for P of degree d in u: its roots are the reciprocals."""
+    d = max(poly)
+    return {d - p: {e: -c for e, c in zp.items()} for p, zp in poly.items()}
+
+
 def _weighted_sum(
     coeffs_by_power: Mapping[int, Mapping[int, int]], powers: Sequence[Series]
 ) -> Series:
@@ -79,16 +100,6 @@ def _weighted_sum(
     return acc
 
 
-def eval_poly_at_series(coeffs_by_power: Mapping[int, Mapping[int, int]], u: Series) -> Series:
-    """Evaluate a {u-power: z-poly} table at a (possibly Laurent) series."""
-    # u^0 .. u^max built in a loop: a recursive u^p = u^(p-1) * u would
-    # pass the recursion limit for the 2t-th power once t is about 500
-    powers = [Series.one(u.order)]
-    for _ in range(max(coeffs_by_power)):
-        powers.append(powers[-1] * u)
-    return _weighted_sum(coeffs_by_power, powers)
-
-
 def good_root(t: int, order: int = DEFAULT_ORDER) -> Series:
     """The kernel root with leading term 1/z, to O(z^order).
 
@@ -97,18 +108,7 @@ def good_root(t: int, order: int = DEFAULT_ORDER) -> Series:
     roots are unreachable through this normalization, so the solver
     cannot wander onto them.
     """
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    eq = AlgebraicEq(
-        {
-            2 * t: {0: 1},
-            2 * t - 1: {0: -1},
-            t: {t + 1: -1},
-            t - 1: {t + 1: 2},
-            0: {2 * t + 2: -1},
-        }
-    )
-    v = newton_root(eq, 1, order + 1)
+    v = newton_root(substituted(kernel_poly(t), -1), 1, order + 1)
     return v.shift(-1)
 
 

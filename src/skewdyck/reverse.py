@@ -7,7 +7,9 @@ reciprocal of the left-to-right one,
 
     z^3 u^4 - 2 z u^3 + z^2 u^2 + u - z,
 
-and its roots are the reciprocals of the original four.  The factor
+and its roots are the reciprocals of the original four.  This kernel and
+both Newton equations below are derived from `kernel.kernel_poly` by
+`kernel.reflected` and `kernel.substituted`, not written out.  The factor
 that must divide out of the numerator is the one whose root vanishes at
 z = 0: the reciprocal of the valuation -1 root, here called t1, with
 t1 = z + z^4 + ...  (Reciprocals of the other roots either ramify or
@@ -36,20 +38,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import AlgebraicEq, Series, SeriesError, newton_root
+from .kernel import kernel_poly, reflected, substituted
+from .series import Series, SeriesError, newton_root
 
 DEFAULT_ORDER = 64
 
 # u = z^2 w clears the valuation-2 root of the quartic kernel:
 # z^6 w^4 - z^3 w^3 - z^3 w^2 + 2 w - 1 = 0, a simple root at w(0) = 1/2.
-_S1_EQ = AlgebraicEq({4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}})
+_S1_EQ = substituted(kernel_poly(2), 2)
+
+# The reflected kernel itself, for residual checks.
+RECIPROCAL_KERNEL = reflected(kernel_poly(2))
 
 # u = z y clears the valuation-1 root of the reflected kernel:
 # z^6 y^4 - 2 z^3 y^3 + z^3 y^2 + y - 1 = 0, a simple root at y(0) = 1.
-_T1_EQ = AlgebraicEq({4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}})
-
-# The reflected kernel itself, for residual checks.
-RECIPROCAL_KERNEL = {4: {3: 1}, 3: {1: -2}, 2: {2: 1}, 1: {0: 1}, 0: {1: -1}}
+_T1_EQ = substituted(RECIPROCAL_KERNEL, 1)
 
 # Published coefficients of s1, for cross-checking the solver.
 S1_PUBLISHED = {

@@ -20,6 +20,11 @@ Reciprocals and square roots are Newton iterations that double their
 working precision on each step (Brent & Kung 1978; von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 9), and so is `newton_root`.
 
+A polynomial in the unknown is a plain dict {power: {z-exponent:
+coefficient}}: `horner` is its one evaluator at a series and
+`newton_root` its solver.  The equations solved are derived from the
+kernel (`kernel.substituted`, `kernel.reflected`), not written out.
+
 Negative exponents are supported down to any finite valuation, which is
 all the counting work needs (the useful algebraic roots have a single
 1/z term).  Fractional exponents are not supported: roots that ramify at
@@ -450,80 +455,36 @@ class Series:
         }
 
 
-class AlgebraicEq:
-    """Polynomial P(v, z) with exact z-polynomial coefficients.
+def horner(poly: dict, v: Series) -> Series:
+    """P(v(z), z) by Horner's rule, for P = {v-power: {z-exponent: coefficient}}.
 
-    ``coeffs_by_power`` maps each v-power to {z-exponent: coefficient}.
-    Used as input to `newton_root`, which expands the unique series
-    solution v(z) through a simple (unramified) root of P(v, 0).
+    The z-polynomials are exact: they enter on a window wide enough that
+    only the window of ``v`` limits the result's.  A gap of several
+    powers between two coefficients is one `Series.__pow__`, computed
+    once per gap size (the kernels have two gaps of t - 1).
     """
-
-    def __init__(self, coeffs_by_power: dict):
-        table: dict[int, dict[int, Fraction]] = {}
-        for p, zpoly in coeffs_by_power.items():
-            if not isinstance(p, int) or p < 0:
-                raise ValueError(f"bad unknown-power {p!r}")
-            cleaned = {}
-            for e, c in zpoly.items():
-                if not isinstance(e, int) or e < 0:
-                    raise ValueError(f"bad z-exponent {e!r}")
-                c = _as_fraction(c)
-                if c != 0:
-                    cleaned[e] = c
-            if cleaned:
-                table[p] = cleaned
-        if not table:
-            raise ValueError("equation has no nonzero coefficient")
-        self._table = table
-        self._degree = max(table)
-        self._max_zexp = max(max(zp) for zp in table.values())
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def coeffs_by_power(self) -> dict:
-        return {p: dict(zp) for p, zp in self._table.items()}
-
-    def derivative(self) -> "AlgebraicEq":
-        """Formal derivative with respect to the unknown."""
-        d = {}
-        for p, zpoly in self._table.items():
-            if p >= 1:
-                d[p - 1] = {e: p * c for e, c in zpoly.items()}
-        if not d:
-            raise SeriesError("derivative is identically zero")
-        return AlgebraicEq(d)
-
-    def eval_at_origin(self, v0) -> Fraction:
-        """P(v0, 0) for a rational v0."""
-        v0 = _as_fraction(v0)
-        acc = Fraction(0)
-        for p, zpoly in self._table.items():
-            c0 = zpoly.get(0)
-            if c0:
-                acc += c0 * v0**p
-        return acc
-
-    def eval(self, v: Series) -> Series:
-        """P(v(z), z) by Horner's rule at full working precision."""
-        frontier = v.frontier + self._max_zexp + 1
-        acc = Series.zero(frontier)
-        for p in range(self._degree, -1, -1):
-            acc = acc * v if p < self._degree else acc
-            zpoly = self._table.get(p)
-            if zpoly:
-                acc = acc + Series.poly(zpoly, frontier)
-        return acc
+    powers = sorted((p for p, zp in poly.items() if any(zp.values())), reverse=True)
+    max_zexp = max((e for zp in poly.values() for e in zp), default=0)
+    frontier = v.order + max_zexp + 1 + max(powers, default=0) * max(v.valuation, 0)
+    acc = Series.zero(frontier)
+    v_pow = {}
+    for p, below in zip(powers, powers[1:] + [0]):
+        acc = acc + Series.poly(poly[p], frontier)
+        if p > below:
+            gap = p - below
+            if gap not in v_pow:
+                v_pow[gap] = v**gap
+            acc = acc * v_pow[gap]
+    return acc
 
 
-def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
+def newton_root(poly: dict, seed, order: int) -> Series:
     """Series root of P(v, z) = 0 with v(0) = seed, known to O(z**order).
 
-    The seed must be a simple root of P(v, 0): a vanishing derivative
-    means the root ramifies at z = 0 and needs a substitution first
-    (fractional-power expansions are out of scope).  Each iteration
+    ``poly`` maps each v-power to {z-exponent: coefficient}, as `horner`
+    reads it.  The seed must be a simple root of P(v, 0): a vanishing
+    derivative means the root ramifies at z = 0 and needs a substitution
+    first (fractional-power expansions are out of scope).  Each iteration
     doubles the number of correct coefficients, so step k works on a
     window of min(2**k, order) coefficients only: with v right to h
     terms, v - P(v)/P'(v) is right to 2h, and P'(v) is needed to just h
@@ -533,10 +494,14 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
     seed = _as_fraction(seed)
     if order < 1:
         raise ValueError("order must be at least 1")
-    if eq.eval_at_origin(seed) != 0:
+    deriv = {p - 1: {e: p * c for e, c in zp.items()} for p, zp in poly.items() if p}
+
+    def at_origin(q: dict) -> Fraction:
+        return sum(zp.get(0, 0) * seed**p for p, zp in q.items())
+
+    if at_origin(poly) != 0:
         raise SeriesError(f"seed {seed} is not a root of P(v, 0)")
-    deq = eq.derivative()
-    if deq.eval_at_origin(seed) == 0:
+    if at_origin(deriv) == 0:
         raise SeriesError(
             f"root at seed {seed} is ramified (derivative vanishes at z=0); "
             "apply a normalizing substitution before solving"
@@ -550,11 +515,11 @@ def newton_root(eq: AlgebraicEq, seed, order: int) -> Series:
             v = _raw(v._val, v._nums + (0,) * (m - v._frontier), v._den, m)
         else:
             v = Series.zero(m)
-        residual = eq.eval(v).truncate(m)
+        residual = horner(poly, v).truncate(m)
         if not residual.is_zero():
-            step = residual * deq.eval(v.truncate(m - h)).reciprocal()
+            step = residual * horner(deriv, v.truncate(m - h)).reciprocal()
             v = (v - step).truncate(m)
-    residual = eq.eval(v).truncate(order)
+    residual = horner(poly, v).truncate(order)
     if not residual.is_zero():
         raise SeriesError("newton iteration failed to cancel the residual")
     return v

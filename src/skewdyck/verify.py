@@ -14,7 +14,7 @@ from typing import NamedTuple
 from . import closed_form, kernel, reverse
 from .automaton import Layer, dp_counts, verify_functional_equations
 from .paths import Step, enumerate_words
-from .series import Series
+from .series import Series, horner
 
 
 class CheckResult(NamedTuple):
@@ -131,9 +131,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
         guard(
             f"good-root residual t={t}",
             lambda t=t, s=s: (
-                kernel.eval_poly_at_series(kernel.kernel_poly(t), s)
-                .truncate(order - 2 * t)
-                .is_zero(),
+                horner(kernel.kernel_poly(t), s).truncate(order - 2 * t).is_zero(),
                 f"zero through z^{order - 2 * t - 1}",
             ),
         )
@@ -254,20 +252,10 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
 
     def rl_root_checks():
         w = order - 6
-        quartic_ok = (
-            kernel.eval_poly_at_series(kernel.kernel_poly(2), rl.s1)
-            .truncate(w)
-            .is_zero()
-        )
-        reflected_ok = (
-            kernel.eval_poly_at_series(reverse.RECIPROCAL_KERNEL, rl.t1)
-            .truncate(w)
-            .is_zero()
-        )
+        quartic_ok = horner(kernel.kernel_poly(2), rl.s1).truncate(w).is_zero()
+        reflected_ok = horner(reverse.RECIPROCAL_KERNEL, rl.t1).truncate(w).is_zero()
         recip_ok = (
-            kernel.eval_poly_at_series(
-                reverse.RECIPROCAL_KERNEL, rl.s1.reciprocal()
-            )
+            horner(reverse.RECIPROCAL_KERNEL, rl.s1.reciprocal())
             .truncate(order - 12)
             .is_zero()
         )

@@ -18,7 +18,6 @@ from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
     compare_with_published,
-    eval_poly_at_series,
     good_root,
     kernel_poly,
     prefix_series_t2,
@@ -28,7 +27,7 @@ from skewdyck.kernel import (
 )
 from skewdyck.render import render_document
 from skewdyck.reverse import S1_PUBLISHED, rl_g0, rl_root_s1
-from skewdyck.series import AlgebraicEq, Series, newton_root
+from skewdyck.series import Series, horner, newton_root
 from skewdyck.verify import run_verification
 
 
@@ -133,7 +132,7 @@ def test_c09_t3_and_general_t():
     with criterion("C9", "t=3 root residual to order 40; ratio law t=2,3,4 to order 20; s6 divergences reported"):
         s6 = good_root(3, 46)
         assert s6.valuation == -1
-        assert eval_poly_at_series(kernel_poly(3), s6).truncate(40).is_zero()
+        assert horner(kernel_poly(3), s6).truncate(40).is_zero()
         for t in (2, 3, 4):
             assert ratio_property(t, 4, 20).all_hold, t
         rows = compare_with_published(s6, S6_PUBLISHED)
@@ -168,28 +167,26 @@ def test_c11_rendering():
 def test_c12_series_engine_properties():
     with criterion("C12", "newton residuals zero for shipped equations; 100 exact round-trips"):
         shipped = [
-            (AlgebraicEq({2: {1: 1}, 1: {0: -1}, 0: {0: 1}}), 1),  # quadratic demo
-            (AlgebraicEq({4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}), Fraction(1, 2)),
-            (AlgebraicEq({4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}}), 1),
+            ({2: {1: 1}, 1: {0: -1}, 0: {0: 1}}, 1),  # quadratic demo
+            ({4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}, Fraction(1, 2)),
+            ({4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}}, 1),
         ]
         for t in (2, 3, 4):
             shipped.append(
                 (
-                    AlgebraicEq(
-                        {
-                            2 * t: {0: 1},
-                            2 * t - 1: {0: -1},
-                            t: {t + 1: -1},
-                            t - 1: {t + 1: 2},
-                            0: {2 * t + 2: -1},
-                        }
-                    ),
+                    {
+                        2 * t: {0: 1},
+                        2 * t - 1: {0: -1},
+                        t: {t + 1: -1},
+                        t - 1: {t + 1: 2},
+                        0: {2 * t + 2: -1},
+                    },
                     1,
                 )
             )
         for eq, seed in shipped:
             v = newton_root(eq, seed, 32)
-            assert eq.eval(v).truncate(32).is_zero()
+            assert horner(eq, v).truncate(32).is_zero()
 
         rng = random.Random(1337)
         for _ in range(100):

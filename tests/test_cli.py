@@ -375,6 +375,11 @@ class TestBounds:
             (["render", "--n", "-1"], "length must be at least 0, got -1"),
             (["oeis", "A007564", "--n-max", "1334"], "n-max must be between 0 and 1333, got 1334"),
             (["oeis", "A007564", "--t", "3"], "unrecognized arguments: --t 3"),
+            (["count", "--n", "3:"], "invalid length value: '3:'"),
+            (["count", "--t", "x", "--n", "3"], "invalid t value: 'x'"),
+            (["verify", "--t", "601"], "t must be between 2 and 600, got 601"),
+            (["verify", "--t", "2,3,601"], "t must be between 2 and 600, got 601"),
+            (["verify", "--t", "2,3,4,5,6,7,8,9,10"], "t list must hold at most 8 values, got 9"),
         ],
     )
     def test_usage_errors(self, capsys, argv, message):

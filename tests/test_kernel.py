@@ -9,15 +9,15 @@ from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
     compare_with_published,
-    eval_poly_at_series,
     good_root,
     kernel_poly,
     prefix_series_t2,
     ratio_property,
     recurrence_check,
     solve_t2,
+    substituted,
 )
-from skewdyck.series import SeriesError
+from skewdyck.series import SeriesError, horner
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,17 @@ class TestKernelPoly:
         with pytest.raises(ValueError):
             kernel_poly(1)
 
+    @pytest.mark.parametrize("t", range(2, 8))
+    def test_pole_cleared_form(self, t):
+        # u = v/z with z^(2t-1) divided out: the equation `good_root` solves
+        assert substituted(kernel_poly(t), -1) == {
+            2 * t: {0: 1},
+            2 * t - 1: {0: -1},
+            t: {t + 1: -1},
+            t - 1: {t + 1: 2},
+            0: {2 * t + 2: -1},
+        }
+
 
 class TestGoodRoot:
     def test_s4_published_coefficients(self):
@@ -58,22 +69,22 @@ class TestGoodRoot:
 
     def test_residual_zero_t2(self):
         s = good_root(2, 36)
-        assert eval_poly_at_series(kernel_poly(2), s).truncate(30).is_zero()
+        assert horner(kernel_poly(2), s).truncate(30).is_zero()
 
     def test_residual_zero_t3_order_40(self):
         s = good_root(3, 46)
         assert s.valuation == -1
-        assert eval_poly_at_series(kernel_poly(3), s).truncate(40).is_zero()
+        assert horner(kernel_poly(3), s).truncate(40).is_zero()
 
     def test_residual_zero_t4(self):
         s = good_root(4, 30)
         assert s.valuation == -1
-        assert eval_poly_at_series(kernel_poly(4), s).truncate(20).is_zero()
+        assert horner(kernel_poly(4), s).truncate(20).is_zero()
 
     def test_residual_zero_t600(self):
         # u^(2t) used to be built by recursion, past the recursion limit
         s = good_root(600, 16)
-        assert eval_poly_at_series(kernel_poly(600), s).is_zero()
+        assert horner(kernel_poly(600), s).is_zero()
 
     def test_product_consistency(self):
         # s * (z s) and z * s^2 must agree on their shared window

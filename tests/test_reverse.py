@@ -6,12 +6,14 @@ import pytest
 
 from skewdyck.automaton import Layer, dp_counts, prefix_count
 from skewdyck.kernel import (
-    eval_poly_at_series,
     good_root,
     kernel_poly,
+    reflected,
     solve_t2,
 )
 from skewdyck.reverse import (
+    _S1_EQ,
+    _T1_EQ,
     RECIPROCAL_KERNEL,
     S1_PUBLISHED,
     rl_cancelling_root,
@@ -20,7 +22,26 @@ from skewdyck.reverse import (
     rl_root_s1,
     solve_rl,
 )
-from skewdyck.series import Series, SeriesError
+from skewdyck.series import Series, SeriesError, horner
+
+
+class TestDerivedEquations:
+    # the hand-derived forms, which `substituted` and `reflected` must reproduce
+    def test_s1_equation(self):
+        # u = z^2 w in the quartic kernel
+        assert _S1_EQ == {4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}
+
+    def test_reciprocal_kernel(self):
+        # z^3 u^4 - 2 z u^3 + z^2 u^2 + u - z
+        assert RECIPROCAL_KERNEL == {4: {3: 1}, 3: {1: -2}, 2: {2: 1}, 1: {0: 1}, 0: {1: -1}}
+
+    def test_t1_equation(self):
+        # u = z y in the reflected kernel
+        assert _T1_EQ == {4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}}
+
+    def test_reflection_is_an_involution(self):
+        for t in (2, 3, 5):
+            assert reflected(reflected(kernel_poly(t))) == kernel_poly(t)
 
 
 class TestS1:
@@ -39,11 +60,11 @@ class TestS1:
 
     def test_quartic_residual_zero(self):
         s1 = rl_root_s1(30)
-        assert eval_poly_at_series(kernel_poly(2), s1).truncate(24).is_zero()
+        assert horner(kernel_poly(2), s1).truncate(24).is_zero()
 
     def test_reciprocal_solves_reflected_kernel(self):
         s1 = rl_root_s1(30)
-        resid = eval_poly_at_series(RECIPROCAL_KERNEL, s1.reciprocal())
+        resid = horner(RECIPROCAL_KERNEL, s1.reciprocal())
         assert resid.truncate(18).is_zero()
 
 
@@ -57,7 +78,7 @@ class TestCancellingRoot:
 
     def test_reflected_kernel_residual_zero(self):
         t1 = rl_cancelling_root(30)
-        assert eval_poly_at_series(RECIPROCAL_KERNEL, t1).truncate(26).is_zero()
+        assert horner(RECIPROCAL_KERNEL, t1).truncate(26).is_zero()
 
     def test_inverts_the_surviving_root(self):
         # two independent Newton solves whose product must be exactly 1

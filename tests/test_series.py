@@ -5,10 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.series import AlgebraicEq, Series, SeriesError, newton_root
+from skewdyck.series import Series, SeriesError, horner, newton_root
 
 
 def rand_series(rng, nonzero_lead=False, val_range=(-3, 3), max_order=8):
@@ -152,14 +152,14 @@ def catalan_oracle(n_terms):
 
 class TestNewton:
     def test_catalan(self):
-        eq = AlgebraicEq({2: {1: 1}, 1: {0: -1}, 0: {0: 1}})  # z v^2 - v + 1
+        eq = {2: {1: 1}, 1: {0: -1}, 0: {0: 1}}  # z v^2 - v + 1
         v = newton_root(eq, 1, 16)
         expected = catalan_oracle(16)
         assert [v.coeff(n) for n in range(16)] == expected
 
     def test_quartic_shifted_good_root(self):
         # v^4 - v^3 - z^3 v^2 + 2 z^3 v - z^6, the pole-cleared t=2 kernel
-        eq = AlgebraicEq({4: {0: 1}, 3: {0: -1}, 2: {3: -1}, 1: {3: 2}, 0: {6: -1}})
+        eq = {4: {0: 1}, 3: {0: -1}, 2: {3: -1}, 1: {3: 2}, 0: {6: -1}}
         v = newton_root(eq, 1, 14)
         assert [v.coeff(n) for n in range(14)] == [
             1, 0, 0, -1, 0, 0, -2, 0, 0, -8, 0, 0, -39, 0,
@@ -167,25 +167,25 @@ class TestNewton:
 
     def test_halfseed_quartic(self):
         # z^6 w^4 - z^3 w^3 - z^3 w^2 + 2 w - 1, seed 1/2
-        eq = AlgebraicEq({4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}})
+        eq = {4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}
         w = newton_root(eq, Fraction(1, 2), 9)
         assert w.coeff(0) == Fraction(1, 2)
         assert w.coeff(3) == Fraction(3, 16)
         assert w.coeff(6) == Fraction(17, 128)
 
     def test_residual_is_zero(self):
-        eq = AlgebraicEq({2: {1: 1}, 1: {0: -1}, 0: {0: 1}})
+        eq = {2: {1: 1}, 1: {0: -1}, 0: {0: 1}}
         v = newton_root(eq, 1, 40)
-        assert eq.eval(v).truncate(40).is_zero()
+        assert horner(eq, v).truncate(40).is_zero()
 
     def test_bad_seed_rejected(self):
-        eq = AlgebraicEq({2: {1: 1}, 1: {0: -1}, 0: {0: 1}})
+        eq = {2: {1: 1}, 1: {0: -1}, 0: {0: 1}}
         with pytest.raises(SeriesError, match="not a root"):
             newton_root(eq, 2, 8)
 
     def test_ramified_root_rejected(self):
         # v^2 - z ramifies at the origin: the classic square-root branch
-        eq = AlgebraicEq({2: {0: 1}, 0: {1: -1}})
+        eq = {2: {0: 1}, 0: {1: -1}}
         with pytest.raises(SeriesError, match="ramified"):
             newton_root(eq, 0, 8)
 
@@ -276,6 +276,35 @@ def ref_root(table, seed, order):
     return Series(0, v)
 
 
+def ref_horner(poly, v):
+    """P(v) as the sum of its terms c z^e v^p, each power a chain of `ref_mul`.
+
+    The constant terms (p = 0) are exact, so they are added on the window
+    the other terms leave.
+    """
+    acc = None
+    for p, zp in poly.items():
+        if not p:
+            continue
+        vp = v
+        for _ in range(p - 1):
+            vp = ref_mul(vp, v)
+        for e, c in zp.items():
+            if c:
+                term = (vp * c).shift(e)
+                acc = term if acc is None else acc + term
+    consts = {e: c for e, c in poly.get(0, {}).items() if e < acc.frontier}
+    return acc + Series.poly(consts, acc.frontier)
+
+
+polys = st.dictionaries(
+    st.integers(0, 4),
+    st.dictionaries(st.integers(0, 3), rationals, min_size=1, max_size=3),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestProperties:
     @settings(deadline=None, max_examples=200)
     @given(series(), series(), series())
@@ -330,9 +359,20 @@ class TestProperties:
         table = {**table, 0: {**table.get(0, {}), 0: c0}}
         slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in table.items() if p)
         assume(slope != 0)
-        v = newton_root(AlgebraicEq(table), seed, order)
+        v = newton_root(table, seed, order)
         assert v == ref_root(table, seed, order).truncate(order)
         assert v.frontier == order
+
+    @settings(deadline=None, max_examples=200)
+    @given(polys, series())
+    # a zero top coefficient must not cut the window of a Laurent v
+    @example({1: {0: Fraction(1)}, 3: {0: Fraction(0)}}, Series(-1, [Fraction(1)]))
+    def test_horner_matches_power_sum(self, poly, v):
+        assume(any(p and any(zp.values()) for p, zp in poly.items()))
+        h = horner(poly, v)
+        ref = ref_horner(poly, v)
+        assert h.frontier == ref.frontier
+        assert h == ref
 
 
 # -- stored representation against a plain-Fraction model -------------------
