@@ -123,11 +123,11 @@ def _series_for(name: str, order: int):
     from .automaton import Layer
 
     if name == "g0":
-        return kernel.solve_t2(order).g0
+        return kernel.solve(2, order).g0
     if name == "h0":
-        return kernel.solve_t2(order).h0
+        return kernel.solve(2, order).h0
     if name == "total":
-        return kernel.solve_t2(order).total
+        return kernel.solve(2, order).total
     if name == "s4":
         return kernel.good_root(2, order)
     if name == "s6":
@@ -150,7 +150,7 @@ def _series_for(name: str, order: int):
                     f"prefix level {k} at order {order} needs the kernel solution "
                     f"beyond the order cap ({MAX_SERIES_ORDER})"
                 )
-            return kernel.prefix_series_t2(Layer(parts[1]), k, order)
+            return kernel.prefix_series(2, Layer(parts[1]), k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 
 

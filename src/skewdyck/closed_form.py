@@ -106,7 +106,7 @@ def discrepancy_report(
         raise ValueError("n_max must be >= 1")
     r = r_series(n_max + 1)
     if solution is None or solution.order < 3 * n_max + 1:
-        solution = kernel.solve_t2(3 * n_max + 1)
+        solution = kernel.solve(2, 3 * n_max + 1)
     if table is None or table.n_max < 3 * n_max:
         table = dp_counts(2, 3 * n_max, k_max=0)
     rows = []

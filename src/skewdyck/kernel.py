@@ -1,4 +1,4 @@
-"""Kernel-method closed forms for left-to-right skew t-Dyck paths.
+"""Kernel-method solution for left-to-right skew t-Dyck paths.
 
 The layer generating functions share the kernel denominator
 
@@ -17,12 +17,21 @@ from `kernel_poly`, and `reflected` the right-to-left kernel, so
 `kernel_poly` is the one kernel polynomial written out in the code.
 
 Every level column is geometric in the surviving root s: the level-k
-prefix series are f_k = s^-k, g_k = g0 s^-k and h_k = h0 s^-k.  For
-t = 2 the level-0 series g0 and h0 come from s in closed form, so the
-root gives the whole solution; it is verified against the counting
-table rather than re-derived by polynomial division (checking beats
-symbol pushing here).  The remaining roots are never expanded: two of
-them ramify at z = 0 and all of them cancel out of the answer.
+prefix series are f_k = s^-k, g_k = g0 s^-k and h_k = h0 s^-k.  Put
+into the layer equations at level 0, that law gives the whole solution
+from s, for every t:
+
+    F:  1 + g0 = 1/(z s)
+    G:  g0 s^t = z * total
+    H:  h0 s^t = z (g0 + h0)
+
+`solve` takes g0 from F and the total from G; h0 = total - 1 - g0,
+since every nonempty closed path ends in a D (layer G) or an L
+(layer H).  The H equation is left unused, so it remains a check.
+Nothing here reads the counting table: the solution is measured
+against it, not derived from it.  The remaining roots are never
+expanded: two of them ramify at z = 0 and all of them cancel out of the
+answer.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .automaton import CountTable, Layer, dp_counts
+from .automaton import Layer
 from .series import Series, SeriesError, newton_root
 
 DEFAULT_ORDER = 64
@@ -134,7 +143,7 @@ def compare_with_published(computed: Series, published: Mapping[int, int]) -> li
 
 
 class KernelSolution(NamedTuple):
-    """The complete t=2 solution derived from the surviving root s.
+    """The solution for one t, derived from the surviving root s.
 
     The level-k prefix series follow the geometric law f_k = s^-k,
     g_k = g0 s^-k and h_k = h0 s^-k.  ``s_inv`` is s^-1 on the window of
@@ -161,40 +170,41 @@ class KernelSolution(NamedTuple):
         return powers[k - 1]
 
 
-def solve_t2(order: int = DEFAULT_ORDER) -> KernelSolution:
-    """Closed forms for t = 2, all to O(z^order).
+def solve(t: int, order: int = DEFAULT_ORDER) -> KernelSolution:
+    """g0, h0 and the closed total for skew t-Dyck paths, all to O(z^order).
 
-    With s the surviving root:  1 + g0 = 1/(z s),
-    h0 = 1/(z s) - z/s^2 - 1,  total = 1 + g0 + h0.
+    With s the surviving root:  g0 = 1/(z s) - 1 (layer F),
+    total = g0 s^t / z (layer G) and h0 = total - 1 - g0.
     """
-    work = order + 4
-    s = good_root(2, work)
+    # g0 starts at z^(t+1) and s^t at z^-t, so g0 s^t / z is known t
+    # terms less far than s: s is solved t terms further
+    s = good_root(t, order + t)
     s_inv = s.reciprocal()
-    inv_zs = s_inv.shift(-1)  # 1/(z s)
-    g0 = inv_zs - 1
-    h0 = inv_zs - (s_inv * s_inv).shift(1) - 1
-    total = g0 + h0 + 1
+    g0 = s_inv.shift(-1) - 1
+    total = (g0 * s**t).shift(-1)
+    h0 = total - 1 - g0
     # s is cut at O(z^order) from its z^-1 lead, so s^-1 keeps order + 1 terms from z
     s_inv = s_inv.truncate(order + 2)
     return KernelSolution(
-        t=2,
+        t=t,
         order=order,
         s=s.truncate(order),
         g0=g0.truncate(order),
-        h0=h0.truncate(order),
-        total=total.truncate(order),
+        h0=h0,
+        total=total,
         s_inv=s_inv,
         s_inv_powers=[s_inv],
     )
 
 
-def prefix_series_t2(
+def prefix_series(
+    t: int,
     layer: Layer,
     k: int,
     order: int = DEFAULT_ORDER,
     solution: KernelSolution | None = None,
 ) -> Series:
-    """Closed-form series for level-k prefixes in one layer (t = 2).
+    """Closed-form series for level-k prefixes in one layer.
 
     The geometric law: s^-k for F (1 at k = 0), g0 s^-k for G and
     h0 s^-k for H.  Each is a genuine power series: s^-k starts at z^k
@@ -203,17 +213,22 @@ def prefix_series_t2(
     if k < 0:
         raise ValueError("k must be >= 0")
     if solution is None:
-        solution = solve_t2(order + k + 3)
-    if layer is Layer.F:
-        out = Series.one(solution.order) if k == 0 else solution.s_inv_power(k)
-    else:
-        out = solution.g0 if layer is Layer.G else solution.h0
-        if k:
-            out = out * solution.s_inv_power(k)
-    if out.frontier < order:
+        solution = solve(t, order)
+    if solution.t != t:
+        raise ValueError(f"solution is for t={solution.t}, not t={t}")
+    if solution.order < order:
         raise SeriesError(
             f"solution order {solution.order} too small for level {k} at O(z^{order})"
         )
+    if k >= order:
+        return Series.zero(order)  # s^-k starts at z^k: no prefix is that short
+    if layer is Layer.F:
+        out = Series.one(order) if k == 0 else solution.s_inv_power(k)
+    else:
+        out = solution.g0 if layer is Layer.G else solution.h0
+        if k:
+            # both factors vanish at z^0, so their product is exact on the window
+            out = out.truncate(order) * solution.s_inv_power(k).truncate(order)
     return out.truncate(order)
 
 
@@ -224,8 +239,8 @@ def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
 
         sum over u-powers m of K_t:  coeff_m(z) * a_(k + 2t - m) = 0,
 
-    which for t = 2 reads z a_k - a_(k+1) - z^2 a_(k+2) + 2 z a_(k+3)
-    - z^3 a_(k+4).  Returns one residual per checkable window position.
+    so at t = 2, z a_k - a_(k+1) - z^2 a_(k+2) + 2 z a_(k+3)
+    - z^3 a_(k+4) = 0.  Returns one residual per checkable window position.
     """
     poly = kernel_poly(t)
     depth = 2 * t
@@ -248,54 +263,16 @@ class RecurrenceReport(NamedTuple):
 
 
 def recurrence_check(
+    solution: KernelSolution,
     layer: Layer,
     k_max: int = 6,
     order: int = 30,
-    solution: KernelSolution | None = None,
 ) -> RecurrenceReport:
-    """Check the order-4 level recurrence on the t=2 closed forms."""
-    if solution is None:
-        solution = solve_t2(order + k_max + 9)
-    cols = [prefix_series_t2(layer, k, order + 2, solution) for k in range(k_max + 5)]
-    residuals = recurrence_residuals(cols, 2)
+    """Check the order-2t level recurrence on the closed forms of a solution."""
+    t = solution.t
+    cols = [
+        prefix_series(t, layer, k, order + 2, solution) for k in range(k_max + 2 * t + 1)
+    ]
+    residuals = recurrence_residuals(cols, t)
     ok = tuple(r.truncate(order + 1).is_zero() for r in residuals[: k_max + 1])
     return RecurrenceReport(layer, k_max, order, ok)
-
-
-class RatioReport(NamedTuple):
-    t: int
-    k_max: int
-    order: int
-    results: tuple[tuple[str, int, bool], ...]  # (layer name, k, ok)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(ok for _, _, ok in self.results)
-
-
-def ratio_property(
-    t: int,
-    k_max: int = 4,
-    order: int = 20,
-    table: CountTable | None = None,
-) -> RatioReport:
-    """Each level column is the next one times the surviving root.
-
-    This is the general-t shape of the closed forms: column k equals
-    column k+1 multiplied by the root, exactly, for every layer.  The
-    per-layer constants stay implicit; the geometric law is what pins
-    the kernel construction for t beyond 3.
-    """
-    s = good_root(t, order + 3)
-    if table is None:
-        table = dp_counts(t, order + 1, k_max=k_max + 1)
-    if table.n_max < order + 1 or table.k_max < k_max + 1:
-        raise ValueError("table too small for the requested ratio check")
-    results = []
-    for layer in Layer:
-        for k in range(k_max + 1):
-            lhs = table.column_series(layer, k)
-            rhs = table.column_series(layer, k + 1) * s
-            ok = (lhs - rhs).truncate(order + 1).is_zero()
-            results.append((layer.value, k, ok))
-    return RatioReport(t, k_max, order, tuple(results))

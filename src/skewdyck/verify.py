@@ -72,6 +72,17 @@ def _word_layer(word) -> Layer:
     return {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}[last]
 
 
+def _zero_on_window(series: Series, claim: str) -> tuple[bool, str]:
+    """A series that must vanish, checked on the window it is known on.
+
+    A window that stops below z^0 compares no coefficient of a power
+    series, so it fails rather than passing on nothing.
+    """
+    if series.frontier <= 0:
+        return False, f"nothing compared: known only below z^{series.frontier}"
+    return series.is_zero(), f"{claim} through z^{series.frontier - 1}"
+
+
 def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> VerificationReport:
     """Run every suite at the given series order.
 
@@ -80,7 +91,8 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     """
     if order < 8:
         raise ValueError("order must be >= 8")
-    report = VerificationReport(order=order, t_list=tuple(t_list))
+    t_list = tuple(dict.fromkeys(t_list))  # each t once, first-seen order
+    report = VerificationReport(order=order, t_list=t_list)
     add = report.checks.append
 
     def guard(name: str, fn) -> None:
@@ -125,20 +137,21 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
         lambda: (verify_functional_equations(2, 8, z_ord, "RL").all_hold, ""),
     )
 
-    # kernel roots: residuals and published expansions
-    roots = {t: kernel.good_root(t, order) for t in set(t_list) | {2}}
-    for t, s in sorted(roots.items()):
-        guard(
-            f"good-root residual t={t}",
-            lambda t=t, s=s: (
-                horner(kernel.kernel_poly(t), s).truncate(order - 2 * t).is_zero(),
-                f"zero through z^{order - 2 * t - 1}",
-            ),
-        )
+    # kernel roots: residuals and published expansions.  t = 2 is always
+    # solved: the right-to-left checks and the length-15 line use it.
+    solutions = {t: kernel.solve(t, order) for t in sorted(set(t_list) | {2})}
+    for t, sol in solutions.items():
+        def residual_check(t=t, s=sol.s):
+            # s^(2t) leaves the residual 2t - 2 terms short of s: solve
+            # further if that would leave fewer than ten from z^0 on
+            if s.frontier < 2 * t + 8:
+                s = kernel.good_root(t, 2 * t + 8)
+            return _zero_on_window(horner(kernel.kernel_poly(t), s), "zero")
+        guard(f"good-root residual t={t}", residual_check)
 
     def s4_check():
         window = {e: c for e, c in kernel.S4_PUBLISHED.items() if e < order}
-        rows = kernel.compare_with_published(roots[2], window)
+        rows = kernel.compare_with_published(solutions[2].s, window)
         bad = [r for r in rows if not r["matches"]]
         return not bad, f"{len(rows)} published coefficients checked"
     guard("good-root published coefficients t=2", s4_check)
@@ -146,7 +159,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     if 3 in t_list:
         def s6_check():
             window = {e: c for e, c in kernel.S6_PUBLISHED.items() if e < order}
-            rows = kernel.compare_with_published(roots[3], window)
+            rows = kernel.compare_with_published(solutions[3].s, window)
             diverging = [
                 f"z^{r['exponent']}: computed {r['computed']} vs published {r['published']}"
                 for r in rows
@@ -161,55 +174,46 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             return True, detail
         guard("good-root published comparison t=3", s6_check)
 
-    # t=2 closed forms against the table
-    sol = kernel.solve_t2(order)
-    def totals_check():
-        n_hi = min(60, sol.total.frontier - 1)
-        table = dp_counts(2, n_hi, k_max=0)
-        for n in range(n_hi + 1):
-            if sol.total.coeff(n) != Fraction(table.closed_count(n)):
-                return False, f"first mismatch at length {n}"
-        return True, f"exact match for all lengths <= {n_hi}"
-    guard("kernel total vs table t=2", totals_check)
+    # each kernel solution against the table, and against the H equation
+    for t, sol in solutions.items():
+        def totals_check(sol=sol):
+            n_hi = min(60, sol.total.frontier - 1)
+            table = dp_counts(sol.t, n_hi, k_max=0)
+            for n in range(n_hi + 1):
+                if sol.total.coeff(n) != table.closed_count(n):
+                    return False, f"first mismatch at length {n}"
+            return True, f"exact match for all lengths <= {n_hi}"
+        guard(f"kernel total vs table t={t}", totals_check)
 
-    def identities_check():
-        w = order - 2
-        one_ok = ((sol.s.shift(1)) * (sol.g0 + 1) - 1).truncate(w).is_zero()
-        diff_ok = (
-            ((sol.g0 - sol.h0) - (sol.g0 + 1).shift(2) * sol.s_inv)
-            .truncate(w)
-            .is_zero()
-        )
-        return one_ok and diff_ok, f"z*s*(1+g0)=1 and g0-h0=z^2(1+g0)/s through z^{w - 1}"
-    guard("internal identities t=2", identities_check)
+        def identity_check(sol=sol):
+            # h0 s^t = z (g0 + h0), divided by s^t so that no term is lost
+            rhs = (sol.g0 + sol.h0).shift(1) * sol.s_inv**sol.t
+            return _zero_on_window(sol.h0 - rhs, f"h0 s^{sol.t} = z(g0 + h0)")
+        guard(f"internal identity t={t}", identity_check)
 
-    def prefix_check():
-        n_hi = max(4, min(24, order - 12))
-        k_hi = 8
-        table = dp_counts(2, n_hi, k_max=k_hi)
-        for layer in Layer:
-            for k in range(k_hi + 1):
-                ser = kernel.prefix_series_t2(layer, k, n_hi + 1, sol)
-                for n in range(n_hi + 1):
-                    if ser.coeff(n) != Fraction(table.count(n, k, layer)):
-                        return False, f"{layer.value}_{k} differs at z^{n}"
-        return True, f"closed forms match the table for k <= {k_hi}, n <= {n_hi}"
-    guard("prefix closed forms vs table t=2", prefix_check)
+        def prefix_check(sol=sol):
+            n_hi = max(4, min(24, order - 12))
+            k_hi = 8
+            table = dp_counts(sol.t, n_hi, k_max=k_hi)
+            for layer in Layer:
+                for k in range(k_hi + 1):
+                    ser = kernel.prefix_series(sol.t, layer, k, n_hi + 1, sol)
+                    for n in range(n_hi + 1):
+                        if ser.coeff(n) != table.count(n, k, layer):
+                            return False, f"{layer.value}_{k} differs at z^{n}"
+            return True, f"closed forms match the table for k <= {k_hi}, n <= {n_hi}"
+        guard(f"prefix closed forms vs table t={t}", prefix_check)
 
-    def recurrence_all():
-        ord_rec = max(2, min(30, order - 13))
-        k_hi = 6
-        for layer in Layer:
-            if not kernel.recurrence_check(layer, k_hi, ord_rec, sol).all_hold:
-                return False, f"layer {layer.value}"
-        return True, f"order-4 level recurrence holds through z^{ord_rec}, k <= {k_hi}"
-    guard("level recurrence t=2", recurrence_all)
-
-    def ratio_check(t):
-        report = kernel.ratio_property(t, 4, min(20, order - 4))
-        return report.all_hold, f"column k = column k+1 * root, k <= {report.k_max}"
-    for t in sorted(set(t_list) | {2, 4}):
-        guard(f"geometric ratio t={t}", lambda t=t: ratio_check(t))
+        def recurrence_all(sol=sol):
+            ord_rec = max(2, min(30, order - 13))
+            k_hi = 6
+            for layer in Layer:
+                if not kernel.recurrence_check(sol, layer, k_hi, ord_rec).all_hold:
+                    return False, f"layer {layer.value}"
+            return True, (
+                f"order-{2 * sol.t} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
+            )
+        guard(f"level recurrence t={t}", recurrence_all)
 
     # coefficient formulas
     def narayana_check():
@@ -259,17 +263,18 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             .truncate(order - 12)
             .is_zero()
         )
-        inverse_ok = (rl.t1 * roots[2] - 1).truncate(order - 2).is_zero()
+        inverse_ok = (rl.t1 * solutions[2].s - 1).truncate(order - 2).is_zero()
         return (
             quartic_ok and reflected_ok and recip_ok and inverse_ok,
             "roots satisfy both kernels; t1 inverts the surviving root",
         )
     guard("reflected-kernel consistency", rl_root_checks)
 
+    total = solutions[2].total
     def rl_g0_check():
-        hi = min(order, sol.total.frontier, rl.g0.frontier)
+        hi = min(order, total.frontier, rl.g0.frontier)
         forms_ok = rl.g0.agrees(reverse.rl_g0_rational(order), upto=hi)
-        total_ok = rl.g0.agrees(sol.total, upto=hi)
+        total_ok = rl.g0.agrees(total, upto=hi)
         return forms_ok and total_ok, f"both forms equal the LR total through z^{hi - 1}"
     guard("reflected closed form", rl_g0_check)
 
@@ -287,7 +292,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     def adjudication():
         dp15 = dp_counts(2, 15, k_max=0).closed_count(15)
         r5 = closed_form.r_coefficient(5)
-        total15 = sol.total if sol.total.frontier > 15 else kernel.solve_t2(16).total
+        total15 = total if total.frontier > 15 else kernel.solve(2, 16).total
         k15 = total15.coeff(15)
         if k15.denominator != 1:
             raise ValueError(f"kernel total has non-integer z^15 coefficient {k15}")

@@ -20,10 +20,9 @@ from skewdyck.kernel import (
     compare_with_published,
     good_root,
     kernel_poly,
-    prefix_series_t2,
-    ratio_property,
+    prefix_series,
     recurrence_check,
-    solve_t2,
+    solve,
 )
 from skewdyck.render import render_document
 from skewdyck.reverse import S1_PUBLISHED, rl_g0, rl_root_s1
@@ -54,7 +53,7 @@ def test_c01_closed_totals_t2():
 def test_c02_kernel_oracle_equivalence_to_60():
     with criterion("C2", "kernel total equals table totals, lengths <= 60, under 10s"):
         start = time.perf_counter()
-        sol = solve_t2(64)
+        sol = solve(2, 64)
         table = dp_counts(2, 60, k_max=0)
         for n in range(61):
             assert sol.total.coeff(n) == Fraction(table.closed_count(n)), n
@@ -71,25 +70,25 @@ def test_c03_good_root_reproduction():
 
 def test_c04_prefix_series_reproduction():
     with criterion("C4", "closed-form prefixes equal table counts, k <= 8, n <= 24"):
-        sol = solve_t2(40)
+        sol = solve(2, 40)
         table = dp_counts(2, 24, k_max=8)
         for layer in Layer:
             for k in range(9):
-                ser = prefix_series_t2(layer, k, 25, sol)
+                ser = prefix_series(2, layer, k, 25, sol)
                 for n in range(25):
                     assert ser.coeff(n) == Fraction(table.count(n, k, layer))
         # the two expansions called out by name
-        f1 = prefix_series_t2(Layer.F, 1, 25, sol)
+        f1 = prefix_series(2, Layer.F, 1, 25, sol)
         assert (f1 - (sol.g0 + 1).shift(1).truncate(25)).is_zero()
-        h0 = prefix_series_t2(Layer.H, 0, 25, sol)
+        h0 = prefix_series(2, Layer.H, 0, 25, sol)
         assert [h0.coeff(e) for e in (6, 9, 12, 15, 18, 21)] == [1, 6, 34, 198, 1191, 7364]
 
 
 def test_c05_order_four_recurrence():
     with criterion("C5", "level recurrence exact to order 30, all layers, k <= 6"):
-        sol = solve_t2(45)
+        sol = solve(2, 45)
         for layer in Layer:
-            report = recurrence_check(layer, 6, 30, sol)
+            report = recurrence_check(sol, layer, 6, 30)
             assert report.all_hold, layer
 
 
@@ -120,7 +119,7 @@ def test_c08_right_to_left():
             if e <= 14:
                 assert s1.coeff(e) == c, e
         g0 = rl_g0(24)
-        total = solve_t2(24).total
+        total = solve(2, 24).total
         assert g0.agrees(total, upto=22)
         lr = dp_counts(2, 30, k_max=0)
         rl = dp_counts(2, 30, k_max=0, direction="RL")
@@ -129,12 +128,20 @@ def test_c08_right_to_left():
 
 
 def test_c09_t3_and_general_t():
-    with criterion("C9", "t=3 root residual to order 40; ratio law t=2,3,4 to order 20; s6 divergences reported"):
+    with criterion("C9", "t=3 root residual to order 40; kernel totals and prefixes = table, t=3,4, k <= 4, n <= 20; s6 divergences reported"):
         s6 = good_root(3, 46)
         assert s6.valuation == -1
         assert horner(kernel_poly(3), s6).truncate(40).is_zero()
-        for t in (2, 3, 4):
-            assert ratio_property(t, 4, 20).all_hold, t
+        for t in (3, 4):
+            sol = solve(t, 21)
+            table = dp_counts(t, 20, k_max=4)
+            for n in range(21):
+                assert sol.total.coeff(n) == table.closed_count(n), (t, n)
+            for layer in Layer:
+                for k in range(5):
+                    ser = prefix_series(t, layer, k, 21, sol)
+                    for n in range(21):
+                        assert ser.coeff(n) == table.count(n, k, layer), (t, layer, k, n)
         rows = compare_with_published(s6, S6_PUBLISHED)
         assert rows, "comparison must be produced"
         divergences = [row for row in rows if not row["matches"]]

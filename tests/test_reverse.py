@@ -9,7 +9,7 @@ from skewdyck.kernel import (
     good_root,
     kernel_poly,
     reflected,
-    solve_t2,
+    solve,
 )
 from skewdyck.reverse import (
     _S1_EQ,
@@ -96,7 +96,7 @@ class TestRlG0:
 
     def test_equals_lr_total_through_order_30(self):
         g0 = rl_g0(31)
-        total = solve_t2(31).total
+        total = solve(2, 31).total
         assert g0.agrees(total, upto=31)
 
     def test_both_forms_agree(self):

@@ -33,6 +33,27 @@ def test_no_floats_in_series():
     assert not found, f"floats in series.py: {found}"
 
 
+def test_series_routes_never_read_the_table():
+    # the series must not be computed from the table, or the agreement
+    # the package checks becomes a tautology: the series-side modules may
+    # neither import nor call the table's entry points
+    table_names = {"dp_counts", "CountTable"}
+    found = []
+    for stem in ("kernel", "reverse", "series"):
+        path = Path(skewdyck.__file__).parent / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [n for alias in node.names for n in (alias.name, alias.asname)]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in table_names]
+    assert not found, f"series-side modules use the counting table: {found}"
+
+
 def test_no_costly_imports():
     # dataclasses pulls in inspect, and json is needed only where JSON is
     # written; either at module level would tax every command's start-up
