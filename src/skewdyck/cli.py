@@ -145,11 +145,6 @@ def _series_for(name: str, order: int):
                 k = int(parts[2])
             except ValueError:
                 raise ValueError(f"bad prefix level in {name!r}") from None
-            if order + k > MAX_SERIES_ORDER:
-                raise ValueError(
-                    f"prefix level {k} at order {order} needs the kernel solution "
-                    f"beyond the order cap ({MAX_SERIES_ORDER})"
-                )
             return kernel.prefix_series(2, Layer(parts[1]), k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 
@@ -168,14 +163,7 @@ def _cmd_series(args) -> int:
 def _cmd_render(args) -> int:
     from .render import render_document
 
-    doc = render_document(
-        args.t,
-        args.n,
-        mode=args.mode,
-        style=args.style,
-        mirrored=args.mirrored,
-        fmt=args.format,
-    )
+    doc = render_document(args.t, args.n, args.mode, args.style, args.mirrored, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(doc)

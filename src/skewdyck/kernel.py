@@ -147,8 +147,8 @@ class KernelSolution(NamedTuple):
 
     The level-k prefix series follow the geometric law f_k = s^-k,
     g_k = g0 s^-k and h_k = h0 s^-k.  ``s_inv`` is s^-1 on the window of
-    ``s``; ``s_inv_powers`` memoises its powers for `s_inv_power` and is
-    created with each solution.
+    ``s``; ``s_inv_powers`` memoises its powers by exponent for
+    `s_inv_power` and is created with each solution.
     """
 
     t: int
@@ -158,16 +158,16 @@ class KernelSolution(NamedTuple):
     h0: Series
     total: Series
     s_inv: Series
-    s_inv_powers: list
+    s_inv_powers: dict
 
     def s_inv_power(self, k: int) -> Series:
-        """s^(-k) for k >= 1, each power computed once per solution."""
+        """s^(-k) for k >= 1 as s^-floor(k/2) s^-ceil(k/2), each computed once per solution."""
         if k < 1:
             raise ValueError("k must be >= 1")
         powers = self.s_inv_powers
-        while len(powers) < k:
-            powers.append(powers[-1] * self.s_inv)
-        return powers[k - 1]
+        if k not in powers:
+            powers[k] = self.s_inv_power(k // 2) * self.s_inv_power(k - k // 2)
+        return powers[k]
 
 
 def solve(t: int, order: int = DEFAULT_ORDER) -> KernelSolution:
@@ -193,7 +193,7 @@ def solve(t: int, order: int = DEFAULT_ORDER) -> KernelSolution:
         h0=h0,
         total=total,
         s_inv=s_inv,
-        s_inv_powers=[s_inv],
+        s_inv_powers={1: s_inv},
     )
 
 

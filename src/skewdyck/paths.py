@@ -1,4 +1,4 @@
-"""Step alphabet, word validation, exhaustive enumeration, and geometry.
+"""Step alphabet, word validation, the depth-first word walk, and geometry.
 
 A skew t-Dyck word is a sequence over {U, D, L} where U climbs one unit
 and both down-steps drop t units; the word must stay on or above the
@@ -6,15 +6,17 @@ axis and may not contain UL or LU as adjacent pairs.  Closed words end
 back on the axis.  The drawing convention stretches down-steps: U maps
 to (+1, +1), D to (+2, -t), and L either to a true left step (-2, -t)
 or, in the default overlay style, to a forward (+2, -t) segment tagged
-red so the emitters can offset it visually.  A realized word is its
-tuple of integer vertices, read off one step-vector table per mode and
-t; segments are derived from consecutive vertices on demand.
+red so the emitters can offset it visually.  `walk` visits the valid
+words depth first, computing each prefix's vertices once for every word
+below it; `validate` and `realize` read one finished word and are the
+references the walk is tested against.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import cache
 from itertools import accumulate
 
 
@@ -42,8 +44,9 @@ _STEP_DX = {
 GEOMETRY_MODES = tuple(_STEP_DX)
 
 
+@cache
 def _level_deltas(t: int) -> dict[Step, int]:
-    """Level change of each step: U climbs one unit, D and L drop t."""
+    """Level change of each step: U climbs one unit, D and L drop t (one table per t)."""
     return {Step.U: 1, Step.D: -t, Step.L: -t}
 
 
@@ -78,7 +81,8 @@ class _Frozen:
 class SkewWord(_Frozen):
     """A candidate word; validity is checked, not enforced by construction."""
 
-    __slots__ = _fields = ("t", "steps")
+    _fields = ("t", "steps")
+    __slots__ = (*_fields, "__weakref__")
     t: int
     steps: tuple[Step, ...]
 
@@ -152,25 +156,33 @@ def validate(word: SkewWord) -> ValidationResult:
     return ValidationResult(True)
 
 
+def require_valid(word: SkewWord) -> None:
+    """Raise ValueError, naming the first broken rule, unless the word is valid."""
+    if not (check := validate(word)):
+        raise ValueError(f"cannot realize an invalid word ({check})")
+
+
 def is_closed(word: SkewWord) -> bool:
     """True when the word ends back on the axis (empty word included)."""
     return word.final_level() == 0
 
 
-def enumerate_words(
+def walk(
     t: int,
     n: int,
     closed_only: bool = True,
+    style: str = "red-overlay",
+    plain: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[SkewWord]:
-    """All valid words of length n in lexicographic order (U < D < L).
+):
+    """Depth-first walk over the valid words of length n, in lexicographic order.
 
-    Exhaustive with pruning, so it doubles as the independent oracle for
-    the counting table.  Lengths above ``cap`` (default 24) are refused:
-    use the automaton counting table for totals at that size.
+    Yields the live step list and live vertex list (n + 1 points in geometry ``style``)
+    of each word; both change as the walk moves on, so a caller copies what it keeps.
+    ``plain`` leaves L out.  Lengths above ``cap`` are refused: use the counting table.
     """
-    if t < 2:
-        raise ValueError("t must be >= 2")
+    if not isinstance(t, int) or t < 2:
+        raise ValueError(f"t must be an integer >= 2, got {t!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
@@ -178,36 +190,71 @@ def enumerate_words(
             f"length {n} exceeds the exhaustive-enumeration cap ({cap}); "
             "use the automaton counting table (dp_counts/total) instead"
         )
-    U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
-    delta = _level_deltas(t)
-    out: list[SkewWord] = []
-    prefix: list[Step] = []
+    U, D, L = ((s, _level_deltas(t)[s], _step_dx(style)[s]) for s in STEP_ORDER)
+    # the word rules: U first, no UL, no LU; the level bounds keep it on or above the axis
+    follow = {None: (U,), Step.U: (U, D), Step.D: (U, D) if plain else (U, D, L), Step.L: (D, L)}
+    steps, verts = [], [(0, 0)]
+    if closed_only and n % (t + 1):
+        return  # each step moves the level by 1 mod t+1, so no word closes
+    if n == 0:
+        yield steps, verts
+        return
+    todo = [iter(follow[None])]  # the untried next steps, one iterator per depth
+    while todo:
+        left = n - len(todo)  # steps still to come after the next one
+        top = t * left if closed_only else n  # a closed word falls t a step at most
+        x, y = verts[-1]
+        for s, dy, run in todo[-1]:
+            level = y + dy
+            if not 0 <= level <= top:
+                continue
+            steps.append(s)
+            verts.append((x + run, level))
+            if left:
+                todo.append(iter(follow[s]))
+                break
+            yield steps, verts
+            steps.pop()
+            verts.pop()
+        else:  # every next step of this prefix is tried: back up one step
+            todo.pop()
+            if steps:
+                steps.pop()
+                verts.pop()
 
-    def extend(level: int, last: Step | None) -> None:
-        m = n - len(prefix)
-        if m == 0:
-            if not closed_only or level == 0:
-                out.append(SkewWord(t, tuple(prefix)))
-            return
-        if closed_only:
-            # reaching 0 needs a up-steps with a = (t*m - level)/(t+1)
-            r = t * m - level
-            if r < 0 or r % (t + 1):
-                return
-        for s in STEP_ORDER:
-            if last is U and s is L:
-                continue
-            if last is L and s is U:
-                continue
-            new_level = level + delta[s]
-            if new_level < 0:
-                continue
-            prefix.append(s)
-            extend(new_level, s)
-            prefix.pop()
 
-    extend(0, None)
-    return out
+def enumerate_words(
+    t: int, n: int, closed_only: bool = True, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[SkewWord]:
+    """All valid words of length n (at most ``cap``) in lexicographic order (U < D < L).
+
+    The walk's words: the exhaustive oracle for the counting table."""
+    return [SkewWord(t, steps) for steps, _ in walk(t, n, closed_only, cap=cap)]
+
+
+def grid_box(
+    t: int, n: int, style: str = "red-overlay", plain: bool = False
+) -> tuple[int, int, int, int]:
+    """(x_min, x_max, y_max, words): the box around every vertex of every
+    closed word of length n in ``style``, at least (0, 1, 1), and their number."""
+    x_min, x_max, y_max, words = 0, 1, 1, 0
+    last = [None] * (n + 1)  # the vertices of the previous word
+    for _, verts in walk(t, n, style=style, plain=plain):
+        words += 1
+        # words share their prefix's vertex objects: only those past the prefix
+        # shared with the last word are new (the origin lies inside the floor)
+        i = n
+        while i and verts[i] is not last[i]:
+            x, y = verts[i]
+            if x < x_min:
+                x_min = x
+            elif x > x_max:
+                x_max = x
+            if y > y_max:
+                y_max = y
+            i -= 1
+        last = verts.copy()
+    return x_min, x_max, y_max, words
 
 
 class PathGeometry(_Frozen):
@@ -219,8 +266,7 @@ class PathGeometry(_Frozen):
     (U, D) or "red" (L).
     """
 
-    _fields = ("vertices", "colors")
-    __slots__ = (*_fields, "__weakref__")
+    __slots__ = _fields = ("vertices", "colors")
     vertices: tuple[tuple[int, int], ...]
     colors: tuple[str, ...]
 
@@ -252,26 +298,12 @@ def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
     red tag, matching the customary figures.
     """
     dx = _step_dx(mode)
-    check = validate(word)
-    if not check:
-        raise ValueError(f"cannot realize an invalid word ({check})")
+    require_valid(word)
     dy = _level_deltas(word.t)
     xs = accumulate(map(dx.__getitem__, word.steps), initial=0)
     ys = accumulate(map(dy.__getitem__, word.steps), initial=0)
     colors = tuple(map(_COLORS.__getitem__, word.steps))
     return PathGeometry(tuple(zip(xs, ys)), colors)
-
-
-def extent(word: SkewWord, mode: str = "red-overlay") -> tuple[int, int, int]:
-    """(x_min, x_max, y_max) over the vertices ``realize(word, mode)`` builds.
-
-    Reads the same step-vector tables as ``realize`` but neither checks
-    the word nor builds its vertices, so a document can size its shared
-    grid before it realizes any word.
-    """
-    xs = list(accumulate(map(_step_dx(mode).__getitem__, word.steps), initial=0))
-    ys = accumulate(map(_level_deltas(word.t).__getitem__, word.steps), initial=0)
-    return min(xs), max(xs), max(ys)
 
 
 def _collinear_overlap(seg_a, seg_b) -> bool:

@@ -1,25 +1,26 @@
 """SVG and TikZ emitters for path diagrams.
 
 Both emitters lay every diagram of a document onto one shared grid box,
-one diagram per word.  A first pass folds ``paths.extent`` over the
-words to find that box without building any geometry; a second pass
-realizes and formats one word at a time, so a document holds its words
-and its text but never more than one geometry.  The text of each grid
-point is formatted once per document, from a table over the box.
+one diagram per closed word, and draw from the depth-first walk of
+`paths` rather than from a word list.  `paths.grid_box` walks once for
+the box and the number of words; a second walk hands over each word's
+live step and vertex lists, which are checked with `require_valid` and
+formatted on the spot.  So a document holds its text but neither a
+word list nor any geometry.  The text of each grid point is formatted
+once per document, from a table over the box.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
 style the red segments point backwards for real.  Output is
-deterministic: no timestamps, fixed ordering, plain decimal coordinates.
-Coordinates stay integers throughout: a quarter unit is a whole 5 px in
-SVG, and only the TikZ overlay nudge is printed from a count of quarter
-units.
+deterministic and its coordinates stay integers: a quarter unit is a
+whole 5 px in SVG, and only the TikZ overlay nudge is printed from a
+count of quarter units.
 """
 
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import PathGeometry, SkewWord, Step, enumerate_words, extent, realize
+from .paths import SkewWord, Step, grid_box, require_valid, walk
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -29,47 +30,20 @@ def _quarters(q: int) -> str:
     return str(q // 4) if q % 4 == 0 else str(q / 4)
 
 
-def words_for_mode(t: int, n: int, mode: str) -> list[SkewWord]:
-    """The closed words a document shows: all of them, or the L-free ones."""
-    if mode not in RENDER_MODES:
-        raise ValueError(f"mode must be one of {RENDER_MODES}, got {mode!r}")
-    words = enumerate_words(t, n, closed_only=True)
-    if mode == "plain":
-        words = [w for w in words if Step.L not in w.steps]
-    return words
-
-
-def _grid_box(words: list[SkewWord], style: str) -> tuple[int, int, int]:
-    """Shared (x_min, x_max, y_max) over a document's words, at least (0, 1, 1)."""
-    x_min, x_max, y_max = 0, 1, 1
-    for w in words:
-        lo, hi, top = extent(w, mode=style)
-        if lo < x_min:
-            x_min = lo
-        if hi > x_max:
-            x_max = hi
-        if top > y_max:
-            y_max = top
-    return x_min, x_max, y_max
-
-
 def _vertex_text(x_min: int, x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
     """fmt(x, y) for every grid point of the box, keyed by (x, y)."""
     return {(x, y): fmt(x, y) for x in range(x_min, x_max + 1) for y in range(y_max + 1)}
 
 
-def _red_segments(geo: PathGeometry):
-    """The ((x0, y0), (x1, y1)) segments of the L steps."""
-    return [seg for seg, color in zip(geo.segments, geo.colors) if color == "red"]
-
-
 def render_tikz(
-    words: list[SkewWord],
+    t: int,
+    n: int,
+    plain: bool = False,
     style: str = "red-overlay",
     mirrored: bool = False,
 ) -> str:
-    """One tikzpicture per word: help-line grid, thick path, red marks."""
-    x_min, x_max, y_max = _grid_box(words, style)
+    """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
+    x_min, x_max, y_max, _ = grid_box(t, n, style, plain)
     vt = _vertex_text(x_min, x_max, y_max, "({},{})".format)
     indent = "\t\t" if mirrored else "\t"
     head = ["\\begin{tikzpicture}[scale=0.2]"]
@@ -79,24 +53,26 @@ def render_tikz(
     tail = ["\t\\end{scope}"] if mirrored else []
     # each block ends in a newline, so no copy of the whole document adds one
     tail += ["\\end{tikzpicture}", ""]
+    L = Step.L
     blocks = []
-    for w in words:
-        geo = realize(w, mode=style)
+    for steps, verts in walk(t, n, style=style, plain=plain):
+        require_valid(SkewWord(t, steps))
         lines = head.copy()
         if style == "red-overlay":
-            if len(geo.vertices) > 1:
-                pts = " -- ".join(map(vt.__getitem__, geo.vertices))
+            if steps:
+                pts = " -- ".join(map(vt.__getitem__, verts))
                 lines.append(f"{indent}\\draw[thick] {pts};")
             # the red copy of an L step, nudged right at its start and up at its end
-            for (x0, y0), (x1, y1) in _red_segments(geo):
-                lines.append(
-                    f"{indent}\\draw[thick,red] ({_quarters(4 * x0 + OVERLAY_SHIFT)},{y0}) "
-                    f"-- ({x1},{_quarters(4 * y1 + OVERLAY_SHIFT)});"
-                )
+            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
+                if s is L:
+                    lines.append(
+                        f"{indent}\\draw[thick,red] ({_quarters(4 * x0 + OVERLAY_SHIFT)},{y0}) "
+                        f"-- ({x1},{_quarters(4 * y1 + OVERLAY_SHIFT)});"
+                    )
         else:
             # left style: one draw per segment so the red is the real segment
-            for (a, b), color in zip(geo.segments, geo.colors):
-                pen = "thick,red" if color == "red" else "thick"
+            for s, a, b in zip(steps, verts, verts[1:]):
+                pen = "thick,red" if s is L else "thick"
                 lines.append(f"{indent}\\draw[{pen}] {vt[a]} -- {vt[b]};")
         lines += tail
         blocks.append("\n".join(lines))
@@ -110,18 +86,20 @@ _SVG_PER_ROW = 4
 
 
 def render_svg(
-    words: list[SkewWord],
+    t: int,
+    n: int,
+    plain: bool = False,
     style: str = "red-overlay",
     mirrored: bool = False,
 ) -> str:
-    """A single SVG document with one <g class="diagram"> per word."""
-    x_min, x_max, y_max = _grid_box(words, style)
+    """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
+    x_min, x_max, y_max, words = grid_box(t, n, style, plain)
     cols = x_max - x_min
     rows = y_max
     dia_w = cols * _SVG_CELL
     dia_h = rows * _SVG_CELL
-    per_row = min(_SVG_PER_ROW, max(len(words), 1))
-    n_rows = (len(words) + per_row - 1) // per_row if words else 0
+    per_row = min(_SVG_PER_ROW, max(words, 1))
+    n_rows = (words + per_row - 1) // per_row
     doc_w = _SVG_MARGIN * 2 + per_row * dia_w + (per_row - 1) * _SVG_GAP
     doc_h = _SVG_MARGIN * 2 + max(n_rows, 0) * dia_h + max(n_rows - 1, 0) * _SVG_GAP
 
@@ -144,28 +122,30 @@ def render_svg(
         f'width="{doc_w}" height="{doc_h}" '
         f'viewBox="0 0 {doc_w} {doc_h}">'
     ]
-    for idx, w in enumerate(words):
-        geo = realize(w, mode=style)
+    L = Step.L
+    for idx, (steps, verts) in enumerate(walk(t, n, style=style, plain=plain)):
+        require_valid(SkewWord(t, steps))
         r, c = divmod(idx, per_row)
         tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
         ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
         out.append(f'  <g class="diagram" transform="translate({tx},{ty})">')
         out.append(grid_path)
         if style == "red-overlay":
-            if len(geo.vertices) > 1:
-                pts = " ".join(map(vt.__getitem__, geo.vertices))
+            if steps:
+                pts = " ".join(map(vt.__getitem__, verts))
                 out.append(
                     f'    <polyline class="path" points="{pts}" '
                     f'stroke="black" stroke-width="2" fill="none"/>'
                 )
-            for (x0, y0), (x1, y1) in _red_segments(geo):
-                out.append(
-                    f'    <line class="skew" x1="{px[x0] + x_sign * nudge}" y1="{py[y0]}" '
-                    f'x2="{px[x1]}" y2="{py[y1] - nudge}" stroke="red" stroke-width="2"/>'
-                )
+            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
+                if s is L:
+                    out.append(
+                        f'    <line class="skew" x1="{px[x0] + x_sign * nudge}" y1="{py[y0]}" '
+                        f'x2="{px[x1]}" y2="{py[y1] - nudge}" stroke="red" stroke-width="2"/>'
+                    )
         else:
-            for ((x0, y0), (x1, y1)), color in zip(geo.segments, geo.colors):
-                cls = "skew" if color == "red" else "path"
+            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
+                cls, color = ("skew", "red") if s is L else ("path", "black")
                 out.append(
                     f'    <line class="{cls}" x1="{px[x0]}" y1="{py[y0]}" '
                     f'x2="{px[x1]}" y2="{py[y1]}" stroke="{color}" stroke-width="2"/>'
@@ -183,10 +163,10 @@ def render_document(
     mirrored: bool = False,
     fmt: str = "svg",
 ) -> str:
-    """All closed diagrams of length n in one document."""
-    words = words_for_mode(t, n, mode)
-    if fmt == "svg":
-        return render_svg(words, style=style, mirrored=mirrored)
-    if fmt == "tikz":
-        return render_tikz(words, style=style, mirrored=mirrored)
-    raise ValueError(f"format must be 'svg' or 'tikz', got {fmt!r}")
+    """All closed diagrams of length n in one document: every word, or the L-free ones."""
+    if mode not in RENDER_MODES:
+        raise ValueError(f"mode must be one of {RENDER_MODES}, got {mode!r}")
+    if fmt not in ("svg", "tikz"):
+        raise ValueError(f"format must be 'svg' or 'tikz', got {fmt!r}")
+    emit = render_svg if fmt == "svg" else render_tikz
+    return emit(t, n, mode == "plain", style=style, mirrored=mirrored)

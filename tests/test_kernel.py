@@ -143,6 +143,21 @@ class TestSolveT2:
         with pytest.raises(ValueError):
             sol.s_inv_power(0)
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("order", [8, 9, 40])
+    def test_halved_powers_equal_chained_products(self, t, order):
+        # s^-k from halves equals, values and window (`==` compares both),
+        # the product chain s^-1 * s^-1 * ..., whichever k is asked for first
+        sol = solve(t, order)
+        chained = [sol.s_inv]
+        while len(chained) < order + 2:
+            chained.append(chained[-1] * sol.s_inv)
+        fresh = solve(t, order)
+        for k in (order + 2, order - 1, 5):
+            assert fresh.s_inv_power(k) == chained[k - 1]
+        for k in range(1, order + 3):
+            assert sol.s_inv_power(k) == chained[k - 1]
+
     def test_kernel_total_matches_table_to_sixty(self):
         sol = solve(2, 64)
         table = dp_counts(2, 60, k_max=0)

@@ -12,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdyck.paths import (
+    GEOMETRY_MODES,
     STEP_ORDER,
     SkewWord,
     Step,
     ValidationResult,
     enumerate_words,
-    extent,
+    grid_box,
     is_closed,
     overlap_diagnostic,
     realize,
     validate,
+    walk,
 )
 
 
@@ -257,14 +259,48 @@ class TestRealize:
             assert (x1 - x0, y1 - y0) == vectors[s]
         assert geo.colors == tuple("red" if s is Step.L else "black" for s in word.steps)
         assert geo.segments == tuple(zip(geo.vertices, geo.vertices[1:]))
-        xs, ys = zip(*geo.vertices)
-        assert extent(word, mode=mode) == (min(xs), max(xs), max(ys))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             realize(w(2, "UUD"), mode="sideways")
         with pytest.raises(ValueError, match="mode"):
-            extent(w(2, "UUD"), mode="sideways")
+            next(walk(2, 3, style="sideways"))
+        with pytest.raises(ValueError, match="mode"):
+            grid_box(2, 3, style="sideways")
+
+
+class TestWalk:
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_against_brute_force(self, t):
+        # every word over {U, D, L} in lexicographic order, kept when
+        # `validate` accepts it; the walk must visit exactly those words, in
+        # that order, with the vertices `realize` gives each of them
+        for n in range(10):
+            valid = [
+                word
+                for word in (SkewWord(t, steps) for steps in itertools.product(STEP_ORDER, repeat=n))
+                if validate(word)
+            ]
+            for closed_only in (True, False):
+                for plain in (True, False):
+                    expected = [
+                        word
+                        for word in valid
+                        if (is_closed(word) or not closed_only)
+                        and not (plain and Step.L in word.steps)
+                    ]
+                    for style in GEOMETRY_MODES:
+                        got = []
+                        for steps, verts in walk(t, n, closed_only, style=style, plain=plain):
+                            word = SkewWord(t, steps)
+                            assert tuple(verts) == realize(word, style).vertices
+                            got.append(word)
+                        assert got == expected, (t, n, closed_only, plain, style)
+
+    def test_bad_arguments(self):
+        for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
+            with pytest.raises(ValueError):
+                next(walk(*args))
 
 
 class TestOverlapDiagnostic:

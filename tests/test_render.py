@@ -8,8 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewdyck import RENDER_MODES, render
-from skewdyck.paths import GEOMETRY_MODES, Step, enumerate_words, realize
-from skewdyck.render import _grid_box, _quarters, render_document, words_for_mode
+from skewdyck.paths import (
+    GEOMETRY_MODES,
+    PathGeometry,
+    Step,
+    enumerate_words,
+    grid_box,
+    realize,
+    require_valid,
+    walk,
+)
+from skewdyck.render import _quarters, render_document
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -39,18 +48,28 @@ def test_quarter_formatter_matches_reference():
         assert _quarters(q) == reference_fmt(Fraction(q, 4)), q
 
 
+def mode_words(t, n, mode):
+    # reference selection: every closed word, or the L-free ones
+    words = enumerate_words(t, n)
+    if mode == "plain":
+        words = [w for w in words if Step.L not in w.steps]
+    return words
+
+
 class TestWordSelection:
     def test_plain_mode_drops_marked_words(self):
-        words = words_for_mode(2, 9, "plain")
+        words = [tuple(steps) for steps, _ in walk(2, 9, plain=True)]
         assert len(words) == 12
-        assert all(Step.L not in w.steps for w in words)
+        assert words == [w.steps for w in mode_words(2, 9, "plain")]
 
     def test_skew_mode_keeps_all(self):
-        assert len(words_for_mode(2, 9, "skew")) == 19
+        assert grid_box(2, 9)[3] == 19
+        assert grid_box(2, 9, plain=True)[3] == 12
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            words_for_mode(2, 9, "fancy")
+        for fmt in ("svg", "tikz"):
+            with pytest.raises(ValueError, match="mode"):
+                render_document(2, 9, "fancy", fmt=fmt)
 
 
 class TestSvg:
@@ -133,27 +152,42 @@ class TestGridBox:
     def test_box_pass_matches_realized_vertices(self, t, n, mode, style):
         # reference rule: the (0, 1, 1) floor widened by every vertex of
         # every realized geometry
-        words = words_for_mode(t, n, mode)
+        words = mode_words(t, n, mode)
         x_min, x_max, y_max = 0, 1, 1
         for w in words:
             for x, y in realize(w, mode=style).vertices:
                 x_min, x_max, y_max = min(x_min, x), max(x_max, x), max(y_max, y)
-        assert _grid_box(words, style) == (x_min, x_max, y_max)
+        box = grid_box(t, n, style, plain=mode == "plain")
+        assert box == (x_min, x_max, y_max, len(words))
 
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # each realize call records how many geometries of earlier calls are
-    # still alive; one word at a time leaves at most the previous one
+    # a document builds no geometry at all, and holds one word at a time:
+    # when a word is checked, no word checked before it is still alive
     refs, alive = [], []
 
-    def tracked(word, mode="red-overlay"):
+    def tracked(word):
         alive.append(sum(ref() is not None for ref in refs))
-        geo = realize(word, mode)
-        refs.append(weakref.ref(geo))
-        return geo
+        refs.append(weakref.ref(word))
+        require_valid(word)
 
-    monkeypatch.setattr(render, "realize", tracked)
+    def no_geometry(self, *args):
+        raise AssertionError("a document built a PathGeometry")
+
+    monkeypatch.setattr(render, "require_valid", tracked)
+    monkeypatch.setattr(PathGeometry, "__init__", no_geometry)
     render_document(2, 9, mode="skew", fmt=fmt)
     assert len(alive) == 19
-    assert max(alive) <= 1
+    assert max(alive) == 0
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+def test_drawn_words_are_validated(monkeypatch, fmt):
+    # a word the walk should never yield is refused as `realize` refuses it
+    def bad_walk(t, n, **kwargs):
+        yield [Step.U, Step.L, Step.D], [(0, 0), (1, 1), (3, -1), (5, -3)]
+
+    monkeypatch.setattr(render, "walk", bad_walk)
+    with pytest.raises(ValueError, match=r"cannot realize an invalid word \(invalid: UL at index 0\)"):
+        render_document(2, 3, fmt=fmt)
