@@ -8,8 +8,13 @@ to (+1, +1), D to (+2, -t), and L either to a true left step (-2, -t)
 or, in the default overlay style, to a forward (+2, -t) segment tagged
 red so the emitters can offset it visually.  `walk` visits the valid
 words depth first, computing each prefix's vertices once for every word
-below it; `validate` and `realize` read one finished word and are the
-references the walk is tested against.
+below it, and says with each word how many leading steps it shares with
+the word before.  `WordChecker` is the one check of the word rules: it
+keeps the level and the previous step at each depth of the last word it
+checked, so the next word is checked from where the two part, once the
+claimed common prefix is confirmed against its own copy.  `validate`
+runs it from depth 0 on one finished word; `validate` and `realize` are
+the references the walk is tested against.
 """
 
 from __future__ import annotations
@@ -78,6 +83,16 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _require_t(t) -> None:
+    if not isinstance(t, int) or t < 2:
+        raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
+
+
+def _require_steps(steps) -> None:
+    if not _STEPS.issuperset(steps):
+        raise TypeError("steps must be Step members")
+
+
 class SkewWord(_Frozen):
     """A candidate word; validity is checked, not enforced by construction."""
 
@@ -87,11 +102,9 @@ class SkewWord(_Frozen):
     steps: tuple[Step, ...]
 
     def __init__(self, t: int, steps):
-        if not isinstance(t, int) or t < 2:
-            raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
+        _require_t(t)
         steps = tuple(steps)
-        if not _STEPS.issuperset(steps):
-            raise TypeError("steps must be Step members")
+        _require_steps(steps)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "steps", steps)
 
@@ -130,36 +143,91 @@ class ValidationResult(namedtuple("ValidationResult", "ok rule index", defaults=
         return f"invalid: {self.rule} at index {self.index}"
 
 
-def validate(word: SkewWord) -> ValidationResult:
-    """Check the three word rules, reporting the first violation.
+_VALID = ValidationResult(True)
 
-    Rules, by name: "first-step" (a nonempty word starts with U), "UL"
-    and "LU" (the forbidden adjacent pairs, reported at the index of the
-    pair's first step), and "below-axis" (a prefix dips under level 0).
-    Invalid words are findings, not errors.
+
+class WordChecker:
+    """The word rules over a run of words over one t, each checked from
+    the depth where it parts from the word checked before it.
+
+    The checker keeps the steps of the last word's valid prefix and the
+    level after each of them (so the previous step and the level at each
+    depth).  A claimed common prefix is confirmed
+    against that copy, not trusted; a claim that does not hold restarts
+    the check at depth 0.
     """
-    U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
-    if word.steps and word.steps[0] is not U:
-        return ValidationResult(False, "first-step", 0)
-    delta = _level_deltas(word.t)
-    level = 0
-    prev: Step | None = None
-    for i, s in enumerate(word.steps):
-        if prev is U and s is L:
-            return ValidationResult(False, "UL", i - 1)
-        if prev is L and s is U:
-            return ValidationResult(False, "LU", i - 1)
-        level += delta[s]
-        if level < 0:
-            return ValidationResult(False, "below-axis", i)
-        prev = s
-    return ValidationResult(True)
+
+    __slots__ = ("_delta", "_steps", "_levels")
+
+    def __init__(self, t: int):
+        _require_t(t)
+        self._delta = _level_deltas(t)
+        self._steps: list[Step] = []  # a valid prefix of the last word, all of it if valid
+        self._levels = [0]  # the level after each step of that prefix
+
+    def _resume_depth(self, steps, shared: int) -> int:
+        """``shared`` if the first ``shared`` steps are those last checked, else 0."""
+        if 0 <= shared <= len(self._steps) and steps[:shared] == self._steps[:shared]:
+            return shared
+        return 0
+
+    def _check_from(self, steps, depth: int) -> ValidationResult:
+        """The rules on the steps past ``depth``; the prefix before it is known valid."""
+        known, levels = self._steps, self._levels
+        del known[depth:], levels[depth + 1 :]
+        new = steps[depth:]
+        _require_steps(new)
+        U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
+        if not depth and new and new[0] is not U:
+            return ValidationResult(False, "first-step", 0)
+        delta = self._delta
+        level = levels[depth]
+        prev = known[-1] if depth else None
+        for i, s in enumerate(new, depth):
+            if prev is U and s is L:
+                return ValidationResult(False, "UL", i - 1)
+            if prev is L and s is U:
+                return ValidationResult(False, "LU", i - 1)
+            level += delta[s]
+            if level < 0:
+                return ValidationResult(False, "below-axis", i)
+            known.append(s)
+            levels.append(level)
+            prev = s
+        return _VALID
+
+    def check(self, steps, shared: int = 0) -> ValidationResult:
+        """Check the word rules on ``steps``, reporting the first violation.
+
+        ``shared`` claims that many leading steps in common with the word
+        checked last; only the steps after a confirmed claim are checked.
+        """
+        return self._check_from(steps, self._resume_depth(steps, shared))
+
+    def require(self, steps, shared: int = 0) -> int:
+        """As `check`, but raise ValueError, naming the first broken rule,
+        unless the word is valid; returns the depth the check resumed at."""
+        depth = self._resume_depth(steps, shared)
+        if not (found := self._check_from(steps, depth)).ok:
+            raise ValueError(f"cannot realize an invalid word ({found})")
+        return depth
+
+
+def validate(word: SkewWord) -> ValidationResult:
+    """Check the word rules, reporting the first violation.
+
+    Rules, by name and in the order they are checked at each step:
+    "first-step" (a nonempty word starts with U), "UL" and "LU" (the
+    forbidden adjacent pairs, reported at the index of the pair's first
+    step), and "below-axis" (a prefix dips under level 0).  Invalid words
+    are findings, not errors.
+    """
+    return WordChecker(word.t).check(word.steps)
 
 
 def require_valid(word: SkewWord) -> None:
     """Raise ValueError, naming the first broken rule, unless the word is valid."""
-    if not (check := validate(word)):
-        raise ValueError(f"cannot realize an invalid word ({check})")
+    WordChecker(word.t).require(word.steps)
 
 
 def is_closed(word: SkewWord) -> bool:
@@ -179,7 +247,10 @@ def walk(
 
     Yields the live step list and live vertex list (n + 1 points in geometry ``style``)
     of each word; both change as the walk moves on, so a caller copies what it keeps.
-    ``plain`` leaves L out.  Lengths above ``cap`` are refused: use the counting table.
+    With them comes ``shared``, the number of leading steps the word has in common
+    with the word yielded before it (0 for the first): the lowest depth the walk
+    backed up to in between.  ``plain`` leaves L out.  Lengths above ``cap`` are
+    refused: use the counting table.
     """
     if not isinstance(t, int) or t < 2:
         raise ValueError(f"t must be an integer >= 2, got {t!r}")
@@ -197,8 +268,9 @@ def walk(
     if closed_only and n % (t + 1):
         return  # each step moves the level by 1 mod t+1, so no word closes
     if n == 0:
-        yield steps, verts
+        yield steps, verts, 0
         return
+    shared = 0
     todo = [iter(follow[None])]  # the untried next steps, one iterator per depth
     while todo:
         left = n - len(todo)  # steps still to come after the next one
@@ -213,14 +285,17 @@ def walk(
             if left:
                 todo.append(iter(follow[s]))
                 break
-            yield steps, verts
+            yield steps, verts, shared
             steps.pop()
             verts.pop()
+            shared = n - 1  # the depth just backed up to
         else:  # every next step of this prefix is tried: back up one step
             todo.pop()
             if steps:
                 steps.pop()
                 verts.pop()
+                if len(steps) < shared:
+                    shared = len(steps)
 
 
 def enumerate_words(
@@ -229,7 +304,7 @@ def enumerate_words(
     """All valid words of length n (at most ``cap``) in lexicographic order (U < D < L).
 
     The walk's words: the exhaustive oracle for the counting table."""
-    return [SkewWord(t, steps) for steps, _ in walk(t, n, closed_only, cap=cap)]
+    return [SkewWord(t, steps) for steps, _, _ in walk(t, n, closed_only, cap=cap)]
 
 
 def grid_box(
@@ -238,22 +313,17 @@ def grid_box(
     """(x_min, x_max, y_max, words): the box around every vertex of every
     closed word of length n in ``style``, at least (0, 1, 1), and their number."""
     x_min, x_max, y_max, words = 0, 1, 1, 0
-    last = [None] * (n + 1)  # the vertices of the previous word
-    for _, verts in walk(t, n, style=style, plain=plain):
+    for _, verts, shared in walk(t, n, style=style, plain=plain):
         words += 1
-        # words share their prefix's vertex objects: only those past the prefix
-        # shared with the last word are new (the origin lies inside the floor)
-        i = n
-        while i and verts[i] is not last[i]:
-            x, y = verts[i]
+        # only the vertices past the prefix shared with the last word are new
+        # (the origin lies inside the floor)
+        for x, y in verts[shared + 1 :]:
             if x < x_min:
                 x_min = x
             elif x > x_max:
                 x_max = x
             if y > y_max:
                 y_max = y
-            i -= 1
-        last = verts.copy()
     return x_min, x_max, y_max, words
 
 

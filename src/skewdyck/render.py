@@ -4,10 +4,19 @@ Both emitters lay every diagram of a document onto one shared grid box,
 one diagram per closed word, and draw from the depth-first walk of
 `paths` rather than from a word list.  `paths.grid_box` walks once for
 the box and the number of words; a second walk hands over each word's
-live step and vertex lists, which are checked with `require_valid` and
-formatted on the spot.  So a document holds its text but neither a
-word list nor any geometry.  The text of each grid point is formatted
-once per document, from a table over the box.
+live step and vertex lists and the number of leading steps it shares
+with the word before.  One `paths.WordChecker` per document checks every
+drawn word against all the word rules.  It does not trust the walk's
+count: it confirms the shared prefix against its own copy of the last
+word and resumes the check past it, or restarts at depth 0.  Each
+emitter keeps, for every depth i, the text the first i steps contribute
+(the path's points and the red marks in overlay style, one line per
+segment in left style) and rebuilds only the depths past the prefix the
+checker confirmed.  A word's block is a head, the text at depth n and a
+tail, so a word costs the steps that changed, not all n.  A document
+holds its text but neither a word list nor any geometry.  The text of
+each grid point is formatted once per document, from a table over the
+box.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
@@ -20,7 +29,7 @@ count of quarter units.
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import SkewWord, Step, grid_box, require_valid, walk
+from .paths import Step, WordChecker, grid_box, walk
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -33,6 +42,34 @@ def _quarters(q: int) -> str:
 def _vertex_text(x_min: int, x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
     """fmt(x, y) for every grid point of the box, keyed by (x, y)."""
     return {(x, y): fmt(x, y) for x in range(x_min, x_max + 1) for y in range(y_max + 1)}
+
+
+def _bodies(t: int, n: int, style: str, plain: bool, vt, path, mark, segment):
+    """The body text of each word the walk yields, in walk order.
+
+    Overlay style: ``path`` = (open, separator, close) around the texts
+    ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
+    vertex a to b.  Left style: ``segment(red, a, b)`` for each step.  The
+    text the first i steps contribute is kept for every depth i, and only
+    the depths past the prefix the checker confirmed are rebuilt.
+    """
+    L = Step.L
+    check = WordChecker(t)
+    if style == "red-overlay":
+        start, sep, close = path
+        pts = [start + vt[0, 0]] * (n + 1)
+        marks = [""] * (n + 1)
+        for steps, verts, shared in walk(t, n, style=style, plain=plain):
+            for i in range(check.require(steps, shared), n):
+                pts[i + 1] = f"{pts[i]}{sep}{vt[verts[i + 1]]}"
+                marks[i + 1] = marks[i] + mark(verts[i], verts[i + 1]) if steps[i] is L else marks[i]
+            yield f"{pts[n]}{close}{marks[n]}" if n else ""  # the empty word draws no path
+    else:
+        lines = [""] * (n + 1)
+        for steps, verts, shared in walk(t, n, style=style, plain=plain):
+            for i in range(check.require(steps, shared), n):
+                lines[i + 1] = lines[i] + segment(steps[i] is L, verts[i], verts[i + 1])
+            yield lines[n]
 
 
 def render_tikz(
@@ -53,29 +90,22 @@ def render_tikz(
     tail = ["\t\\end{scope}"] if mirrored else []
     # each block ends in a newline, so no copy of the whole document adds one
     tail += ["\\end{tikzpicture}", ""]
-    L = Step.L
-    blocks = []
-    for steps, verts in walk(t, n, style=style, plain=plain):
-        require_valid(SkewWord(t, steps))
-        lines = head.copy()
-        if style == "red-overlay":
-            if steps:
-                pts = " -- ".join(map(vt.__getitem__, verts))
-                lines.append(f"{indent}\\draw[thick] {pts};")
-            # the red copy of an L step, nudged right at its start and up at its end
-            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
-                if s is L:
-                    lines.append(
-                        f"{indent}\\draw[thick,red] ({_quarters(4 * x0 + OVERLAY_SHIFT)},{y0}) "
-                        f"-- ({x1},{_quarters(4 * y1 + OVERLAY_SHIFT)});"
-                    )
-        else:
-            # left style: one draw per segment so the red is the real segment
-            for s, a, b in zip(steps, verts, verts[1:]):
-                pen = "thick,red" if s is L else "thick"
-                lines.append(f"{indent}\\draw[{pen}] {vt[a]} -- {vt[b]};")
-        lines += tail
-        blocks.append("\n".join(lines))
+    head, tail = "\n".join(head), "\n" + "\n".join(tail)
+
+    def mark(a, b):
+        # the red copy of an L step, nudged right at its start and up at its end
+        (x0, y0), (x1, y1) = a, b
+        return (
+            f"\n{indent}\\draw[thick,red] ({_quarters(4 * x0 + OVERLAY_SHIFT)},{y0}) "
+            f"-- ({x1},{_quarters(4 * y1 + OVERLAY_SHIFT)});"
+        )
+
+    def segment(red, a, b):
+        # left style: one draw per segment so the red is the real segment
+        return f"\n{indent}\\draw[{'thick,red' if red else 'thick'}] {vt[a]} -- {vt[b]};"
+
+    path = (f"\n{indent}\\draw[thick] ", " -- ", ";")
+    blocks = [f"{head}{body}{tail}" for body in _bodies(t, n, style, plain, vt, path, mark, segment)]
     return "\n".join(blocks) or "\n"  # no diagrams: a lone newline
 
 
@@ -111,6 +141,22 @@ def render_svg(
     # the overlay's quarter-unit nudge in pixels, after any reflection
     nudge = OVERLAY_SHIFT * _SVG_CELL // 4
 
+    def mark(a, b):
+        (x0, y0), (x1, y1) = a, b
+        return (
+            f'\n    <line class="skew" x1="{px[x0] + x_sign * nudge}" y1="{py[y0]}" '
+            f'x2="{px[x1]}" y2="{py[y1] - nudge}" stroke="red" stroke-width="2"/>'
+        )
+
+    def segment(red, a, b):
+        (x0, y0), (x1, y1) = a, b
+        cls, color = ("skew", "red") if red else ("path", "black")
+        return (
+            f'\n    <line class="{cls}" x1="{px[x0]}" y1="{py[y0]}" '
+            f'x2="{px[x1]}" y2="{py[y1]}" stroke="{color}" stroke-width="2"/>'
+        )
+
+    path = ('\n    <polyline class="path" points="', " ", '" stroke="black" stroke-width="2" fill="none"/>')
     grid = [f"M{gx * _SVG_CELL} 0V{dia_h}" for gx in range(cols + 1)]
     grid += [f"M0 {gy * _SVG_CELL}H{dia_w}" for gy in range(rows + 1)]
     grid_path = (
@@ -122,35 +168,11 @@ def render_svg(
         f'width="{doc_w}" height="{doc_h}" '
         f'viewBox="0 0 {doc_w} {doc_h}">'
     ]
-    L = Step.L
-    for idx, (steps, verts) in enumerate(walk(t, n, style=style, plain=plain)):
-        require_valid(SkewWord(t, steps))
+    for idx, body in enumerate(_bodies(t, n, style, plain, vt, path, mark, segment)):
         r, c = divmod(idx, per_row)
         tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
         ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
-        out.append(f'  <g class="diagram" transform="translate({tx},{ty})">')
-        out.append(grid_path)
-        if style == "red-overlay":
-            if steps:
-                pts = " ".join(map(vt.__getitem__, verts))
-                out.append(
-                    f'    <polyline class="path" points="{pts}" '
-                    f'stroke="black" stroke-width="2" fill="none"/>'
-                )
-            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
-                if s is L:
-                    out.append(
-                        f'    <line class="skew" x1="{px[x0] + x_sign * nudge}" y1="{py[y0]}" '
-                        f'x2="{px[x1]}" y2="{py[y1] - nudge}" stroke="red" stroke-width="2"/>'
-                    )
-        else:
-            for s, (x0, y0), (x1, y1) in zip(steps, verts, verts[1:]):
-                cls, color = ("skew", "red") if s is L else ("path", "black")
-                out.append(
-                    f'    <line class="{cls}" x1="{px[x0]}" y1="{py[y0]}" '
-                    f'x2="{px[x1]}" y2="{py[y1]}" stroke="{color}" stroke-width="2"/>'
-                )
-        out.append("  </g>")
+        out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{body}\n  </g>')
     out += ["</svg>", ""]  # the empty last line ends the text in a newline
     return "\n".join(out)
 

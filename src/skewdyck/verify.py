@@ -273,7 +273,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     total = solutions[2].total
     def rl_g0_check():
         hi = min(order, total.frontier, rl.g0.frontier)
-        forms_ok = rl.g0.agrees(reverse.rl_g0_rational(order), upto=hi)
+        forms_ok = rl.g0.agrees(reverse.rl_g0_rational(order, t1=rl.t1), upto=hi)
         total_ok = rl.g0.agrees(total, upto=hi)
         return forms_ok and total_ok, f"both forms equal the LR total through z^{hi - 1}"
     guard("reflected closed form", rl_g0_check)

@@ -321,6 +321,10 @@ HEAVY_RENDER_DIGESTS = {
     (2, 18, "skew", "red-overlay", False, "svg"): "c99b4b96d6c6ce459689734326c8a8eeaffa7475c9bc950f34cb3d18012ce3bc",
     (3, 20, "skew", "left", False, "svg"): "e74a8a0bdbd948768a9a740dd8dc487a96cec8301940d6a6b9f5ef6259f8a81c",
     (2, 18, "plain", "left", False, "tikz"): "21d24bf852216ea6e7a4304950a09847ab22d4defa9394438110850ab9affc45",
+    (4, 20, "skew", "left", False, "tikz"): "1541740cdc6e87ebc7fedbf55a4d95f2270c1bb00cea1467554199c1b67ee9ae",
+    (4, 20, "plain", "red-overlay", False, "svg"): "16b701e2db5ade97b28ee6e4ec96380498c11f6bbbd4b3fbff948bac51d86cf4",
+    (2, 18, "skew", "red-overlay", True, "svg"): "8db8b76e29de5bcc8546d343027d08b9ca0223f7a331779c169ae01a09488518",
+    (4, 20, "skew", "left", True, "tikz"): "d4c78db8155428e3c0cc0ab9a4a58461ce92f252c120d97aabef0bcffa14314e",
 }
 
 

@@ -6,9 +6,10 @@ comparisons are a genuine second opinion.
 """
 
 import itertools
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewdyck.paths import (
@@ -17,6 +18,7 @@ from skewdyck.paths import (
     SkewWord,
     Step,
     ValidationResult,
+    WordChecker,
     enumerate_words,
     grid_box,
     is_closed,
@@ -291,16 +293,118 @@ class TestWalk:
                     ]
                     for style in GEOMETRY_MODES:
                         got = []
-                        for steps, verts in walk(t, n, closed_only, style=style, plain=plain):
+                        for steps, verts, _ in walk(t, n, closed_only, style=style, plain=plain):
                             word = SkewWord(t, steps)
                             assert tuple(verts) == realize(word, style).vertices
                             got.append(word)
                         assert got == expected, (t, n, closed_only, plain, style)
 
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_shared_is_the_common_prefix(self, t):
+        for n in range(13):
+            for closed_only in (True, False):
+                for plain in (True, False):
+                    for style in GEOMETRY_MODES:
+                        last = None
+                        for steps, _, shared in walk(t, n, closed_only, style=style, plain=plain):
+                            expected = 0 if last is None else common_prefix(last, steps)
+                            assert shared == expected, (t, n, closed_only, plain, style, steps)
+                            last = steps.copy()
+
     def test_bad_arguments(self):
         for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
             with pytest.raises(ValueError):
                 next(walk(*args))
+
+
+U, D, L = STEP_ORDER
+
+
+def common_prefix(a, b):
+    k = 0
+    while k < min(len(a), len(b)) and a[k] is b[k]:
+        k += 1
+    return k
+
+
+@st.composite
+def checked_runs(draw):
+    # a run of step lists, each keeping some prefix of the one before, with a
+    # claimed shared count that is right, overstated, understated or wild.
+    # Most added steps keep the word valid, so the checks reach deep; the
+    # rest are any step or, now and then, not a Step member at all.
+    t = draw(st.integers(2, 5))
+    run, last = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        keep = draw(st.integers(0, len(last)))
+        steps = last[:keep]
+        for pick in draw(st.lists(st.integers(0, 19), max_size=10)):
+            text = "".join(s.value if isinstance(s, Step) else "?" for s in steps)
+            allowed = [s for s in STEP_ORDER if brute_valid(t, text + s.value)]
+            if pick < 16 and allowed:
+                steps.append(allowed[pick % len(allowed)])
+            else:
+                steps.append((*STEP_ORDER, "U", None)[pick % 5])
+        true = common_prefix(last, steps)
+        shared = draw(st.sampled_from([true, true + 1, true - 1, keep, len(steps)]) | st.integers(-3, 14))
+        run.append((steps, shared))
+        last = steps
+    return t, run
+
+
+class TestWordChecker:
+    @settings(deadline=None, max_examples=500)
+    @given(checked_runs())
+    # a claim past the end of the last word; one over a prefix whose word
+    # was refused for a step that is not a Step member; and a resumption at
+    # a depth the word before did not reach, whose level is not the level
+    # the word before that had there
+    @example((2, [([U, U, D], 0), ([U, U, L], 5)]))
+    @example((2, [([U, U], 0), ([U, "U"], 1), ([U, U, D], 2)]))
+    @example((2, [([U, U, U, U], 0), ([U, U, D], 2), ([U, U, D, D], 3)]))
+    def test_resumed_check_matches_reference(self, case):
+        # one checker over the whole run gives each word the verdict
+        # `reference_validate` gives it from scratch, or SkewWord's error
+        t, run = case
+        checker, strict = WordChecker(t), WordChecker(t)
+        last = []
+        for steps, shared in run:
+            try:
+                expected = reference_validate(SkewWord(t, steps))
+            except TypeError as exc:
+                for check in (checker.check, strict.require):
+                    with pytest.raises(TypeError, match=re.escape(str(exc))):
+                        check(steps, shared)
+            else:
+                assert checker.check(steps, shared) == expected
+                if expected:
+                    depth = strict.require(steps, shared)
+                    # the check resumed inside a prefix that really is shared
+                    assert depth in (0, shared)
+                    assert steps[:depth] == last[:depth]
+                else:
+                    with pytest.raises(ValueError, match=re.escape(f"cannot realize an invalid word ({expected})")):
+                        strict.require(steps, shared)
+            last = steps
+
+    def test_every_pair_of_short_words(self):
+        # each word of length <= 4 checked right after each other one, under
+        # every claim from -1 to 5
+        words = [list(p) for n in range(5) for p in itertools.product(STEP_ORDER, repeat=n)]
+        expected = [reference_validate(SkewWord(2, steps)) for steps in words]
+        for first in words:
+            for steps, verdict in zip(words, expected):
+                for shared in range(-1, 6):
+                    checker = WordChecker(2)
+                    checker.check(first)
+                    assert checker.check(steps, shared) == verdict, (first, steps, shared)
+
+    def test_bad_t_refused_as_by_skew_word(self):
+        for t in (1, 2.0, "3"):
+            with pytest.raises(ValueError) as from_word:
+                SkewWord(t, ())
+            with pytest.raises(ValueError, match=re.escape(str(from_word.value))):
+                WordChecker(t)
 
 
 class TestOverlapDiagnostic:

@@ -1,5 +1,6 @@
 """Figure emitters: diagram counts, red marks, golden structure."""
 
+import re
 import weakref
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from skewdyck import RENDER_MODES, render
 from skewdyck.paths import (
     GEOMETRY_MODES,
+    STEP_ORDER,
     PathGeometry,
+    SkewWord,
     Step,
+    WordChecker,
     enumerate_words,
     grid_box,
     realize,
-    require_valid,
     walk,
 )
 from skewdyck.render import _quarters, render_document
@@ -58,7 +61,7 @@ def mode_words(t, n, mode):
 
 class TestWordSelection:
     def test_plain_mode_drops_marked_words(self):
-        words = [tuple(steps) for steps, _ in walk(2, 9, plain=True)]
+        words = [tuple(steps) for steps, _, _ in walk(2, 9, plain=True)]
         assert len(words) == 12
         assert words == [w.steps for w in mode_words(2, 9, "plain")]
 
@@ -163,31 +166,72 @@ class TestGridBox:
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # a document builds no geometry at all, and holds one word at a time:
-    # when a word is checked, no word checked before it is still alive
-    refs, alive = [], []
+    # a document checks each word once, builds no word object and no
+    # geometry, and holds one word at a time: when a word is checked, no
+    # word the walk yielded before it is still alive
+    class Live(list):  # a step list that can be weakly referenced
+        __slots__ = ("__weakref__",)
 
-    def tracked(word):
+    words = [w.steps for w in enumerate_words(2, 9)]
+    refs, alive, checked = [], [], []
+    real_walk, real_require = render.walk, WordChecker.require
+
+    def fresh_walk(*args, **kwargs):
+        for steps, verts, shared in real_walk(*args, **kwargs):
+            yield Live(steps), verts, shared
+
+    def tracked(self, steps, shared=0):
         alive.append(sum(ref() is not None for ref in refs))
-        refs.append(weakref.ref(word))
-        require_valid(word)
+        refs.append(weakref.ref(steps))
+        checked.append(tuple(steps))
+        return real_require(self, steps, shared)
 
-    def no_geometry(self, *args):
-        raise AssertionError("a document built a PathGeometry")
+    def refused(self, *args):
+        raise AssertionError(f"a document built a {type(self).__name__}")
 
-    monkeypatch.setattr(render, "require_valid", tracked)
-    monkeypatch.setattr(PathGeometry, "__init__", no_geometry)
+    monkeypatch.setattr(render, "walk", fresh_walk)
+    monkeypatch.setattr(WordChecker, "require", tracked)
+    monkeypatch.setattr(PathGeometry, "__init__", refused)
+    monkeypatch.setattr(SkewWord, "__init__", refused)
     render_document(2, 9, mode="skew", fmt=fmt)
-    assert len(alive) == 19
+    assert checked == words
+    assert len(checked) == 19
     assert max(alive) == 0
 
 
-@pytest.mark.parametrize("fmt", ["svg", "tikz"])
-def test_drawn_words_are_validated(monkeypatch, fmt):
-    # a word the walk should never yield is refused as `realize` refuses it
+U, D, L = STEP_ORDER
+_OVERLAY_UUUUDD = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (8, 0)]
+
+# (n, the words a broken walk yields, the error), keyed by the test id
+# after the format
+_BAD_WALKS = {
+    # a word the walk should never yield
+    "": (3, [([U, L, D], [(0, 0), (1, 1), (3, -1), (5, -3)], 0)], "UL at index 0"),
+    # UUUULD has UUUUDD's overlay vertices and hides a UL behind a shared
+    # count one too high: a checker that believed the count would resume
+    # past the UL and pass the word
+    "-overstated-shared": (
+        6,
+        [([U, U, U, U, D, D], _OVERLAY_UUUUDD, 0), ([U, U, U, U, L, D], _OVERLAY_UUUUDD, 5)],
+        "UL at index 3",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, n, walked, error",
+    [
+        pytest.param(fmt, *case, id=fmt + name)
+        for name, case in _BAD_WALKS.items()
+        for fmt in ("svg", "tikz")
+    ],
+)
+def test_drawn_words_are_validated(monkeypatch, fmt, n, walked, error):
+    # a word the walk should never yield is refused as `realize` refuses it,
+    # whatever prefix the walk claims it shares with the word before
     def bad_walk(t, n, **kwargs):
-        yield [Step.U, Step.L, Step.D], [(0, 0), (1, 1), (3, -1), (5, -3)]
+        yield from walked
 
     monkeypatch.setattr(render, "walk", bad_walk)
-    with pytest.raises(ValueError, match=r"cannot realize an invalid word \(invalid: UL at index 0\)"):
-        render_document(2, 3, fmt=fmt)
+    with pytest.raises(ValueError, match=re.escape(f"cannot realize an invalid word (invalid: {error})")):
+        render_document(2, n, fmt=fmt)

@@ -106,7 +106,10 @@ _IMPORT_VECTORS = {
     ),
     "render": (
         ["render", "--n", "6"],
-        ["skewdyck.series", "skewdyck.automaton", "skewdyck.kernel", "dataclasses"],
+        [
+            "skewdyck.series", "skewdyck.automaton", "skewdyck.kernel",
+            "dataclasses", "fractions", "typing", "json",
+        ],
     ),
     "series": (
         ["series", "total", "--order", "16"],
