@@ -144,6 +144,15 @@ class ValidationResult(namedtuple("ValidationResult", "ok rule index", defaults=
 
 
 _VALID = ValidationResult(True)
+_U, _L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
+
+
+class _Invalid(ValueError):
+    """A broken word rule, as `WordChecker.require` raises it."""
+
+    def __init__(self, rule: str, index: int):
+        self.result = ValidationResult(False, rule, index)
+        super().__init__(f"cannot realize an invalid word ({self.result})")
 
 
 class WordChecker:
@@ -152,9 +161,8 @@ class WordChecker:
 
     The checker keeps the steps of the last word's valid prefix and the
     level after each of them (so the previous step and the level at each
-    depth).  A claimed common prefix is confirmed
-    against that copy, not trusted; a claim that does not hold restarts
-    the check at depth 0.
+    depth).  A claimed common prefix is confirmed against that copy, not
+    trusted; a claim that does not hold restarts the check at depth 0.
     """
 
     __slots__ = ("_delta", "_steps", "_levels")
@@ -165,52 +173,44 @@ class WordChecker:
         self._steps: list[Step] = []  # a valid prefix of the last word, all of it if valid
         self._levels = [0]  # the level after each step of that prefix
 
-    def _resume_depth(self, steps, shared: int) -> int:
-        """``shared`` if the first ``shared`` steps are those last checked, else 0."""
-        if 0 <= shared <= len(self._steps) and steps[:shared] == self._steps[:shared]:
-            return shared
-        return 0
-
-    def _check_from(self, steps, depth: int) -> ValidationResult:
-        """The rules on the steps past ``depth``; the prefix before it is known valid."""
-        known, levels = self._steps, self._levels
-        del known[depth:], levels[depth + 1 :]
-        new = steps[depth:]
-        _require_steps(new)
-        U, L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
-        if not depth and new and new[0] is not U:
-            return ValidationResult(False, "first-step", 0)
-        delta = self._delta
-        level = levels[depth]
-        prev = known[-1] if depth else None
-        for i, s in enumerate(new, depth):
-            if prev is U and s is L:
-                return ValidationResult(False, "UL", i - 1)
-            if prev is L and s is U:
-                return ValidationResult(False, "LU", i - 1)
-            level += delta[s]
-            if level < 0:
-                return ValidationResult(False, "below-axis", i)
-            known.append(s)
-            levels.append(level)
-            prev = s
-        return _VALID
-
-    def check(self, steps, shared: int = 0) -> ValidationResult:
-        """Check the word rules on ``steps``, reporting the first violation.
+    def require(self, steps, shared: int = 0) -> int:
+        """Raise ValueError, naming the first broken rule, unless ``steps`` is valid.
 
         ``shared`` claims that many leading steps in common with the word
         checked last; only the steps after a confirmed claim are checked.
+        Returns the depth the check resumed at: ``shared``, or 0.
         """
-        return self._check_from(steps, self._resume_depth(steps, shared))
+        known, levels = self._steps, self._levels
+        if not (0 <= shared <= len(known) and steps[:shared] == known[:shared]):
+            shared = 0
+        del known[shared:], levels[shared + 1 :]
+        new = steps[shared:]
+        _require_steps(new)
+        if not shared and new and new[0] is not _U:
+            raise _Invalid("first-step", 0)
+        delta = self._delta
+        level = levels[shared]
+        prev = known[-1] if shared else None
+        for i, s in enumerate(new, shared):
+            if prev is _U and s is _L:
+                raise _Invalid("UL", i - 1)
+            if prev is _L and s is _U:
+                raise _Invalid("LU", i - 1)
+            level += delta[s]
+            if level < 0:
+                raise _Invalid("below-axis", i)
+            known.append(s)
+            levels.append(level)
+            prev = s
+        return shared
 
-    def require(self, steps, shared: int = 0) -> int:
-        """As `check`, but raise ValueError, naming the first broken rule,
-        unless the word is valid; returns the depth the check resumed at."""
-        depth = self._resume_depth(steps, shared)
-        if not (found := self._check_from(steps, depth)).ok:
-            raise ValueError(f"cannot realize an invalid word ({found})")
-        return depth
+    def check(self, steps, shared: int = 0) -> ValidationResult:
+        """As `require`, but report the first violation instead of raising it."""
+        try:
+            self.require(steps, shared)
+        except _Invalid as exc:
+            return exc.result
+        return _VALID
 
 
 def validate(word: SkewWord) -> ValidationResult:

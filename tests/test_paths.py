@@ -367,11 +367,12 @@ class TestWordChecker:
         # `reference_validate` gives it from scratch, or SkewWord's error
         t, run = case
         checker, strict = WordChecker(t), WordChecker(t)
-        last = []
+        last, last_ok = [], False
         for steps, shared in run:
             try:
                 expected = reference_validate(SkewWord(t, steps))
             except TypeError as exc:
+                expected = None
                 for check in (checker.check, strict.require):
                     with pytest.raises(TypeError, match=re.escape(str(exc))):
                         check(steps, shared)
@@ -379,13 +380,16 @@ class TestWordChecker:
                 assert checker.check(steps, shared) == expected
                 if expected:
                     depth = strict.require(steps, shared)
-                    # the check resumed inside a prefix that really is shared
+                    # the check resumed inside a prefix that really is shared,
+                    # and past all of a true claim after a valid word
                     assert depth in (0, shared)
                     assert steps[:depth] == last[:depth]
+                    if last_ok and 0 <= shared <= common_prefix(last, steps):
+                        assert depth == shared
                 else:
                     with pytest.raises(ValueError, match=re.escape(f"cannot realize an invalid word ({expected})")):
                         strict.require(steps, shared)
-            last = steps
+            last, last_ok = steps, bool(expected)
 
     def test_every_pair_of_short_words(self):
         # each word of length <= 4 checked right after each other one, under
