@@ -9,12 +9,13 @@ or, in the default overlay style, to a forward (+2, -t) segment tagged
 red so the emitters can offset it visually.  `walk` visits the valid
 words depth first, computing each prefix's vertices once for every word
 below it, and says with each word how many leading steps it shares with
-the word before.  `WordChecker` is the one check of the word rules: it
-keeps the level and the previous step at each depth of the last word it
-checked, so the next word is checked from where the two part, once the
-claimed common prefix is confirmed against its own copy.  `validate`
-runs it from depth 0 on one finished word; `validate` and `realize` are
-the references the walk is tested against.
+the word before; `grid_box` bounds them all from t and n alone.
+`WordChecker` is the one check of the word rules: it keeps the level and
+the previous step at each depth of the last word it checked, so the next
+word is checked from where the two part, once the claimed common prefix
+is confirmed against its own copy.  `validate` runs it from depth 0 on
+one finished word; `validate` and `realize` are the references the walk
+is tested against.
 """
 
 from __future__ import annotations
@@ -250,10 +251,9 @@ def walk(
     With them comes ``shared``, the number of leading steps the word has in common
     with the word yielded before it (0 for the first): the lowest depth the walk
     backed up to in between.  ``plain`` leaves L out.  Lengths above ``cap`` are
-    refused: use the counting table.
+    refused on the call, before any word: use the counting table.
     """
-    if not isinstance(t, int) or t < 2:
-        raise ValueError(f"t must be an integer >= 2, got {t!r}")
+    _require_t(t)
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > cap:
@@ -261,7 +261,12 @@ def walk(
             f"length {n} exceeds the exhaustive-enumeration cap ({cap}); "
             "use the automaton counting table (dp_counts/total) instead"
         )
-    U, D, L = ((s, _level_deltas(t)[s], _step_dx(style)[s]) for s in STEP_ORDER)
+    return _walk(t, n, closed_only, _step_dx(style), plain)
+
+
+def _walk(t: int, n: int, closed_only: bool, dx: dict[Step, int], plain: bool):
+    """The generator behind `walk`, over checked arguments."""
+    U, D, L = ((s, _level_deltas(t)[s], dx[s]) for s in STEP_ORDER)
     # the word rules: U first, no UL, no LU; the level bounds keep it on or above the axis
     follow = {None: (U,), Step.U: (U, D), Step.D: (U, D) if plain else (U, D, L), Step.L: (D, L)}
     steps, verts = [], [(0, 0)]
@@ -307,24 +312,18 @@ def enumerate_words(
     return [SkewWord(t, steps) for steps, _, _ in walk(t, n, closed_only, cap=cap)]
 
 
-def grid_box(
-    t: int, n: int, style: str = "red-overlay", plain: bool = False
-) -> tuple[int, int, int, int]:
-    """(x_min, x_max, y_max, words): the box around every vertex of every
-    closed word of length n in ``style``, at least (0, 1, 1), and their number."""
-    x_min, x_max, y_max, words = 0, 1, 1, 0
-    for _, verts, shared in walk(t, n, style=style, plain=plain):
-        words += 1
-        # only the vertices past the prefix shared with the last word are new
-        # (the origin lies inside the floor)
-        for x, y in verts[shared + 1 :]:
-            if x < x_min:
-                x_min = x
-            elif x > x_max:
-                x_max = x
-            if y > y_max:
-                y_max = y
-    return x_min, x_max, y_max, words
+def grid_box(t: int, n: int) -> tuple[int, int]:
+    """(x_max, y_max): the box [0, x_max] x [0, y_max], at least 1 x 1, around
+    every vertex of every closed word of length n, in either style, with or without L.
+
+    A prefix with u U's, d D's and l L's is at level y = u - t(d + l), so a
+    closed word has u = tm, d + l = m and n = (t + 1)m (m = 0 if t + 1 does not
+    divide n).  Level >= 0 gives u >= 2l, so x >= u + 2d - 2l >= 0 even when L
+    runs left, and x <= u + 2(d + l) <= (t + 2)m, y <= u <= tm.  U^(tm) D^m
+    meets both bounds in either style and has no L.
+    """
+    m = 0 if n % (t + 1) else n // (t + 1)
+    return max(1, (t + 2) * m), max(1, t * m)
 
 
 class PathGeometry(_Frozen):

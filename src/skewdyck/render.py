@@ -1,22 +1,22 @@
 """SVG and TikZ emitters for path diagrams.
 
 Both emitters lay every diagram of a document onto one shared grid box,
-one diagram per closed word, and draw from the depth-first walk of
-`paths` rather than from a word list.  `paths.grid_box` walks once for
-the box and the number of words; a second walk hands over each word's
-live step and vertex lists and the number of leading steps it shares
-with the word before.  One `paths.WordChecker` per document checks every
-drawn word against all the word rules.  It does not trust the walk's
-count: it confirms the shared prefix against its own copy of the last
-word and resumes the check past it, or restarts at depth 0.  Each
-emitter keeps, for every depth i, the text the first i steps contribute
-(the path's points and the red marks in overlay style, one line per
-segment in left style) and rebuilds only the depths past the prefix the
-checker confirmed.  A word's block is a head, the text at depth n and a
-tail, so a word costs the steps that changed, not all n.  A document
-holds its text but neither a word list nor any geometry.  The text of
-each grid point is formatted once per document, from a table over the
-box.
+which `paths.grid_box` works out from t and n, and draw from one walk of
+`paths` (called before any table over the box is built) rather than from
+a word list.  The walk hands over each word's live step and vertex lists
+and the number of leading steps it shares with the word before.  One
+`paths.WordChecker` per document checks every drawn word against all
+the word rules.  It does not trust the walk's count: it confirms the
+shared prefix against its own copy of the last word and resumes the
+check past it, or restarts at depth 0.  Each emitter keeps, for every
+depth i, the text the first i steps contribute (the path's points and
+the red marks in overlay style, one line per segment in left style) and
+rebuilds only the depths past the prefix the checker confirmed.  A
+word's block is a head, the text at depth n and a tail, so a word costs
+the steps that changed, not all n.  A document holds its text but
+neither a word list nor any geometry.  The text of each grid point is
+formatted once per document, from a table over the box.  The SVG header,
+the only text that needs the number of diagrams, is written after them.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
@@ -39,13 +39,13 @@ def _quarters(q: int) -> str:
     return str(q // 4) if q % 4 == 0 else str(q / 4)
 
 
-def _vertex_text(x_min: int, x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
+def _vertex_text(x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
     """fmt(x, y) for every grid point of the box, keyed by (x, y)."""
-    return {(x, y): fmt(x, y) for x in range(x_min, x_max + 1) for y in range(y_max + 1)}
+    return {(x, y): fmt(x, y) for x in range(x_max + 1) for y in range(y_max + 1)}
 
 
-def _bodies(t: int, n: int, style: str, plain: bool, vt, path, mark, segment):
-    """The body text of each word the walk yields, in walk order.
+def _bodies(words, t: int, n: int, style: str, vt, path, mark, segment):
+    """The body text of each word of the walk ``words``, in walk order.
 
     Overlay style: ``path`` = (open, separator, close) around the texts
     ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
@@ -59,14 +59,14 @@ def _bodies(t: int, n: int, style: str, plain: bool, vt, path, mark, segment):
         start, sep, close = path
         pts = [start + vt[0, 0]] * (n + 1)
         marks = [""] * (n + 1)
-        for steps, verts, shared in walk(t, n, style=style, plain=plain):
+        for steps, verts, shared in words:
             for i in range(check.require(steps, shared), n):
                 pts[i + 1] = f"{pts[i]}{sep}{vt[verts[i + 1]]}"
                 marks[i + 1] = marks[i] + mark(verts[i], verts[i + 1]) if steps[i] is L else marks[i]
             yield f"{pts[n]}{close}{marks[n]}" if n else ""  # the empty word draws no path
     else:
         lines = [""] * (n + 1)
-        for steps, verts, shared in walk(t, n, style=style, plain=plain):
+        for steps, verts, shared in words:
             for i in range(check.require(steps, shared), n):
                 lines[i + 1] = lines[i] + segment(steps[i] is L, verts[i], verts[i + 1])
             yield lines[n]
@@ -80,13 +80,14 @@ def render_tikz(
     mirrored: bool = False,
 ) -> str:
     """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
-    x_min, x_max, y_max, _ = grid_box(t, n, style, plain)
-    vt = _vertex_text(x_min, x_max, y_max, "({},{})".format)
+    words = walk(t, n, style=style, plain=plain)
+    x_max, y_max = grid_box(t, n)
+    vt = _vertex_text(x_max, y_max, "({},{})".format)
     indent = "\t\t" if mirrored else "\t"
     head = ["\\begin{tikzpicture}[scale=0.2]"]
     if mirrored:
         head.append("\t\\begin{scope}[xscale=-1,yscale=1]")
-    head.append(f"{indent}\\draw[help lines] ({x_min},0) grid ({x_max},{y_max});")
+    head.append(f"{indent}\\draw[help lines] (0,0) grid ({x_max},{y_max});")
     tail = ["\t\\end{scope}"] if mirrored else []
     # each block ends in a newline, so no copy of the whole document adds one
     tail += ["\\end{tikzpicture}", ""]
@@ -105,7 +106,7 @@ def render_tikz(
         return f"\n{indent}\\draw[{'thick,red' if red else 'thick'}] {vt[a]} -- {vt[b]};"
 
     path = (f"\n{indent}\\draw[thick] ", " -- ", ";")
-    blocks = [f"{head}{body}{tail}" for body in _bodies(t, n, style, plain, vt, path, mark, segment)]
+    blocks = [f"{head}{body}{tail}" for body in _bodies(words, t, n, style, vt, path, mark, segment)]
     return "\n".join(blocks) or "\n"  # no diagrams: a lone newline
 
 
@@ -123,21 +124,16 @@ def render_svg(
     mirrored: bool = False,
 ) -> str:
     """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
-    x_min, x_max, y_max, words = grid_box(t, n, style, plain)
-    cols = x_max - x_min
-    rows = y_max
+    words = walk(t, n, style=style, plain=plain)
+    cols, rows = grid_box(t, n)
     dia_w = cols * _SVG_CELL
     dia_h = rows * _SVG_CELL
-    per_row = min(_SVG_PER_ROW, max(words, 1))
-    n_rows = (words + per_row - 1) // per_row
-    doc_w = _SVG_MARGIN * 2 + per_row * dia_w + (per_row - 1) * _SVG_GAP
-    doc_h = _SVG_MARGIN * 2 + max(n_rows, 0) * dia_h + max(n_rows - 1, 0) * _SVG_GAP
 
     # pixel x of grid x: reflected inside the shared box when mirrored
-    x_sign, x_origin = (-1, x_max) if mirrored else (1, x_min)
-    px = {x: (x - x_origin) * x_sign * _SVG_CELL for x in range(x_min, x_max + 1)}
-    py = {y: (y_max - y) * _SVG_CELL for y in range(y_max + 1)}
-    vt = _vertex_text(x_min, x_max, y_max, lambda x, y: f"{px[x]},{py[y]}")
+    x_sign, x_origin = (-1, cols) if mirrored else (1, 0)
+    px = {x: (x - x_origin) * x_sign * _SVG_CELL for x in range(cols + 1)}
+    py = {y: (rows - y) * _SVG_CELL for y in range(rows + 1)}
+    vt = _vertex_text(cols, rows, lambda x, y: f"{px[x]},{py[y]}")
     # the overlay's quarter-unit nudge in pixels, after any reflection
     nudge = OVERLAY_SHIFT * _SVG_CELL // 4
 
@@ -163,16 +159,20 @@ def render_svg(
         f'    <path class="grid" d="{" ".join(grid)}" '
         f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
     )
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{doc_w}" height="{doc_h}" '
-        f'viewBox="0 0 {doc_w} {doc_h}">'
-    ]
-    for idx, body in enumerate(_bodies(t, n, style, plain, vt, path, mark, segment)):
-        r, c = divmod(idx, per_row)
+    out = [""]  # the header, written once the diagrams are counted
+    for idx, body in enumerate(_bodies(words, t, n, style, vt, path, mark, segment)):
+        # a row is only narrower than _SVG_PER_ROW when it is the one row
+        r, c = divmod(idx, _SVG_PER_ROW)
         tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
         ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
         out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{body}\n  </g>')
+    count = len(out) - 1
+    per_row = min(_SVG_PER_ROW, max(count, 1))
+    n_rows = (count + per_row - 1) // per_row
+    doc_w = _SVG_MARGIN * 2 + per_row * dia_w + (per_row - 1) * _SVG_GAP
+    doc_h = _SVG_MARGIN * 2 + n_rows * dia_h + max(n_rows - 1, 0) * _SVG_GAP
+    size = f'width="{doc_w}" height="{doc_h}" viewBox="0 0 {doc_w} {doc_h}"'
+    out[0] = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" {size}>'
     out += ["</svg>", ""]  # the empty last line ends the text in a newline
     return "\n".join(out)
 

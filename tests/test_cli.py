@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skewdyck import render
 from skewdyck.cli import build_parser, main
 from skewdyck.render import render_document
 from skewdyck.series import Series
@@ -256,6 +257,23 @@ class TestRender:
         assert out == ""
         assert (target.read_bytes() if target.exists() else None) == before
 
+    @pytest.mark.parametrize("fmt", ["svg", "tikz"])
+    def test_cap_refused_before_any_box_sized_table(self, tmp_path, capsys, monkeypatch, fmt):
+        # the grid box costs nothing to work out, so only the walk's own
+        # check keeps a huge --n from building a vertex table over its box
+        def refused(*args):
+            raise AssertionError("a vertex table was built")
+
+        monkeypatch.setattr(render, "_vertex_text", refused)
+        target = tmp_path / f"fig.{fmt}"
+        rc, out, err = run(
+            capsys, "render", "--t", "2", "--n", "100000", "--format", fmt, "--out", str(target)
+        )
+        assert rc == 1
+        assert "exceeds the exhaustive-enumeration cap (24)" in err
+        assert out == ""
+        assert not target.exists()
+
     def test_mode_choices_are_the_modes_render_accepts(self):
         parser = build_parser()
         commands = next(
@@ -276,6 +294,12 @@ class TestRender:
 RENDER_DIGESTS = {
     (2, 0, "skew", "red-overlay", True, "svg"): "8afbd57f3b6a4069c1311b6654f4665aaf214947ab1b02d31999f0c7a930bcca",
     (2, 1, "skew", "red-overlay", False, "tikz"): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    # three diagrams, so the SVG header's row is narrower than four
+    # (sha256 copied from bench/expected.json)
+    (2, 6, "plain", "red-overlay", False, "svg"): "050f8d431a0007b24fa0b1659c15f896f11c584003bb23ed0ab6aa125e5a56a2",
+    (2, 6, "plain", "red-overlay", True, "svg"): "1361638c3cbb4f09cf3f1db40b9a364c3c38d8a9cd99015d698aef8c0a97a162",
+    (2, 6, "plain", "left", False, "svg"): "72d5f27e51de47dbffd8d2247e5ba6778df073e273cb05fff4d0fe00a1dce1f3",
+    (2, 6, "plain", "left", True, "svg"): "dd65c71d1889137d88d50faeb09cee42d5b8b4cbd3195813707ae68cb8fde6b2",
     (2, 9, "skew", "red-overlay", False, "svg"): "d43a70935c9d00bef839e528bcd349ec4b4b60a36a59f2694de45eec9ba5789f",
     (2, 9, "skew", "red-overlay", True, "tikz"): "e1347138b2d1482f5e22fef4115f5ffb209fa59e58b45764aec12db02e7bdc5b",
     (2, 12, "skew", "left", False, "tikz"): "47fb7130b1c18c09bdd340a79d1d2fc2ff9eb5cf01dc1dc816ef67aac0dbab19",

@@ -20,7 +20,6 @@ from skewdyck.paths import (
     ValidationResult,
     WordChecker,
     enumerate_words,
-    grid_box,
     is_closed,
     overlap_diagnostic,
     realize,
@@ -266,9 +265,7 @@ class TestRealize:
         with pytest.raises(ValueError, match="mode"):
             realize(w(2, "UUD"), mode="sideways")
         with pytest.raises(ValueError, match="mode"):
-            next(walk(2, 3, style="sideways"))
-        with pytest.raises(ValueError, match="mode"):
-            grid_box(2, 3, style="sideways")
+            walk(2, 3, style="sideways")  # refused on the call, before any word
 
 
 class TestWalk:
@@ -312,9 +309,10 @@ class TestWalk:
                             last = steps.copy()
 
     def test_bad_arguments(self):
+        # refused on the call, before any word is asked for
         for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
             with pytest.raises(ValueError):
-                next(walk(*args))
+                walk(*args)
 
 
 U, D, L = STEP_ORDER

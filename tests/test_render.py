@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewdyck import RENDER_MODES, render
+from skewdyck import RENDER_MODES, paths, render
+from skewdyck.automaton import dp_counts
 from skewdyck.paths import (
     GEOMETRY_MODES,
     STEP_ORDER,
@@ -66,8 +67,8 @@ class TestWordSelection:
         assert words == [w.steps for w in mode_words(2, 9, "plain")]
 
     def test_skew_mode_keeps_all(self):
-        assert grid_box(2, 9)[3] == 19
-        assert grid_box(2, 9, plain=True)[3] == 12
+        assert sum(1 for _ in walk(2, 9)) == 19
+        assert sum(1 for _ in walk(2, 9, plain=True)) == 12
 
     def test_bad_mode(self):
         for fmt in ("svg", "tikz"):
@@ -145,23 +146,53 @@ class TestTikz:
 class TestGridBox:
     @settings(deadline=None, max_examples=100)
     @given(
-        t=st.integers(2, 5),
+        t=st.integers(2, 7),
         n=st.integers(0, 14),
         mode=st.sampled_from(RENDER_MODES),
         style=st.sampled_from(GEOMETRY_MODES),
     )
     @example(t=2, n=1, mode="skew", style="red-overlay")  # no closed word at all
     @example(t=2, n=0, mode="plain", style="left")  # only the empty word
+    @example(t=7, n=8, mode="skew", style="left")  # the widest t, one down-step
+    @example(t=6, n=14, mode="plain", style="red-overlay")  # two down-steps
     def test_box_pass_matches_realized_vertices(self, t, n, mode, style):
         # reference rule: the (0, 1, 1) floor widened by every vertex of
-        # every realized geometry
+        # every realized geometry; the closed form needs neither the style
+        # nor the mode, and no word reaches left of x = 0
         words = mode_words(t, n, mode)
         x_min, x_max, y_max = 0, 1, 1
         for w in words:
             for x, y in realize(w, mode=style).vertices:
                 x_min, x_max, y_max = min(x_min, x), max(x_max, x), max(y_max, y)
-        box = grid_box(t, n, style, plain=mode == "plain")
-        assert box == (x_min, x_max, y_max, len(words))
+        assert x_min == 0
+        assert grid_box(t, n) == (x_max, y_max)
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+@pytest.mark.parametrize("mode", RENDER_MODES)
+def test_document_walks_the_words_once(monkeypatch, mode, fmt):
+    # the box comes from (t, n) and the diagram count from the drawing
+    # itself, so a document runs one walk, from whichever module
+    calls = []
+    real_walk = paths.walk
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "walk", counted)
+    monkeypatch.setattr(render, "walk", counted)
+    render_document(2, 9, mode=mode, fmt=fmt)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t, n", [(t, n) for t in (2, 3, 4) for n in range(16)])
+def test_diagram_count_is_the_table_count(t, n):
+    # the count the SVG header is sized from comes from the drawing pass;
+    # tie it to the counting table, which enumerates nothing
+    want = dp_counts(t, n, k_max=0).closed_count(n)
+    assert render_document(t, n, fmt="svg").count('class="diagram"') == want
+    assert render_document(t, n, fmt="tikz").count("\\begin{tikzpicture}") == want
 
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
