@@ -36,10 +36,11 @@ def parse_b_file(text: str) -> dict[int, int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise OeisError(f"malformed b-file line: {raw!r}")
-        terms[int(parts[0])] = int(parts[1])
+        try:
+            n, value = map(int, line.split())
+        except ValueError:  # a field count other than two, or a non-integer field
+            raise OeisError(f"malformed b-file line: {raw!r}") from None
+        terms[n] = value
     if not terms:
         raise OeisError("b-file contains no terms")
     return terms

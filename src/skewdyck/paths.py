@@ -226,11 +226,6 @@ def validate(word: SkewWord) -> ValidationResult:
     return WordChecker(word.t).check(word.steps)
 
 
-def require_valid(word: SkewWord) -> None:
-    """Raise ValueError, naming the first broken rule, unless the word is valid."""
-    WordChecker(word.t).require(word.steps)
-
-
 def is_closed(word: SkewWord) -> bool:
     """True when the word ends back on the axis (empty word included)."""
     return word.final_level() == 0
@@ -242,7 +237,6 @@ def walk(
     closed_only: bool = True,
     style: str = "red-overlay",
     plain: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ):
     """Depth-first walk over the valid words of length n, in lexicographic order.
 
@@ -250,15 +244,16 @@ def walk(
     of each word; both change as the walk moves on, so a caller copies what it keeps.
     With them comes ``shared``, the number of leading steps the word has in common
     with the word yielded before it (0 for the first): the lowest depth the walk
-    backed up to in between.  ``plain`` leaves L out.  Lengths above ``cap`` are
-    refused on the call, before any word: use the counting table.
+    backed up to in between.  ``plain`` leaves L out.  Lengths above
+    `DEFAULT_ENUMERATION_CAP` are refused on the call, before any word: use the
+    counting table.
     """
     _require_t(t)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
+    if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
-            f"length {n} exceeds the exhaustive-enumeration cap ({cap}); "
+            f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
             "use the automaton counting table (dp_counts/total) instead"
         )
     return _walk(t, n, closed_only, _step_dx(style), plain)
@@ -303,13 +298,11 @@ def _walk(t: int, n: int, closed_only: bool, dx: dict[Step, int], plain: bool):
                     shared = len(steps)
 
 
-def enumerate_words(
-    t: int, n: int, closed_only: bool = True, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[SkewWord]:
-    """All valid words of length n (at most ``cap``) in lexicographic order (U < D < L).
+def enumerate_words(t: int, n: int, closed_only: bool = True) -> list[SkewWord]:
+    """All valid words of length n in lexicographic order (U < D < L).
 
-    The walk's words: the exhaustive oracle for the counting table."""
-    return [SkewWord(t, steps) for steps, _, _ in walk(t, n, closed_only, cap=cap)]
+    The walk's words, under its length cap: the exhaustive oracle for the counting table."""
+    return [SkewWord(t, steps) for steps, _, _ in walk(t, n, closed_only)]
 
 
 def grid_box(t: int, n: int) -> tuple[int, int]:
@@ -367,7 +360,7 @@ def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
     red tag, matching the customary figures.
     """
     dx = _step_dx(mode)
-    require_valid(word)
+    WordChecker(word.t).require(word.steps)
     dy = _level_deltas(word.t)
     xs = accumulate(map(dx.__getitem__, word.steps), initial=0)
     ys = accumulate(map(dy.__getitem__, word.steps), initial=0)

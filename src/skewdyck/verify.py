@@ -83,6 +83,14 @@ def _zero_on_window(series: Series, claim: str) -> tuple[bool, str]:
     return series.is_zero(), f"{claim} through z^{series.frontier - 1}"
 
 
+def _integer_coeff(series: Series, n: int, name: str) -> int:
+    """[z^n] of a series that must have an integer there; checked, not rounded."""
+    c = series.coeff(n)
+    if c.denominator != 1:
+        raise ValueError(f"{name} has non-integer z^{n} coefficient {c}")
+    return c.numerator
+
+
 def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> VerificationReport:
     """Run every suite at the given series order.
 
@@ -215,9 +223,9 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             )
         guard(f"level recurrence t={t}", recurrence_all)
 
-    # coefficient formulas
+    # coefficient formulas, all read from one expansion of R
+    r = closed_form.r_series(max(order, 41))
     def narayana_check():
-        r = closed_form.r_series(41)
         for n in range(1, 41):
             if Fraction(closed_form.narayana_sum(n)) != r.coeff(n):
                 return False, f"n={n}"
@@ -226,7 +234,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
 
     def r_published_check():
         expected = [1, 1, 4, 19, 100, 562, 3304, 20071]
-        got = [closed_form.r_coefficient(n) for n in range(8)]
+        got = [_integer_coeff(r, n, "R") for n in range(8)]
         return got == expected, f"first coefficients {got}"
     guard("R published coefficients", r_published_check)
 
@@ -239,7 +247,6 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     )
 
     def r_quadratic_check():
-        r = closed_form.r_series(order)
         lhs = (r.shift(1) * 6 - 1 - Series.poly({1: 2}, order + 2)) ** 2
         rhs = Series.poly({0: 1, 1: -8, 2: 4}, order + 2)
         return (lhs - rhs).truncate(order).is_zero(), "(6zR - 1 - 2z)^2 = 1 - 8z + 4z^2"
@@ -255,19 +262,18 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     guard("valuation-2 root published coefficients", s1_check)
 
     def rl_root_checks():
-        w = order - 6
-        quartic_ok = horner(kernel.kernel_poly(2), rl.s1).truncate(w).is_zero()
-        reflected_ok = horner(reverse.RECIPROCAL_KERNEL, rl.t1).truncate(w).is_zero()
-        recip_ok = (
-            horner(reverse.RECIPROCAL_KERNEL, rl.s1.reciprocal())
-            .truncate(order - 12)
-            .is_zero()
-        )
-        inverse_ok = (rl.t1 * solutions[2].s - 1).truncate(order - 2).is_zero()
-        return (
-            quartic_ok and reflected_ok and recip_ok and inverse_ok,
-            "roots satisfy both kernels; t1 inverts the surviving root",
-        )
+        # each residual on the whole window it is known on
+        residuals = {
+            "kernel(s1) = 0": horner(kernel.kernel_poly(2), rl.s1),
+            "reflected kernel(t1) = 0": horner(reverse.RECIPROCAL_KERNEL, rl.t1),
+            "reflected kernel(1/s1) = 0": horner(reverse.RECIPROCAL_KERNEL, rl.s1.reciprocal()),
+            "t1 s = 1": rl.t1 * solutions[2].s - 1,
+        }
+        for claim, residual in residuals.items():
+            ok, detail = _zero_on_window(residual, claim)
+            if not ok:
+                return False, detail
+        return True, "roots satisfy both kernels; t1 inverts the surviving root"
     guard("reflected-kernel consistency", rl_root_checks)
 
     total = solutions[2].total
@@ -291,12 +297,9 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     # the single adjudication line for the diverging length-15 value
     def adjudication():
         dp15 = dp_counts(2, 15, k_max=0).closed_count(15)
-        r5 = closed_form.r_coefficient(5)
+        r5 = _integer_coeff(r, 5, "R")
         total15 = total if total.frontier > 15 else kernel.solve(2, 16).total
-        k15 = total15.coeff(15)
-        if k15.denominator != 1:
-            raise ValueError(f"kernel total has non-integer z^15 coefficient {k15}")
-        k15 = k15.numerator
+        k15 = _integer_coeff(total15, 15, "kernel total")
         sides = []
         if dp15 == k15:
             sides.append(f"kernel-method value {k15}")

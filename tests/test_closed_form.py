@@ -1,22 +1,17 @@
-"""R(z), the Narayana-weighted sum, the Lagrange identity, and the report."""
+"""R(z), the Narayana-weighted sum and the Lagrange identity."""
 
 from math import comb
 
 import pytest
 
-from skewdyck.closed_form import (
-    discrepancy_report,
-    lagrange_identity_check,
-    narayana_sum,
-    r_coefficient,
-    r_series,
-)
+from skewdyck.closed_form import lagrange_identity_check, narayana_sum, r_series
 from skewdyck.series import Series
 
 
 class TestRSeries:
     def test_printed_coefficients(self):
-        assert [r_coefficient(n) for n in range(8)] == [
+        r = r_series(8)
+        assert [r.coeff(n) for n in range(8)] == [
             1, 1, 4, 19, 100, 562, 3304, 20071,
         ]
 
@@ -83,32 +78,3 @@ class TestLagrangeIdentity:
         with pytest.raises(ValueError):
             lagrange_identity_check(0)
 
-
-@pytest.fixture(scope="module")
-def rows():
-    return discrepancy_report(7)
-
-
-class TestDiscrepancyReport:
-    def test_narayana_always_matches_r(self, rows):
-        assert all(row.narayana_matches_r for row in rows)
-
-    def test_low_orders_fully_agree(self, rows):
-        for row in rows:
-            if row.n <= 4:
-                assert row.r_coeff == row.kernel_total == row.dp_total
-
-    def test_kernel_always_matches_table(self, rows):
-        assert all(row.kernel_matches_dp for row in rows)
-
-    def test_divergence_starts_at_n5(self, rows):
-        # recorded oracle verdict: the table sides with the kernel series
-        # (563 at length 15), so R stops counting these paths at n = 5
-        row5 = next(row for row in rows if row.n == 5)
-        assert row5.r_coeff == 562
-        assert row5.dp_total == 563
-        assert not row5.r_matches_dp
-
-    def test_bad_n_max(self):
-        with pytest.raises(ValueError):
-            discrepancy_report(0)

@@ -23,6 +23,10 @@ class TestParse:
         with pytest.raises(OeisError, match="malformed"):
             parse_b_file("0 1 extra\n")
 
+    def test_non_integer_field(self):
+        with pytest.raises(OeisError, match=r"malformed b-file line: '1 x'"):
+            parse_b_file("0 1\n1 x\n")
+
     def test_empty(self):
         with pytest.raises(OeisError, match="no terms"):
             parse_b_file("# nothing\n")

@@ -209,11 +209,6 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="counting table"):
             enumerate_words(2, 25)
 
-    def test_cap_overridable(self):
-        assert len(enumerate_words(2, 3, cap=3)) == 1
-        with pytest.raises(ValueError):
-            enumerate_words(2, 4, cap=3)
-
 
 class TestRealize:
     def test_uud_segments(self):

@@ -54,6 +54,25 @@ def test_series_routes_never_read_the_table():
     assert not found, f"series-side modules use the counting table: {found}"
 
 
+def test_r_route_imports_only_the_series():
+    # R is a route of its own: closed_form builds on the series engine and
+    # reads neither the table nor the kernel it is compared with
+    path = Path(skewdyck.__file__).parent / "closed_form.py"
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "skewdyck." + base if base else "skewdyck"
+            if base == "skewdyck":
+                used |= {f"skewdyck.{alias.name}" for alias in node.names}
+            else:
+                used.add(base)
+    assert {name for name in used if name.partition(".")[0] == "skewdyck"} == {"skewdyck.series"}
+
+
 def test_no_costly_imports():
     # dataclasses pulls in inspect, and json is needed only where JSON is
     # written; either at module level would tax every command's start-up
