@@ -135,9 +135,6 @@ class CountTable:
             )
         return self._grid[n][k][_LIDX[layer]]
 
-    def level_total(self, n: int, k: int) -> int:
-        return sum(self.count(n, k, layer) for layer in Layer)
-
     def closed_count(self, n: int) -> int:
         """Closed words of length n.
 
@@ -219,22 +216,6 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
         prev, prev_base = row, base
 
     return CountTable(t, n_max, k_max, direction, grid)
-
-
-def total(t: int, n: int) -> int:
-    """Closed words of length n, left to right.
-
-    Zero whenever n is not a multiple of t+1 (every closed word balances
-    t up-steps against each down-step); the table yields that for free.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return dp_counts(t, n, k_max=0).closed_count(n)
-
-
-def prefix_count(t: int, layer: Layer, k: int, n: int, direction: str = "LR") -> int:
-    """Single cell: words of length n ending at level k in the given layer."""
-    return dp_counts(t, n, k_max=k, direction=direction).count(n, k, layer)
 
 
 # -- functional-equation verification ---------------------------------------

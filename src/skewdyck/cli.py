@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         return _error(exc)
 
 

@@ -1,4 +1,4 @@
-"""Step alphabet, word validation, the depth-first word walk, and geometry.
+"""Step alphabet, word validation, and the depth-first word walk.
 
 A skew t-Dyck word is a sequence over {U, D, L} where U climbs one unit
 and both down-steps drop t units; the word must stay on or above the
@@ -14,8 +14,7 @@ the word before; `grid_box` bounds them all from t and n alone.
 the previous step at each depth of the last word it checked, so the next
 word is checked from where the two part, once the claimed common prefix
 is confirmed against its own copy.  `validate` runs it from depth 0 on
-one finished word; `validate` and `realize` are the references the walk
-is tested against.
+one finished word.
 """
 
 from __future__ import annotations
@@ -56,34 +55,6 @@ def _level_deltas(t: int) -> dict[Step, int]:
     return {Step.U: 1, Step.D: -t, Step.L: -t}
 
 
-class _Frozen:
-    """Immutable slotted record: equality, hashing and repr over ``_fields``."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 def _require_t(t) -> None:
     if not isinstance(t, int) or t < 2:
         raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
@@ -94,11 +65,13 @@ def _require_steps(steps) -> None:
         raise TypeError("steps must be Step members")
 
 
-class SkewWord(_Frozen):
-    """A candidate word; validity is checked, not enforced by construction."""
+class SkewWord:
+    """A candidate word; validity is checked, not enforced by construction.
 
-    _fields = ("t", "steps")
-    __slots__ = (*_fields, "__weakref__")
+    Immutable: equality, hashing and repr go over (t, steps).
+    """
+
+    __slots__ = ("t", "steps", "__weakref__")
     t: int
     steps: tuple[Step, ...]
 
@@ -108,6 +81,23 @@ class SkewWord(_Frozen):
         _require_steps(steps)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.steps) == (other.t, other.steps)
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.steps))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(t={self.t!r}, steps={self.steps!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_string(cls, t: int, text: str) -> "SkewWord":
@@ -153,7 +143,7 @@ class _Invalid(ValueError):
 
     def __init__(self, rule: str, index: int):
         self.result = ValidationResult(False, rule, index)
-        super().__init__(f"cannot realize an invalid word ({self.result})")
+        super().__init__(f"invalid word ({self.result})")
 
 
 class WordChecker:
@@ -226,11 +216,6 @@ def validate(word: SkewWord) -> ValidationResult:
     return WordChecker(word.t).check(word.steps)
 
 
-def is_closed(word: SkewWord) -> bool:
-    """True when the word ends back on the axis (empty word included)."""
-    return word.final_level() == 0
-
-
 def walk(
     t: int,
     n: int,
@@ -254,9 +239,11 @@ def walk(
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
             f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
-            "use the automaton counting table (dp_counts/total) instead"
+            "use the automaton counting table (dp_counts) instead"
         )
-    return _walk(t, n, closed_only, _step_dx(style), plain)
+    if style not in GEOMETRY_MODES:
+        raise ValueError(f"mode must be one of {GEOMETRY_MODES}, got {style!r}")
+    return _walk(t, n, closed_only, _STEP_DX[style], plain)
 
 
 def _walk(t: int, n: int, closed_only: bool, dx: dict[Step, int], plain: bool):
@@ -317,90 +304,3 @@ def grid_box(t: int, n: int) -> tuple[int, int]:
     """
     m = 0 if n % (t + 1) else n // (t + 1)
     return max(1, (t + 2) * m), max(1, t * m)
-
-
-class PathGeometry(_Frozen):
-    """Stretched polyline realization of a word.
-
-    ``vertices`` are the integer (x, y) points the polyline passes
-    through, one per step plus the origin it starts from.  ``colors[i]``
-    tags the step from ``vertices[i]`` to ``vertices[i + 1]`` "black"
-    (U, D) or "red" (L).
-    """
-
-    __slots__ = _fields = ("vertices", "colors")
-    vertices: tuple[tuple[int, int], ...]
-    colors: tuple[str, ...]
-
-    def __init__(self, vertices: tuple[tuple[int, int], ...], colors: tuple[str, ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "colors", colors)
-
-    @property
-    def segments(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-        """One ((x0, y0), (x1, y1)) pair of consecutive vertices per step."""
-        return tuple(zip(self.vertices, self.vertices[1:]))
-
-
-_COLORS = {Step.U: "black", Step.D: "black", Step.L: "red"}
-
-
-def _step_dx(mode: str) -> dict[Step, int]:
-    """The horizontal run of each step in a geometry mode."""
-    if mode not in GEOMETRY_MODES:
-        raise ValueError(f"mode must be one of {GEOMETRY_MODES}, got {mode!r}")
-    return _STEP_DX[mode]
-
-
-def realize(word: SkewWord, mode: str = "red-overlay") -> PathGeometry:
-    """Geometry of a valid word.
-
-    ``mode="left"`` draws L as a true left step (-2, -t); the default
-    "red-overlay" keeps L pointing forward (+2, -t) and relies on the
-    red tag, matching the customary figures.
-    """
-    dx = _step_dx(mode)
-    WordChecker(word.t).require(word.steps)
-    dy = _level_deltas(word.t)
-    xs = accumulate(map(dx.__getitem__, word.steps), initial=0)
-    ys = accumulate(map(dy.__getitem__, word.steps), initial=0)
-    colors = tuple(map(_COLORS.__getitem__, word.steps))
-    return PathGeometry(tuple(zip(xs, ys)), colors)
-
-
-def _collinear_overlap(seg_a, seg_b) -> bool:
-    """Do two segments lie on one line and share more than a point?"""
-    (ax0, ay0), (ax1, ay1) = seg_a
-    (bx0, by0), (bx1, by1) = seg_b
-    dax, day = ax1 - ax0, ay1 - ay0
-    dbx, dby = bx1 - bx0, by1 - by0
-    if dax * dby - day * dbx != 0:
-        return False
-    if dax * (by0 - ay0) - day * (bx0 - ax0) != 0:
-        return False
-    # project b's endpoints onto a's direction; overlap needs an interval
-    ta0 = 0
-    ta1 = dax * dax + day * day
-    tb0 = dax * (bx0 - ax0) + day * (by0 - ay0)
-    tb1 = dax * (bx1 - ax0) + day * (by1 - ay0)
-    lo = max(min(ta0, ta1), min(tb0, tb1))
-    hi = min(max(ta0, ta1), max(tb0, tb1))
-    return hi > lo
-
-
-def overlap_diagnostic(word: SkewWord) -> list[tuple[int, int]]:
-    """Pairs of segment indices that overlap in left-step geometry.
-
-    Collinear segments sharing a whole subsegment are flagged; touching
-    endpoints (every consecutive pair) are not.  Empirically this comes
-    back empty for every closed word checked, but that observation is
-    recorded by the diagnostic rather than assumed.
-    """
-    geo = realize(word, mode="left")
-    segs = geo.segments
-    hits = []
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if _collinear_overlap(segs[i], segs[j]):
-                hits.append((i, j))
-    return hits

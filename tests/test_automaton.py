@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewdyck.automaton import (
-    Layer,
-    dp_counts,
-    prefix_count,
-    total,
-    verify_functional_equations,
-)
+from skewdyck.automaton import Layer, dp_counts, verify_functional_equations
 from skewdyck.kernel import recurrence_residuals
 from skewdyck.paths import Step, enumerate_words
+
+
+def total(t, n):
+    # closed words of length n, from a table that stores level 0 alone
+    return dp_counts(t, n, k_max=0).closed_count(n)
 
 
 def word_layer(word):
@@ -31,9 +30,9 @@ class TestTotals:
 
     def test_t3_small(self):
         assert total(3, 4) == 1
-        # exhaustive enumeration finds five closed words of length 8:
-        # UUUDUUUD, UUUUDUUD wait -- see the enumeration itself
-        assert total(3, 8) == len(enumerate_words(3, 8))
+        assert [str(word) for word in enumerate_words(3, 8)] == [
+            "UUUUUUDD", "UUUUUUDL", "UUUUUDUD", "UUUUDUUD", "UUUDUUUD",
+        ]
         assert total(3, 8) == 5
 
     def test_empty_word(self):
@@ -61,9 +60,10 @@ class TestCells:
         assert table.count(6, 0, Layer.H) == 1
 
     def test_prefix_count_examples(self):
-        assert prefix_count(2, Layer.F, 1, 4) == 1
-        assert prefix_count(2, Layer.H, 0, 6) == 1
-        assert prefix_count(2, Layer.H, 0, 9) == 6
+        # one cell each, from a table cut to the cell's own length and level
+        assert dp_counts(2, 4, k_max=1).count(4, 1, Layer.F) == 1
+        assert dp_counts(2, 6, k_max=0).count(6, 0, Layer.H) == 1
+        assert dp_counts(2, 9, k_max=0).count(9, 0, Layer.H) == 6
 
     def test_out_of_bounds(self):
         table = dp_counts(2, 5, k_max=3)
@@ -121,7 +121,7 @@ class TestReversedTable:
         # both reversed step kinds climb by t, so level 1 is empty after
         # one step and level 2 holds everything
         table = dp_counts(2, 1, k_max=4, direction="RL")
-        assert table.level_total(1, 1) == 0
+        assert sum(table.count(1, 1, layer) for layer in Layer) == 0
         assert table.count(1, 2, Layer.F) == 1
         assert table.count(1, 2, Layer.G) == 2
         assert table.count(1, 2, Layer.H) == 2
@@ -169,7 +169,9 @@ class TestRandomCells:
             for word in enumerate_words(t, n, closed_only=False)
             if word.final_level() == k and word_layer(word) == layer
         )
-        assert prefix_count(t, layer, k, n) == expected
+        # the narrow window n_max = n, k_max = k prunes every level that
+        # cannot fall back to k by step n
+        assert dp_counts(t, n, k_max=k).count(n, k, layer) == expected
 
     @settings(deadline=None, max_examples=150)
     @given(

@@ -274,6 +274,14 @@ class TestRender:
         assert out == ""
         assert not target.exists()
 
+    def test_unwritable_out_is_a_command_error(self, tmp_path, capsys):
+        # a file error ends as one stderr line and status 1, not a traceback
+        target = tmp_path / "missing" / "fig.svg"
+        rc, out, err = run(capsys, "render", "--n", "3", "--out", str(target))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1
+
     def test_mode_choices_are_the_modes_render_accepts(self):
         parser = build_parser()
         commands = next(
@@ -504,6 +512,17 @@ class TestOeis:
             "error: no cached or bundled terms for A999999; "
             "rerun without --offline to fetch\n"
         )
+
+    def test_unreadable_cache_is_a_command_error(self, tmp_path, capsys):
+        # a cache entry that cannot be read is reported like any other error
+        cached = tmp_path / "A007564.txt"
+        cached.mkdir()
+        rc, out, err = run(
+            capsys, "oeis", "A007564", "--offline", "--cache-dir", str(tmp_path)
+        )
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and str(cached) in err
+        assert err.count("\n") == 1
 
     def test_cache_is_used_when_present(self, tmp_path, capsys):
         (tmp_path / "A000002.txt").write_text("# fake sequence\n0 1\n1 1\n2 4\n3 19\n")

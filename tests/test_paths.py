@@ -1,8 +1,9 @@
-"""Word validation, enumeration, and geometry tests.
+"""Word validation, enumeration, and the walk's vertices.
 
 The brute-force checker below is a direct transcription of the word
-rules and never calls the library validator, so the exhaustive
-comparisons are a genuine second opinion.
+rules and never calls the library validator, and `reference_vertices`
+chains literal step vectors, so the exhaustive comparisons are a genuine
+second opinion.
 """
 
 import itertools
@@ -20,9 +21,6 @@ from skewdyck.paths import (
     ValidationResult,
     WordChecker,
     enumerate_words,
-    is_closed,
-    overlap_diagnostic,
-    realize,
     validate,
     walk,
 )
@@ -83,6 +81,30 @@ def valid_words(draw):
     return SkewWord(t, tuple(steps))
 
 
+def reference_vertices(word, style):
+    # the drawing convention as literal step vectors: U (1, 1), D (2, -t),
+    # and L (-2, -t) in the left style or (2, -t) in the red overlay
+    t = word.t
+    vectors = {
+        Step.U: (1, 1),
+        Step.D: (2, -t),
+        Step.L: (-2, -t) if style == "left" else (2, -t),
+    }
+    verts = [(0, 0)]
+    for s in word.steps:
+        (x, y), (dx, dy) = verts[-1], vectors[s]
+        verts.append((x + dx, y + dy))
+    return tuple(verts)
+
+
+def walked_vertices(word, style="red-overlay"):
+    # the vertices the walk yields with the word, copied out of its live list
+    for steps, verts, _ in walk(word.t, len(word), closed_only=False, style=style):
+        if tuple(steps) == word.steps:
+            return tuple(verts)
+    raise AssertionError(f"the walk never yields {word}")
+
+
 def step_lex_key(text):
     # the library's step order U < D < L, which ASCII does not share
     return ["UDL".index(ch) for ch in text]
@@ -126,7 +148,7 @@ class TestValidate:
     def test_empty_word_is_valid_and_closed(self):
         empty = SkewWord(2, ())
         assert validate(empty)
-        assert is_closed(empty)
+        assert empty.final_level() == 0
 
     def test_t_below_two_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -148,6 +170,19 @@ class TestValidate:
                 assert got == expected
 
 
+class TestSkewWord:
+    def test_immutable_value(self):
+        # equal and equally hashed over (t, steps), and frozen once built
+        a, b = w(2, "UUD"), SkewWord(2, [Step.U, Step.U, Step.D])
+        assert a == b and hash(a) == hash(b) == hash((2, a.steps))
+        assert a != w(3, "UUD") and a != (2, a.steps)
+        assert repr(a) == f"SkewWord(t=2, steps={a.steps!r})"
+        with pytest.raises(AttributeError, match="cannot assign to field 't'"):
+            a.t = 3
+        with pytest.raises(AttributeError, match="cannot delete field 'steps'"):
+            del a.steps
+
+
 class TestValidateDifferential:
     @settings(deadline=None, max_examples=500)
     @given(
@@ -161,9 +196,10 @@ class TestValidateDifferential:
 
 class TestIsClosed:
     def test_examples(self):
-        assert is_closed(w(2, "UUD"))
-        assert not is_closed(w(2, "UU"))
-        assert is_closed(w(2, "UUUUDL"))
+        # a word is closed when it ends back on the axis
+        assert w(2, "UUD").final_level() == 0
+        assert w(2, "UU").final_level() == 2
+        assert w(2, "UUUUDL").final_level() == 0
 
 
 class TestEnumerate:
@@ -211,55 +247,30 @@ class TestEnumerate:
 
 
 class TestRealize:
+    # the vertices the walk realizes a word at, on literal cases
     def test_uud_segments(self):
-        geo = realize(w(2, "UUD"))
-        assert geo.vertices == ((0, 0), (1, 1), (2, 2), (4, 0))
-        assert geo.colors == ("black", "black", "black")
+        assert walked_vertices(w(2, "UUD")) == ((0, 0), (1, 1), (2, 2), (4, 0))
 
     def test_empty_geometry(self):
-        geo = realize(SkewWord(2, ()))
-        assert geo.segments == ()
-        assert geo.vertices == ((0, 0),)
+        assert [(steps, verts) for steps, verts, _ in walk(2, 0)] == [([], [(0, 0)])]
 
     def test_left_mode_walks_backwards(self):
-        geo = realize(w(2, "UUUUDL"), mode="left")
-        assert geo.vertices == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (4, 0))
-        assert geo.colors[-1] == "red"
+        verts = walked_vertices(w(2, "UUUUDL"), style="left")
+        assert verts == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (4, 0))
 
     def test_overlay_mode_keeps_moving_right(self):
-        geo = realize(w(2, "UUUUDL"), mode="red-overlay")
-        assert geo.vertices[-1] == (8, 0)
-        assert geo.colors[-1] == "red"
+        verts = walked_vertices(w(2, "UUUUDL"), style="red-overlay")
+        assert verts == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (8, 0))
 
     def test_t3_vertical_drop(self):
-        geo = realize(w(3, "UUUD"))
-        assert geo.vertices[-1] == (5, 0)
+        assert walked_vertices(w(3, "UUUD"))[-1] == (5, 0)
 
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
-            realize(w(2, "UUL"))
-
-    @settings(deadline=None, max_examples=300)
-    @given(word=valid_words(), mode=st.sampled_from(["red-overlay", "left"]))
-    def test_vertices_chain_from_origin(self, word, mode):
-        t = word.t
-        vectors = {
-            Step.U: (1, 1),
-            Step.D: (2, -t),
-            Step.L: (-2, -t) if mode == "left" else (2, -t),
-        }
-        geo = realize(word, mode=mode)
-        assert geo.vertices[0] == (0, 0)
-        assert len(geo.vertices) == len(word) + 1
-        for (x0, y0), (x1, y1), s in zip(geo.vertices, geo.vertices[1:], word.steps):
-            assert (x1 - x0, y1 - y0) == vectors[s]
-        assert geo.colors == tuple("red" if s is Step.L else "black" for s in word.steps)
-        assert geo.segments == tuple(zip(geo.vertices, geo.vertices[1:]))
+            WordChecker(2).require(w(2, "UUL").steps)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            realize(w(2, "UUD"), mode="sideways")
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="mode must be one of"):
             walk(2, 3, style="sideways")  # refused on the call, before any word
 
 
@@ -268,7 +279,7 @@ class TestWalk:
     def test_against_brute_force(self, t):
         # every word over {U, D, L} in lexicographic order, kept when
         # `validate` accepts it; the walk must visit exactly those words, in
-        # that order, with the vertices `realize` gives each of them
+        # that order, with the vertices `reference_vertices` gives each of them
         for n in range(10):
             valid = [
                 word
@@ -280,14 +291,14 @@ class TestWalk:
                     expected = [
                         word
                         for word in valid
-                        if (is_closed(word) or not closed_only)
+                        if (word.final_level() == 0 or not closed_only)
                         and not (plain and Step.L in word.steps)
                     ]
                     for style in GEOMETRY_MODES:
                         got = []
                         for steps, verts, _ in walk(t, n, closed_only, style=style, plain=plain):
                             word = SkewWord(t, steps)
-                            assert tuple(verts) == realize(word, style).vertices
+                            assert tuple(verts) == reference_vertices(word, style)
                             got.append(word)
                         assert got == expected, (t, n, closed_only, plain, style)
 
@@ -380,7 +391,7 @@ class TestWordChecker:
                     if last_ok and 0 <= shared <= common_prefix(last, steps):
                         assert depth == shared
                 else:
-                    with pytest.raises(ValueError, match=re.escape(f"cannot realize an invalid word ({expected})")):
+                    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid word ({expected})')}$"):
                         strict.require(steps, shared)
             last, last_ok = steps, bool(expected)
 
@@ -402,25 +413,3 @@ class TestWordChecker:
                 SkewWord(t, ())
             with pytest.raises(ValueError, match=re.escape(str(from_word.value))):
                 WordChecker(t)
-
-
-class TestOverlapDiagnostic:
-    def test_monotone_word_clean(self):
-        assert overlap_diagnostic(w(2, "UUD")) == []
-
-    def test_red_variant_clean(self):
-        assert overlap_diagnostic(w(2, "UUUUDL")) == []
-
-    def test_collinear_helper_catches_planted_overlap(self):
-        from skewdyck.paths import _collinear_overlap
-
-        assert _collinear_overlap(((0, 0), (2, 2)), ((1, 1), (3, 3)))
-        assert not _collinear_overlap(((0, 0), (2, 2)), ((2, 2), (4, 4)))  # touch
-        assert not _collinear_overlap(((0, 0), (2, 2)), ((0, 1), (2, 3)))  # parallel
-
-    def test_recorded_empirical_run_all_closed_words(self):
-        # recorded finding: no closed word up to length 12 self-overlaps
-        # in left-step geometry (checked, not assumed)
-        for n in (0, 3, 6, 9, 12):
-            for word in enumerate_words(2, n):
-                assert overlap_diagnostic(word) == []

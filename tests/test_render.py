@@ -13,16 +13,15 @@ from skewdyck.automaton import dp_counts
 from skewdyck.paths import (
     GEOMETRY_MODES,
     STEP_ORDER,
-    PathGeometry,
     SkewWord,
     Step,
     WordChecker,
     enumerate_words,
     grid_box,
-    realize,
     walk,
 )
 from skewdyck.render import _quarters, render_document
+from test_paths import reference_vertices
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -157,12 +156,12 @@ class TestGridBox:
     @example(t=6, n=14, mode="plain", style="red-overlay")  # two down-steps
     def test_box_pass_matches_realized_vertices(self, t, n, mode, style):
         # reference rule: the (0, 1, 1) floor widened by every vertex of
-        # every realized geometry; the closed form needs neither the style
-        # nor the mode, and no word reaches left of x = 0
+        # every word, chained from literal step vectors; the closed form
+        # needs neither the style nor the mode, and no word reaches left of x = 0
         words = mode_words(t, n, mode)
         x_min, x_max, y_max = 0, 1, 1
         for w in words:
-            for x, y in realize(w, mode=style).vertices:
+            for x, y in reference_vertices(w, style):
                 x_min, x_max, y_max = min(x_min, x), max(x_max, x), max(y_max, y)
         assert x_min == 0
         assert grid_box(t, n) == (x_max, y_max)
@@ -197,9 +196,9 @@ def test_diagram_count_is_the_table_count(t, n):
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # a document checks each word once, builds no word object and no
-    # geometry, and holds one word at a time: when a word is checked, no
-    # word the walk yielded before it is still alive
+    # a document checks each word once, builds no word object, and holds
+    # one word at a time: when a word is checked, no word the walk yielded
+    # before it is still alive
     class Live(list):  # a step list that can be weakly referenced
         __slots__ = ("__weakref__",)
 
@@ -222,7 +221,6 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
 
     monkeypatch.setattr(render, "walk", fresh_walk)
     monkeypatch.setattr(WordChecker, "require", tracked)
-    monkeypatch.setattr(PathGeometry, "__init__", refused)
     monkeypatch.setattr(SkewWord, "__init__", refused)
     render_document(2, 9, mode="skew", fmt=fmt)
     assert checked == words
@@ -258,11 +256,11 @@ _BAD_WALKS = {
     ],
 )
 def test_drawn_words_are_validated(monkeypatch, fmt, n, walked, error):
-    # a word the walk should never yield is refused as `realize` refuses it,
+    # a word the walk should never yield is refused by the word check,
     # whatever prefix the walk claims it shares with the word before
     def bad_walk(t, n, **kwargs):
         yield from walked
 
     monkeypatch.setattr(render, "walk", bad_walk)
-    with pytest.raises(ValueError, match=re.escape(f"cannot realize an invalid word (invalid: {error})")):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid word (invalid: {error})')}$"):
         render_document(2, n, fmt=fmt)

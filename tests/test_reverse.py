@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck.automaton import Layer, dp_counts, prefix_count
+from skewdyck.automaton import Layer, dp_counts
 from skewdyck.kernel import (
     good_root,
     kernel_poly,
@@ -127,26 +127,31 @@ class TestSolveRl:
         assert rl.g0.coeff(0) == 1
 
 
+def rl_g_cell(k, n):
+    # one G cell of the reversed table, from a table cut to n steps and level k
+    return dp_counts(2, n, k_max=k, direction="RL").count(n, k, Layer.G)
+
+
 class TestRlPrefixCounts:
     """Right-to-left prefix counts come from the reversed table's G column."""
 
     def test_closed_counts_through_g_column(self):
-        assert prefix_count(2, Layer.G, 0, 3, "RL") == 1
-        assert prefix_count(2, Layer.G, 0, 0, "RL") == 1
+        assert rl_g_cell(0, 3) == 1
+        assert rl_g_cell(0, 0) == 1
 
     def test_level_one_after_one_step_is_empty(self):
         # both reversed step kinds climb by t=2, so nothing sits at
         # level 1 after a single step (computed, and pinned here)
-        assert prefix_count(2, Layer.G, 1, 1, "RL") == 0
-        assert prefix_count(2, Layer.G, 2, 1, "RL") == 2
+        assert rl_g_cell(1, 1) == 0
+        assert rl_g_cell(2, 1) == 2
 
     def test_matches_reversed_table(self):
         table = dp_counts(2, 9, k_max=4, direction="RL")
         for k in range(5):
             for n in range(10):
-                assert prefix_count(2, Layer.G, k, n, "RL") == table.count(n, k, Layer.G)
+                assert rl_g_cell(k, n) == table.count(n, k, Layer.G)
 
     def test_closed_counts_match_lr_through_30(self):
         lr = dp_counts(2, 30, k_max=0)
         for n in range(31):
-            assert prefix_count(2, Layer.G, 0, n, "RL") == lr.closed_count(n)
+            assert rl_g_cell(0, n) == lr.closed_count(n)

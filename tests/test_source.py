@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,48 @@ def test_r_route_imports_only_the_series():
             else:
                 used.add(base)
     assert {name for name in used if name.partition(".")[0] == "skewdyck"} == {"skewdyck.series"}
+
+
+# public names kept with no caller in the package, each for a reason
+_UNCALLED_ON_PURPOSE = {
+    # the one-word form of WordChecker, the reference the walk and the
+    # checker's resumed runs are tested against
+    "paths.validate",
+}
+
+
+def test_every_public_function_has_a_caller():
+    # code that nothing in the package calls is dead weight: every public
+    # top-level function or class must be named somewhere in the package
+    # outside its own definition.  A bare name counts in its own module, an
+    # import counts for the module it imports from, and `module.name` for
+    # that module.
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(skewdyck.__file__).parent.glob("*.py"))
+    }
+
+    def references(stem, node):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name):
+                yield f"{stem}.{inner.id}"
+            elif isinstance(inner, ast.ImportFrom) and inner.level == 1 and inner.module:
+                yield from (f"{inner.module}.{alias.name}" for alias in inner.names)
+            elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+                yield f"{inner.value.id}.{inner.attr}"
+
+    uses = Counter(ref for stem, tree in trees.items() for ref in references(stem, tree))
+    dead = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = f"{stem}.{node.name}"
+            own = sum(ref == name for ref in references(stem, node))
+            if uses[name] == own:
+                dead.append(name)
+    assert sorted(set(dead) - _UNCALLED_ON_PURPOSE) == []
+    assert sorted(_UNCALLED_ON_PURPOSE - set(dead)) == []  # an entry that gained a caller goes
 
 
 def test_no_costly_imports():
