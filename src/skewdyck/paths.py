@@ -1,28 +1,26 @@
-"""Step alphabet, word validation, and the depth-first word walk.
+"""Step alphabet, the word rules, and the depth-first word walk.
 
-A skew t-Dyck word is a sequence over {U, D, L} where U climbs one unit
-and both down-steps drop t units; the word must stay on or above the
-axis and may not contain UL or LU as adjacent pairs.  Closed words end
-back on the axis.  The drawing convention stretches down-steps: U maps
-to (+1, +1), D to (+2, -t), and L either to a true left step (-2, -t)
-or, in the default overlay style, to a forward (+2, -t) segment tagged
-red so the emitters can offset it visually.  `walk` visits the valid
-words depth first, computing each prefix's vertices once for every word
-below it, and says with each word how many leading steps it shares with
-the word before; `grid_box` bounds them all from t and n alone.
+A skew t-Dyck word is a sequence of `Step` members over {U, D, L} where U
+climbs one unit and both down-steps drop t units; the word must stay on
+or above the axis and may not contain UL or LU as adjacent pairs.  Closed
+words end back on the axis.  The drawing convention stretches down-steps:
+U maps to (+1, +1), D to (+2, -t), and L either to a true left step
+(-2, -t) or, in the default overlay style, to a forward (+2, -t) segment
+tagged red so the emitters can offset it visually.  A vertex's y is its
+level in either style.  `walk` is the one source of words: it visits the
+valid words depth first, computing each prefix's vertices once for every
+word below it, and says with each word how many leading steps it shares
+with the word before; `grid_box` bounds them all from t and n alone.
 `WordChecker` is the one check of the word rules: it keeps the level and
 the previous step at each depth of the last word it checked, so the next
 word is checked from where the two part, once the claimed common prefix
-is confirmed against its own copy.  `validate` runs it from depth 0 on
-one finished word.
+is confirmed against its own copy.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from enum import Enum
 from functools import cache
-from itertools import accumulate
 
 
 class Step(Enum):
@@ -65,85 +63,16 @@ def _require_steps(steps) -> None:
         raise TypeError("steps must be Step members")
 
 
-class SkewWord:
-    """A candidate word; validity is checked, not enforced by construction.
-
-    Immutable: equality, hashing and repr go over (t, steps).
-    """
-
-    __slots__ = ("t", "steps", "__weakref__")
-    t: int
-    steps: tuple[Step, ...]
-
-    def __init__(self, t: int, steps):
-        _require_t(t)
-        steps = tuple(steps)
-        _require_steps(steps)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t, self.steps) == (other.t, other.steps)
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.steps))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(t={self.t!r}, steps={self.steps!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @classmethod
-    def from_string(cls, t: int, text: str) -> "SkewWord":
-        try:
-            return cls(t, tuple(Step(ch) for ch in text))
-        except ValueError as exc:
-            raise ValueError(f"bad step letter in {text!r}: {exc}") from None
-
-    def __str__(self) -> str:
-        return "".join(s.value for s in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def levels(self) -> tuple[int, ...]:
-        """Running level after each step."""
-        return tuple(accumulate(map(_level_deltas(self.t).__getitem__, self.steps)))
-
-    def final_level(self) -> int:
-        return self.levels()[-1] if self.steps else 0
-
-
-# collections.namedtuple rather than typing.NamedTuple: `render` would
-# otherwise import typing for this one class
-class ValidationResult(namedtuple("ValidationResult", "ok rule index", defaults=(None, None))):
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        return f"invalid: {self.rule} at index {self.index}"
-
-
-_VALID = ValidationResult(True)
 _U, _L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
 
 
 class _Invalid(ValueError):
-    """A broken word rule, as `WordChecker.require` raises it."""
+    """A broken word rule, as `WordChecker.require` raises it: the rule's
+    name and the index of the step it is reported at."""
 
     def __init__(self, rule: str, index: int):
-        self.result = ValidationResult(False, rule, index)
-        super().__init__(f"invalid word ({self.result})")
+        self.rule, self.index = rule, index
+        super().__init__(f"invalid word (invalid: {rule} at index {index})")
 
 
 class WordChecker:
@@ -166,6 +95,12 @@ class WordChecker:
 
     def require(self, steps, shared: int = 0) -> int:
         """Raise ValueError, naming the first broken rule, unless ``steps`` is valid.
+
+        Rules, by name and in the order they are checked at each step:
+        "first-step" (a nonempty word starts with U), "UL" and "LU" (the
+        forbidden adjacent pairs, reported at the index of the pair's first
+        step), and "below-axis" (a prefix dips under level 0).  The error
+        carries the rule and that index as ``rule`` and ``index``.
 
         ``shared`` claims that many leading steps in common with the word
         checked last; only the steps after a confirmed claim are checked.
@@ -194,26 +129,6 @@ class WordChecker:
             levels.append(level)
             prev = s
         return shared
-
-    def check(self, steps, shared: int = 0) -> ValidationResult:
-        """As `require`, but report the first violation instead of raising it."""
-        try:
-            self.require(steps, shared)
-        except _Invalid as exc:
-            return exc.result
-        return _VALID
-
-
-def validate(word: SkewWord) -> ValidationResult:
-    """Check the word rules, reporting the first violation.
-
-    Rules, by name and in the order they are checked at each step:
-    "first-step" (a nonempty word starts with U), "UL" and "LU" (the
-    forbidden adjacent pairs, reported at the index of the pair's first
-    step), and "below-axis" (a prefix dips under level 0).  Invalid words
-    are findings, not errors.
-    """
-    return WordChecker(word.t).check(word.steps)
 
 
 def walk(
@@ -283,13 +198,6 @@ def _walk(t: int, n: int, closed_only: bool, dx: dict[Step, int], plain: bool):
                 verts.pop()
                 if len(steps) < shared:
                     shared = len(steps)
-
-
-def enumerate_words(t: int, n: int, closed_only: bool = True) -> list[SkewWord]:
-    """All valid words of length n in lexicographic order (U < D < L).
-
-    The walk's words, under its length cap: the exhaustive oracle for the counting table."""
-    return [SkewWord(t, steps) for steps, _, _ in walk(t, n, closed_only)]
 
 
 def grid_box(t: int, n: int) -> tuple[int, int]:

@@ -101,14 +101,9 @@ def rl_g0(order: int = DEFAULT_ORDER, t1: Series | None = None) -> Series:
     return g0.truncate(order)
 
 
-def rl_g0_rational(order: int = DEFAULT_ORDER, t1: Series | None = None) -> Series:
-    """The quotient form (1 - z t1^2)/(1 - 2 z t1^2), as a cross-check.
-
-    A supplied ``t1`` (`solve_rl` keeps one to O(z^order)) spares the
-    root's own Newton solve.
-    """
-    if t1 is None:
-        t1 = rl_cancelling_root(order + 2)
+def rl_g0_rational(order: int, t1: Series) -> Series:
+    """The quotient form (1 - z t1^2)/(1 - 2 z t1^2), as a cross-check,
+    from a cancelling root known to O(z^order) (`solve_rl` keeps one)."""
     zt1sq = (t1 * t1).shift(1)
     return ((1 - zt1sq) / (1 - zt1sq * 2)).truncate(order)
 

@@ -8,12 +8,13 @@ single adjudication line computed fresh on every run.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
 from .automaton import Layer, dp_counts, verify_functional_equations
-from .paths import Step, enumerate_words
+from .paths import Step, walk
 from .series import Series, horner
 
 
@@ -65,11 +66,8 @@ class VerificationReport:
         )
 
 
-def _word_layer(word) -> Layer:
-    if not word.steps:
-        return Layer.F
-    last = word.steps[-1]
-    return {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}[last]
+# the layer a nonempty word ends in, read off its last step
+_LAST_STEP_LAYER = {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}
 
 
 def _zero_on_window(series: Series, claim: str) -> tuple[bool, str]:
@@ -81,6 +79,32 @@ def _zero_on_window(series: Series, claim: str) -> tuple[bool, str]:
     if series.frontier <= 0:
         return False, f"nothing compared: known only below z^{series.frontier}"
     return series.is_zero(), f"{claim} through z^{series.frontier - 1}"
+
+
+def _published_divergences(computed: Series, published: dict, order: int) -> tuple[int, list[str]]:
+    """How many published coefficients below z^order were compared, and
+    each one ``computed`` differs from, named with both values."""
+    window = {e: c for e, c in published.items() if e < order}
+    rows = kernel.compare_with_published(computed, window)
+    return len(rows), [
+        f"z^{r['exponent']}: computed {r['computed']} vs published {r['published']}"
+        for r in rows
+        if not r["matches"]
+    ]
+
+
+def _published_check(computed: Series, published: dict, order: int) -> tuple[bool, str]:
+    """A strict published comparison; a FAIL names each differing coefficient."""
+    checked, diverging = _published_divergences(computed, published, order)
+    return not diverging, "; ".join([f"{checked} published coefficients checked", *diverging])
+
+
+def _equations_check(report) -> tuple[bool, str]:
+    """An `EquationReport` as a check; a FAIL names its first violation."""
+    for name, ok, bad in report.results:
+        if not ok:
+            return False, f"{name} violated at {bad}"
+    return True, ""
 
 
 def _integer_coeff(series: Series, n: int, name: str) -> int:
@@ -121,14 +145,14 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             n_hi = min(12, order - 1)
             table = dp_counts(t, n_hi)
             for n in range(n_hi + 1):
-                words = enumerate_words(t, n, closed_only=False)
-                cells: dict[tuple[int, Layer], int] = {}
-                for w in words:
-                    key = (w.final_level(), _word_layer(w))
-                    cells[key] = cells.get(key, 0) + 1
+                # y is the level in every style; the empty word is in layer F
+                cells = Counter(
+                    (verts[-1][1], _LAST_STEP_LAYER[steps[-1]] if steps else Layer.F)
+                    for steps, verts, _ in walk(t, n, closed_only=False)
+                )
                 for k in range(n + 1):
                     for layer in Layer:
-                        if table.count(n, k, layer) != cells.get((k, layer), 0):
+                        if table.count(n, k, layer) != cells[k, layer]:
                             return False, f"cell mismatch at n={n}, k={k}, {layer.value}"
             return True, f"all cells match exhaustive enumeration, n <= {n_hi}"
         guard(f"enumeration-vs-table t={t}", enum_check)
@@ -138,11 +162,11 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
     for t in t_list:
         guard(
             f"functional-equations LR t={t}",
-            lambda t=t: (verify_functional_equations(t, 8, z_ord, "LR").all_hold, ""),
+            lambda t=t: _equations_check(verify_functional_equations(t, 8, z_ord, "LR")),
         )
     guard(
         "functional-equations RL t=2",
-        lambda: (verify_functional_equations(2, 8, z_ord, "RL").all_hold, ""),
+        lambda: _equations_check(verify_functional_equations(2, 8, z_ord, "RL")),
     )
 
     # kernel roots: residuals and published expansions.  t = 2 is always
@@ -157,22 +181,14 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             return _zero_on_window(horner(kernel.kernel_poly(t), s), "zero")
         guard(f"good-root residual t={t}", residual_check)
 
-    def s4_check():
-        window = {e: c for e, c in kernel.S4_PUBLISHED.items() if e < order}
-        rows = kernel.compare_with_published(solutions[2].s, window)
-        bad = [r for r in rows if not r["matches"]]
-        return not bad, f"{len(rows)} published coefficients checked"
-    guard("good-root published coefficients t=2", s4_check)
+    guard(
+        "good-root published coefficients t=2",
+        lambda: _published_check(solutions[2].s, kernel.S4_PUBLISHED, order),
+    )
 
     if 3 in t_list:
         def s6_check():
-            window = {e: c for e, c in kernel.S6_PUBLISHED.items() if e < order}
-            rows = kernel.compare_with_published(solutions[3].s, window)
-            diverging = [
-                f"z^{r['exponent']}: computed {r['computed']} vs published {r['published']}"
-                for r in rows
-                if not r["matches"]
-            ]
+            _, diverging = _published_divergences(solutions[3].s, kernel.S6_PUBLISHED, order)
             detail = (
                 "matches the published expansion"
                 if not diverging
@@ -254,12 +270,10 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
 
     # right-to-left route
     rl = reverse.solve_rl(order)
-    def s1_check():
-        window = {e: c for e, c in reverse.S1_PUBLISHED.items() if e < order}
-        rows = kernel.compare_with_published(rl.s1, window)
-        bad = [r for r in rows if not r["matches"]]
-        return not bad, f"{len(rows)} published coefficients checked"
-    guard("valuation-2 root published coefficients", s1_check)
+    guard(
+        "valuation-2 root published coefficients",
+        lambda: _published_check(rl.s1, reverse.S1_PUBLISHED, order),
+    )
 
     def rl_root_checks():
         # each residual on the whole window it is known on

@@ -1,12 +1,14 @@
 """Counting-table tests: oracle equivalence, totals, functional equations."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdyck.automaton import Layer, dp_counts, verify_functional_equations
 from skewdyck.kernel import recurrence_residuals
-from skewdyck.paths import Step, enumerate_words
+from skewdyck.paths import Step, walk
 
 
 def total(t, n):
@@ -14,10 +16,15 @@ def total(t, n):
     return dp_counts(t, n, k_max=0).closed_count(n)
 
 
-def word_layer(word):
-    if not word.steps:
-        return Layer.F
-    return {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}[word.steps[-1]]
+def walked_cells(t, n):
+    # the walk's words of length n, counted by (final level, layer): the
+    # level summed from the steps, the layer read off the last step, and
+    # the empty word in layer F
+    layer_of = {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}
+    return Counter(
+        (sum(1 if s is Step.U else -t for s in steps), layer_of[steps[-1]] if steps else Layer.F)
+        for steps, _, _ in walk(t, n, closed_only=False)
+    )
 
 
 class TestTotals:
@@ -30,7 +37,7 @@ class TestTotals:
 
     def test_t3_small(self):
         assert total(3, 4) == 1
-        assert [str(word) for word in enumerate_words(3, 8)] == [
+        assert ["".join(s.value for s in steps) for steps, _, _ in walk(3, 8)] == [
             "UUUUUUDD", "UUUUUUDL", "UUUUUDUD", "UUUUDUUD", "UUUDUUUD",
         ]
         assert total(3, 8) == 5
@@ -94,20 +101,17 @@ class TestOracleEquivalence:
         n_hi = 15
         table = dp_counts(t, n_hi)
         for n in range(n_hi + 1):
-            cells = {}
-            for word in enumerate_words(t, n, closed_only=False):
-                key = (word.final_level(), word_layer(word))
-                cells[key] = cells.get(key, 0) + 1
+            cells = walked_cells(t, n)
             for k in range(n + 1):
                 for layer in Layer:
-                    assert table.count(n, k, layer) == cells.get((k, layer), 0), (
+                    assert table.count(n, k, layer) == cells[k, layer], (
                         t, n, k, layer,
                     )
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_closed_counts_match_enumeration(self, t):
         for n in range(16):
-            assert total(t, n) == len(enumerate_words(t, n))
+            assert total(t, n) == sum(1 for _ in walk(t, n))
 
 
 class TestReversedTable:
@@ -164,11 +168,7 @@ class TestRandomCells:
         layer=st.sampled_from(Layer),
     )
     def test_cell_matches_enumeration(self, t, n, k, layer):
-        expected = sum(
-            1
-            for word in enumerate_words(t, n, closed_only=False)
-            if word.final_level() == k and word_layer(word) == layer
-        )
+        expected = walked_cells(t, n)[k, layer]
         # the narrow window n_max = n, k_max = k prunes every level that
         # cannot fall back to k by step n
         assert dp_counts(t, n, k_max=k).count(n, k, layer) == expected

@@ -10,18 +10,9 @@ from hypothesis import strategies as st
 
 from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
-from skewdyck.paths import (
-    GEOMETRY_MODES,
-    STEP_ORDER,
-    SkewWord,
-    Step,
-    WordChecker,
-    enumerate_words,
-    grid_box,
-    walk,
-)
+from skewdyck.paths import GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, grid_box, walk
 from skewdyck.render import _quarters, render_document
-from test_paths import reference_vertices
+from test_paths import reference_vertices, walked_words
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -53,9 +44,9 @@ def test_quarter_formatter_matches_reference():
 
 def mode_words(t, n, mode):
     # reference selection: every closed word, or the L-free ones
-    words = enumerate_words(t, n)
+    words = walked_words(t, n)
     if mode == "plain":
-        words = [w for w in words if Step.L not in w.steps]
+        words = [w for w in words if Step.L not in w]
     return words
 
 
@@ -63,7 +54,7 @@ class TestWordSelection:
     def test_plain_mode_drops_marked_words(self):
         words = [tuple(steps) for steps, _, _ in walk(2, 9, plain=True)]
         assert len(words) == 12
-        assert words == [w.steps for w in mode_words(2, 9, "plain")]
+        assert words == mode_words(2, 9, "plain")
 
     def test_skew_mode_keeps_all(self):
         assert sum(1 for _ in walk(2, 9)) == 19
@@ -85,7 +76,7 @@ class TestSvg:
     def test_red_segment_count_matches_marked_steps(self):
         skew = render_document(2, 9, mode="skew", fmt="svg")
         marked = sum(
-            1 for w in enumerate_words(2, 9) for s in w.steps if s is Step.L
+            1 for w in walked_words(2, 9) for s in w if s is Step.L
         )
         assert marked == 8
         assert skew.count('class="skew"') == marked
@@ -161,7 +152,7 @@ class TestGridBox:
         words = mode_words(t, n, mode)
         x_min, x_max, y_max = 0, 1, 1
         for w in words:
-            for x, y in reference_vertices(w, style):
+            for x, y in reference_vertices(t, w, style):
                 x_min, x_max, y_max = min(x_min, x), max(x_max, x), max(y_max, y)
         assert x_min == 0
         assert grid_box(t, n) == (x_max, y_max)
@@ -196,13 +187,12 @@ def test_diagram_count_is_the_table_count(t, n):
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # a document checks each word once, builds no word object, and holds
-    # one word at a time: when a word is checked, no word the walk yielded
-    # before it is still alive
+    # a document checks each word once and holds one word at a time: when a
+    # word is checked, no word the walk yielded before it is still alive
     class Live(list):  # a step list that can be weakly referenced
         __slots__ = ("__weakref__",)
 
-    words = [w.steps for w in enumerate_words(2, 9)]
+    words = walked_words(2, 9)
     refs, alive, checked = [], [], []
     real_walk, real_require = render.walk, WordChecker.require
 
@@ -216,12 +206,8 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
         checked.append(tuple(steps))
         return real_require(self, steps, shared)
 
-    def refused(self, *args):
-        raise AssertionError(f"a document built a {type(self).__name__}")
-
     monkeypatch.setattr(render, "walk", fresh_walk)
     monkeypatch.setattr(WordChecker, "require", tracked)
-    monkeypatch.setattr(SkewWord, "__init__", refused)
     render_document(2, 9, mode="skew", fmt=fmt)
     assert checked == words
     assert len(checked) == 19

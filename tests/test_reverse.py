@@ -100,13 +100,14 @@ class TestRlG0:
         assert g0.agrees(total, upto=31)
 
     def test_both_forms_agree(self):
-        assert rl_g0(30).agrees(rl_g0_rational(30), upto=30)
+        assert rl_g0(30).agrees(rl_g0_rational(30, rl_cancelling_root(32)), upto=30)
 
     @pytest.mark.parametrize("order", [48, 64, 96])
     def test_quotient_from_the_solved_root(self, order):
         # `verify` hands over the root `solve_rl` keeps; the quotient must come
-        # out equal, window included, to the one built from its own solve
-        assert rl_g0_rational(order, t1=solve_rl(order).t1) == rl_g0_rational(order)
+        # out equal, window included, to the one built from a root solved further
+        from_solved = rl_g0_rational(order, t1=solve_rl(order).t1)
+        assert from_solved == rl_g0_rational(order, t1=rl_cancelling_root(order + 2))
 
     def test_nonnegative_integer_coefficients(self):
         for _, c in rl_g0(30).terms():

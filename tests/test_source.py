@@ -55,10 +55,10 @@ def test_series_routes_never_read_the_table():
     assert not found, f"series-side modules use the counting table: {found}"
 
 
-def test_r_route_imports_only_the_series():
-    # R is a route of its own: closed_form builds on the series engine and
-    # reads neither the table nor the kernel it is compared with
-    path = Path(skewdyck.__file__).parent / "closed_form.py"
+def package_imports(stem):
+    # the modules the package module `stem` imports, with the package's own
+    # named `skewdyck.<module>`
+    path = Path(skewdyck.__file__).parent / f"{stem}.py"
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -71,15 +71,20 @@ def test_r_route_imports_only_the_series():
                 used |= {f"skewdyck.{alias.name}" for alias in node.names}
             else:
                 used.add(base)
-    assert {name for name in used if name.partition(".")[0] == "skewdyck"} == {"skewdyck.series"}
+    return {name for name in used if name.partition(".")[0] == "skewdyck"}
 
 
-# public names kept with no caller in the package, each for a reason
-_UNCALLED_ON_PURPOSE = {
-    # the one-word form of WordChecker, the reference the walk and the
-    # checker's resumed runs are tested against
-    "paths.validate",
-}
+def test_r_route_imports_only_the_series():
+    # R is a route of its own: closed_form builds on the series engine and
+    # reads neither the table nor the kernel it is compared with
+    assert package_imports("closed_form") == {"skewdyck.series"}
+
+
+def test_enumeration_route_imports_no_other_layer():
+    # the walk is the enumeration route: were it built from the table or
+    # the series, `verify`'s enumeration-vs-table check would compare a
+    # route with itself
+    assert package_imports("paths") == set()
 
 
 def test_every_public_function_has_a_caller():
@@ -87,7 +92,8 @@ def test_every_public_function_has_a_caller():
     # top-level function or class must be named somewhere in the package
     # outside its own definition.  A bare name counts in its own module, an
     # import counts for the module it imports from, and `module.name` for
-    # that module.
+    # that module.  A public method or property of a public class counts as
+    # called when its name appears as an attribute outside its own body.
     trees = {
         path.stem: ast.parse(path.read_text(), str(path))
         for path in sorted(Path(skewdyck.__file__).parent.glob("*.py"))
@@ -102,7 +108,11 @@ def test_every_public_function_has_a_caller():
             elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
                 yield f"{inner.value.id}.{inner.attr}"
 
+    def attributes(node):
+        return [inner.attr for inner in ast.walk(node) if isinstance(inner, ast.Attribute)]
+
     uses = Counter(ref for stem, tree in trees.items() for ref in references(stem, tree))
+    attribute_uses = Counter(attr for tree in trees.values() for attr in attributes(tree))
     dead = []
     for stem, tree in trees.items():
         for node in tree.body:
@@ -112,8 +122,13 @@ def test_every_public_function_has_a_caller():
             own = sum(ref == name for ref in references(stem, node))
             if uses[name] == own:
                 dead.append(name)
-    assert sorted(set(dead) - _UNCALLED_ON_PURPOSE) == []
-    assert sorted(_UNCALLED_ON_PURPOSE - set(dead)) == []  # an entry that gained a caller goes
+            if isinstance(node, ast.ClassDef):
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_"):
+                        own = attributes(meth).count(meth.name)
+                        if attribute_uses[meth.name] == own:
+                            dead.append(f"{name}.{meth.name}")
+    assert sorted(dead) == []
 
 
 def test_no_costly_imports():

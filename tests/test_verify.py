@@ -1,8 +1,11 @@
 """The verification suite as a library call: what one run computes and checks."""
 
+from fractions import Fraction
+
 import pytest
 
-from skewdyck import closed_form, reverse, verify
+from skewdyck import closed_form, kernel, reverse, verify
+from skewdyck.automaton import dp_counts
 from skewdyck.verify import run_verification
 
 
@@ -38,3 +41,44 @@ def test_reflected_residual_compared_on_its_window(monkeypatch, order):
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["reflected-kernel consistency"]
     assert failed[0].detail == f"reflected kernel(1/s1) = 0 through z^{order - 8}"
+
+
+@pytest.mark.parametrize(
+    "published, exponent, wrong, name, detail",
+    [
+        (
+            kernel.S4_PUBLISHED, 8, -9, "good-root published coefficients t=2",
+            "6 published coefficients checked; z^8: computed -8 vs published -9",
+        ),
+        (
+            reverse.S1_PUBLISHED, 5, Fraction(3, 17), "valuation-2 root published coefficients",
+            "5 published coefficients checked; z^5: computed 3/16 vs published 3/17",
+        ),
+    ],
+    ids=["s4", "s1"],
+)
+def test_published_fail_names_the_coefficient(monkeypatch, published, exponent, wrong, name, detail):
+    # a strict published comparison that fails says which coefficient
+    # differed and both of its values, not only how many it compared
+    monkeypatch.setitem(published, exponent, wrong)
+    report = run_verification(order=16, t_list=(2,))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [(name, detail)]
+
+
+def test_functional_equation_fail_names_the_violation(monkeypatch):
+    # one tampered table cell breaks the F equation; the FAIL line says
+    # where, as the equation report finds it
+    real = verify.verify_functional_equations
+
+    def tampered(t, u_degree, z_order, direction):
+        table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
+        table._grid[9][0][1] += 1  # one G cell
+        return real(t, u_degree, z_order, direction, table)
+
+    monkeypatch.setattr(verify, "verify_functional_equations", tampered)
+    report = run_verification(order=16, t_list=(2, 3))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("functional-equations LR t=2", "layer-F violated at u^1 z^10 term -1"),
+        ("functional-equations LR t=3", "layer-F violated at u^1 z^10 term -1"),
+        ("functional-equations RL t=2", "layer-F violated at u^3 z^10 term -1"),
+    ]
