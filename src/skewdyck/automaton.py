@@ -144,15 +144,12 @@ class CountTable:
         """
         return sum(self.count(n, 0, layer) for layer in _SCANS[self.direction].closed)
 
-    def column(self, layer: Layer, k: int) -> list[int]:
-        """Counts for a fixed (layer, level) across n = 0..n_max."""
-        return [self.count(n, k, layer) for n in range(self.n_max + 1)]
-
     def column_series(self, layer: Layer, k: int) -> Series:
-        """The same column as an exact series in z, known to O(z^(n_max+1))."""
+        """Counts for a fixed (layer, level) across n = 0..n_max, as an
+        exact series in z known to O(z^(n_max+1))."""
         from .series import Series  # the counting table itself stays integer-only
 
-        return Series(0, self.column(layer, k))
+        return Series(0, [self.count(n, k, layer) for n in range(self.n_max + 1)])
 
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
@@ -261,70 +258,34 @@ def _equations(t: int, direction: str) -> tuple:
     )
 
 
-def _residual_ok(resid: dict, z_order: int) -> tuple[bool, str | None]:
-    for j in sorted(resid):
-        r = resid[j].truncate(z_order + 1)
-        if not r.is_zero():
-            e, c = next(r.terms())
-            return False, f"u^{j} z^{e} term {c}"
-    return True, None
-
-
-class EquationReport(NamedTuple):
-    t: int
-    direction: str
-    u_degree: int
-    z_order: int
-    results: tuple[tuple[str, bool, str | None], ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(ok for _, ok, _ in self.results)
-
-    def __str__(self) -> str:
-        lines = [
-            f"functional equations ({self.direction}, t={self.t}, "
-            f"u<= {self.u_degree}, z<= {self.z_order}):"
-        ]
-        for name, ok, bad in self.results:
-            lines.append(f"  {name}: {'ok' if ok else 'VIOLATED at ' + bad}")
-        return "\n".join(lines)
-
-
-def verify_functional_equations(
-    t: int,
-    u_degree: int = 8,
-    z_order: int = 20,
-    direction: str = "LR",
-    table: CountTable | None = None,
-) -> EquationReport:
+def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: str) -> list[str]:
     """Check the summed layer equations on DP-derived truncations.
 
     Coefficients above ``u_degree`` are truncation artifacts of the
     finite u-window and are excluded; everything kept must vanish
-    identically through ``z_order``.  Right-to-left equations are only
-    on record for t = 2.
+    identically through ``z_order``.  Returns the first violated term of
+    each failing equation, as "layer-F violated at u^1 z^10 term -1";
+    an empty list means every equation holds.  Right-to-left equations
+    are only on record for t = 2.
     """
     if direction == "RL" and t != 2:
         raise ValueError("right-to-left equations are only established for t=2")
-    if table is None:
-        table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
-    if table.n_max < z_order or table.k_max < u_degree or table.direction != direction:
-        raise ValueError("table too small for the requested verification")
-
+    table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
     levels = range(u_degree + 1)
     cols = {layer: [table.column_series(layer, k) for k in levels] for layer in Layer}
-    results = []
+    violations = []
     for name, constant, terms in _equations(t, direction):
-        resid = {}
         for j in levels:
             parts = [
                 cols[layer][j - du].shift(dz) * c
                 for c, layer, du, dz, dropped in terms
                 if j >= du and j - du not in dropped
             ]
-            if parts:
-                resid[j] = sum(parts, constant if j == 0 else 0)
-        ok, bad = _residual_ok(resid, z_order)
-        results.append((name, ok, bad))
-    return EquationReport(t, direction, u_degree, z_order, tuple(results))
+            if not parts:
+                continue
+            resid = sum(parts, constant if j == 0 else 0).truncate(z_order + 1)
+            if not resid.is_zero():
+                e, c = next(resid.terms())
+                violations.append(f"{name} violated at u^{j} z^{e} term {c}")
+                break
+    return violations

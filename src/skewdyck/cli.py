@@ -145,7 +145,7 @@ def _series_for(name: str, order: int):
                 k = int(parts[2])
             except ValueError:
                 raise ValueError(f"bad prefix level in {name!r}") from None
-            return kernel.prefix_series(2, Layer(parts[1]), k, order)
+            return kernel.prefix_series(kernel.solve(2, order), Layer(parts[1]), k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 
 

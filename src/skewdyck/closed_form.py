@@ -20,7 +20,7 @@ from math import comb
 from .series import Series, SeriesError
 
 
-def r_series(order: int = 32) -> Series:
+def r_series(order: int) -> Series:
     """Expand R(z); the 1/z poles cancel, leaving integer coefficients."""
     work = order + 2
     root = Series.poly({0: 1, 1: -8, 2: 4}, work).sqrt()

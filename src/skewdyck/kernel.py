@@ -36,13 +36,10 @@ answer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .automaton import Layer
 from .series import Series, SeriesError, newton_root
-
-DEFAULT_ORDER = 64
 
 # Published expansion of the t=2 good root.
 S4_PUBLISHED = {
@@ -109,7 +106,7 @@ def _weighted_sum(
     return acc
 
 
-def good_root(t: int, order: int = DEFAULT_ORDER) -> Series:
+def good_root(t: int, order: int) -> Series:
     """The kernel root with leading term 1/z, to O(z^order).
 
     Newton-solves the pole-cleared equation in v = z*u from the seed
@@ -119,27 +116,6 @@ def good_root(t: int, order: int = DEFAULT_ORDER) -> Series:
     """
     v = newton_root(substituted(kernel_poly(t), -1), 1, order + 1)
     return v.shift(-1)
-
-
-def compare_with_published(computed: Series, published: Mapping[int, int]) -> list[dict]:
-    """Match computed coefficients against a published expansion.
-
-    One row per published exponent: {exponent, computed, published,
-    matches}.  Divergences are findings for the reader (typo detection),
-    never silent corrections in either direction.
-    """
-    rows = []
-    for e in sorted(published):
-        c = computed.coeff(e)
-        rows.append(
-            {
-                "exponent": e,
-                "computed": str(c),
-                "published": str(published[e]),
-                "matches": c == Fraction(published[e]),
-            }
-        )
-    return rows
 
 
 class KernelSolution(NamedTuple):
@@ -170,7 +146,7 @@ class KernelSolution(NamedTuple):
         return powers[k]
 
 
-def solve(t: int, order: int = DEFAULT_ORDER) -> KernelSolution:
+def solve(t: int, order: int) -> KernelSolution:
     """g0, h0 and the closed total for skew t-Dyck paths, all to O(z^order).
 
     With s the surviving root:  g0 = 1/(z s) - 1 (layer F),
@@ -197,14 +173,8 @@ def solve(t: int, order: int = DEFAULT_ORDER) -> KernelSolution:
     )
 
 
-def prefix_series(
-    t: int,
-    layer: Layer,
-    k: int,
-    order: int = DEFAULT_ORDER,
-    solution: KernelSolution | None = None,
-) -> Series:
-    """Closed-form series for level-k prefixes in one layer.
+def prefix_series(solution: KernelSolution, layer: Layer, k: int, order: int) -> Series:
+    """Closed-form series for level-k prefixes in one layer, to O(z^order).
 
     The geometric law: s^-k for F (1 at k = 0), g0 s^-k for G and
     h0 s^-k for H.  Each is a genuine power series: s^-k starts at z^k
@@ -212,10 +182,6 @@ def prefix_series(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if solution is None:
-        solution = solve(t, order)
-    if solution.t != t:
-        raise ValueError(f"solution is for t={solution.t}, not t={t}")
     if solution.order < order:
         raise SeriesError(
             f"solution order {solution.order} too small for level {k} at O(z^{order})"
@@ -251,28 +217,10 @@ def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
     ]
 
 
-class RecurrenceReport(NamedTuple):
-    layer: Layer
-    k_max: int
-    order: int
-    residual_ok: tuple[bool, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.residual_ok)
-
-
-def recurrence_check(
-    solution: KernelSolution,
-    layer: Layer,
-    k_max: int = 6,
-    order: int = 30,
-) -> RecurrenceReport:
-    """Check the order-2t level recurrence on the closed forms of a solution."""
+def recurrence_check(solution: KernelSolution, layer: Layer, k_max: int, order: int) -> bool:
+    """Whether the order-2t level recurrence holds on the closed forms of
+    a solution through z^order, for levels k <= k_max."""
     t = solution.t
-    cols = [
-        prefix_series(t, layer, k, order + 2, solution) for k in range(k_max + 2 * t + 1)
-    ]
+    cols = [prefix_series(solution, layer, k, order + 2) for k in range(k_max + 2 * t + 1)]
     residuals = recurrence_residuals(cols, t)
-    ok = tuple(r.truncate(order + 1).is_zero() for r in residuals[: k_max + 1])
-    return RecurrenceReport(layer, k_max, order, ok)
+    return all(r.truncate(order + 1).is_zero() for r in residuals[: k_max + 1])

@@ -41,8 +41,6 @@ from typing import NamedTuple
 from .kernel import kernel_poly, reflected, substituted
 from .series import Series, SeriesError, newton_root
 
-DEFAULT_ORDER = 64
-
 # u = z^2 w clears the valuation-2 root of the quartic kernel:
 # z^6 w^4 - z^3 w^3 - z^3 w^2 + 2 w - 1 = 0, a simple root at w(0) = 1/2.
 _S1_EQ = substituted(kernel_poly(2), 2)
@@ -67,7 +65,7 @@ S1_PUBLISHED = {
 }
 
 
-def rl_root_s1(order: int = DEFAULT_ORDER) -> Series:
+def rl_root_s1(order: int) -> Series:
     """The valuation-2 root of the quartic kernel, to O(z^order)."""
     if order < 3:
         raise ValueError("order must be >= 3 to see the z^2 lead")
@@ -75,7 +73,7 @@ def rl_root_s1(order: int = DEFAULT_ORDER) -> Series:
     return w.shift(2)
 
 
-def rl_cancelling_root(order: int = DEFAULT_ORDER) -> Series:
+def rl_cancelling_root(order: int) -> Series:
     """The reflected kernel's series root t1 = z + z^4 + ..., to O(z^order)."""
     if order < 2:
         raise ValueError("order must be >= 2 to see the z lead")
@@ -83,7 +81,7 @@ def rl_cancelling_root(order: int = DEFAULT_ORDER) -> Series:
     return y.shift(1)
 
 
-def rl_g0(order: int = DEFAULT_ORDER, t1: Series | None = None) -> Series:
+def rl_g0(order: int, t1: Series | None = None) -> Series:
     """Closed total via the explicit form -1 - z t1^2 + 2 t1 / z.
 
     The result must be a power series with integer coefficients; a
@@ -115,7 +113,7 @@ class RlSolution(NamedTuple):
     g0: Series
 
 
-def solve_rl(order: int = DEFAULT_ORDER) -> RlSolution:
+def solve_rl(order: int) -> RlSolution:
     t1 = rl_cancelling_root(order + 2)
     return RlSolution(
         order=order,

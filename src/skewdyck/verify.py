@@ -84,12 +84,11 @@ def _zero_on_window(series: Series, claim: str) -> tuple[bool, str]:
 def _published_divergences(computed: Series, published: dict, order: int) -> tuple[int, list[str]]:
     """How many published coefficients below z^order were compared, and
     each one ``computed`` differs from, named with both values."""
-    window = {e: c for e, c in published.items() if e < order}
-    rows = kernel.compare_with_published(computed, window)
-    return len(rows), [
-        f"z^{r['exponent']}: computed {r['computed']} vs published {r['published']}"
-        for r in rows
-        if not r["matches"]
+    window = sorted(e for e in published if e < order)
+    return len(window), [
+        f"z^{e}: computed {computed.coeff(e)} vs published {published[e]}"
+        for e in window
+        if computed.coeff(e) != published[e]
     ]
 
 
@@ -97,14 +96,6 @@ def _published_check(computed: Series, published: dict, order: int) -> tuple[boo
     """A strict published comparison; a FAIL names each differing coefficient."""
     checked, diverging = _published_divergences(computed, published, order)
     return not diverging, "; ".join([f"{checked} published coefficients checked", *diverging])
-
-
-def _equations_check(report) -> tuple[bool, str]:
-    """An `EquationReport` as a check; a FAIL names its first violation."""
-    for name, ok, bad in report.results:
-        if not ok:
-            return False, f"{name} violated at {bad}"
-    return True, ""
 
 
 def _integer_coeff(series: Series, n: int, name: str) -> int:
@@ -115,7 +106,7 @@ def _integer_coeff(series: Series, n: int, name: str) -> int:
     return c.numerator
 
 
-def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> VerificationReport:
+def run_verification(order: int, t_list: tuple[int, ...]) -> VerificationReport:
     """Run every suite at the given series order.
 
     Orders below 32 shrink some comparison windows; the report says so
@@ -157,17 +148,13 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             return True, f"all cells match exhaustive enumeration, n <= {n_hi}"
         guard(f"enumeration-vs-table t={t}", enum_check)
 
-    # functional equations
+    # functional equations; a FAIL names the first violation
     z_ord = min(20, order - 1)
-    for t in t_list:
-        guard(
-            f"functional-equations LR t={t}",
-            lambda t=t: _equations_check(verify_functional_equations(t, 8, z_ord, "LR")),
-        )
-    guard(
-        "functional-equations RL t=2",
-        lambda: _equations_check(verify_functional_equations(2, 8, z_ord, "RL")),
-    )
+    for t, direction in [*((t, "LR") for t in t_list), (2, "RL")]:
+        def equations_check(t=t, direction=direction):
+            violations = verify_functional_equations(t, 8, z_ord, direction)
+            return not violations, violations[0] if violations else ""
+        guard(f"functional-equations {direction} t={t}", equations_check)
 
     # kernel roots: residuals and published expansions.  t = 2 is always
     # solved: the right-to-left checks and the length-15 line use it.
@@ -221,7 +208,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             table = dp_counts(sol.t, n_hi, k_max=k_hi)
             for layer in Layer:
                 for k in range(k_hi + 1):
-                    ser = kernel.prefix_series(sol.t, layer, k, n_hi + 1, sol)
+                    ser = kernel.prefix_series(sol, layer, k, n_hi + 1)
                     for n in range(n_hi + 1):
                         if ser.coeff(n) != table.count(n, k, layer):
                             return False, f"{layer.value}_{k} differs at z^{n}"
@@ -232,7 +219,7 @@ def run_verification(order: int = 64, t_list: tuple[int, ...] = (2, 3)) -> Verif
             ord_rec = max(2, min(30, order - 13))
             k_hi = 6
             for layer in Layer:
-                if not kernel.recurrence_check(sol, layer, k_hi, ord_rec).all_hold:
+                if not kernel.recurrence_check(sol, layer, k_hi, ord_rec):
                     return False, f"layer {layer.value}"
             return True, (
                 f"order-{2 * sol.t} level recurrence holds through z^{ord_rec}, k <= {k_hi}"

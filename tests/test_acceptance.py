@@ -17,7 +17,6 @@ from skewdyck.closed_form import lagrange_identity_check, narayana_sum, r_series
 from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
-    compare_with_published,
     good_root,
     kernel_poly,
     prefix_series,
@@ -64,8 +63,7 @@ def test_c02_kernel_oracle_equivalence_to_60():
 def test_c03_good_root_reproduction():
     with criterion("C3", "surviving t=2 root matches every published coefficient"):
         s = good_root(2, 30)
-        rows = compare_with_published(s, S4_PUBLISHED)
-        assert all(row["matches"] for row in rows), rows
+        assert {e for e, c in S4_PUBLISHED.items() if s.coeff(e) != c} == set()
 
 
 def test_c04_prefix_series_reproduction():
@@ -74,13 +72,13 @@ def test_c04_prefix_series_reproduction():
         table = dp_counts(2, 24, k_max=8)
         for layer in Layer:
             for k in range(9):
-                ser = prefix_series(2, layer, k, 25, sol)
+                ser = prefix_series(sol, layer, k, 25)
                 for n in range(25):
                     assert ser.coeff(n) == Fraction(table.count(n, k, layer))
         # the two expansions called out by name
-        f1 = prefix_series(2, Layer.F, 1, 25, sol)
+        f1 = prefix_series(sol, Layer.F, 1, 25)
         assert (f1 - (sol.g0 + 1).shift(1).truncate(25)).is_zero()
-        h0 = prefix_series(2, Layer.H, 0, 25, sol)
+        h0 = prefix_series(sol, Layer.H, 0, 25)
         assert [h0.coeff(e) for e in (6, 9, 12, 15, 18, 21)] == [1, 6, 34, 198, 1191, 7364]
 
 
@@ -88,8 +86,7 @@ def test_c05_order_four_recurrence():
     with criterion("C5", "level recurrence exact to order 30, all layers, k <= 6"):
         sol = solve(2, 45)
         for layer in Layer:
-            report = recurrence_check(sol, layer, 6, 30)
-            assert report.all_hold, layer
+            assert recurrence_check(sol, layer, 6, 30), layer
 
 
 def test_c06_closed_form_coefficients():
@@ -139,22 +136,18 @@ def test_c09_t3_and_general_t():
                 assert sol.total.coeff(n) == table.closed_count(n), (t, n)
             for layer in Layer:
                 for k in range(5):
-                    ser = prefix_series(t, layer, k, 21, sol)
+                    ser = prefix_series(sol, layer, k, 21)
                     for n in range(21):
                         assert ser.coeff(n) == table.count(n, k, layer), (t, layer, k, n)
-        rows = compare_with_published(s6, S6_PUBLISHED)
-        assert rows, "comparison must be produced"
-        divergences = [row for row in rows if not row["matches"]]
         # recorded finding: the published list carries two transcription
         # slips; they are reported, and reporting them is not a failure
-        assert {row["exponent"] for row in divergences} == {7, 31}
+        assert {e for e, c in S6_PUBLISHED.items() if s6.coeff(e) != c} == {7, 31}
 
 
 def test_c10_functional_equations():
     with criterion("C10", "all summed layer equations hold (u-degree 8, z-order 20)"):
         for t, direction in ((2, "LR"), (3, "LR"), (2, "RL")):
-            report = verify_functional_equations(t, 8, 20, direction)
-            assert report.all_hold, str(report)
+            assert verify_functional_equations(t, 8, 20, direction) == [], (t, direction)
 
 
 def test_c11_rendering():

@@ -131,6 +131,62 @@ def test_every_public_function_has_a_caller():
     assert sorted(dead) == []
 
 
+def test_library_defaults_are_used():
+    # a default is a decision; the CLI owns the ones a user sees.  In the
+    # numeric layers, a defaulted parameter that every package call passes
+    # is a dead default, and one that no call passes is a constant in
+    # disguise.  A call through *args or **kwargs passes every parameter.
+    pkg = Path(skewdyck.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(pkg.glob("*.py"))}
+    defaulted = {}  # "module.function" -> (positional parameter names, defaulted names)
+    for stem in ("series", "kernel", "reverse", "closed_form", "automaton", "verify"):
+        for node in trees[stem].body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                names = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if names:
+                    defaulted[f"{stem}.{node.name}"] = (positional, names)
+
+    passed = {name: [] for name in defaulted}  # one set of passed names per call
+    for stem, tree in trees.items():
+        # a bare name resolves to its own module or to the module it is imported from
+        local = {node.name: stem for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                local.update((alias.asname or alias.name, node.module) for alias in node.names)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name) and func.id in local:
+                name = f"{local[func.id]}.{func.id}"
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = f"{func.value.id}.{func.attr}"
+            else:
+                continue
+            if name not in defaulted:
+                continue
+            positional, names = defaulted[name]
+            spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            given = set(names) if spread else set(positional[: len(call.args)])
+            passed[name].append(given | {k.arg for k in call.keywords})
+
+    unused = []
+    for name, (_, names) in defaulted.items():
+        for param in names:
+            hits = sum(param in given for given in passed[name])
+            if hits == len(passed[name]):
+                unused.append(f"{name}({param}=...) passed by every call")
+            elif hits == 0:
+                unused.append(f"{name}({param}=...) never passed")
+    assert not unused, f"library defaults no call relies on: {unused}"
+
+
 def test_no_costly_imports():
     # dataclasses pulls in inspect, and json is needed only where JSON is
     # written; either at module level would tax every command's start-up

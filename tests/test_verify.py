@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck import closed_form, kernel, reverse, verify
-from skewdyck.automaton import dp_counts
+from skewdyck import automaton, closed_form, kernel, reverse, verify
 from skewdyck.verify import run_verification
 
 
@@ -67,15 +66,16 @@ def test_published_fail_names_the_coefficient(monkeypatch, published, exponent, 
 
 def test_functional_equation_fail_names_the_violation(monkeypatch):
     # one tampered table cell breaks the F equation; the FAIL line says
-    # where, as the equation report finds it
-    real = verify.verify_functional_equations
+    # where, as the equation check finds it.  Only the equation check's
+    # tables are tampered with: `verify` holds its own `dp_counts` name.
+    real = automaton.dp_counts
 
-    def tampered(t, u_degree, z_order, direction):
-        table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
+    def tampered(*args, **kwargs):
+        table = real(*args, **kwargs)
         table._grid[9][0][1] += 1  # one G cell
-        return real(t, u_degree, z_order, direction, table)
+        return table
 
-    monkeypatch.setattr(verify, "verify_functional_equations", tampered)
+    monkeypatch.setattr(automaton, "dp_counts", tampered)
     report = run_verification(order=16, t_list=(2, 3))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
         ("functional-equations LR t=2", "layer-F violated at u^1 z^10 term -1"),
