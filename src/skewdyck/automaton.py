@@ -37,10 +37,7 @@ from __future__ import annotations
 from enum import Enum
 from math import gcd
 from operator import add
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from .series import Series
+from typing import NamedTuple
 
 
 class Layer(Enum):
@@ -143,13 +140,6 @@ class CountTable:
         empty word exactly once; the H seed would double-count it).
         """
         return sum(self.count(n, 0, layer) for layer in _SCANS[self.direction].closed)
-
-    def column_series(self, layer: Layer, k: int) -> Series:
-        """Counts for a fixed (layer, level) across n = 0..n_max, as an
-        exact series in z known to O(z^(n_max+1))."""
-        from .series import Series  # the counting table itself stays integer-only
-
-        return Series(0, [self.count(n, k, layer) for n in range(self.n_max + 1)])
 
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
@@ -271,21 +261,24 @@ def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: 
     if direction == "RL" and t != 2:
         raise ValueError("right-to-left equations are only established for t=2")
     table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
-    levels = range(u_degree + 1)
-    cols = {layer: [table.column_series(layer, k) for k in levels] for layer in Layer}
-    violations = []
-    for name, constant, terms in _equations(t, direction):
-        for j in levels:
-            parts = [
-                cols[layer][j - du].shift(dz) * c
-                for c, layer, du, dz, dropped in terms
-                if j >= du and j - du not in dropped
-            ]
-            if not parts:
-                continue
-            resid = sum(parts, constant if j == 0 else 0).truncate(z_order + 1)
-            if not resid.is_zero():
-                e, c = next(resid.terms())
-                violations.append(f"{name} violated at u^{j} z^{e} term {c}")
-                break
-    return violations
+    return [
+        f"{name} violated at {where}"
+        for name, constant, terms in _equations(t, direction)
+        if (where := _first_violation(table, constant, terms, u_degree))
+    ]
+
+
+def _first_violation(table: CountTable, constant: int, terms: tuple, u_degree: int) -> str:
+    """"u^j z^e term r" for the first nonzero residual coefficient of one
+    equation, u^j then z^e upwards, or "".  A term (c, layer, du, dz, ...)
+    adds c times the integer cell at n = e - dz, k = j - du."""
+    for j in range(u_degree + 1):
+        live = [(c, layer, j - du, dz) for c, layer, du, dz, dropped in terms
+                if j >= du and j - du not in dropped]
+        for e in range(table.n_max + 1):
+            resid = (constant if j == e == 0 else 0) + sum(
+                c * table.count(e - dz, k, layer) for c, layer, k, dz in live if e >= dz
+            )
+            if resid:
+                return f"u^{j} z^{e} term {resid}"
+    return ""

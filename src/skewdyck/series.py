@@ -399,19 +399,21 @@ class Series:
         """True if the two series coincide on their shared window.
 
         With ``upto`` the comparison is demanded through exponent
-        ``upto - 1``; if the shared window is smaller the data does not
-        support the comparison and this raises instead of vacuously
-        passing.
+        ``upto - 1``.  A shared window that ends short of it, or (without
+        ``upto``) at or below both valuations, supports no comparison, so
+        this raises instead of vacuously passing.
         """
         diff = self - other
-        if upto is not None:
-            if upto > diff.frontier:
-                raise SeriesError(
-                    f"cannot compare through z^{upto - 1}: shared window ends "
-                    f"at O(z^{diff.frontier})"
-                )
-            diff = diff.truncate(upto)
-        return diff.is_zero()
+        if upto is None:
+            if diff.frontier <= min(self._val, other._val):
+                raise SeriesError(f"nothing to compare: shared window ends at O(z^{diff.frontier})")
+            return diff.is_zero()
+        if upto > diff.frontier:
+            raise SeriesError(
+                f"cannot compare through z^{upto - 1}: shared window ends "
+                f"at O(z^{diff.frontier})"
+            )
+        return diff.truncate(upto).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Series):

@@ -12,19 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck.automaton import Layer, dp_counts, verify_functional_equations
-from skewdyck.closed_form import lagrange_identity_check, narayana_sum, r_series
-from skewdyck.kernel import (
-    S4_PUBLISHED,
-    S6_PUBLISHED,
-    good_root,
-    kernel_poly,
-    prefix_series,
-    recurrence_check,
-    solve,
-)
+from skewdyck.automaton import Layer, dp_counts
+from skewdyck.kernel import S4_PUBLISHED, S6_PUBLISHED, good_root, prefix_series, solve
 from skewdyck.render import render_document
-from skewdyck.reverse import S1_PUBLISHED, rl_g0, rl_root_s1
+from skewdyck.reverse import S1_PUBLISHED
 from skewdyck.series import Series, horner, newton_root
 from skewdyck.verify import run_verification
 
@@ -39,6 +30,21 @@ def criterion(tag, description):
     print(f"ACCEPTANCE {tag}: PASS - {description}")
 
 
+@pytest.fixture(scope="module")
+def verify64():
+    # one verify run, timed; its windows contain every window C2-C10 name
+    start = time.perf_counter()
+    report = run_verification(order=64, t_list=(2, 3, 4))
+    return {c.name: c for c in report.checks}, time.perf_counter() - start
+
+
+def assert_rows(verify64, *rows):
+    """Each (name, window text) row of the report passed over that window."""
+    checks, _ = verify64
+    for name, window in rows:
+        assert checks[name].passed and window in checks[name].detail, checks[name]
+
+
 def test_c01_closed_totals_t2():
     with criterion("C1", "table totals 1,4,19,100 at lengths 3..12, under 1s"):
         start = time.perf_counter()
@@ -49,53 +55,43 @@ def test_c01_closed_totals_t2():
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-def test_c02_kernel_oracle_equivalence_to_60():
+def test_c02_kernel_oracle_equivalence_to_60(verify64):
     with criterion("C2", "kernel total equals table totals, lengths <= 60, under 10s"):
-        start = time.perf_counter()
-        sol = solve(2, 64)
-        table = dp_counts(2, 60, k_max=0)
-        for n in range(61):
-            assert sol.total.coeff(n) == Fraction(table.closed_count(n)), n
-        elapsed = time.perf_counter() - start
+        assert_rows(verify64, ("kernel total vs table t=2", "lengths <= 60"))
+        _, elapsed = verify64
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
 
 
-def test_c03_good_root_reproduction():
+def test_c03_good_root_reproduction(verify64):
     with criterion("C3", "surviving t=2 root matches every published coefficient"):
-        s = good_root(2, 30)
-        assert {e for e, c in S4_PUBLISHED.items() if s.coeff(e) != c} == set()
+        window = f"{len(S4_PUBLISHED)} published coefficients checked"
+        assert_rows(verify64, ("good-root published coefficients t=2", window))
 
 
-def test_c04_prefix_series_reproduction():
+def test_c04_prefix_series_reproduction(verify64):
     with criterion("C4", "closed-form prefixes equal table counts, k <= 8, n <= 24"):
-        sol = solve(2, 40)
-        table = dp_counts(2, 24, k_max=8)
-        for layer in Layer:
-            for k in range(9):
-                ser = prefix_series(sol, layer, k, 25)
-                for n in range(25):
-                    assert ser.coeff(n) == Fraction(table.count(n, k, layer))
+        assert_rows(verify64, ("prefix closed forms vs table t=2", "k <= 8, n <= 24"))
         # the two expansions called out by name
+        sol = solve(2, 40)
         f1 = prefix_series(sol, Layer.F, 1, 25)
         assert (f1 - (sol.g0 + 1).shift(1).truncate(25)).is_zero()
         h0 = prefix_series(sol, Layer.H, 0, 25)
         assert [h0.coeff(e) for e in (6, 9, 12, 15, 18, 21)] == [1, 6, 34, 198, 1191, 7364]
 
 
-def test_c05_order_four_recurrence():
+def test_c05_order_four_recurrence(verify64):
     with criterion("C5", "level recurrence exact to order 30, all layers, k <= 6"):
-        sol = solve(2, 45)
-        for layer in Layer:
-            assert recurrence_check(sol, layer, 6, 30), layer
+        assert_rows(verify64, ("level recurrence t=2", "order-4 level recurrence holds through z^30, k <= 6"))
 
 
-def test_c06_closed_form_coefficients():
+def test_c06_closed_form_coefficients(verify64):
     with criterion("C6", "narayana = [z^n]R (n <= 40), printed R values, lagrange (n <= 40)"):
-        r = r_series(41)
-        for n in range(1, 41):
-            assert Fraction(narayana_sum(n)) == r.coeff(n), n
-        assert [r.coeff(n) for n in range(8)] == [1, 1, 4, 19, 100, 562, 3304, 20071]
-        assert all(lagrange_identity_check(n) for n in range(1, 41))
+        assert_rows(
+            verify64,
+            ("narayana vs R", "for n <= 40"),
+            ("R published coefficients", "[1, 1, 4, 19, 100, 562, 3304, 20071]"),
+            ("lagrange identity", "n <= 40"),
+        )
 
 
 def test_c07_discrepancy_adjudication():
@@ -109,45 +105,37 @@ def test_c07_discrepancy_adjudication():
         assert "matches the kernel-method value" in detail
 
 
-def test_c08_right_to_left():
+def test_c08_right_to_left(verify64):
     with criterion("C8", "published s1 through z^14; rl g0 = LR total to 21; mirrored counts to 30"):
-        s1 = rl_root_s1(16)
-        for e, c in S1_PUBLISHED.items():
-            if e <= 14:
-                assert s1.coeff(e) == c, e
-        g0 = rl_g0(24)
-        total = solve(2, 24).total
-        assert g0.agrees(total, upto=22)
-        lr = dp_counts(2, 30, k_max=0)
-        rl = dp_counts(2, 30, k_max=0, direction="RL")
-        for n in range(31):
-            assert lr.closed_count(n) == rl.closed_count(n), n
+        assert_rows(
+            verify64,
+            ("valuation-2 root published coefficients", f"{len(S1_PUBLISHED)} published coefficients checked"),
+            ("reflected closed form", "equal the LR total through z^63"),
+            ("mirror consistency", "lengths <= 30"),
+        )
 
 
-def test_c09_t3_and_general_t():
+def test_c09_t3_and_general_t(verify64):
     with criterion("C9", "t=3 root residual to order 40; kernel totals and prefixes = table, t=3,4, k <= 4, n <= 20; s6 divergences reported"):
-        s6 = good_root(3, 46)
-        assert s6.valuation == -1
-        assert horner(kernel_poly(3), s6).truncate(40).is_zero()
+        assert_rows(verify64, ("good-root residual t=3", "zero through z^59"))
         for t in (3, 4):
-            sol = solve(t, 21)
-            table = dp_counts(t, 20, k_max=4)
-            for n in range(21):
-                assert sol.total.coeff(n) == table.closed_count(n), (t, n)
-            for layer in Layer:
-                for k in range(5):
-                    ser = prefix_series(sol, layer, k, 21)
-                    for n in range(21):
-                        assert ser.coeff(n) == table.count(n, k, layer), (t, layer, k, n)
+            assert_rows(
+                verify64,
+                (f"kernel total vs table t={t}", "lengths <= 60"),
+                (f"prefix closed forms vs table t={t}", "k <= 8, n <= 24"),
+            )
         # recorded finding: the published list carries two transcription
         # slips; they are reported, and reporting them is not a failure
+        s6 = good_root(3, 46)
+        assert s6.valuation == -1
         assert {e for e, c in S6_PUBLISHED.items() if s6.coeff(e) != c} == {7, 31}
 
 
-def test_c10_functional_equations():
+def test_c10_functional_equations(verify64):
     with criterion("C10", "all summed layer equations hold (u-degree 8, z-order 20)"):
-        for t, direction in ((2, "LR"), (3, "LR"), (2, "RL")):
-            assert verify_functional_equations(t, 8, 20, direction) == [], (t, direction)
+        # a passing equation line has no detail; a failing one names the term
+        for direction, t in (("LR", 2), ("LR", 3), ("RL", 2)):
+            assert_rows(verify64, (f"functional-equations {direction} t={t}", ""))
 
 
 def test_c11_rendering():

@@ -10,6 +10,7 @@ from skewdyck import automaton
 from skewdyck.automaton import Layer, dp_counts, verify_functional_equations
 from skewdyck.kernel import recurrence_residuals
 from skewdyck.paths import Step, walk
+from skewdyck.series import Series
 
 
 def total(t, n):
@@ -254,7 +255,7 @@ class TestColumnRecurrence:
     def test_t2_columns_satisfy_kernel_recurrence(self):
         table = dp_counts(2, 24, k_max=12)
         for layer in Layer:
-            cols = [table.column_series(layer, k) for k in range(11)]
+            cols = [Series(0, [table.count(n, k, layer) for n in range(25)]) for k in range(11)]
             for residual in recurrence_residuals(cols, 2):
                 assert residual.truncate(24).is_zero()
 

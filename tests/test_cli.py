@@ -424,6 +424,11 @@ VERIFY_DIGESTS = {
     (64, "2", "json"): "0388a494ea1297259c2f44e116ba793a4496f5fc67dbcee1fac3693bbe0a43a1",
     (96, "2,3", "text"): "5747bf1df008a05b76f765ba459d902d253290028054a4d3e6a0fecceeab1c3a",
     (96, "2,3", "json"): "2d69ac5fa3d91ea2f45bbf14ea108bcc5d1303da86dc5be5617fc849c0d25669",
+    # low orders print the reduced-window note; a repeated t is dropped and
+    # the first-seen order kept
+    (8, "2,3", "text"): "1b26023ac326c35c6f74fa6a5d51da1f125ecc2e31f5d415dffe7509d404f324",
+    (31, "2,3,4", "json"): "4a7f85db07a118607b3596613388341092ff08a5f2ff45de5d28f911cb2a3709",
+    (64, "3,2,3", "text"): "b7ba0cd1ad43fb5f2be364301f5d722e5c636513aeec49e96f3c35fa28806361",
 }
 
 

@@ -87,6 +87,13 @@ def test_enumeration_route_imports_no_other_layer():
     assert package_imports("paths") == set()
 
 
+def test_table_route_imports_no_other_layer():
+    # the counting table is the oracle every series is measured against:
+    # were it to import the series engine, a table and a series could
+    # share a fault
+    assert package_imports("automaton") == set()
+
+
 def test_every_public_function_has_a_caller():
     # code that nothing in the package calls is dead weight: every public
     # top-level function or class must be named somewhere in the package

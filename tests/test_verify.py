@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from skewdyck import automaton, closed_form, kernel, reverse, verify
+from skewdyck.cli import main
 from skewdyck.verify import run_verification
 
 
@@ -82,3 +83,27 @@ def test_functional_equation_fail_names_the_violation(monkeypatch):
         ("functional-equations LR t=3", "layer-F violated at u^1 z^10 term -1"),
         ("functional-equations RL t=2", "layer-F violated at u^3 z^10 term -1"),
     ]
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
+    # a crash inside one check is that check's FAIL, with the error as
+    # its detail: the checks after it still run, and verify exits 1
+    def broken(n):
+        raise ZeroDivisionError("identity exploded")
+
+    monkeypatch.setattr(closed_form, "lagrange_identity_check", broken)
+    assert main(["verify", "--order", "16", "--t", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("  FAIL")] == [
+        "  FAIL  lagrange identity  [error: identity exploded]"
+    ]
+    names = [line.split("  ")[2] for line in lines if line.startswith(("  PASS", "  FAIL"))]
+    assert names[names.index("lagrange identity") + 1 :] == [
+        "R defining quadratic",
+        "valuation-2 root published coefficients",
+        "reflected-kernel consistency",
+        "reflected closed form",
+        "mirror consistency",
+        "length-15 adjudication",
+    ]
+    assert lines[-1] == "result: FAIL"
