@@ -6,14 +6,15 @@ The layer generating functions share the kernel denominator
 
 Exactly one root of K_t in u has a 1/z leading term; it is the root that
 survives in the power-series solution, and every level column of the
-counting table is geometric in it.  The root is expanded by substituting
-u = v/z, which clears the pole; with the lowest power of z divided out,
-Newton solves
+counting table is geometric in it.  `series_root` expands it, as it
+expands every kernel root in the package: u = z^a v (`substituted`)
+moves a root of valuation a to a nonzero constant term, and Newton
+solves the result from a rational seed.  Here a = -1; with the lowest
+power of z divided out, the equation is
 
     v^(2t) - v^(2t-1) - z^(t+1) v^t + 2 z^(t+1) v^(t-1) - z^(2t+2) = 0
 
-from the rational seed v(0) = 1.  `substituted` derives that equation
-from `kernel_poly`, and `reflected` the right-to-left kernel, so
+with seed v(0) = 1.  `reflected` derives the right-to-left kernel, so
 `kernel_poly` is the one kernel polynomial written out in the code.
 
 Every level column is geometric in the surviving root s: the level-k
@@ -93,6 +94,17 @@ def reflected(poly: dict) -> dict:
     return {d - p: {e: -c for e, c in zp.items()} for p, zp in poly.items()}
 
 
+def series_root(poly: dict, valuation: int, seed, order: int) -> Series:
+    """The root of P(u, z) = 0 with lead term seed z^valuation, to O(z^order).
+
+    The seed must be a simple root of the substituted equation at z = 0.
+    """
+    if order <= valuation:
+        raise ValueError(f"order must be >= {valuation + 1} to see the z^{valuation} lead")
+    v = newton_root(substituted(poly, valuation), seed, order - valuation)
+    return v.shift(valuation)
+
+
 def _weighted_sum(
     coeffs_by_power: Mapping[int, Mapping[int, int]], powers: Sequence[Series]
 ) -> Series:
@@ -109,13 +121,10 @@ def _weighted_sum(
 def good_root(t: int, order: int) -> Series:
     """The kernel root with leading term 1/z, to O(z^order).
 
-    Newton-solves the pole-cleared equation in v = z*u from the seed
-    v(0) = 1 (a simple root there), then shifts back.  The ramified
-    roots are unreachable through this normalization, so the solver
-    cannot wander onto them.
+    The pole-cleared equation in v = z*u has a simple root at v(0) = 1;
+    the ramified roots cannot be reached from it.
     """
-    v = newton_root(substituted(kernel_poly(t), -1), 1, order + 1)
-    return v.shift(-1)
+    return series_root(kernel_poly(t), -1, 1, order)
 
 
 class KernelSolution(NamedTuple):
@@ -189,7 +198,7 @@ def prefix_series(solution: KernelSolution, layer: Layer, k: int, order: int) ->
     if k >= order:
         return Series.zero(order)  # s^-k starts at z^k: no prefix is that short
     if layer is Layer.F:
-        out = Series.one(order) if k == 0 else solution.s_inv_power(k)
+        out = Series.poly({0: 1}, order) if k == 0 else solution.s_inv_power(k)
     else:
         out = solution.g0 if layer is Layer.G else solution.h0
         if k:

@@ -23,6 +23,7 @@ CACHE_ENV_VAR = "SKEWDYCK_OEIS_CACHE"
 
 _BUNDLED = {"A007564": "a007564.txt"}
 _ID_RE = re.compile(r"^A\d{6}$")
+_FETCH_TIMEOUT_S = 15.0  # seconds an online fetch waits on oeis.org
 
 
 class OeisError(RuntimeError):
@@ -68,7 +69,6 @@ def load_terms(
     seq_id: str,
     cache_dir: Path | str | None = None,
     offline: bool = False,
-    timeout: float = 15.0,
 ) -> dict[int, int]:
     """Terms for a sequence id, from cache, bundle, or the network.
 
@@ -92,7 +92,7 @@ def load_terms(
     import urllib.error
     import urllib.request
     try:
-        with urllib.request.urlopen(b_file_url(seq_id), timeout=timeout) as resp:
+        with urllib.request.urlopen(b_file_url(seq_id), timeout=_FETCH_TIMEOUT_S) as resp:
             text = resp.read().decode("utf-8")
     except (urllib.error.URLError, OSError, TimeoutError) as exc:
         bundled = _bundled_text(seq_id)

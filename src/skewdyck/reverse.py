@@ -7,9 +7,9 @@ reciprocal of the left-to-right one,
 
     z^3 u^4 - 2 z u^3 + z^2 u^2 + u - z,
 
-and its roots are the reciprocals of the original four.  This kernel and
-both Newton equations below are derived from `kernel.kernel_poly` by
-`kernel.reflected` and `kernel.substituted`, not written out.  The factor
+and its roots are the reciprocals of the original four.  This kernel is
+derived from `kernel.kernel_poly` by `kernel.reflected`, not written
+out, and each root below is one `kernel.series_root` call.  The factor
 that must divide out of the numerator is the one whose root vanishes at
 z = 0: the reciprocal of the valuation -1 root, here called t1, with
 t1 = z + z^4 + ...  (Reciprocals of the other roots either ramify or
@@ -19,9 +19,9 @@ Cancelling it leaves the closed total in two equivalent shapes:
     g0 = (1 - z t1^2) / (1 - 2 z t1^2) = -1 - z t1^2 + 2 t1 / z.
 
 The explicit form is the one computed; the quotient form is kept as a
-cross-check.  t1 is expanded by its own Newton solve on the reflected
-kernel (substituting u = z y), not by inverting the left-to-right root,
-so the identity t1 * s = 1 stays an honest test between two routes.
+cross-check.  t1 is expanded as a root of the reflected kernel itself,
+not by inverting the left-to-right root, so the identity t1 * s = 1
+stays an honest test between two routes.
 
 The valuation-2 root of the original kernel (s1 below) is expanded as
 well: its printed rational coefficients pin the solver on a genuinely
@@ -38,19 +38,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .kernel import kernel_poly, reflected, substituted
-from .series import Series, SeriesError, newton_root
+from .kernel import kernel_poly, reflected, series_root
+from .series import Series, SeriesError
 
-# u = z^2 w clears the valuation-2 root of the quartic kernel:
-# z^6 w^4 - z^3 w^3 - z^3 w^2 + 2 w - 1 = 0, a simple root at w(0) = 1/2.
-_S1_EQ = substituted(kernel_poly(2), 2)
-
-# The reflected kernel itself, for residual checks.
 RECIPROCAL_KERNEL = reflected(kernel_poly(2))
-
-# u = z y clears the valuation-1 root of the reflected kernel:
-# z^6 y^4 - 2 z^3 y^3 + z^3 y^2 + y - 1 = 0, a simple root at y(0) = 1.
-_T1_EQ = substituted(RECIPROCAL_KERNEL, 1)
 
 # Published coefficients of s1, for cross-checking the solver.
 S1_PUBLISHED = {
@@ -66,19 +57,13 @@ S1_PUBLISHED = {
 
 
 def rl_root_s1(order: int) -> Series:
-    """The valuation-2 root of the quartic kernel, to O(z^order)."""
-    if order < 3:
-        raise ValueError("order must be >= 3 to see the z^2 lead")
-    w = newton_root(_S1_EQ, Fraction(1, 2), order - 2)
-    return w.shift(2)
+    """The quartic kernel's valuation-2 root s1 = z^2/2 + ..., to O(z^order)."""
+    return series_root(kernel_poly(2), 2, Fraction(1, 2), order)
 
 
 def rl_cancelling_root(order: int) -> Series:
     """The reflected kernel's series root t1 = z + z^4 + ..., to O(z^order)."""
-    if order < 2:
-        raise ValueError("order must be >= 2 to see the z lead")
-    y = newton_root(_T1_EQ, 1, order - 1)
-    return y.shift(1)
+    return series_root(RECIPROCAL_KERNEL, 1, 1, order)
 
 
 def rl_g0(order: int, t1: Series | None = None) -> Series:

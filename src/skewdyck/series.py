@@ -15,6 +15,8 @@ numerator (a series that is zero on its window has ``nums == ()`` and
 operation reads and writes that form; `fractions.Fraction` values are
 built only where coefficients are handed out or printed (`coeffs`,
 `coeff`, `terms`, `__str__`, `to_json`).  Floats are rejected outright.
+A series is built from a coefficient list (`Series(valuation, coeffs)`),
+from a term dict (`Series.poly`) or as `Series.zero`.
 
 Reciprocals and square roots are Newton iterations that double their
 working precision on each step (Brent & Kung 1978; von zur Gathen &
@@ -22,8 +24,8 @@ Gerhard, *Modern Computer Algebra*, ch. 9), and so is `newton_root`.
 
 A polynomial in the unknown is a plain dict {power: {z-exponent:
 coefficient}}: `horner` is its one evaluator at a series and
-`newton_root` its solver.  The equations solved are derived from the
-kernel (`kernel.substituted`, `kernel.reflected`), not written out.
+`newton_root` its solver, which the package calls only through
+`kernel.series_root`, once a root's valuation is normalised.
 
 Negative exponents are supported down to any finite valuation, which is
 all the counting work needs (the useful algebraic roots have a single
@@ -49,10 +51,6 @@ def _ratio(x) -> tuple[int, int]:
         return int(x), 1
     # bool is an int subclass; no other types are exact
     raise TypeError(f"exact rational coefficient expected, got {type(x).__name__}")
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
@@ -190,22 +188,6 @@ class Series:
         return _raw(frontier, (), 1, frontier)
 
     @classmethod
-    def constant(cls, c, frontier: int) -> "Series":
-        return cls.monomial(c, 0, frontier)
-
-    @classmethod
-    def one(cls, frontier: int) -> "Series":
-        return cls.monomial(1, 0, frontier)
-
-    @classmethod
-    def monomial(cls, c, exp: int, frontier: int) -> "Series":
-        if exp >= frontier:
-            raise SeriesError(
-                f"window up to O(z^{frontier}) cannot hold a z^{exp} term"
-            )
-        return cls(exp, [c] + [0] * (frontier - exp - 1))
-
-    @classmethod
     def poly(cls, terms: dict, frontier: int) -> "Series":
         """Series from {exponent: coefficient}; exact up to the frontier."""
         if not terms:
@@ -274,7 +256,7 @@ class Series:
                 return NotImplemented
             if other == 0:
                 return self
-            other = Series.constant(other, self._frontier)
+            other = Series.poly({0: other}, self._frontier)
         frontier = min(self._frontier, other._frontier)
         lo = min(self._val, other._val, frontier)
         den = self._den if self._den == other._den else lcm(self._den, other._den)
@@ -291,9 +273,7 @@ class Series:
         return _raw(self._val, tuple(-x for x in self._nums), self._den, self._frontier)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, Series):
+        if not isinstance(other, (Series, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -328,12 +308,9 @@ class Series:
         return self * other.reciprocal()
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("series powers must be integers")
-        if n < 0:
-            return self.reciprocal() ** (-n)
-        if n == 0:
-            return Series.one(max(self.order, 1))
+        """self**n for an integer n >= 1, by repeated squaring."""
+        if not isinstance(n, int) or n < 1:
+            raise SeriesError(f"series powers must be integers >= 1, got {n!r}")
         acc = None
         base = self
         while n:
@@ -493,7 +470,7 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     terms.  The residual is checked at the full order after the final
     step and a nonzero residual raises.
     """
-    seed = _as_fraction(seed)
+    seed = Fraction(*_ratio(seed))
     if order < 1:
         raise ValueError("order must be at least 1")
     deriv = {p - 1: {e: p * c for e, c in zp.items()} for p, zp in poly.items() if p}
@@ -508,7 +485,7 @@ def newton_root(poly: dict, seed, order: int) -> Series:
             f"root at seed {seed} is ramified (derivative vanishes at z=0); "
             "apply a normalizing substitution before solving"
         )
-    v = Series.constant(seed, 1)
+    v = Series.poly({0: seed}, 1)
     m = 1
     while m < order:
         h, m = m, min(2 * m, order)

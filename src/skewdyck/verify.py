@@ -128,11 +128,14 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
 
 def _matches(triples, passed: str, mismatch: str) -> Verdict:
     """Compare (key, left, right) triples in order: PASS with ``passed``, or
-    FAIL at the first pair that differs, with its key filled into ``mismatch``."""
+    FAIL at the first pair that differs, with its key filled into ``mismatch``.
+    With no triple at all, nothing is compared, and that fails."""
+    compared = False
     for key, left, right in triples:
         if left != right:
             return False, mismatch.format(*key)
-    return True, passed
+        compared = True
+    return (True, passed) if compared else (False, "nothing compared: the window is empty")
 
 
 def _zero_on_window(series: Series, claim: str) -> Verdict:
@@ -154,8 +157,11 @@ def _published_divergences(computed: Series, published: dict, order: int) -> tup
 
 
 def _published_check(computed: Series, published: dict, order: int) -> Verdict:
-    """A strict published comparison; a FAIL names each differing coefficient."""
+    """A strict published comparison; a FAIL names each differing coefficient,
+    and a window that holds no published coefficient fails."""
     checked, diverging = _published_divergences(computed, published, order)
+    if not checked:
+        return False, f"nothing compared: no published coefficient below z^{order}"
     return not diverging, "; ".join([f"{checked} published coefficients checked", *diverging])
 
 

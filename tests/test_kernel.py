@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewdyck.automaton import Layer, dp_counts
@@ -15,9 +15,11 @@ from skewdyck.kernel import (
     prefix_series,
     recurrence_check,
     recurrence_residuals,
+    series_root,
     solve,
     substituted,
 )
+from skewdyck.reverse import rl_cancelling_root, rl_root_s1
 from skewdyck.series import Series, SeriesError, horner
 
 
@@ -101,6 +103,56 @@ class TestGoodRoot:
         s = good_root(3, 36)
         assert {e for e, c in S6_PUBLISHED.items() if s.coeff(e) != c} == {7, 31}
         assert (s.coeff(7), s.coeff(31)) == (-3, -381093)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+class TestSeriesRoot:
+    """`series_root`, the one path from a polynomial to a root of given valuation."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        valuation=st.sampled_from([-1, 1, 2]),
+        table=st.dictionaries(
+            st.integers(1, 4),
+            st.dictionaries(st.integers(0, 3), rationals, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=rationals.filter(bool),
+        order=st.integers(3, 12),
+    )
+    def test_root_of_a_random_polynomial(self, valuation, table, seed, order):
+        # Q(v, z) gets a simple root at v(0) = seed from its constant term;
+        # P(u, z) = Q(u z^-valuation, z), times the power of z that leaves
+        # no negative exponent, has that root at u = seed z^valuation
+        c0 = -sum(Fraction(zp.get(0, 0)) * seed**p for p, zp in table.items())
+        q = {**table, 0: {**table.get(0, {}), 0: c0}}
+        slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in q.items() if p)
+        assume(slope != 0)
+        low = min(e - valuation * p for p, zp in q.items() for e in zp)
+        poly = {p: {e - valuation * p - low: c for e, c in zp.items()} for p, zp in q.items()}
+        assert substituted(poly, valuation) == q
+
+        root = series_root(poly, valuation, seed, order)
+        assert root.frontier == order
+        assert root.coeff(valuation) == seed
+        residual = horner(poly, root)
+        # P(root) = z^-low Q(v): known to O(z^(order - valuation - low))
+        assert residual.frontier >= order - valuation - low
+        assert residual.is_zero()
+        with pytest.raises(ValueError, match=f"order must be >= {valuation + 1} "):
+            series_root(poly, valuation, seed, valuation)
+
+    @pytest.mark.parametrize(
+        "root, valuation",
+        [(lambda n: good_root(2, n), -1), (rl_root_s1, 2), (rl_cancelling_root, 1)],
+    )
+    def test_every_kernel_root_guards_its_lead(self, root, valuation):
+        with pytest.raises(ValueError, match=f"to see the z\\^{valuation} lead"):
+            root(valuation)
+        assert root(valuation + 1).frontier == valuation + 1
 
 
 class TestSolveT2:
@@ -269,12 +321,12 @@ class TestRecurrence:
         sol = solve(t, 24)
         for layer in Layer:
             assert recurrence_check(sol, layer, 4, 20)
-        cols = [Series.one(8)] * (2 * t + 3)
+        cols = [Series.poly({0: 1}, 8)] * (2 * t + 3)
         assert len(recurrence_residuals(cols, t)) == 3
 
     def test_detects_a_wrong_column(self):
         # the residual of a column sequence that is not geometric in s
         sol = solve(2, 24)
         cols = [prefix_series(sol, Layer.G, k, 20) for k in range(6)]
-        cols[2] = cols[2] + Series.monomial(1, 10, 20)
+        cols[2] = cols[2] + Series.poly({10: 1}, 20)
         assert not all(r.truncate(19).is_zero() for r in recurrence_residuals(cols, 2))

@@ -10,10 +10,9 @@ from skewdyck.kernel import (
     kernel_poly,
     reflected,
     solve,
+    substituted,
 )
 from skewdyck.reverse import (
-    _S1_EQ,
-    _T1_EQ,
     RECIPROCAL_KERNEL,
     S1_PUBLISHED,
     rl_cancelling_root,
@@ -26,10 +25,11 @@ from skewdyck.series import Series, SeriesError, horner
 
 
 class TestDerivedEquations:
-    # the hand-derived forms, which `substituted` and `reflected` must reproduce
+    # the hand-derived forms, which `substituted` and `reflected` must
+    # reproduce: the equations `series_root` solves for s1 and t1
     def test_s1_equation(self):
         # u = z^2 w in the quartic kernel
-        assert _S1_EQ == {4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}
+        assert substituted(kernel_poly(2), 2) == {4: {6: 1}, 3: {3: -1}, 2: {3: -1}, 1: {0: 2}, 0: {0: -1}}
 
     def test_reciprocal_kernel(self):
         # z^3 u^4 - 2 z u^3 + z^2 u^2 + u - z
@@ -37,7 +37,7 @@ class TestDerivedEquations:
 
     def test_t1_equation(self):
         # u = z y in the reflected kernel
-        assert _T1_EQ == {4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}}
+        assert substituted(RECIPROCAL_KERNEL, 1) == {4: {6: 1}, 3: {3: -2}, 2: {3: 1}, 1: {0: 1}, 0: {0: -1}}
 
     def test_reflection_is_an_involution(self):
         for t in (2, 3, 5):

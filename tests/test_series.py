@@ -49,6 +49,12 @@ class TestArithmetic:
         assert (1 + a).coeff(0) == 1
         assert (a - 2).coeff(0) == -2
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_power_below_one_raises(self, n):
+        # no package call takes a power below 1, so none is accepted
+        with pytest.raises(SeriesError, match="integers >= 1"):
+            Series.poly({0: 1, 1: 1}, 6) ** n
+
     def test_add_min_frontier(self):
         a = Series.poly({0: 1}, 12)
         b = Series.poly({0: 1}, 5)
@@ -335,7 +341,7 @@ class TestProperties:
     def test_ring_laws(self, a, b, c):
         assert (a * b) == (b * a)
         assert (a - a).is_zero()
-        assert a * Series.one(a.order + 1) == a
+        assert a * Series.poly({0: 1}, a.order + 1) == a
         laws = [
             ((a + b) + c, a + (b + c)),
             (a + b, b + a),
@@ -358,7 +364,7 @@ class TestProperties:
         inv = a.reciprocal()
         assert inv == ref_reciprocal(a)
         assert inv.reciprocal() == a
-        assert a * inv == Series.one(a.order)
+        assert a * inv == Series.poly({0: 1}, a.order)
 
     @settings(deadline=None, max_examples=200)
     @given(series(nonzero_lead=True), nonzero)

@@ -55,6 +55,23 @@ def test_series_routes_never_read_the_table():
     assert not found, f"series-side modules use the counting table: {found}"
 
 
+def test_one_path_to_a_kernel_root():
+    # every root is expanded by `kernel.series_root`: it is the package's
+    # only call of `series.newton_root`, and no module but the kernel
+    # calls `substituted` (a module-level call counts as `<module>`)
+    callers = {"newton_root": [], "substituted": []}
+    for path in sorted(Path(skewdyck.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in callers:
+                        callers[name].append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers["newton_root"] == ["kernel.series_root"]
+    assert {caller.partition(".")[0] for caller in callers["substituted"]} == {"kernel"}
+
+
 def package_imports(stem):
     # the modules the package module `stem` imports, with the package's own
     # named `skewdyck.<module>`

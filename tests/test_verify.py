@@ -65,6 +65,26 @@ def test_published_fail_names_the_coefficient(monkeypatch, published, exponent, 
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [(name, detail)]
 
 
+def test_an_empty_comparison_fails():
+    # a comparison with nothing in its window says so and fails, as
+    # `_zero_on_window` and `Series.agrees` already do
+    assert verify._matches([], "all match", "mismatch at {}") == (
+        False, "nothing compared: the window is empty"
+    )
+    s = kernel.good_root(2, 40)
+    assert verify._published_check(s, {}, 40) == (
+        False, "nothing compared: no published coefficient below z^40"
+    )
+    assert verify._published_check(s, kernel.S4_PUBLISHED, -1) == (
+        False, "nothing compared: no published coefficient below z^-1"
+    )
+    # one compared value is enough to pass
+    assert verify._matches([((0,), 1, 1)], "all match", "mismatch at {}") == (True, "all match")
+    assert verify._published_check(s, kernel.S4_PUBLISHED, 0) == (
+        True, "1 published coefficients checked"
+    )
+
+
 def test_functional_equation_fail_names_the_violation(monkeypatch):
     # one tampered table cell breaks the F equation; the FAIL line says
     # where, as the equation check finds it.  Only the equation check's
