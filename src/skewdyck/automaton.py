@@ -21,11 +21,11 @@ Every level change is congruent to one residue c modulo a period m
 directions, c = 1 left to right and c = t right to left), so a word of
 n steps sits at a level k = c*n (mod m).  Each walked row holds only
 that residue class, and every arrow becomes one index shift per row.
-The walk keeps only the previous row and computes only the levels that
-can still fall back into the stored window, so a table of levels
-k <= k_max takes O(n * k_max) memory, and the walked rows are about
-m times shorter than a dense walk's.  The stored table is dense: the
-unreachable cells read zero.
+The walk computes only the levels that can still fall back into the
+stored window, and the table stores the walked rows themselves, clipped
+to k_max: a table of levels k <= k_max takes O(n * k_max / m) memory,
+and the cells off the class read zero without being stored.  One row
+plan, built from the edge list, adds each shared source sum once.
 
 This table is the oracle the closed forms are measured against, so the
 arithmetic is plain Python integers end to end: no modulus, no floats,
@@ -102,35 +102,76 @@ def _period(arcs: list[tuple[int, int, int]]) -> tuple[int, int]:
     return m, deltas[0] % m
 
 
-def _stored(row: list[list[int]], base: int, m: int, k_max: int) -> list[list[int]]:
-    """Levels k <= k_max of a walked row as [F, G, H] cells, zero-filled.
+class _Sum(NamedTuple):
+    """One target's sum of shifted source rows within one level change."""
 
-    Cell j of the walked row sits at level base + m*j; the levels between
-    are out of reach and stay zero.
+    target: int  # layer index written
+    prior: int | None  # index of an earlier sum of this level change to extend
+    sources: tuple[int, ...]  # layer indices added on top of the prior sum
+    keep: bool  # a later sum reads this one, so it is made a list
+    into: bool  # an earlier level change wrote the target: add into the row
+
+
+def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
+    """(level change, sums) for each level change of the arcs, in arc order.
+
+    Within one level change every source row is read at one shift, so
+    each is sliced once.  Targets are summed smallest source set first,
+    and a target whose sources contain an earlier target's extends the
+    largest such sum instead of re-adding it.  A sum that a later one
+    reads is made a list, because a ``map`` can be read only once.
     """
-    cells = [[0, 0, 0] for _ in range(k_max + 1)]
-    for k, cell in zip(range(base, k_max + 1, m), zip(*row)):
-        cells[k] = list(cell)
-    return cells
+    changes: dict[int, dict[int, set[int]]] = {}
+    for src, dst, delta in arcs:
+        changes.setdefault(delta, {}).setdefault(dst, set()).add(src)
+    plan, written = [], set()
+    for delta, targets in changes.items():
+        made: list[set[int]] = []  # the source set of each sum so far
+        sums: list[_Sum] = []
+        for dst, srcs in sorted(targets.items(), key=lambda item: len(item[1])):
+            prior = max(
+                (i for i, done in enumerate(made) if done <= srcs),
+                key=lambda i: len(made[i]), default=None,
+            )
+            extra = srcs
+            if prior is not None:
+                extra = srcs - made[prior]
+                sums[prior] = sums[prior]._replace(keep=True)
+            made.append(srcs)
+            sums.append(_Sum(dst, prior, tuple(sorted(extra)), False, dst in written))
+        written.update(targets)
+        plan.append((delta, sums))
+    return plan
 
 
 class CountTable:
-    """Immutable grid of exact counts indexed by (steps n, level k, layer)."""
+    """Immutable table of exact counts indexed by (steps n, level k, layer).
 
-    def __init__(self, t: int, n_max: int, k_max: int, direction: str, grid):
+    Row n holds one list per layer (F, G, H); cell j of a list is level
+    (c*n) % m + m*j, up to k_max.  Levels off that class, or above the
+    highest level n steps reach, are out of reach and read zero.
+    """
+
+    def __init__(self, t: int, n_max: int, k_max: int, direction: str, period, grid):
         self.t = t
         self.n_max = n_max
         self.k_max = k_max
         self.direction = direction
-        self._grid = grid  # grid[n][k][layer-index] for k <= k_max
+        self._m, self._c = period
+        self._grid = grid  # grid[n][layer-index][j] is level (c*n) % m + m*j
 
-    def count(self, n: int, k: int, layer: Layer) -> int:
+    def _check(self, n: int, k: int) -> None:
         if not (0 <= n <= self.n_max and 0 <= k <= self.k_max):
             raise ValueError(
                 f"cell (n={n}, k={k}) outside the table bounds "
                 f"(n<={self.n_max}, k<={self.k_max})"
             )
-        return self._grid[n][k][_LIDX[layer]]
+
+    def count(self, n: int, k: int, layer: Layer) -> int:
+        self._check(n, k)
+        cells = self._grid[n][_LIDX[layer]]
+        j, residue = divmod(k, self._m)
+        return cells[j] if residue == self._c * n % self._m and j < len(cells) else 0
 
     def closed_count(self, n: int) -> int:
         """Closed words of length n.
@@ -139,7 +180,11 @@ class CountTable:
         the G column alone carries the closed total (its seed counts the
         empty word exactly once; the H seed would double-count it).
         """
-        return sum(self.count(n, 0, layer) for layer in _SCANS[self.direction].closed)
+        self._check(n, 0)
+        if self._c * n % self._m:
+            return 0  # level 0 is off the class n steps reach
+        row = self._grid[n]
+        return sum(row[_LIDX[layer]][0] for layer in _SCANS[self.direction].closed)
 
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
@@ -149,8 +194,10 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
     outlevels its step count going left to right).  Row n is walked up
     to the highest level that n steps can reach and that can still fall
     to k_max by step n_max, so every stored cell is exact.  Only the
-    levels k = c*n (mod m) are walked (see ``_period``); the others are
-    out of reach and stored as zeros.
+    levels k = c*n (mod m) are walked and stored (see ``_period``), so a
+    table takes O(n_max * k_max / m) memory.  Each row runs the plan of
+    ``_plan``: one shifted slice per source row and level change, and
+    one sum per target, shared where source sets nest.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -168,41 +215,43 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
     rise = max(delta for _, _, delta in arcs)
     drop = -min(delta for _, _, delta in arcs)
     m, c = _period(arcs)
-    # arcs into one layer with one level change share one index shift
-    groups: dict[tuple[int, int], list[int]] = {}
-    for src, dst, delta in arcs:
-        groups.setdefault((dst, delta), []).append(src)
+    plan = _plan(arcs)
 
     prev = [[0], [0], [0]]  # prev[layer-index][j] is level prev_base + m*j
     for layer in scan.seeds:
         prev[_LIDX[layer]][0] = 1
     prev_base = 0
-    grid = [_stored(prev, prev_base, m, k_max)]
+    grid = [prev]
     for n in range(1, n_max + 1):
         base = c * n % m
         hi = min(rise * n, k_max + drop * (n_max - n))
         width = (hi - base) // m + 1  # levels base, base + m, ... <= hi
-        row = [[0] * width for _ in prev]
-        written = set()
-        for (dst, delta), srcs in groups.items():
+        row = [[0] * width, [0] * width, [0] * width]  # F, G, H
+        for delta, sums in plan:
             # row cell j reads prev cell j + shift, at level (base + m*j) - delta
             shift = (base - delta - prev_base) // m
             lo, top = max(0, -shift), min(width, len(prev[0]) - shift)
-            if lo < top:
-                cells = prev[srcs[0]][lo + shift : top + shift]
-                for src in srcs[1:]:
-                    cells = map(add, cells, prev[src][lo + shift : top + shift])
-                if dst in written:  # a second level change into the same layer
-                    cells = map(add, cells, row[dst][lo:top])
-                row[dst][lo:top] = cells
-                written.add(dst)
+            if lo >= top:
+                continue
+            made = []
+            for dst, prior, sources, keep, into in sums:
+                cells = made[prior] if prior is not None else None
+                for src in sources:
+                    part = prev[src][lo + shift : top + shift]
+                    cells = part if cells is None else map(add, cells, part)
+                if keep:
+                    cells = list(cells)
+                made.append(cells)
+                row[dst][lo:top] = map(add, cells, row[dst][lo:top]) if into else cells
         if base == 0:
             for layer in scan.pinned:
                 row[_LIDX[layer]][0] = 0
-        grid.append(_stored(row, base, m, k_max))
+        stored = (k_max - base) // m + 1  # levels base, base + m, ... <= k_max
+        f, g, h = row
+        grid.append(row if width <= stored else [f[:stored], g[:stored], h[:stored]])
         prev, prev_base = row, base
 
-    return CountTable(t, n_max, k_max, direction, grid)
+    return CountTable(t, n_max, k_max, direction, (m, c), grid)
 
 
 # -- functional-equation verification ---------------------------------------

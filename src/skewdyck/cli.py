@@ -82,29 +82,21 @@ _n_range_arg.__name__ = "length"  # argparse names the type in "invalid ... valu
 
 
 def _emit_table(headers: list[str], rows: list[list], fmt: str) -> str:
+    cells = [[str(c) for c in row] for row in rows]  # each cell as text, once
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(",".join(row) for row in [headers, *cells]) + "\n"
     if fmt == "json":
         import json
 
-        return json.dumps(
-            [dict(zip(headers, (str(c) for c in row))) for row in rows], indent=2
-        ) + "\n"
+        return json.dumps([dict(zip(headers, row)) for row in cells], indent=2) + "\n"
     if fmt == "markdown":
         lines = ["| " + " | ".join(headers) + " |"]
         lines.append("|" + "|".join("---" for _ in headers) + "|")
-        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+        lines += ["| " + " | ".join(row) + " |" for row in cells]
         return "\n".join(lines) + "\n"
-    widths = [
-        max(len(h), *(len(str(row[i])) for row in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
+    widths = [max([len(h), *(len(row[i]) for row in cells)]) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    lines += [
-        "  ".join(str(c).rjust(w) for c, w in zip(row, widths)).rstrip() for row in rows
-    ]
+    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     return "\n".join(lines) + "\n"
 
 

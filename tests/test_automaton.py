@@ -80,6 +80,10 @@ class TestCells:
             table.count(6, 0, Layer.F)
         with pytest.raises(ValueError, match="bounds"):
             table.count(2, 4, Layer.F)
+        with pytest.raises(ValueError, match="bounds"):
+            table.closed_count(6)
+        with pytest.raises(ValueError, match="bounds"):
+            table.closed_count(-1)
 
     def test_h_layer_unreachable_early(self):
         for t in (2, 3):
@@ -250,6 +254,50 @@ class TestStridedWalk:
                     if (k - c * n) % (t + 1):
                         assert got == 0, (n, k, layer)
 
+    @pytest.mark.parametrize("direction", ["LR", "RL"])
+    @pytest.mark.parametrize("t", [2, 3, 7])
+    def test_plan_slices_each_source_once(self, t, direction):
+        # the plan sums, for every level change, exactly the arcs' sources
+        # of each target, and reads each source row once per level change
+        arcs = automaton._arcs(t, automaton._SCANS[direction])
+        for delta, sums in automaton._plan(arcs):
+            read = [src for step in sums for src in step.sources]
+            assert len(read) == len(set(read))
+            wanted = {dst: {s for s, d, change in arcs if d == dst and change == delta}
+                      for _, dst, _ in arcs}
+            for step in sums:
+                full = set(step.sources)
+                if step.prior is not None:
+                    full |= wanted[sums[step.prior].target]
+                assert full == wanted[step.target]
+
+    def test_plan_shares_nested_sums(self):
+        F, G, H = 0, 1, 2
+        plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["LR"])))
+        # left to right at -t: H <- G+H, then G extends that sum by F
+        assert [(s.target, s.prior, s.sources, s.keep) for s in plan[-3]] == [
+            (H, None, (G, H), True), (G, 0, (F,), False),
+        ]
+        plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["RL"])))
+        # right to left at -1, F and G share the F slice; at +t, G extends
+        # F's G slice by H, and H is G's sum; F and G add into the row
+        assert [(s.target, s.prior, s.sources, s.into) for s in plan[-1]] == [
+            (F, None, (F,), False), (G, 0, (), False),
+        ]
+        assert [(s.target, s.prior, s.sources, s.keep, s.into) for s in plan[3]] == [
+            (F, None, (G,), True, True), (G, 0, (H,), True, True), (H, 1, (), False, False),
+        ]
+
+    @pytest.mark.parametrize("direction", ["LR", "RL"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_stores_only_the_reachable_class(self, t, direction):
+        # a full-window table keeps each row as three layer lists of one
+        # level in t+1, not a zero-filled cell for every level up to k_max
+        table = dp_counts(t, 60, direction=direction)
+        bound = table.k_max // (t + 1) + 1
+        for row in table._grid:
+            assert len(row) == 3 and all(len(cells) <= bound for cells in row)
+
 
 class TestColumnRecurrence:
     def test_t2_columns_satisfy_kernel_recurrence(self):
@@ -272,7 +320,7 @@ class TestFunctionalEquations:
 
         def tampered(*args, **kwargs):
             table = real(*args, **kwargs)
-            table._grid[9][0][1] += 1  # tamper with one G cell
+            table._grid[9][1][0] += 1  # tamper with row 9's lowest stored G cell
             return table
 
         monkeypatch.setattr(automaton, "dp_counts", tampered)

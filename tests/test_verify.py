@@ -78,29 +78,35 @@ def test_an_empty_comparison_fails():
     assert verify._published_check(s, kernel.S4_PUBLISHED, -1) == (
         False, "nothing compared: no published coefficient below z^-1"
     )
+    assert verify._s6_check(kernel.good_root(3, 40), -1) == (
+        False, "nothing compared: no published coefficient below z^-1"
+    )
     # one compared value is enough to pass
     assert verify._matches([((0,), 1, 1)], "all match", "mismatch at {}") == (True, "all match")
     assert verify._published_check(s, kernel.S4_PUBLISHED, 0) == (
         True, "1 published coefficients checked"
     )
+    assert verify._s6_check(kernel.good_root(3, 40), 0) == (True, "matches the published expansion")
 
 
 def test_functional_equation_fail_names_the_violation(monkeypatch):
     # one tampered table cell breaks the F equation; the FAIL line says
     # where, as the equation check finds it.  Only the equation check's
     # tables are tampered with: `verify` holds its own `dp_counts` name.
+    # Row 9's lowest stored level is 0 at t = 2 (both directions) and 1 at
+    # t = 3, where level 0 is off the class nine steps reach.
     real = automaton.dp_counts
 
     def tampered(*args, **kwargs):
         table = real(*args, **kwargs)
-        table._grid[9][0][1] += 1  # one G cell
+        table._grid[9][1][0] += 1  # row 9's lowest stored G cell
         return table
 
     monkeypatch.setattr(automaton, "dp_counts", tampered)
     report = run_verification(order=16, t_list=(2, 3))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
         ("functional-equations LR t=2", "layer-F violated at u^1 z^10 term -1"),
-        ("functional-equations LR t=3", "layer-F violated at u^1 z^10 term -1"),
+        ("functional-equations LR t=3", "layer-F violated at u^2 z^10 term -1"),
         ("functional-equations RL t=2", "layer-F violated at u^3 z^10 term -1"),
     ]
 
