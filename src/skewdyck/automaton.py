@@ -173,6 +173,21 @@ class CountTable:
         j, residue = divmod(k, self._m)
         return cells[j] if residue == self._c * n % self._m and j < len(cells) else 0
 
+    def column(self, k: int, layer: Layer) -> list[int]:
+        """count(n, k, layer) for n = 0..n_max, reading only the rows whose
+        residue class holds level k."""
+        self._check(0, k)
+        m, c, i = self._m, self._c, _LIDX[layer]
+        j, residue = divmod(k, m)
+        out = [0] * (self.n_max + 1)
+        for first in range(m):
+            if c * first % m == residue:
+                for n in range(first, self.n_max + 1, m):
+                    cells = self._grid[n][i]
+                    if j < len(cells):
+                        out[n] = cells[j]
+        return out
+
     def closed_count(self, n: int) -> int:
         """Closed words of length n.
 
@@ -320,14 +335,17 @@ def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: 
 def _first_violation(table: CountTable, constant: int, terms: tuple, u_degree: int) -> str:
     """"u^j z^e term r" for the first nonzero residual coefficient of one
     equation, u^j then z^e upwards, or "".  A term (c, layer, du, dz, ...)
-    adds c times the integer cell at n = e - dz, k = j - du."""
+    adds c times the integer cell at n = e - dz, k = j - du; the u^j
+    residual is built over every z^e at once from whole table columns."""
     for j in range(u_degree + 1):
-        live = [(c, layer, j - du, dz) for c, layer, du, dz, dropped in terms
-                if j >= du and j - du not in dropped]
-        for e in range(table.n_max + 1):
-            resid = (constant if j == e == 0 else 0) + sum(
-                c * table.count(e - dz, k, layer) for c, layer, k, dz in live if e >= dz
-            )
-            if resid:
-                return f"u^{j} z^{e} term {resid}"
+        resid = [0] * (table.n_max + 1)
+        if j == 0:
+            resid[0] = constant
+        for c, layer, du, dz, dropped in terms:
+            if j >= du and j - du not in dropped:
+                column = table.column(j - du, layer)
+                resid[dz:] = [r + c * x for r, x in zip(resid[dz:], column)]
+        for e, r in enumerate(resid):
+            if r:
+                return f"u^{j} z^{e} term {r}"
     return ""

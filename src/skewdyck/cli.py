@@ -111,24 +111,22 @@ def _cmd_count(args) -> int:
 
 
 def _series_for(name: str, order: int):
-    from . import closed_form, kernel, reverse
-    from .automaton import Layer
+    # each selector imports only the route it computes with
+    if name in ("g0", "h0", "total", "s4", "s6"):
+        from . import kernel
 
-    if name == "g0":
-        return kernel.solve(2, order).g0
-    if name == "h0":
-        return kernel.solve(2, order).h0
-    if name == "total":
-        return kernel.solve(2, order).total
-    if name == "s4":
-        return kernel.good_root(2, order)
-    if name == "s6":
-        return kernel.good_root(3, order)
-    if name == "s1":
-        return reverse.rl_root_s1(order)
-    if name == "rl-g0":
-        return reverse.rl_g0(order)
+        if name == "s4":
+            return kernel.good_root(2, order)
+        if name == "s6":
+            return kernel.good_root(3, order)
+        return getattr(kernel.solve(2, order), name)
+    if name in ("s1", "rl-g0"):
+        from . import reverse
+
+        return reverse.rl_root_s1(order) if name == "s1" else reverse.rl_g0(order)
     if name == "R":
+        from . import closed_form
+
         return closed_form.r_series(order)
     if name.startswith("prefix:"):
         parts = name.split(":")
@@ -137,6 +135,9 @@ def _series_for(name: str, order: int):
                 k = int(parts[2])
             except ValueError:
                 raise ValueError(f"bad prefix level in {name!r}") from None
+            from . import kernel
+            from .automaton import Layer
+
             return kernel.prefix_series(kernel.solve(2, order), Layer(parts[1]), k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 

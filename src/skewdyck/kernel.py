@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .automaton import Layer
 from .series import Series, SeriesError, newton_root
 
 # Published expansion of the t=2 good root.
@@ -182,12 +181,14 @@ def solve(t: int, order: int) -> KernelSolution:
     )
 
 
-def prefix_series(solution: KernelSolution, layer: Layer, k: int, order: int) -> Series:
+def prefix_series(solution: KernelSolution, layer, k: int, order: int) -> Series:
     """Closed-form series for level-k prefixes in one layer, to O(z^order).
 
     The geometric law: s^-k for F (1 at k = 0), g0 s^-k for G and
     h0 s^-k for H.  Each is a genuine power series: s^-k starts at z^k
-    (the all-U word), and g0 and h0 start higher still.
+    (the all-U word), and g0 and h0 start higher still.  ``layer`` is an
+    `automaton.Layer`; only its value is read, so this module imports
+    nothing from the table's.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -197,10 +198,10 @@ def prefix_series(solution: KernelSolution, layer: Layer, k: int, order: int) ->
         )
     if k >= order:
         return Series.zero(order)  # s^-k starts at z^k: no prefix is that short
-    if layer is Layer.F:
+    if layer.value == "F":
         out = Series.poly({0: 1}, order) if k == 0 else solution.s_inv_power(k)
     else:
-        out = solution.g0 if layer is Layer.G else solution.h0
+        out = solution.g0 if layer.value == "G" else solution.h0
         if k:
             # both factors vanish at z^0, so their product is exact on the window
             out = out.truncate(order) * solution.s_inv_power(k).truncate(order)
@@ -226,9 +227,10 @@ def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
     ]
 
 
-def recurrence_check(solution: KernelSolution, layer: Layer, k_max: int, order: int) -> bool:
+def recurrence_check(solution: KernelSolution, layer, k_max: int, order: int) -> bool:
     """Whether the order-2t level recurrence holds on the closed forms of
-    a solution through z^order, for levels k <= k_max."""
+    a solution through z^order, for levels k <= k_max, in one
+    `automaton.Layer`."""
     t = solution.t
     cols = [prefix_series(solution, layer, k, order + 2) for k in range(k_max + 2 * t + 1)]
     residuals = recurrence_residuals(cols, t)

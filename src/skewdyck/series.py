@@ -12,9 +12,13 @@ Python-int numerators over one common denominator, in one canonical
 form: ``den > 0``, ``gcd(den, *nums) == 1`` and a nonzero leading
 numerator (a series that is zero on its window has ``nums == ()`` and
 ``den == 1``).  Equal series therefore have equal fields.  Every ring
-operation reads and writes that form; `fractions.Fraction` values are
-built only where coefficients are handed out or printed (`coeffs`,
-`coeff`, `terms`, `__str__`, `to_json`).  Floats are rejected outright.
+operation reads and writes that form, and so does printing (`__str__`
+reduces each coefficient by a gcd).  `fractions.Fraction` values are
+built only where coefficients are handed out (`coeff`, `coeffs`, and
+`to_json` through `coeffs`), and `fractions` is imported on that first
+use, so a route that only computes and prints never loads it.  A
+`Fraction` operand is still accepted anywhere an int is.  Floats are
+rejected outright.
 A series is built from a coefficient list (`Series(valuation, coeffs)`),
 from a term dict (`Series.poly`) or as `Series.zero`.
 
@@ -35,7 +39,7 @@ z=0 must be removed by an explicit substitution before solving.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, isqrt, lcm
 
 
@@ -43,25 +47,44 @@ class SeriesError(ValueError):
     """An operation a truncated series cannot honestly perform."""
 
 
+_Fraction = None  # fractions.Fraction, once `_fraction` has imported it
+
+
+def _fraction():
+    """The `fractions.Fraction` class, imported on first use."""
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction
+
+        _Fraction = Fraction
+    return _Fraction
+
+
+def _is_fraction(x) -> bool:
+    # no Fraction exists before `fractions` is imported, so an unloaded
+    # module answers the test without importing it
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+def _is_scalar(x) -> bool:
+    """Whether x is an exact rational scalar: an int or a `Fraction`."""
+    return isinstance(x, int) or _is_fraction(x)
+
+
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, in lowest terms."""
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
     if isinstance(x, int):
         return int(x), 1
+    if _is_fraction(x):
+        return x.numerator, x.denominator
     # bool is an int subclass; no other types are exact
     raise TypeError(f"exact rational coefficient expected, got {type(x).__name__}")
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    p, q = x.numerator, x.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp != p or rq * rq != q:
-        return None
-    return Fraction(rp, rq)
+def _ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms (q > 0), written as `Fraction.__str__` writes it."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 # -- integer kernels ---------------------------------------------------------
@@ -113,14 +136,14 @@ def _reciprocal_ints(a, den: int, n: int) -> tuple[list[int], int]:
     return x, e
 
 
-def _inverse_sqrt_ints(a, den: int, r0: Fraction, n: int) -> tuple[list[int], int]:
-    """First n coefficients of (a(z)/den)^(-1/2) with constant term 1/r0.
+def _inverse_sqrt_ints(a, den: int, rp: int, rq: int, n: int) -> tuple[list[int], int]:
+    """First n coefficients of (a(z)/den)^(-1/2) with constant term rq/rp.
 
     Newton's iteration w <- w + w (1 - (a/den) w^2) / 2; as for the
     reciprocal, (a/den)(w/f)^2 = p/(den f^2) is 1 + O(z^h) once w/f is
     right to h terms.
     """
-    w, f = [r0.denominator], r0.numerator
+    w, f = [rq], rp
     while len(w) < n:
         h = len(w)
         m = min(2 * h, n)
@@ -210,8 +233,8 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        den = self._den
-        return tuple(Fraction(x, den) for x in self._nums)
+        den, fraction = self._den, _Fraction or _fraction()
+        return tuple(fraction(x, den) for x in self._nums)
 
     @property
     def order(self) -> int:
@@ -226,33 +249,28 @@ class Series:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int):
         """Exact coefficient of z**n.
 
-        Exponents below the valuation are exactly zero for a normalized
-        series; exponents at or beyond the frontier are unknown and raise.
+        The coefficient is a `Fraction`.  Exponents below the valuation
+        are exactly zero for a normalized series; exponents at or beyond
+        the frontier are unknown and raise.
         """
         if n >= self._frontier:
             raise SeriesError(
                 f"coefficient of z^{n} requested, but the series is only known "
                 f"on [{self._val}, {self._frontier})"
             )
+        fraction = _Fraction or _fraction()
         if n < self._val:
-            return Fraction(0)
-        return Fraction(self._nums[n - self._val], self._den)
-
-    def terms(self):
-        """Iterate (exponent, coefficient) over nonzero known terms."""
-        den = self._den
-        for i, x in enumerate(self._nums, self._val):
-            if x:
-                yield i, Fraction(x, den)
+            return fraction(0)
+        return fraction(self._nums[n - self._val], self._den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_scalar(other):
                 return NotImplemented
             if other == 0:
                 return self
@@ -273,7 +291,7 @@ class Series:
         return _raw(self._val, tuple(-x for x in self._nums), self._den, self._frontier)
 
     def __sub__(self, other):
-        if not isinstance(other, (Series, int, Fraction)):
+        if not (isinstance(other, Series) or _is_scalar(other)):
             return NotImplemented
         return self + (-other)
 
@@ -282,7 +300,7 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            if not isinstance(other, (int, Fraction)):
+            if not _is_scalar(other):
                 return NotImplemented
             p, q = _ratio(other)
             if not p:
@@ -298,11 +316,13 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             p, q = _ratio(other)
             if not p:
                 raise ZeroDivisionError("series divided by zero scalar")
-            return self * Fraction(q, p)
+            if p < 0:  # the denominator stays positive
+                p, q = -p, -q
+            return _canonical(self._val, [x * q for x in self._nums], self._den * p)
         if not isinstance(other, Series):
             return NotImplemented
         return self * other.reciprocal()
@@ -359,14 +379,15 @@ class Series:
             raise SeriesError(
                 f"odd valuation {self._val}: no Laurent square root exists"
             )
-        lead = Fraction(a[0], den)
-        r0 = _fraction_sqrt(lead)
-        if r0 is None:
+        g = gcd(a[0], den)
+        p, q = a[0] // g, den // g
+        rp, rq = isqrt(abs(p)), isqrt(q)
+        if rp * rp != p or rq * rq != q:  # a negative p fails the first test
             raise SeriesError(
-                f"leading coefficient {lead} is not the square of a rational"
+                f"leading coefficient {_ratio_text(p, q)} is not the square of a rational"
             )
         n = len(a)
-        w, f = _inverse_sqrt_ints(a, den, r0, n)
+        w, f = _inverse_sqrt_ints(a, den, rp, rq, n)
         # sqrt(a) = a * a^(-1/2)
         return _canonical(self._val // 2, _mul_ints(a, w, n), den * f)
 
@@ -408,17 +429,21 @@ class Series:
 
     def __str__(self) -> str:
         parts = []
-        for e, c in self.terms():
+        den = self._den
+        for e, x in enumerate(self._nums, self._val):
+            if not x:
+                continue
+            g = gcd(x, den)
+            a = _ratio_text(abs(x) // g, den // g)  # |x/den| as a Fraction prints it
             if e == 0:
-                mono = str(abs(c))
+                mono = a
             else:
                 zs = "z" if e == 1 else f"z^{e}"
-                a = abs(c)
-                mono = zs if a == 1 else f"{a}*{zs}"
+                mono = zs if a == "1" else f"{a}*{zs}"
             if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
+                parts.append(mono if x > 0 else f"-{mono}")
             else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+                parts.append(f"+ {mono}" if x > 0 else f"- {mono}")
         body = " ".join(parts) if parts else "0"
         return f"{body} + O(z^{self._frontier})"
 
@@ -470,22 +495,27 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     terms.  The residual is checked at the full order after the final
     step and a nonzero residual raises.
     """
-    seed = Fraction(*_ratio(seed))
+    sp, sq = _ratio(seed)
     if order < 1:
         raise ValueError("order must be at least 1")
     deriv = {p - 1: {e: p * c for e, c in zp.items()} for p, zp in poly.items() if p}
 
-    def at_origin(q: dict) -> Fraction:
-        return sum(zp.get(0, 0) * seed**p for p, zp in q.items())
+    def at_origin(q: dict) -> int:
+        # Q(sp/sq, 0) times lcm(coefficient denominators) * sq^degree: an
+        # integer that is zero exactly when Q(seed, 0) is
+        consts = [(p, *_ratio(zp.get(0, 0))) for p, zp in q.items()]
+        den = lcm(*(d for _, _, d in consts))
+        top = max((p for p, _, _ in consts), default=0)
+        return sum(c * (den // d) * sp**p * sq ** (top - p) for p, c, d in consts)
 
     if at_origin(poly) != 0:
-        raise SeriesError(f"seed {seed} is not a root of P(v, 0)")
+        raise SeriesError(f"seed {_ratio_text(sp, sq)} is not a root of P(v, 0)")
     if at_origin(deriv) == 0:
         raise SeriesError(
-            f"root at seed {seed} is ramified (derivative vanishes at z=0); "
+            f"root at seed {_ratio_text(sp, sq)} is ramified (derivative vanishes at z=0); "
             "apply a normalizing substitution before solving"
         )
-    v = Series.poly({0: seed}, 1)
+    v = _canonical(0, [sp], sq)
     m = 1
     while m < order:
         h, m = m, min(2 * m, order)

@@ -254,6 +254,22 @@ class TestStridedWalk:
                     if (k - c * n) % (t + 1):
                         assert got == 0, (n, k, layer)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        t=st.integers(2, 7),
+        n_max=st.integers(0, 40),
+        k_max=st.one_of(st.none(), st.integers(0, 12)),
+        direction=st.sampled_from(["LR", "RL"]),
+    )
+    def test_column_matches_cells(self, t, n_max, k_max, direction):
+        table = dp_counts(t, n_max, k_max=k_max, direction=direction)
+        for k in range(table.k_max + 1):
+            for layer in Layer:
+                want = [table.count(n, k, layer) for n in range(n_max + 1)]
+                assert table.column(k, layer) == want, (k, layer)
+        with pytest.raises(ValueError, match="outside the table bounds"):
+            table.column(table.k_max + 1, Layer.F)
+
     @pytest.mark.parametrize("direction", ["LR", "RL"])
     @pytest.mark.parametrize("t", [2, 3, 7])
     def test_plan_slices_each_source_once(self, t, direction):

@@ -268,7 +268,7 @@ class TestPrefixSeries:
         for k in range(9):
             ser = prefix_series(sol, layer, k, 25)
             assert ser.valuation >= 0
-            for _, c in ser.terms():
+            for c in ser.coeffs:
                 assert c.denominator == 1 and c >= 0
 
     def test_insufficient_solution_order_raises(self, sol):

@@ -110,7 +110,7 @@ class TestRlG0:
         assert from_solved == rl_g0_rational(order, t1=rl_cancelling_root(order + 2))
 
     def test_nonnegative_integer_coefficients(self):
-        for _, c in rl_g0(30).terms():
+        for c in rl_g0(30).coeffs:
             assert c.denominator == 1 and c >= 0
 
     def test_corrupted_root_is_loud(self):

@@ -573,7 +573,8 @@ class TestRepresentation:
                 assert s.coeff(n) == want and type(s.coeff(n)) is Fraction
             with pytest.raises(SeriesError):
                 s.coeff(m.frontier)
-            assert list(s.terms()) == [(m.val + i, c) for i, c in enumerate(m.cs) if c]
+            nonzero = [(e, s.coeff(e)) for e in range(m.val, m.frontier) if s.coeff(e)]
+            assert nonzero == [(m.val + i, c) for i, c in enumerate(m.cs) if c]
             assert str(s) == m.text()
             assert s.to_json() == {
                 "valuation": m.val, "order": len(m.cs), "coeffs": [str(c) for c in m.cs],
@@ -602,3 +603,72 @@ class TestRepresentation:
         if not a.is_zero():
             assert a.reciprocal().reciprocal() == a
             assert (a * a).sqrt() == (a if a.coeffs[0] > 0 else -a)
+
+
+# -- integer paths against the Fraction arithmetic they replace --------------
+#
+# Printing, scalar division, the square root's lead and Newton's seed
+# checks all run on integers; each must give what the same step gives on
+# `Fraction`s, error messages included.
+
+
+def fraction_text(s):
+    """str(s) as a printer that builds one Fraction per nonzero term writes it."""
+    parts = []
+    for e, x in enumerate(s._nums, s.valuation):
+        if not x:
+            continue
+        c = Fraction(x, s._den)
+        a = abs(c)
+        zs = "z" if e == 1 else f"z^{e}"
+        mono = str(a) if e == 0 else (zs if a == 1 else f"{a}*{zs}")
+        if not parts:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    return f"{' '.join(parts) if parts else '0'} + O(z^{s.frontier})"
+
+
+negatives = st.integers(-9, -1) | st.builds(Fraction, st.integers(-9, -1), st.integers(1, 7))
+
+
+class TestIntegerPaths:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(-4, 4), st.lists(st.integers(-40, 40), max_size=8), st.integers(1, 36))
+    def test_str_matches_fraction_printing(self, val, nums, den):
+        s = Series(val, [Fraction(x, den) for x in nums])
+        assert str(s) == fraction_text(s)
+
+    @settings(deadline=None, max_examples=200)
+    @given(series(), negatives)
+    def test_division_by_a_negative_scalar(self, a, k):
+        q = a / k
+        assert q == a * (1 / Fraction(k))
+        assert_canonical(q)
+
+    def test_sqrt_of_a_rational_square_lead(self):
+        a = Series.poly({0: Fraction(9, 4), 1: 1}, 8)
+        root = a.sqrt()
+        assert root.coeff(0) == Fraction(3, 2)
+        assert (root * root - a).is_zero()
+
+    @pytest.mark.parametrize("lead", [Fraction(2, 3), Fraction(-9, 4), Fraction(4, 3), -1, 2])
+    def test_nonsquare_lead_message(self, lead):
+        with pytest.raises(SeriesError) as info:
+            Series.poly({0: lead, 1: 1}, 8).sqrt()
+        assert str(info.value) == f"leading coefficient {Fraction(lead)} is not the square of a rational"
+
+    @settings(deadline=None, max_examples=100)
+    @given(rationals, nonzero, rationals.filter(bool))
+    def test_newton_seed_messages(self, r, c, delta):
+        # c ((v - r)^2 - z) has the double root r at z = 0: it ramifies there
+        eq = {2: {0: c}, 1: {0: -2 * r * c}, 0: {0: r * r * c, 1: -c}}
+        with pytest.raises(SeriesError) as info:
+            newton_root(eq, r, 8)
+        assert str(info.value) == (
+            f"root at seed {r} is ramified (derivative vanishes at z=0); "
+            "apply a normalizing substitution before solving"
+        )
+        with pytest.raises(SeriesError) as info:
+            newton_root(eq, r + delta, 8)
+        assert str(info.value) == f"seed {r + delta} is not a root of P(v, 0)"

@@ -97,6 +97,13 @@ def test_r_route_imports_only_the_series():
     assert package_imports("closed_form") == {"skewdyck.series"}
 
 
+def test_kernel_route_imports_only_the_series():
+    # the kernel route reads a layer's name, not the table's Layer class:
+    # `series g0` and its kin load no table code, and the kernel can share
+    # no fault with the table it is checked against
+    assert package_imports("kernel") == {"skewdyck.series"}
+
+
 def test_enumeration_route_imports_no_other_layer():
     # the walk is the enumeration route: were it built from the table or
     # the series, `verify`'s enumeration-vs-table check would compare a
@@ -268,12 +275,26 @@ _IMPORT_VECTORS = {
             "dataclasses", "fractions", "typing", "json",
         ],
     ),
+    # a series selector loads its own route only, and printing a series
+    # reads its integers, so text output needs no `fractions`
     "series": (
         ["series", "total", "--order", "16"],
         [
             "skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis",
-            "json", "dataclasses",
+            "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton",
+            "fractions", "json", "dataclasses",
         ],
+    ),
+    "series-R": (
+        ["series", "R", "--order", "16"],
+        [
+            "skewdyck.kernel", "skewdyck.reverse", "skewdyck.automaton", "skewdyck.paths",
+            "fractions", "json",
+        ],
+    ),
+    "series-prefix": (
+        ["series", "prefix:G:4", "--order", "16"],
+        ["skewdyck.reverse", "skewdyck.closed_form", "skewdyck.paths", "fractions", "json"],
     ),
     "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json"]),
     "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
