@@ -1,8 +1,10 @@
 """Exact integer counting over the three-layer path automaton.
 
-States are (level k, layer), where the layer records the last step
-consumed: F for U (and the empty word), G for D, H for L.  One edge
-list holds the left-to-right transitions for down-step size t:
+States are (level k, layer), where the layer is a letter of ``LAYERS``
+(the paper's F, G and H) that records the last step consumed: F for U
+(and the empty word), G for D, H for L.  Every function here takes and
+returns layers as those letters.  One edge list holds the left-to-right
+transitions for down-step size t:
 
     U: (k, F|G)   -> (k+1, F)      (U never follows L)
     D: (k+t, F|G|H) -> (k, G)
@@ -34,31 +36,20 @@ no overflow.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd
 from operator import add
 from typing import NamedTuple
 
-
-class Layer(Enum):
-    F = "F"  # last step U, or the empty word
-    G = "G"  # last step D
-    H = "H"  # last step L
-
-    # members are singletons compared by identity; Enum's own __hash__
-    # hashes the name in Python, once per _LIDX lookup of a cell read
-    __hash__ = object.__hash__
+LAYERS = ("F", "G", "H")
+_LIDX = {layer: i for i, layer in enumerate(LAYERS)}  # a layer's index in a row
 
 
-_LIDX = {Layer.F: 0, Layer.G: 1, Layer.H: 2}
-
-
-def _lr_edges(t: int) -> tuple[tuple[tuple[Layer, ...], Layer, int], ...]:
-    """Left-to-right transitions as (source layers, target layer, level change)."""
+def _lr_edges(t: int) -> tuple[tuple[str, str, int], ...]:
+    """Left-to-right transitions as (source letters, target letter, level change)."""
     return (
-        ((Layer.F, Layer.G), Layer.F, 1),  # U never follows L
-        ((Layer.F, Layer.G, Layer.H), Layer.G, -t),  # D
-        ((Layer.G, Layer.H), Layer.H, -t),  # L never follows U
+        ("FG", "F", 1),  # U never follows L
+        ("FGH", "G", -t),  # D
+        ("GH", "H", -t),  # L never follows U
     )
 
 
@@ -66,14 +57,14 @@ class _Scan(NamedTuple):
     """What a scan direction fixes besides the direction of the arrows."""
 
     backward: bool  # walk every edge from its target to its sources
-    seeds: tuple[Layer, ...]  # level-0 layers holding the empty word
-    closed: tuple[Layer, ...]  # level-0 layers summed into the closed count
-    pinned: tuple[Layer, ...]  # level-0 layers held at zero after step 0
+    seeds: str  # letters of the level-0 layers holding the empty word
+    closed: str  # letters of the level-0 layers summed into the closed count
+    pinned: str  # letters of the level-0 layers held at zero after step 0
 
 
 _SCANS = {
-    "LR": _Scan(False, seeds=(Layer.F,), closed=tuple(Layer), pinned=()),
-    "RL": _Scan(True, seeds=(Layer.G, Layer.H), closed=(Layer.G,), pinned=(Layer.F,)),
+    "LR": _Scan(False, seeds="F", closed="FGH", pinned=""),
+    "RL": _Scan(True, seeds="GH", closed="G", pinned="F"),
 }
 
 DIRECTIONS = tuple(_SCANS)
@@ -147,16 +138,16 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
 class CountTable:
     """Immutable table of exact counts indexed by (steps n, level k, layer).
 
-    Row n holds one list per layer (F, G, H); cell j of a list is level
-    (c*n) % m + m*j, up to k_max.  Levels off that class, or above the
-    highest level n steps reach, are out of reach and read zero.
+    A layer is its letter, "F", "G" or "H".  Row n holds one list per
+    layer, in that order; cell j of a list is level (c*n) % m + m*j, up
+    to k_max.  Levels off that class, or above the highest level n steps
+    reach, are out of reach and read zero.
     """
 
-    def __init__(self, t: int, n_max: int, k_max: int, direction: str, period, grid):
-        self.t = t
+    def __init__(self, n_max: int, k_max: int, closed: tuple[int, ...], period, grid):
         self.n_max = n_max
         self.k_max = k_max
-        self.direction = direction
+        self._closed = closed  # indices of the layers summed by closed_count
         self._m, self._c = period
         self._grid = grid  # grid[n][layer-index][j] is level (c*n) % m + m*j
 
@@ -167,13 +158,13 @@ class CountTable:
                 f"(n<={self.n_max}, k<={self.k_max})"
             )
 
-    def count(self, n: int, k: int, layer: Layer) -> int:
+    def count(self, n: int, k: int, layer: str) -> int:
         self._check(n, k)
         cells = self._grid[n][_LIDX[layer]]
         j, residue = divmod(k, self._m)
         return cells[j] if residue == self._c * n % self._m and j < len(cells) else 0
 
-    def column(self, k: int, layer: Layer) -> list[int]:
+    def column(self, k: int, layer: str) -> list[int]:
         """count(n, k, layer) for n = 0..n_max, reading only the rows whose
         residue class holds level k."""
         self._check(0, k)
@@ -199,7 +190,7 @@ class CountTable:
         if self._c * n % self._m:
             return 0  # level 0 is off the class n steps reach
         row = self._grid[n]
-        return sum(row[_LIDX[layer]][0] for layer in _SCANS[self.direction].closed)
+        return sum(row[i][0] for i in self._closed)
 
 
 def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
@@ -266,7 +257,8 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
         grid.append(row if width <= stored else [f[:stored], g[:stored], h[:stored]])
         prev, prev_base = row, base
 
-    return CountTable(t, n_max, k_max, direction, (m, c), grid)
+    closed = tuple(_LIDX[layer] for layer in scan.closed)
+    return CountTable(n_max, k_max, closed, (m, c), grid)
 
 
 # -- functional-equation verification ---------------------------------------
@@ -293,7 +285,7 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
 
 def _equations(t: int, direction: str) -> tuple:
     """(name, constant, terms) for each layer equation of a scan direction."""
-    F, G, H = Layer
+    F, G, H = LAYERS
     if direction == "LR":
         low = tuple(range(t))  # lowX: the levels below t
         return (

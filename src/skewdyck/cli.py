@@ -136,9 +136,8 @@ def _series_for(name: str, order: int):
             except ValueError:
                 raise ValueError(f"bad prefix level in {name!r}") from None
             from . import kernel
-            from .automaton import Layer
 
-            return kernel.prefix_series(kernel.solve(2, order), Layer(parts[1]), k, order)
+            return kernel.prefix_series(kernel.solve(2, order), parts[1], k, order)
     raise ValueError(f"unknown series selector {name!r}; choose from: {_SERIES_CHOICES}")
 
 

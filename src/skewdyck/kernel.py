@@ -29,6 +29,8 @@ from s, for every t:
 `solve` takes g0 from F and the total from G; h0 = total - 1 - g0,
 since every nonempty closed path ends in a D (layer G) or an L
 (layer H).  The H equation is left unused, so it remains a check.
+A layer is named by its letter, as in these equations and in the
+table's ``automaton.LAYERS``; `prefix_series` rejects any other.
 Nothing here reads the counting table: the solution is measured
 against it, not derived from it.  The remaining roots are never
 expanded: two of them ramify at z = 0 and all of them cancel out of the
@@ -130,9 +132,9 @@ class KernelSolution(NamedTuple):
     """The solution for one t, derived from the surviving root s.
 
     The level-k prefix series follow the geometric law f_k = s^-k,
-    g_k = g0 s^-k and h_k = h0 s^-k.  ``s_inv`` is s^-1 on the window of
-    ``s``; ``s_inv_powers`` memoises its powers by exponent for
-    `s_inv_power` and is created with each solution.
+    g_k = g0 s^-k and h_k = h0 s^-k.  ``s_inv_powers`` memoises the
+    powers of s^-1 by exponent for `s_inv_power`; it is created with each
+    solution holding s^-1 itself, on the window of ``s``.
     """
 
     t: int
@@ -141,7 +143,6 @@ class KernelSolution(NamedTuple):
     g0: Series
     h0: Series
     total: Series
-    s_inv: Series
     s_inv_powers: dict
 
     def s_inv_power(self, k: int) -> Series:
@@ -176,7 +177,6 @@ def solve(t: int, order: int) -> KernelSolution:
         g0=g0.truncate(order),
         h0=h0,
         total=total,
-        s_inv=s_inv,
         s_inv_powers={1: s_inv},
     )
 
@@ -186,10 +186,11 @@ def prefix_series(solution: KernelSolution, layer, k: int, order: int) -> Series
 
     The geometric law: s^-k for F (1 at k = 0), g0 s^-k for G and
     h0 s^-k for H.  Each is a genuine power series: s^-k starts at z^k
-    (the all-U word), and g0 and h0 start higher still.  ``layer`` is an
-    `automaton.Layer`; only its value is read, so this module imports
-    nothing from the table's.
+    (the all-U word), and g0 and h0 start higher still.  ``layer`` is
+    the letter "F", "G" or "H"; any other raises ``ValueError``.
     """
+    if layer not in ("F", "G", "H"):
+        raise ValueError(f"layer must be one of 'F', 'G', 'H', got {layer!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if solution.order < order:
@@ -198,10 +199,10 @@ def prefix_series(solution: KernelSolution, layer, k: int, order: int) -> Series
         )
     if k >= order:
         return Series.zero(order)  # s^-k starts at z^k: no prefix is that short
-    if layer.value == "F":
+    if layer == "F":
         out = Series.poly({0: 1}, order) if k == 0 else solution.s_inv_power(k)
     else:
-        out = solution.g0 if layer.value == "G" else solution.h0
+        out = solution.g0 if layer == "G" else solution.h0
         if k:
             # both factors vanish at z^0, so their product is exact on the window
             out = out.truncate(order) * solution.s_inv_power(k).truncate(order)
@@ -229,8 +230,8 @@ def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
 
 def recurrence_check(solution: KernelSolution, layer, k_max: int, order: int) -> bool:
     """Whether the order-2t level recurrence holds on the closed forms of
-    a solution through z^order, for levels k <= k_max, in one
-    `automaton.Layer`."""
+    a solution through z^order, for levels k <= k_max, in the layer
+    with letter "F", "G" or "H"."""
     t = solution.t
     cols = [prefix_series(solution, layer, k, order + 2) for k in range(k_max + 2 * t + 1)]
     residuals = recurrence_residuals(cols, t)

@@ -67,8 +67,8 @@ def b_file_url(seq_id: str) -> str:
 
 def load_terms(
     seq_id: str,
-    cache_dir: Path | str | None = None,
-    offline: bool = False,
+    cache_dir: Path | str | None,
+    offline: bool,
 ) -> dict[int, int]:
     """Terms for a sequence id, from cache, bundle, or the network.
 
@@ -114,8 +114,8 @@ def load_terms(
 def compare_table(
     seq_id: str,
     n_max: int,
-    cache_dir: Path | str | None = None,
-    offline: bool = False,
+    cache_dir: Path | str | None,
+    offline: bool,
 ) -> list[dict]:
     """Rows (n, OEIS a(n), t = 2 table count at length 3n, [z^n] R) with flags.
 

@@ -75,9 +75,9 @@ def _bodies(words, t: int, n: int, style: str, vt, path, mark, segment):
 def render_tikz(
     t: int,
     n: int,
-    plain: bool = False,
-    style: str = "red-overlay",
-    mirrored: bool = False,
+    plain: bool,
+    style: str,
+    mirrored: bool,
 ) -> str:
     """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
     words = walk(t, n, style=style, plain=plain)
@@ -119,9 +119,9 @@ _SVG_PER_ROW = 4
 def render_svg(
     t: int,
     n: int,
-    plain: bool = False,
-    style: str = "red-overlay",
-    mirrored: bool = False,
+    plain: bool,
+    style: str,
+    mirrored: bool,
 ) -> str:
     """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
     words = walk(t, n, style=style, plain=plain)
@@ -180,10 +180,10 @@ def render_svg(
 def render_document(
     t: int,
     n: int,
-    mode: str = "skew",
-    style: str = "red-overlay",
-    mirrored: bool = False,
-    fmt: str = "svg",
+    mode: str,
+    style: str,
+    mirrored: bool,
+    fmt: str,
 ) -> str:
     """All closed diagrams of length n in one document: every word, or the L-free ones."""
     if mode not in RENDER_MODES:

@@ -28,6 +28,11 @@ well: its printed rational coefficients pin the solver on a genuinely
 non-integer series.  Its reciprocal is a root of the reflected kernel
 too, which is checked by residual, but it is not the cancelling factor.
 
+The right-to-left solution is these three series, each one call:
+`rl_cancelling_root` (t1), `rl_g0` (the closed total from t1) and
+`rl_root_s1` (s1); a caller that wants t1 and g0 together expands t1
+once and hands it to `rl_g0`.
+
 Level-k prefix expressions from the right have no pleasant closed form
 (the three remaining reciprocal roots gang up in the denominator), so
 prefix counts are served by the counting table instead.
@@ -36,7 +41,6 @@ prefix counts are served by the counting table instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .kernel import kernel_poly, reflected, series_root
 from .series import Series, SeriesError
@@ -86,24 +90,7 @@ def rl_g0(order: int, t1: Series | None = None) -> Series:
 
 def rl_g0_rational(order: int, t1: Series) -> Series:
     """The quotient form (1 - z t1^2)/(1 - 2 z t1^2), as a cross-check,
-    from a cancelling root known to O(z^order) (`solve_rl` keeps one)."""
+    from a cancelling root known to O(z^order)."""
     zt1sq = (t1 * t1).shift(1)
     return ((1 - zt1sq) / (1 - zt1sq * 2)).truncate(order)
-
-
-class RlSolution(NamedTuple):
-    order: int
-    s1: Series
-    t1: Series
-    g0: Series
-
-
-def solve_rl(order: int) -> RlSolution:
-    t1 = rl_cancelling_root(order + 2)
-    return RlSolution(
-        order=order,
-        s1=rl_root_s1(order),
-        t1=t1.truncate(order),
-        g0=rl_g0(order, t1=t1),
-    )
 

@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
-from .automaton import Layer, dp_counts, verify_functional_equations
+from .automaton import LAYERS, dp_counts, verify_functional_equations
 from .paths import Step, walk
 from .series import Series, horner
 
@@ -94,11 +94,15 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
     """Every check of one run, in report order, as (name, check, *arguments).
 
     The kernel solutions (t = 2 always: the right-to-left and length-15
-    checks read it), the one expansion of R and the right-to-left
-    solution are computed here, once, and passed to the checks."""
+    checks read it), the one expansion of R and the three right-to-left
+    series (the cancelling root t1, the closed total g0 built from it,
+    and the valuation-2 root s1) are computed here, once, and passed to
+    the checks."""
     sols = {t: kernel.solve(t, order) for t in sorted(set(t_list) | {2})}
     r = closed_form.r_series(max(order, 41))
-    rl = reverse.solve_rl(order)
+    t1 = reverse.rl_cancelling_root(order + 2)  # two terms further: g0 keeps the window
+    g0, t1 = reverse.rl_g0(order, t1=t1), t1.truncate(order)
+    s1 = reverse.rl_root_s1(order)
     lr, z_ord = sols[2], min(20, order - 1)
     s6 = [("good-root published comparison t=3", _s6_check, sols[3].s, order)] if 3 in sols else []
     return [
@@ -118,9 +122,9 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
         ("R published coefficients", _r_published_check, r),
         ("lagrange identity", _lagrange_check),
         ("R defining quadratic", _r_quadratic_check, r, order),
-        ("valuation-2 root published coefficients", _published_check, rl.s1, reverse.S1_PUBLISHED, order),
-        ("reflected-kernel consistency", _reflected_roots_check, rl, lr.s),
-        ("reflected closed form", _reflected_g0_check, rl, lr.total, order),
+        ("valuation-2 root published coefficients", _published_check, s1, reverse.S1_PUBLISHED, order),
+        ("reflected-kernel consistency", _reflected_roots_check, s1, t1, lr.s),
+        ("reflected closed form", _reflected_g0_check, g0, t1, lr.total, order),
         ("mirror consistency", _mirror_check, 30),
         ("length-15 adjudication", _adjudication, r, lr.total),
     ]
@@ -174,14 +178,14 @@ def _integer_coeff(series: Series, n: int, name: str) -> int:
 
 
 # the layer a nonempty word ends in, read off its last step
-_LAST_STEP_LAYER = {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}
+_LAST_STEP_LAYER = {Step.U: "F", Step.D: "G", Step.L: "H"}
 
 
 def _walked_cells(t: int, n: int) -> Counter:
     """The words of length n counted by (level, layer): y is the level in
     every style, and the empty word is in layer F."""
     return Counter(
-        (verts[-1][1], _LAST_STEP_LAYER[steps[-1]] if steps else Layer.F)
+        (verts[-1][1], _LAST_STEP_LAYER[steps[-1]] if steps else "F")
         for steps, verts, _ in walk(t, n, closed_only=False)
     )
 
@@ -190,11 +194,11 @@ def _enumeration_check(t: int, n_hi: int) -> Verdict:
     table = dp_counts(t, n_hi)
     return _matches(
         (
-            ((n, k, layer.value), table.count(n, k, layer), cells[k, layer])
+            ((n, k, layer), table.count(n, k, layer), cells[k, layer])
             for n in range(n_hi + 1)
             for cells in (_walked_cells(t, n),)  # one walk per length
             for k in range(n + 1)
-            for layer in Layer
+            for layer in LAYERS
         ),
         f"all cells match exhaustive enumeration, n <= {n_hi}", "cell mismatch at n={}, k={}, {}",
     )
@@ -236,7 +240,7 @@ def _totals_check(sol: kernel.KernelSolution) -> Verdict:
 
 def _identity_check(sol: kernel.KernelSolution) -> Verdict:
     # h0 s^t = z (g0 + h0), divided by s^t so that no term is lost
-    rhs = (sol.g0 + sol.h0).shift(1) * sol.s_inv**sol.t
+    rhs = (sol.g0 + sol.h0).shift(1) * sol.s_inv_power(sol.t)
     return _zero_on_window(sol.h0 - rhs, f"h0 s^{sol.t} = z(g0 + h0)")
 
 
@@ -245,8 +249,8 @@ def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
     table = dp_counts(sol.t, n_hi, k_max=k_hi)
     return _matches(
         (
-            ((layer.value, k, n), ser.coeff(n), table.count(n, k, layer))
-            for layer in Layer
+            ((layer, k, n), ser.coeff(n), table.count(n, k, layer))
+            for layer in LAYERS
             for k in range(k_hi + 1)
             for ser in (kernel.prefix_series(sol, layer, k, n_hi + 1),)  # one per column
             for n in range(n_hi + 1)
@@ -257,9 +261,9 @@ def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
 
 def _recurrence_check(sol: kernel.KernelSolution, ord_rec: int) -> Verdict:
     k_hi = 6
-    for layer in Layer:
+    for layer in LAYERS:
         if not kernel.recurrence_check(sol, layer, k_hi, ord_rec):
-            return False, f"layer {layer.value}"
+            return False, f"layer {layer}"
     return True, f"order-{2 * sol.t} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
 
 
@@ -285,13 +289,13 @@ def _r_quadratic_check(r: Series, order: int) -> Verdict:
     return (lhs - rhs).truncate(order).is_zero(), "(6zR - 1 - 2z)^2 = 1 - 8z + 4z^2"
 
 
-def _reflected_roots_check(rl: reverse.RlSolution, s: Series) -> Verdict:
+def _reflected_roots_check(s1: Series, t1: Series, s: Series) -> Verdict:
     # each residual on the whole window it is known on
     residuals = {
-        "kernel(s1) = 0": horner(kernel.kernel_poly(2), rl.s1),
-        "reflected kernel(t1) = 0": horner(reverse.RECIPROCAL_KERNEL, rl.t1),
-        "reflected kernel(1/s1) = 0": horner(reverse.RECIPROCAL_KERNEL, rl.s1.reciprocal()),
-        "t1 s = 1": rl.t1 * s - 1,
+        "kernel(s1) = 0": horner(kernel.kernel_poly(2), s1),
+        "reflected kernel(t1) = 0": horner(reverse.RECIPROCAL_KERNEL, t1),
+        "reflected kernel(1/s1) = 0": horner(reverse.RECIPROCAL_KERNEL, s1.reciprocal()),
+        "t1 s = 1": t1 * s - 1,
     }
     for claim, residual in residuals.items():
         ok, detail = _zero_on_window(residual, claim)
@@ -300,10 +304,10 @@ def _reflected_roots_check(rl: reverse.RlSolution, s: Series) -> Verdict:
     return True, "roots satisfy both kernels; t1 inverts the surviving root"
 
 
-def _reflected_g0_check(rl: reverse.RlSolution, total: Series, order: int) -> Verdict:
-    hi = min(order, total.frontier, rl.g0.frontier)
-    forms_ok = rl.g0.agrees(reverse.rl_g0_rational(order, t1=rl.t1), upto=hi)
-    total_ok = rl.g0.agrees(total, upto=hi)
+def _reflected_g0_check(g0: Series, t1: Series, total: Series, order: int) -> Verdict:
+    hi = min(order, total.frontier, g0.frontier)
+    forms_ok = g0.agrees(reverse.rl_g0_rational(order, t1=t1), upto=hi)
+    total_ok = g0.agrees(total, upto=hi)
     return forms_ok and total_ok, f"both forms equal the LR total through z^{hi - 1}"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck.automaton import Layer, dp_counts
+from skewdyck.automaton import dp_counts
 from skewdyck.kernel import S4_PUBLISHED, S6_PUBLISHED, good_root, prefix_series, solve
 from skewdyck.render import render_document
 from skewdyck.reverse import S1_PUBLISHED
@@ -73,9 +73,9 @@ def test_c04_prefix_series_reproduction(verify64):
         assert_rows(verify64, ("prefix closed forms vs table t=2", "k <= 8, n <= 24"))
         # the two expansions called out by name
         sol = solve(2, 40)
-        f1 = prefix_series(sol, Layer.F, 1, 25)
+        f1 = prefix_series(sol, "F", 1, 25)
         assert (f1 - (sol.g0 + 1).shift(1).truncate(25)).is_zero()
-        h0 = prefix_series(sol, Layer.H, 0, 25)
+        h0 = prefix_series(sol, "H", 0, 25)
         assert [h0.coeff(e) for e in (6, 9, 12, 15, 18, 21)] == [1, 6, 34, 198, 1191, 7364]
 
 
@@ -140,15 +140,15 @@ def test_c10_functional_equations(verify64):
 
 def test_c11_rendering():
     with criterion("C11", "12 plain and 19 skew diagrams at length 9, golden structure"):
-        plain = render_document(2, 9, mode="plain", fmt="svg")
-        skew = render_document(2, 9, mode="skew", fmt="svg")
+        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
+        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
         assert plain.count('class="diagram"') == 12
         assert skew.count('class="diagram"') == 19
-        tikz = render_document(2, 9, mode="skew", fmt="tikz")
+        tikz = render_document(2, 9, "skew", "red-overlay", False, "tikz")
         assert tikz.count("\\begin{tikzpicture}") == 19
         assert tikz.count("\\draw[thick,red]") == 8
         # golden structure at length 3 (full document frozen in test_render)
-        frozen = render_document(2, 3, mode="skew", fmt="tikz")
+        frozen = render_document(2, 3, "skew", "red-overlay", False, "tikz")
         assert "\\draw[thick] (0,0) -- (1,1) -- (2,2) -- (4,0);" in frozen
 
 

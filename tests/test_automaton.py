@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdyck import automaton
-from skewdyck.automaton import Layer, dp_counts, verify_functional_equations
+from skewdyck.automaton import LAYERS, dp_counts, verify_functional_equations
 from skewdyck.kernel import recurrence_residuals
 from skewdyck.paths import Step, walk
 from skewdyck.series import Series
@@ -22,9 +22,9 @@ def walked_cells(t, n):
     # the walk's words of length n, counted by (final level, layer): the
     # level summed from the steps, the layer read off the last step, and
     # the empty word in layer F
-    layer_of = {Step.U: Layer.F, Step.D: Layer.G, Step.L: Layer.H}
+    layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
     return Counter(
-        (sum(1 if s is Step.U else -t for s in steps), layer_of[steps[-1]] if steps else Layer.F)
+        (sum(1 if s is Step.U else -t for s in steps), layer_of[steps[-1]] if steps else "F")
         for steps, _, _ in walk(t, n, closed_only=False)
     )
 
@@ -52,34 +52,34 @@ class TestTotals:
 class TestCells:
     def test_seed_is_layer_f(self):
         table = dp_counts(2, 0)
-        assert table.count(0, 0, Layer.F) == 1
-        assert table.count(0, 0, Layer.G) == 0
-        assert table.count(0, 0, Layer.H) == 0
+        assert table.count(0, 0, "F") == 1
+        assert table.count(0, 0, "G") == 0
+        assert table.count(0, 0, "H") == 0
 
     def test_level_one_after_four_steps(self):
         table = dp_counts(2, 4)
-        assert table.count(4, 1, Layer.F) == 1  # UUDU
-        assert table.count(4, 1, Layer.G) == 1  # UUUD
-        assert table.count(4, 1, Layer.H) == 0
+        assert table.count(4, 1, "F") == 1  # UUDU
+        assert table.count(4, 1, "G") == 1  # UUUD
+        assert table.count(4, 1, "H") == 0
 
     def test_level_zero_after_six_steps(self):
         table = dp_counts(2, 6)
-        assert table.count(6, 0, Layer.F) == 0
-        assert table.count(6, 0, Layer.G) == 3
-        assert table.count(6, 0, Layer.H) == 1
+        assert table.count(6, 0, "F") == 0
+        assert table.count(6, 0, "G") == 3
+        assert table.count(6, 0, "H") == 1
 
     def test_prefix_count_examples(self):
         # one cell each, from a table cut to the cell's own length and level
-        assert dp_counts(2, 4, k_max=1).count(4, 1, Layer.F) == 1
-        assert dp_counts(2, 6, k_max=0).count(6, 0, Layer.H) == 1
-        assert dp_counts(2, 9, k_max=0).count(9, 0, Layer.H) == 6
+        assert dp_counts(2, 4, k_max=1).count(4, 1, "F") == 1
+        assert dp_counts(2, 6, k_max=0).count(6, 0, "H") == 1
+        assert dp_counts(2, 9, k_max=0).count(9, 0, "H") == 6
 
     def test_out_of_bounds(self):
         table = dp_counts(2, 5, k_max=3)
         with pytest.raises(ValueError, match="bounds"):
-            table.count(6, 0, Layer.F)
+            table.count(6, 0, "F")
         with pytest.raises(ValueError, match="bounds"):
-            table.count(2, 4, Layer.F)
+            table.count(2, 4, "F")
         with pytest.raises(ValueError, match="bounds"):
             table.closed_count(6)
         with pytest.raises(ValueError, match="bounds"):
@@ -90,7 +90,7 @@ class TestCells:
             table = dp_counts(t, 2 * t)
             for n in range(2 * t):
                 for k in range(n + 1):
-                    assert table.count(n, k, Layer.H) == 0
+                    assert table.count(n, k, "H") == 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -109,7 +109,7 @@ class TestOracleEquivalence:
         for n in range(n_hi + 1):
             cells = walked_cells(t, n)
             for k in range(n + 1):
-                for layer in Layer:
+                for layer in LAYERS:
                     assert table.count(n, k, layer) == cells[k, layer], (
                         t, n, k, layer,
                     )
@@ -123,22 +123,22 @@ class TestOracleEquivalence:
 class TestReversedTable:
     def test_seeds(self):
         table = dp_counts(2, 0, direction="RL")
-        assert table.count(0, 0, Layer.G) == 1
-        assert table.count(0, 0, Layer.H) == 1
-        assert table.count(0, 0, Layer.F) == 0
+        assert table.count(0, 0, "G") == 1
+        assert table.count(0, 0, "H") == 1
+        assert table.count(0, 0, "F") == 0
 
     def test_one_step_lands_at_level_t(self):
         # both reversed step kinds climb by t, so level 1 is empty after
         # one step and level 2 holds everything
         table = dp_counts(2, 1, k_max=4, direction="RL")
-        assert sum(table.count(1, 1, layer) for layer in Layer) == 0
-        assert table.count(1, 2, Layer.F) == 1
-        assert table.count(1, 2, Layer.G) == 2
-        assert table.count(1, 2, Layer.H) == 2
+        assert sum(table.count(1, 1, layer) for layer in LAYERS) == 0
+        assert table.count(1, 2, "F") == 1
+        assert table.count(1, 2, "G") == 2
+        assert table.count(1, 2, "H") == 2
 
     def test_origin_f_cell_stays_zero(self):
         table = dp_counts(2, 12, direction="RL")
-        assert all(table.count(n, 0, Layer.F) == 0 for n in range(13))
+        assert all(table.count(n, 0, "F") == 0 for n in range(13))
 
     def test_closed_counts_via_g_column(self):
         table = dp_counts(2, 15, k_max=0, direction="RL")
@@ -171,7 +171,7 @@ class TestRandomCells:
         t=st.integers(2, 5),
         n=st.integers(0, 12),
         k=st.integers(0, 12),
-        layer=st.sampled_from(Layer),
+        layer=st.sampled_from(LAYERS),
     )
     def test_cell_matches_enumeration(self, t, n, k, layer):
         expected = walked_cells(t, n)[k, layer]
@@ -196,7 +196,7 @@ class TestRandomCells:
         full = dp_counts(t, n_max, k_max=b, direction=direction)
         for n in range(n_max + 1):
             for k in range(a + 1):
-                for layer in Layer:
+                for layer in LAYERS:
                     assert pruned.count(n, k, layer) == full.count(n, k, layer), (n, k, layer)
 
 
@@ -208,14 +208,14 @@ def dense_walk(t, n_max, direction, k_top):
     left undoes one step per row: the G and H seeds hold the empty word,
     and the level-0 F cell is held at zero after step 0.
     """
-    F, G, H = Layer
+    F, G, H = LAYERS
     width = max(k_top, t * n_max) + t + 2  # above every level either scan reaches
-    row = {layer: [0] * width for layer in Layer}
+    row = {layer: [0] * width for layer in LAYERS}
     for layer in (F,) if direction == "LR" else (G, H):
         row[layer][0] = 1
     rows = [row]
     for _ in range(n_max):
-        old, row = row, {layer: [0] * width for layer in Layer}
+        old, row = row, {layer: [0] * width for layer in LAYERS}
         for k in range(width - t):
             if direction == "LR":
                 row[F][k + 1] += old[F][k] + old[G][k]
@@ -248,7 +248,7 @@ class TestStridedWalk:
         c = 1 if direction == "LR" else t
         for n in range(n_max + 1):
             for k in range(table.k_max + 1):
-                for layer in Layer:
+                for layer in LAYERS:
                     got = table.count(n, k, layer)
                     assert got == rows[n][layer][k], (n, k, layer)
                     if (k - c * n) % (t + 1):
@@ -264,11 +264,11 @@ class TestStridedWalk:
     def test_column_matches_cells(self, t, n_max, k_max, direction):
         table = dp_counts(t, n_max, k_max=k_max, direction=direction)
         for k in range(table.k_max + 1):
-            for layer in Layer:
+            for layer in LAYERS:
                 want = [table.count(n, k, layer) for n in range(n_max + 1)]
                 assert table.column(k, layer) == want, (k, layer)
         with pytest.raises(ValueError, match="outside the table bounds"):
-            table.column(table.k_max + 1, Layer.F)
+            table.column(table.k_max + 1, "F")
 
     @pytest.mark.parametrize("direction", ["LR", "RL"])
     @pytest.mark.parametrize("t", [2, 3, 7])
@@ -318,7 +318,7 @@ class TestStridedWalk:
 class TestColumnRecurrence:
     def test_t2_columns_satisfy_kernel_recurrence(self):
         table = dp_counts(2, 24, k_max=12)
-        for layer in Layer:
+        for layer in LAYERS:
             cols = [Series(0, [table.count(n, k, layer) for n in range(25)]) for k in range(11)]
             for residual in recurrence_residuals(cols, 2):
                 assert residual.truncate(24).is_zero()

@@ -290,9 +290,9 @@ class TestRender:
         mode = next(a for a in commands.choices["render"]._actions if a.dest == "mode")
         assert sorted(mode.choices) == ["plain", "skew"]
         for choice in mode.choices:
-            render_document(2, 3, choice)  # accepted
+            render_document(2, 3, choice, "red-overlay", False, "svg")  # accepted
         with pytest.raises(ValueError, match="mode must be one of"):
-            render_document(2, 3, "fancy")
+            render_document(2, 3, "fancy", "red-overlay", False, "svg")
 
 
 # sha256 of the `render --out` file for

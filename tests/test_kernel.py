@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.automaton import Layer, dp_counts
+from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
@@ -21,6 +21,10 @@ from skewdyck.kernel import (
 )
 from skewdyck.reverse import rl_cancelling_root, rl_root_s1
 from skewdyck.series import Series, SeriesError, horner
+
+
+# ids "Layer.F", "Layer.G" and "Layer.H" keep these tests' names stable
+by_layer = pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: f"Layer.{layer}")
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +186,7 @@ class TestSolveT2:
     def test_s_inv_powers_are_memoised_on_the_window_of_s(self, order):
         sol = solve(2, order)
         inv = sol.s.reciprocal()
-        assert sol.s_inv == inv
+        assert sol.s_inv_power(1) == inv
         for k in (3, 1, 5):
             assert sol.s_inv_power(k) == inv**k
         assert sol.s_inv_power(5) is sol.s_inv_power(5)
@@ -195,9 +199,10 @@ class TestSolveT2:
         # s^-k from halves equals, values and window (`==` compares both),
         # the product chain s^-1 * s^-1 * ..., whichever k is asked for first
         sol = solve(t, order)
-        chained = [sol.s_inv]
+        inv = sol.s_inv_power(1)
+        chained = [inv]
         while len(chained) < order + 2:
-            chained.append(chained[-1] * sol.s_inv)
+            chained.append(chained[-1] * inv)
         fresh = solve(t, order)
         for k in (order + 2, order - 1, 5):
             assert fresh.s_inv_power(k) == chained[k - 1]
@@ -215,7 +220,7 @@ class TestSolveT2:
         sol = solve(t, 30)
         assert sol.t == t and sol.order == 30
         assert [x.frontier for x in (sol.s, sol.g0, sol.h0, sol.total)] == [30] * 4
-        assert sol.s_inv.frontier == 32
+        assert sol.s_inv_power(1).frontier == 32
         assert sol.g0.valuation == t + 1 and sol.h0.valuation == 2 * t + 2
 
     @pytest.mark.parametrize("t", [2, 3, 4])
@@ -237,25 +242,25 @@ class TestSolveT2:
 
 class TestPrefixSeries:
     def test_f0_is_one(self, sol):
-        ser = prefix_series(sol, Layer.F, 0, 24)
+        ser = prefix_series(sol, "F", 0, 24)
         assert ser.coeff(0) == 1
         assert (ser - 1).is_zero()
 
     def test_h0_case_is_h0_itself(self, sol):
-        ser = prefix_series(sol, Layer.H, 0, 24)
+        ser = prefix_series(sol, "H", 0, 24)
         assert (ser - sol.h0.truncate(24)).is_zero()
 
     def test_f1_series(self, sol):
-        ser = prefix_series(sol, Layer.F, 1, 8)
+        ser = prefix_series(sol, "F", 1, 8)
         assert [ser.coeff(n) for n in range(8)] == [0, 1, 0, 0, 1, 0, 0, 3]
 
     def test_lowest_term_is_all_up_word(self, sol):
         for k in range(1, 6):
-            ser = prefix_series(sol, Layer.F, k, 20)
+            ser = prefix_series(sol, "F", k, 20)
             assert ser.valuation == k
             assert ser.coeff(k) == 1
 
-    @pytest.mark.parametrize("layer", list(Layer))
+    @by_layer
     def test_matches_table_k_to_8_n_to_24(self, layer, sol):
         table = dp_counts(2, 24, k_max=8)
         for k in range(9):
@@ -263,7 +268,7 @@ class TestPrefixSeries:
             for n in range(25):
                 assert ser.coeff(n) == Fraction(table.count(n, k, layer)), (layer, k, n)
 
-    @pytest.mark.parametrize("layer", list(Layer))
+    @by_layer
     def test_nonnegative_integer_coefficients(self, layer, sol):
         for k in range(9):
             ser = prefix_series(sol, layer, k, 25)
@@ -271,11 +276,18 @@ class TestPrefixSeries:
             for c in ser.coeffs:
                 assert c.denominator == 1 and c >= 0
 
+    @pytest.mark.parametrize("layer", ["X", "f", "", "FG"])
+    def test_unknown_layer_letter_raises(self, layer, sol):
+        # only F, G and H name a layer; any other letter is an error that
+        # names it, never a quiet fall-through to one of the three
+        with pytest.raises(ValueError, match=f"got {layer!r}"):
+            prefix_series(sol, layer, 1, 8)
+
     def test_insufficient_solution_order_raises(self, sol):
         with pytest.raises(SeriesError, match="too small"):
-            prefix_series(sol, Layer.H, 0, 60)
+            prefix_series(sol, "H", 0, 60)
 
-    @pytest.mark.parametrize("layer", list(Layer))
+    @by_layer
     def test_levels_past_the_window_are_zero(self, layer, sol):
         # no prefix of fewer than k steps ends at level k
         for k in (24, 25, 60):
@@ -290,7 +302,7 @@ class TestCrossRoute:
     @settings(deadline=None, max_examples=60)
     @given(
         t=st.integers(2, 6),
-        layer=st.sampled_from(Layer),
+        layer=st.sampled_from(LAYERS),
         k=st.integers(0, 8),
         n=st.integers(0, 30),
     )
@@ -312,14 +324,14 @@ class TestCrossRoute:
 
 
 class TestRecurrence:
-    @pytest.mark.parametrize("layer", list(Layer))
+    @by_layer
     def test_order_30_k_to_6(self, layer):
         assert recurrence_check(solve(2, 45), layer, 6, 30)
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_depth_2t(self, t):
         sol = solve(t, 24)
-        for layer in Layer:
+        for layer in LAYERS:
             assert recurrence_check(sol, layer, 4, 20)
         cols = [Series.poly({0: 1}, 8)] * (2 * t + 3)
         assert len(recurrence_residuals(cols, t)) == 3
@@ -327,6 +339,6 @@ class TestRecurrence:
     def test_detects_a_wrong_column(self):
         # the residual of a column sequence that is not geometric in s
         sol = solve(2, 24)
-        cols = [prefix_series(sol, Layer.G, k, 20) for k in range(6)]
+        cols = [prefix_series(sol, "G", k, 20) for k in range(6)]
         cols[2] = cols[2] + Series.poly({10: 1}, 20)
         assert not all(r.truncate(19).is_zero() for r in recurrence_residuals(cols, 2))

@@ -74,7 +74,7 @@ class TestLoadTerms:
             return FakeResponse()
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        terms = load_terms("A000123", cache_dir=tmp_path)
+        terms = load_terms("A000123", cache_dir=tmp_path, offline=False)
         assert terms == {0: 1, 1: 2}
         assert seen["url"] == "https://oeis.org/A000123/b000123.txt"
         # cached in place, no leftover partial files
@@ -84,7 +84,7 @@ class TestLoadTerms:
         monkeypatch.setattr(
             urllib.request, "urlopen", lambda *a, **k: pytest.fail("network hit")
         )
-        assert load_terms("A000123", cache_dir=tmp_path) == {0: 1, 1: 2}
+        assert load_terms("A000123", cache_dir=tmp_path, offline=False) == {0: 1, 1: 2}
 
     def test_network_failure_suggests_offline(self, tmp_path, monkeypatch):
         def boom(url, timeout):
@@ -94,7 +94,7 @@ class TestLoadTerms:
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
         with pytest.raises(OeisError, match="--offline uses the bundled snapshot"):
-            load_terms("A007564", cache_dir=tmp_path)
+            load_terms("A007564", cache_dir=tmp_path, offline=False)
 
 
 class TestCompare:

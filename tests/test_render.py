@@ -63,18 +63,18 @@ class TestWordSelection:
     def test_bad_mode(self):
         for fmt in ("svg", "tikz"):
             with pytest.raises(ValueError, match="mode"):
-                render_document(2, 9, "fancy", fmt=fmt)
+                render_document(2, 9, "fancy", "red-overlay", False, fmt)
 
 
 class TestSvg:
     def test_diagram_counts(self):
-        plain = render_document(2, 9, mode="plain", fmt="svg")
-        skew = render_document(2, 9, mode="skew", fmt="svg")
+        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
+        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
         assert plain.count('class="diagram"') == 12
         assert skew.count('class="diagram"') == 19
 
     def test_red_segment_count_matches_marked_steps(self):
-        skew = render_document(2, 9, mode="skew", fmt="svg")
+        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
         marked = sum(
             1 for w in walked_words(2, 9) for s in w if s is Step.L
         )
@@ -82,55 +82,55 @@ class TestSvg:
         assert skew.count('class="skew"') == marked
 
     def test_plain_has_no_red(self):
-        plain = render_document(2, 9, mode="plain", fmt="svg")
+        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
         assert 'stroke="red"' not in plain
 
     def test_golden_n3(self):
-        assert render_document(2, 3, mode="skew", fmt="svg") == GOLDEN_SVG_N3
+        assert render_document(2, 3, "skew", "red-overlay", False, "svg") == GOLDEN_SVG_N3
 
     def test_left_style_emits_per_segment_lines(self):
-        doc = render_document(2, 6, mode="skew", style="left", fmt="svg")
+        doc = render_document(2, 6, "skew", "left", False, "svg")
         assert "polyline" not in doc
         assert 'stroke="red"' in doc
 
     def test_mirrored_flips_x(self):
-        doc = render_document(2, 3, mode="skew", mirrored=True, fmt="svg")
+        doc = render_document(2, 3, "skew", "red-overlay", True, "svg")
         assert 'points="80,40 60,20 40,0 0,40"' in doc
 
     def test_deterministic(self):
-        a = render_document(2, 9, mode="skew", fmt="svg")
-        b = render_document(2, 9, mode="skew", fmt="svg")
+        a = render_document(2, 9, "skew", "red-overlay", False, "svg")
+        b = render_document(2, 9, "skew", "red-overlay", False, "svg")
         assert a == b
 
 
 class TestTikz:
     def test_diagram_counts(self):
-        plain = render_document(2, 9, mode="plain", fmt="tikz")
-        skew = render_document(2, 9, mode="skew", fmt="tikz")
+        plain = render_document(2, 9, "plain", "red-overlay", False, "tikz")
+        skew = render_document(2, 9, "skew", "red-overlay", False, "tikz")
         assert plain.count("\\begin{tikzpicture}") == 12
         assert skew.count("\\begin{tikzpicture}") == 19
 
     def test_golden_n3(self):
-        assert render_document(2, 3, mode="skew", fmt="tikz") == GOLDEN_TIKZ_N3
+        assert render_document(2, 3, "skew", "red-overlay", False, "tikz") == GOLDEN_TIKZ_N3
 
     def test_overlay_marks_use_quarter_offsets(self):
         # UUUUDL's marked step runs (6,2) -> (8,0); its red copy is nudged
-        doc = render_document(2, 6, mode="skew", fmt="tikz")
+        doc = render_document(2, 6, "skew", "red-overlay", False, "tikz")
         assert "\\draw[thick,red] (6.25,2) -- (8,0.25);" in doc
 
     def test_mirrored_wraps_in_scope(self):
-        doc = render_document(2, 3, mode="skew", mirrored=True, fmt="tikz")
+        doc = render_document(2, 3, "skew", "red-overlay", True, "tikz")
         assert "\\begin{scope}[xscale=-1,yscale=1]" in doc
         assert "\\end{scope}" in doc
 
     def test_grid_is_shared_across_document(self):
-        doc = render_document(2, 9, mode="skew", fmt="tikz")
+        doc = render_document(2, 9, "skew", "red-overlay", False, "tikz")
         grids = {line.strip() for line in doc.splitlines() if "grid" in line}
         assert len(grids) == 1
 
     def test_bad_format(self):
         with pytest.raises(ValueError, match="format"):
-            render_document(2, 3, fmt="png")
+            render_document(2, 3, "skew", "red-overlay", False, "png")
 
 
 class TestGridBox:
@@ -172,7 +172,7 @@ def test_document_walks_the_words_once(monkeypatch, mode, fmt):
 
     monkeypatch.setattr(paths, "walk", counted)
     monkeypatch.setattr(render, "walk", counted)
-    render_document(2, 9, mode=mode, fmt=fmt)
+    render_document(2, 9, mode, "red-overlay", False, fmt)
     assert len(calls) == 1
 
 
@@ -181,8 +181,10 @@ def test_diagram_count_is_the_table_count(t, n):
     # the count the SVG header is sized from comes from the drawing pass;
     # tie it to the counting table, which enumerates nothing
     want = dp_counts(t, n, k_max=0).closed_count(n)
-    assert render_document(t, n, fmt="svg").count('class="diagram"') == want
-    assert render_document(t, n, fmt="tikz").count("\\begin{tikzpicture}") == want
+    svg = render_document(t, n, "skew", "red-overlay", False, "svg")
+    tikz = render_document(t, n, "skew", "red-overlay", False, "tikz")
+    assert svg.count('class="diagram"') == want
+    assert tikz.count("\\begin{tikzpicture}") == want
 
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
@@ -208,7 +210,7 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
 
     monkeypatch.setattr(render, "walk", fresh_walk)
     monkeypatch.setattr(WordChecker, "require", tracked)
-    render_document(2, 9, mode="skew", fmt=fmt)
+    render_document(2, 9, "skew", "red-overlay", False, fmt)
     assert checked == words
     assert len(checked) == 19
     assert max(alive) == 0
@@ -249,4 +251,4 @@ def test_drawn_words_are_validated(monkeypatch, fmt, n, walked, error):
 
     monkeypatch.setattr(render, "walk", bad_walk)
     with pytest.raises(ValueError, match=f"^{re.escape(f'invalid word (invalid: {error})')}$"):
-        render_document(2, n, fmt=fmt)
+        render_document(2, n, "skew", "red-overlay", False, fmt)

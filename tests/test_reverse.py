@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewdyck.automaton import Layer, dp_counts
+from skewdyck.automaton import dp_counts
 from skewdyck.kernel import (
     good_root,
     kernel_poly,
@@ -19,7 +19,6 @@ from skewdyck.reverse import (
     rl_g0,
     rl_g0_rational,
     rl_root_s1,
-    solve_rl,
 )
 from skewdyck.series import Series, SeriesError, horner
 
@@ -104,9 +103,9 @@ class TestRlG0:
 
     @pytest.mark.parametrize("order", [48, 64, 96])
     def test_quotient_from_the_solved_root(self, order):
-        # `verify` hands over the root `solve_rl` keeps; the quotient must come
+        # `verify` hands over the root cut to the order; the quotient must come
         # out equal, window included, to the one built from a root solved further
-        from_solved = rl_g0_rational(order, t1=solve_rl(order).t1)
+        from_solved = rl_g0_rational(order, t1=rl_cancelling_root(order + 2).truncate(order))
         assert from_solved == rl_g0_rational(order, t1=rl_cancelling_root(order + 2))
 
     def test_nonnegative_integer_coefficients(self):
@@ -120,17 +119,9 @@ class TestRlG0:
             rl_g0(8, t1=fake)
 
 
-class TestSolveRl:
-    def test_fields_consistent(self):
-        rl = solve_rl(20)
-        assert rl.s1.valuation == 2
-        assert rl.t1.valuation == 1
-        assert rl.g0.coeff(0) == 1
-
-
 def rl_g_cell(k, n):
     # one G cell of the reversed table, from a table cut to n steps and level k
-    return dp_counts(2, n, k_max=k, direction="RL").count(n, k, Layer.G)
+    return dp_counts(2, n, k_max=k, direction="RL").count(n, k, "G")
 
 
 class TestRlPrefixCounts:
@@ -150,7 +141,7 @@ class TestRlPrefixCounts:
         table = dp_counts(2, 9, k_max=4, direction="RL")
         for k in range(5):
             for n in range(10):
-                assert rl_g_cell(k, n) == table.count(n, k, Layer.G)
+                assert rl_g_cell(k, n) == table.count(n, k, "G")
 
     def test_closed_counts_match_lr_through_30(self):
         lr = dp_counts(2, 30, k_max=0)

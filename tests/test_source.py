@@ -98,9 +98,10 @@ def test_r_route_imports_only_the_series():
 
 
 def test_kernel_route_imports_only_the_series():
-    # the kernel route reads a layer's name, not the table's Layer class:
-    # `series g0` and its kin load no table code, and the kernel can share
-    # no fault with the table it is checked against
+    # the kernel route names a layer by its letter, as the table does, and
+    # imports nothing of the table's: `series g0` and its kin load no table
+    # code, and the kernel can share no fault with the table it is checked
+    # against
     assert package_imports("kernel") == {"skewdyck.series"}
 
 
@@ -170,7 +171,7 @@ def test_library_defaults_are_used():
     pkg = Path(skewdyck.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(pkg.glob("*.py"))}
     defaulted = {}  # "module.function" -> (positional parameter names, defaulted names)
-    for stem in ("series", "kernel", "reverse", "closed_form", "automaton", "verify"):
+    for stem in ("series", "kernel", "reverse", "closed_form", "automaton", "paths", "render", "oeis", "verify"):
         for node in trees[stem].body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 args = node.args
@@ -294,7 +295,10 @@ _IMPORT_VECTORS = {
     ),
     "series-prefix": (
         ["series", "prefix:G:4", "--order", "16"],
-        ["skewdyck.reverse", "skewdyck.closed_form", "skewdyck.paths", "fractions", "json"],
+        [
+            "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths",
+            "fractions", "json",
+        ],
     ),
     "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json"]),
     "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
