@@ -135,6 +135,10 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
     return plan
 
 
+def _bad_layer(layer) -> ValueError:
+    return ValueError(f"layer must be one of 'F', 'G', 'H', got {layer!r}")
+
+
 class CountTable:
     """Immutable table of exact counts indexed by (steps n, level k, layer).
 
@@ -160,7 +164,10 @@ class CountTable:
 
     def count(self, n: int, k: int, layer: str) -> int:
         self._check(n, k)
-        cells = self._grid[n][_LIDX[layer]]
+        try:
+            cells = self._grid[n][_LIDX[layer]]
+        except KeyError:
+            raise _bad_layer(layer) from None
         j, residue = divmod(k, self._m)
         return cells[j] if residue == self._c * n % self._m and j < len(cells) else 0
 
@@ -168,7 +175,11 @@ class CountTable:
         """count(n, k, layer) for n = 0..n_max, reading only the rows whose
         residue class holds level k."""
         self._check(0, k)
-        m, c, i = self._m, self._c, _LIDX[layer]
+        try:
+            i = _LIDX[layer]
+        except KeyError:
+            raise _bad_layer(layer) from None
+        m, c = self._m, self._c
         j, residue = divmod(k, m)
         out = [0] * (self.n_max + 1)
         for first in range(m):

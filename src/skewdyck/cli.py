@@ -5,14 +5,23 @@ Subcommands: count (closed totals), series (exact expansions), render
 (b-file comparison).  All numeric output is exact decimal text; given
 the same arguments every command prints the same bytes.
 
+One table, `_COMMANDS`, lists each command's help, handler and
+arguments.  `_parse_plain` reads it to accept the canonical spelling of
+a command (full option names, each once, every value checked by the
+type or choices argparse would apply) without importing argparse, whose
+import and parser build cost a start-up about as much as a small
+command's own work.  Any other input goes to `build_parser`, the
+argparse parser built from the same table, so help, usage errors and
+every other spelling keep argparse's behaviour and bytes.
+
 Each command imports the layers it runs inside its own function, so a
 start-up pays only for the route that the command takes.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import RENDER_MODES
 
@@ -33,6 +42,14 @@ _SERIES_CHOICES = "g0, h0, total, s4, s6, s1, rl-g0, R, prefix:<F|G|H>:<k>"
 TABLE_FORMATS = ("table", "csv", "json", "markdown")
 
 
+def _usage_error(message: str):
+    """The error an argparse type raises to print `message` as the usage
+    error; argparse is imported only once an argument is refused."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_in(name: str, lo: int, hi: int | None = None):
     """argparse type: an integer in [lo, hi] (hi None: no upper bound)."""
 
@@ -40,7 +57,7 @@ def _int_in(name: str, lo: int, hi: int | None = None):
         value = int(text)
         if value < lo or (hi is not None and value > hi):
             bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+            raise _usage_error(f"{name} must be {bound}, got {value}")
         return value
 
     parse.__name__ = name  # argparse names the type in "invalid ... value"
@@ -55,13 +72,11 @@ def _t_list_arg(text: str) -> tuple[int, ...]:
     try:
         values = tuple(_verify_t(part) for part in text.split(",") if part)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad t list {text!r}") from None
+        raise _usage_error(f"bad t list {text!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError("t list needs comma-separated integers >= 2")
+        raise _usage_error("t list needs comma-separated integers >= 2")
     if len(values) > MAX_VERIFY_TS:
-        raise argparse.ArgumentTypeError(
-            f"t list must hold at most {MAX_VERIFY_TS} values, got {len(values)}"
-        )
+        raise _usage_error(f"t list must hold at most {MAX_VERIFY_TS} values, got {len(values)}")
     return values
 
 
@@ -72,9 +87,9 @@ def _n_range_arg(text: str) -> tuple[int, int]:
     else:
         lo = hi = int(text)
     if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad length range {text!r}")
+        raise _usage_error(f"bad length range {text!r}")
     if hi > MAX_LENGTH:
-        raise argparse.ArgumentTypeError(f"length must be at most {MAX_LENGTH}, got {hi}")
+        raise _usage_error(f"length must be at most {MAX_LENGTH}, got {hi}")
     return lo, hi
 
 
@@ -204,62 +219,111 @@ def _cmd_oeis(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help, handler and arguments.  An argument is its name
+# and the keywords `add_argument` takes for it; `_parse_plain` reads the
+# same keywords, so the two parsers accept the same values.
+_COMMANDS = {
+    "count": ("closed-path totals from the counting table", _cmd_count, [
+        ("--t", {"type": _t_arg, "default": 2, "help": "down-step size (default 2)"}),
+        ("--n", {"type": _n_range_arg, "required": True, "help": "length, or a lo:hi range"}),
+        ("--format", {"choices": TABLE_FORMATS, "default": "table"}),
+    ]),
+    "series": ("exact series expansions", _cmd_series, [
+        ("which", {"help": f"one of: {_SERIES_CHOICES}"}),
+        ("--order", {"type": _int_in("order", 8, MAX_SERIES_ORDER), "default": DEFAULT_ORDER}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ]),
+    "render": ("diagrams of all closed paths of one length", _cmd_render, [
+        ("--t", {"type": _t_arg, "default": 2}),
+        # the upper bound is the enumerator's cap, reported as a command error
+        ("--n", {"type": _int_in("length", 0), "required": True}),
+        ("--mode", {"choices": RENDER_MODES, "default": "skew",
+                    "help": "plain = L-free words only; skew = every word"}),
+        ("--style", {"choices": ("red-overlay", "left"), "default": "red-overlay"}),
+        ("--mirrored", {"action": "store_true", "help": "right-to-left reflection"}),
+        ("--format", {"choices": ("svg", "tikz"), "default": "svg"}),
+        ("--out", {"help": "output file (default: stdout)"}),
+    ]),
+    "verify": ("run the full cross-validation suite", _cmd_verify, [
+        ("--order", {"type": _int_in("order", 8, MAX_VERIFY_ORDER), "default": DEFAULT_ORDER}),
+        ("--t", {"type": _t_list_arg, "default": (2, 3), "help": "comma-separated t values"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ]),
+    "oeis": ("compare a sequence's b-file against the table", _cmd_oeis, [
+        ("sequence", {"help": "sequence id, e.g. A007564"}),
+        ("--n-max", {"type": _int_in("n-max", 0, MAX_OEIS_N), "default": 12}),
+        ("--cache-dir", {"help": "b-file cache directory"}),
+        ("--offline", {"action": "store_true"}),
+        ("--format", {"choices": TABLE_FORMATS, "default": "table"}),
+    ]),
+}
+
+
+def build_parser():
+    """The argparse parser built from `_COMMANDS`: it serves help, usage
+    errors and every spelling that `_parse_plain` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="skewdyck",
         description="Exact counting, series, and figures for skew t-Dyck paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="closed-path totals from the counting table")
-    p.add_argument("--t", type=_t_arg, default=2, help="down-step size (default 2)")
-    p.add_argument(
-        "--n", type=_n_range_arg, required=True, help="length, or a lo:hi range"
-    )
-    p.add_argument("--format", choices=TABLE_FORMATS, default="table")
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("series", help="exact series expansions")
-    p.add_argument("which", help=f"one of: {_SERIES_CHOICES}")
-    p.add_argument(
-        "--order", type=_int_in("order", 8, MAX_SERIES_ORDER), default=DEFAULT_ORDER
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_series)
-
-    p = sub.add_parser("render", help="diagrams of all closed paths of one length")
-    p.add_argument("--t", type=_t_arg, default=2)
-    # the upper bound is the enumerator's cap, reported as a command error
-    p.add_argument("--n", type=_int_in("length", 0), required=True)
-    p.add_argument(
-        "--mode",
-        choices=RENDER_MODES,
-        default="skew",
-        help="plain = L-free words only; skew = every word",
-    )
-    p.add_argument("--style", choices=("red-overlay", "left"), default="red-overlay")
-    p.add_argument("--mirrored", action="store_true", help="right-to-left reflection")
-    p.add_argument("--format", choices=("svg", "tikz"), default="svg")
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(fn=_cmd_render)
-
-    p = sub.add_parser("verify", help="run the full cross-validation suite")
-    p.add_argument(
-        "--order", type=_int_in("order", 8, MAX_VERIFY_ORDER), default=DEFAULT_ORDER
-    )
-    p.add_argument("--t", type=_t_list_arg, default=(2, 3), help="comma-separated t values")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("oeis", help="compare a sequence's b-file against the table")
-    p.add_argument("sequence", help="sequence id, e.g. A007564")
-    p.add_argument("--n-max", type=_int_in("n-max", 0, MAX_OEIS_N), default=12)
-    p.add_argument("--cache-dir", help="b-file cache directory")
-    p.add_argument("--offline", action="store_true")
-    p.add_argument("--format", choices=TABLE_FORMATS, default="table")
-    p.set_defaults(fn=_cmd_oeis)
-
+    for command, (help_text, fn, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
+        p.set_defaults(fn=fn)
     return parser
+
+
+def _parse_plain(argv: list[str]):
+    """The namespace argparse would return for the canonical spelling of
+    a command, or None for any other argv.
+
+    Canonical: the command name, then its positionals and full option
+    names in any order, each option once, each value not starting with
+    "-" and accepted by the argument's type and choices, and every
+    positional and required option present.  Everything else, help and
+    usage errors included, is left to `build_parser`.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, arguments = _COMMANDS[argv[0]]
+    options = dict(arguments)
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        spec = options.get(word)
+        if spec is None or word in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[word] = True
+            continue
+        text = next(words, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except Exception:  # argparse calls the type again and reports its failure
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[word] = value
+    names = [name for name, _ in arguments if not name.startswith("-")]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    values = {"command": argv[0], "fn": fn}
+    for name, spec in arguments:
+        if name not in given and spec.get("required"):
+            return None
+        default = False if spec.get("action") == "store_true" else spec.get("default")
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    return SimpleNamespace(**values)
 
 
 def _error(exc: Exception) -> int:
@@ -269,8 +333,10 @@ def _error(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written

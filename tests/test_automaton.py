@@ -85,6 +85,15 @@ class TestCells:
         with pytest.raises(ValueError, match="bounds"):
             table.closed_count(-1)
 
+    def test_unknown_layer(self):
+        # a bad letter is refused in the words kernel.prefix_series uses
+        table = dp_counts(2, 4)
+        message = "layer must be one of 'F', 'G', 'H', got 'X'"
+        with pytest.raises(ValueError, match=message):
+            table.count(4, 1, "X")
+        with pytest.raises(ValueError, match=message):
+            table.column(1, "X")
+
     def test_h_layer_unreachable_early(self):
         for t in (2, 3):
             table = dp_counts(t, 2 * t)

@@ -6,9 +6,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewdyck import render
-from skewdyck.cli import build_parser, main
+from skewdyck.cli import _parse_plain, build_parser, main
 from skewdyck.render import render_document
 from skewdyck.series import Series
 
@@ -475,12 +477,125 @@ class TestBounds:
         assert out == str(Series.zero(64)) + "\n"
 
     def test_benchmark_vectors_within_caps(self):
-        # every argument vector the benchmark can draw must still parse
+        # every argument vector the benchmark can draw must still parse, and
+        # on the plain path, to the namespace argparse builds
         expected = Path(__file__).parents[1] / "bench" / "expected.json"
         vectors = json.loads(expected.read_text())["digests"]
         parser = build_parser()
         for argv in vectors:
-            parser.parse_args(argv.replace("{out}", "out.svg").split())
+            argv = argv.replace("{out}", "out.svg").split()
+            plain = _parse_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == vars(parser.parse_args(argv))
+
+
+# sha256 of `--help` stdout and of usage-error stderr with COLUMNS=80,
+# recorded with the hand-written argparse parser (commit 1aa1709) under
+# CPython 3.11, so that building the parser from the argument table cannot
+# move a byte of help or of an error message.
+HELP_DIGESTS = {
+    ("--help",): "09c4c0c192eb45974b4c21e3c11b7c9afbc44752defb31e4434e1d22c1157aae",
+    ("count", "--help"): "b69427f07a2d89f816cfaad30232a65a40a5cbee0e05f4b90377b2c9473b34c3",
+    ("series", "--help"): "f26010e581f76365bddd76658f45649de99b5d61e76a9390fdaab31f9cb655b1",
+    ("render", "--help"): "6f4843a95cf6378e4891eeebf73a22715d06d601485439874b45d96aabf46f85",
+    ("verify", "--help"): "c0914457053f2d8107701072076a70e76d200d16cfb8cdaa7abc1f9e271e6eae",
+    ("oeis", "--help"): "49ac345edf6207e71f33cd0642de9b1ff056d57ea28ced77129ec7a281113739",
+}
+USAGE_ERROR_DIGESTS = {
+    ("series", "g0", "--order", "4"): "103a48510280c2daa128a5d9df7559a13b35ef563cbe9a52f0ae1e4f3e6536cb",
+    ("series", "g0", "--order", "2049"): "4217bb443987dbe015fbc365041af749f9471681f60563e53a22b1161f8731ae",
+    ("series", "g0", "--order", "x"): "35970278cd529c341fbd1ec079af686ae351cabdc36472d7c2f2106351b4d797",
+    ("verify", "--order", "513"): "1cadf374542d8c3e3bd42f1af73d8105dc395001770000edf650971aba69f8b5",
+    ("count", "--n", "0:4001"): "03b05423a2b83e5fa051d7cc0cac4f6a71a4777d650d093fe4d704a875aed99f",
+    ("count", "--n", "4001"): "03b05423a2b83e5fa051d7cc0cac4f6a71a4777d650d093fe4d704a875aed99f",
+    ("render", "--n", "-1"): "d007720e575054b688cfb13a0bcf795d60bf675be051452d5b2bc6d6f242913e",
+    ("oeis", "A007564", "--n-max", "1334"): "357f8a28b06542b456b51dec8e411a3e3d430d32e40fcc883d0168b9a82eda82",
+    ("oeis", "A007564", "--t", "3"): "be011e51583259ab395439ca3d10088fa96dc184b529436f3f743f2cc0a2fe65",
+    ("count", "--n", "3:"): "69b0917d188ca883af942e5d5aba893629b4e566e97111efd2b327440a05defe",
+    ("count", "--t", "x", "--n", "3"): "577dd434f074d3f7e45f4429f4021164e3a13738ed81dc58d4de6b41b37ebf61",
+    ("verify", "--t", "601"): "2195765e225e284a9106905ce066a43826f5530a743c652d096c64ce773238f7",
+    ("verify", "--t", "2,3,601"): "2195765e225e284a9106905ce066a43826f5530a743c652d096c64ce773238f7",
+    ("verify", "--t", "2,3,4,5,6,7,8,9,10"): (
+        "51631fe92518823232aef7a45783f8014eb00d47d4dce8323944a5d54fe8de84"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", [*HELP_DIGESTS, *USAGE_ERROR_DIGESTS])
+def test_help_and_usage_error_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    if argv in HELP_DIGESTS:
+        assert (exc.value.code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[argv]
+    else:
+        assert (exc.value.code, out) == (2, "")
+        assert hashlib.sha256(err.encode()).hexdigest() == USAGE_ERROR_DIGESTS[argv]
+
+
+# Argument vectors near the canonical spelling of a command: options of
+# the command with values in and out of range, negative, not integers or
+# not a choice, some spelled `--opt=value`, repeated or missing, and, mixed
+# in, words only argparse takes: abbreviations, help, `--`, stray values.
+_COMMAND_OPTIONS = {
+    "count": ["--t", "--n", "--format"],
+    "series": ["--order", "--format"],
+    "render": ["--t", "--n", "--mode", "--style", "--mirrored", "--format", "--out"],
+    "verify": ["--order", "--t", "--format"],
+    "oeis": ["--n-max", "--cache-dir", "--offline", "--format"],
+}
+_FLAGS = ("--mirrored", "--offline")
+_VALUES = {
+    "--t": ["2", "3", "600", "601", "1", "-1", "x", "2,3", "2,,3", "2,3,601", "2,3,4,5,6,7,8,9,10"],
+    "--n": ["0", "9", "24", "0:20", "3:", "5:2", "4001", "0:4001", "-1", "x"],
+    "--format": ["table", "csv", "json", "markdown", "text", "svg", "tikz", "xml", ""],
+    "--order": ["8", "16", "4", "2048", "2049", "1.5", "-3", "x"],
+    "--mode": ["plain", "skew", "fancy"],
+    "--style": ["red-overlay", "left", "right"],
+    "--out": ["out.svg", ""],
+    "--n-max": ["0", "3", "1333", "1334", "-1"],
+    "--cache-dir": ["cache"],
+}
+_POSITIONALS = ["total", "g0", "prefix:G:4", "A007564", ""]
+_ODD_WORDS = [
+    "--ord", "--fo", "--mi", "--n-m", "--cache", "-h", "--help", "--", "--order", "--n-max",
+    "-1", "stray",
+]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*_COMMAND_OPTIONS, "bogus"]))
+    options = _COMMAND_OPTIONS.get(command, ["--t"])
+    n_positionals = 1 if command in ("series", "oeis") else 0
+    if draw(st.integers(0, 4)) == 0:
+        n_positionals = draw(st.integers(0, 2))
+    chunks = [[draw(st.sampled_from(_POSITIONALS))] for _ in range(n_positionals)]
+    for opt in draw(st.lists(st.sampled_from(options), unique=draw(st.booleans()))):
+        if opt in _FLAGS:
+            chunks.append([opt])
+            continue
+        value = draw(st.sampled_from(_VALUES[opt]))
+        chunks.append(draw(st.sampled_from([[opt, value], [opt, value], [f"{opt}={value}"], [opt]])))
+    chunks += [[word] for word in draw(st.lists(st.sampled_from(_ODD_WORDS), max_size=1))]
+    head = [command] if draw(st.integers(0, 9)) else []
+    return head + [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_argvs())
+def test_plain_parse_agrees_with_argparse(argv):
+    # the plain parser may refuse any argv, but what it accepts argparse
+    # accepts too, into the same namespace
+    plain = _parse_plain(argv)
+    if plain is not None:
+        try:
+            parsed = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the plain parser accepts")
+        assert vars(parsed) == vars(plain)
 
 
 class TestOeis:

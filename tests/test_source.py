@@ -262,18 +262,23 @@ _LAYERS = [
 ]
 
 # (argv, modules the command must not load).  Each command imports only
-# the layers on its own route; `-S` keeps site hooks out of the picture.
+# the layers on its own route, and a well-formed command needs no
+# argparse, which only help and usage errors load; `-S` keeps site hooks
+# out of the picture.
 _IMPORT_VECTORS = {
     "help": (["--help"], [*_LAYERS, "fractions", "dataclasses", "json"]),
     "count": (
         ["count", "--n", "0:20"],
-        ["skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions", "dataclasses"],
+        [
+            "skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions", "dataclasses",
+            "argparse",
+        ],
     ),
     "render": (
         ["render", "--n", "6"],
         [
             "skewdyck.series", "skewdyck.automaton", "skewdyck.kernel",
-            "dataclasses", "fractions", "typing", "json",
+            "dataclasses", "fractions", "typing", "json", "argparse",
         ],
     ),
     # a series selector loads its own route only, and printing a series
@@ -283,25 +288,28 @@ _IMPORT_VECTORS = {
         [
             "skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis",
             "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton",
-            "fractions", "json", "dataclasses",
+            "fractions", "json", "dataclasses", "argparse",
         ],
     ),
     "series-R": (
         ["series", "R", "--order", "16"],
         [
             "skewdyck.kernel", "skewdyck.reverse", "skewdyck.automaton", "skewdyck.paths",
-            "fractions", "json",
+            "fractions", "json", "argparse",
         ],
     ),
     "series-prefix": (
         ["series", "prefix:G:4", "--order", "16"],
         [
             "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths",
-            "fractions", "json",
+            "fractions", "json", "argparse",
         ],
     ),
-    "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json"]),
-    "oeis": (["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"], []),
+    "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json", "argparse"]),
+    "oeis": (
+        ["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"],
+        ["argparse"],
+    ),
 }
 
 _RUN_AND_LIST_MODULES = """
