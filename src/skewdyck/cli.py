@@ -16,10 +16,25 @@ every other spelling keep argparse's behaviour and bytes.
 
 Each command imports the layers it runs inside its own function, so a
 start-up pays only for the route that the command takes.
+
+`run` is the process entry (`python -m skewdyck.cli` and the installed
+`skewdyck` script).  It calls `main`, runs the registered atexit
+callbacks, flushes stdout and stderr and ends the process with
+`os._exit`, which skips the interpreter's teardown of every loaded
+module, a few milliseconds of every command.  So a command must write
+all of its output and close every file it opens before `main` returns.
+`run` falls back to the ordinary `sys.exit`, with the exit status and
+stderr Python gives, when a flush fails or a stream is missing, when
+the exit code is not an int or None, when a tracer or profiler is
+installed (as under coverage or `python -m cProfile`, which act after
+the module returns), and when the interpreter is interactive
+(`python -i`).
 """
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 from types import SimpleNamespace
 
@@ -337,11 +352,48 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # Python starts with no stdout when fd 1 is closed
+        return _error(OSError("standard output is closed"))
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         return _error(exc)
 
 
+def _flushed() -> bool:
+    """Whether stdout and stderr are both open and flushed."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:
+            return False
+        try:
+            stream.flush()
+        except Exception:  # the ordinary exit flushes again and reports the failure
+            return False
+    return True
+
+
+def run() -> None:
+    """Run `main` as the whole process and end it with main's exit status.
+
+    The atexit callbacks run before the flush, in the order Python's own
+    exit takes them, so what a callback prints is flushed too.  The
+    module docstring lists the cases that take the ordinary `sys.exit`;
+    after a failed flush, Python flushes again and reports the failure
+    itself.  An uncaught exception propagates as it always has.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # help (0) and usage errors (2) from argparse
+        code = exc.code
+    if code is None:
+        code = 0
+    watched = sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect
+    if isinstance(code, int) and not watched:
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,10 +13,10 @@ form: ``den > 0``, ``gcd(den, *nums) == 1`` and a nonzero leading
 numerator (a series that is zero on its window has ``nums == ()`` and
 ``den == 1``).  Equal series therefore have equal fields.  Every ring
 operation reads and writes that form, and so does printing (`__str__`
-reduces each coefficient by a gcd).  `fractions.Fraction` values are
-built only where coefficients are handed out (`coeff`, `coeffs`, and
-`to_json` through `coeffs`), and `fractions` is imported on that first
-use, so a route that only computes and prints never loads it.  A
+and `to_json` reduce each coefficient by a gcd).  `fractions.Fraction`
+values are built only where coefficients are handed out (`coeff` and
+`coeffs`), and `fractions` is imported on that first use, so a route
+that only computes and prints, as text or JSON, never loads it.  A
 `Fraction` operand is still accepted anywhere an int is.  Floats are
 rejected outright.
 A series is built from a coefficient list (`Series(valuation, coeffs)`),
@@ -83,7 +83,10 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _ratio_text(p: int, q: int) -> str:
-    """p/q in lowest terms (q > 0), written as `Fraction.__str__` writes it."""
+    """p/q (q > 0) reduced to lowest terms and written as `Fraction.__str__`
+    writes it."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
     return str(p) if q == 1 else f"{p}/{q}"
 
 
@@ -433,8 +436,7 @@ class Series:
         for e, x in enumerate(self._nums, self._val):
             if not x:
                 continue
-            g = gcd(x, den)
-            a = _ratio_text(abs(x) // g, den // g)  # |x/den| as a Fraction prints it
+            a = _ratio_text(abs(x), den)
             if e == 0:
                 mono = a
             else:
@@ -451,11 +453,12 @@ class Series:
         return f"Series(valuation={self._val}, order={self.order}, frontier={self._frontier})"
 
     def to_json(self) -> dict:
-        """Exact-string JSON form: {valuation, order, coeffs}."""
+        """Exact-string JSON form: {valuation, order, coeffs}, each
+        coefficient written as a `Fraction` prints it."""
         return {
             "valuation": self._val,
             "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [_ratio_text(x, self._den) for x in self._nums],
         }
 
 

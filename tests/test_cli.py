@@ -3,12 +3,16 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import skewdyck
 from skewdyck import render
 from skewdyck.cli import _parse_plain, build_parser, main
 from skewdyck.render import render_document
@@ -667,3 +671,139 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "series", "total", "--order", "24")
         _, out2, _ = run(capsys, "series", "total", "--order", "24")
         assert out1 == out2
+
+
+# The CLI as a user runs it: one fresh interpreter per command, its
+# stdout block-buffered as it is without PYTHONUNBUFFERED.
+def child_command(*argv: str, script: str | None = None, flags: tuple = ()) -> list[str]:
+    """`python *flags -m skewdyck.cli *argv`, or `python *flags -c script *argv`."""
+    run_as = ["-m", "skewdyck.cli"] if script is None else ["-c", script]
+    return [sys.executable, *flags, *run_as, *argv]
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": str(Path(skewdyck.__file__).parents[1]), **extra}
+
+
+def spawn(*argv: str, script=None, flags=(), **kwargs) -> subprocess.CompletedProcess:
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        child_command(*argv, script=script, flags=flags), stderr=subprocess.PIPE,
+        env=child_env(COLUMNS="80"), timeout=120, **kwargs,
+    )
+
+
+# The head of a child script.  Only the interpreter's teardown deletes
+# `probe`, so "teardown" on stderr shows the ordinary exit; the
+# atexit callback runs on either exit.
+_PROBE = """
+import atexit, runpy, sys
+class Probe:
+    def __del__(self, write=sys.stderr.write):
+        write("teardown\\n")
+probe = Probe()
+atexit.register(print, "atexit callback")
+"""
+_RUN_CLI = 'runpy.run_module("skewdyck.cli", run_name="__main__")'  # as `python -m` runs it
+
+
+def test_installed_script_takes_the_process_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["skewdyck"] == "skewdyck.cli:run"
+
+
+class TestProcess:
+    @pytest.mark.parametrize("argv", [
+        ("count", "--n", "0:30", "--format", "csv"),
+        ("series", "total", "--order", "24", "--format", "json"),
+    ])
+    def test_success_bytes_equal_main(self, capsys, argv):
+        proc = spawn(*argv)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+
+    def test_command_error_is_one_stderr_line(self):
+        proc = spawn("render", "--n", "30")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.startswith(b"error: length 30 exceeds") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("series", "g0", "--order", "4")])
+    def test_help_and_usage_error_bytes(self, argv):
+        proc = spawn(*argv)
+        if argv in HELP_DIGESTS:
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGESTS[argv]
+        else:
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert hashlib.sha256(proc.stderr).hexdigest() == USAGE_ERROR_DIGESTS[argv]
+
+    def test_out_file_is_complete(self, tmp_path):
+        vector = (3, 16, "skew", "left", False, "svg")
+        target = tmp_path / "fig.svg"
+        proc = spawn(
+            "render", "--t", "3", "--n", "16", "--mode", "skew", "--style", "left",
+            "--format", "svg", "--out", str(target),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"wrote {target}\n".encode(), b"")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == RENDER_DIGESTS[vector]
+
+    def test_reader_closing_the_pipe(self):
+        with subprocess.Popen(
+            child_command("count", "--n", "0:4000"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout_is_a_command_error(self):
+        proc = spawn("count", "--n", "3", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (1, b"error: standard output is closed\n")
+
+    def test_atexit_callbacks_run_and_teardown_is_skipped(self):
+        proc = spawn("count", "--n", "3", script=_PROBE + _RUN_CLI)
+        assert proc.returncode == 0
+        assert proc.stdout == b"length  count\n     3      1\natexit callback\n"
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("setup", [
+        "sys.settrace(lambda *args: None)",
+        "sys.setprofile(lambda *args: None)",
+    ])
+    def test_tracer_or_profiler_takes_the_ordinary_exit(self, setup):
+        proc = spawn("count", "--n", "3", script=f"{_PROBE}{setup}\n{_RUN_CLI}")
+        assert proc.returncode == 0
+        assert proc.stdout == b"length  count\n     3      1\natexit callback\n"
+        assert proc.stderr == b"teardown\n"
+
+    def test_cprofile_prints_its_report(self):
+        proc = spawn("count", "--n", "3", flags=("-m", "cProfile"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"length  count\n     3      1\n")
+        assert b"function calls" in proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failing_flush_takes_the_ordinary_exit(self):
+        with open("/dev/full", "wb") as full:
+            proc = spawn("count", "--n", "3", script=_PROBE + _RUN_CLI, stdout=full)
+        # Python's own report of a failed flush at exit, and its status 120
+        assert proc.returncode == 120
+        assert b"OSError: [Errno 28] No space left on device\n" in proc.stderr
+        assert proc.stderr.endswith(b"teardown\n")
+
+    def test_non_int_code_takes_the_ordinary_exit(self):
+        stop = 'from skewdyck import cli\ncli.main = lambda: sys.exit("stop")\ncli.run()'
+        proc = spawn(script=_PROBE + stop)
+        assert (proc.returncode, proc.stdout) == (1, b"atexit callback\n")
+        assert proc.stderr == b"stop\nteardown\n"
+
+    def test_interactive_takes_the_ordinary_exit(self):
+        proc = spawn("count", "--n", "3", flags=("-i",), stdin=subprocess.DEVNULL)
+        # the module's SystemExit is reported and the prompt still opens
+        assert proc.returncode == 0
+        assert proc.stdout == b"length  count\n     3      1\n"
+        assert b"SystemExit: 0\n>>> " in proc.stderr
