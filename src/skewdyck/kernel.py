@@ -8,14 +8,17 @@ Exactly one root of K_t in u has a 1/z leading term; it is the root that
 survives in the power-series solution, and every level column of the
 counting table is geometric in it.  `series_root` expands it, as it
 expands every kernel root in the package: u = z^a v (`substituted`)
-moves a root of valuation a to a nonzero constant term, and Newton
-solves the result from a rational seed.  Here a = -1; with the lowest
-power of z divided out, the equation is
+moves a root of valuation a to a nonzero constant term, and
+`newton_root` expands the result one coefficient at a time from a
+rational seed.  Here a = -1; with the lowest power of z divided out,
+the equation is
 
     v^(2t) - v^(2t-1) - z^(t+1) v^t + 2 z^(t+1) v^(t-1) - z^(2t+2) = 0
 
-with seed v(0) = 1.  `reflected` derives the right-to-left kernel, so
-`kernel_poly` is the one kernel polynomial written out in the code.
+with seed v(0) = 1.  Every z-exponent is a multiple of t + 1, so the
+solver works in x = z^(t+1), a stride it reads off the equation itself.
+`reflected` derives the right-to-left kernel, so `kernel_poly` is the
+one kernel polynomial written out in the code.
 
 Every level column is geometric in the surviving root s: the level-k
 prefix series are f_k = s^-k, g_k = g0 s^-k and h_k = h0 s^-k.  Put
@@ -82,7 +85,7 @@ def substituted(poly: dict, a: int) -> dict:
     """P(z^a v, z) with the lowest power of z divided out, in v.
 
     The substitution u = z^a v moves a root of valuation a to one with a
-    nonzero constant term, which is where `newton_root` starts.
+    nonzero constant term, the seed `newton_root` expands from.
     """
     moved = {p: {e + a * p: c for e, c in zp.items()} for p, zp in poly.items()}
     low = min(e for zp in moved.values() for e in zp)

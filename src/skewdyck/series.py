@@ -1,4 +1,4 @@
-"""Truncated Laurent series over exact rationals, with a Newton root solver.
+"""Truncated Laurent series over exact rationals, with an online root solver.
 
 Every series here stands for
 
@@ -22,14 +22,19 @@ rejected outright.
 A series is built from a coefficient list (`Series(valuation, coeffs)`),
 from a term dict (`Series.poly`) or as `Series.zero`.
 
-Reciprocals and square roots are Newton iterations that double their
-working precision on each step (Brent & Kung 1978; von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 9), and so is `newton_root`.
+Roots (`newton_root`), reciprocals (a v - 1 = 0) and square roots
+(v^2 - a = 0) are one expansion, `_solve_ints`, which fixes each
+coefficient from the ones below it (Knuth, TAOCP vol. 2, 4.7).  It
+replaced precision-doubling Newton iteration (Brent & Kung 1978): with
+schoolbook products every Newton step is quadratic anyway, and it paid
+for about eight products of the whole window per solve.
 
 A polynomial in the unknown is a plain dict {power: {z-exponent:
 coefficient}}: `horner` is its one evaluator at a series and
-`newton_root` its solver, which the package calls only through
-`kernel.series_root`, once a root's valuation is normalised.
+`newton_root` its solver (named for the Newton iteration it replaced,
+as the tests import it and the benchmark traces it), which the package
+calls only through `kernel.series_root`, once a root's valuation is
+normalised.
 
 Negative exponents are supported down to any finite valuation, which is
 all the counting work needs (the useful algebraic roots have a single
@@ -40,7 +45,9 @@ z=0 must be removed by an explicit substitution before solving.
 from __future__ import annotations
 
 import sys
+from itertools import islice
 from math import gcd, isqrt, lcm
+from operator import mul
 
 
 class SeriesError(ValueError):
@@ -120,41 +127,75 @@ def _mul_ints(a, b, n: int) -> list[int]:
     return out
 
 
-def _reciprocal_ints(a, den: int, n: int) -> tuple[list[int], int]:
-    """First n coefficients of den / a(z), for a(0) != 0.
+def _solve_ints(poly: dict, sp: int, sq: int, n: int) -> tuple[list[int], int]:
+    """First n coefficients (nums, den) of the root v(0) = sp/sq (sq > 0)
+    of P = sum(poly[p](z) v^p), for integer {z-exponent >= 0: coefficient}.
 
-    Newton's iteration x <- x + x (1 - (a/den) x), doubling the number of
-    correct coefficients each step.  With x/e right to h terms, the
-    product (a/den)(x/e) = p/(den e) is 1 + O(z^h), so the correction
-    x (1 - p/(den e)) only has terms from z^h on and only p[h:] enters.
+    Raises unless the seed is a simple root of P(v, 0).  The solve runs in
+    x = z^g, g the gcd of P's own z-exponents.  x^m of P(v) is linear in
+    v_m with slope P_v(seed, 0), which fixes v_m from v_<m.  Each power
+    v^p is a running convolution (v^p = v^ceil(p/2) v^floor(p/2)), its x^m
+    stored times sq^p R^m as an integer.  R grows from 1 only by what an
+    inexact division needs, so a rational root is never carried over one
+    inflated common denominator.
     """
-    x, e = _reduced([den], a[0])  # x = den / a0
-    while len(x) < n:
-        h = len(x)
-        m = min(2 * h, n)
-        p = _mul_ints(a, x, m)
-        de = den * e
-        x = [c * de for c in x] + _mul_ints(x, [-c for c in p[h:m]], m - h)
-        x, e = _reduced(x, de * e)
-    return x, e
-
-
-def _inverse_sqrt_ints(a, den: int, rp: int, rq: int, n: int) -> tuple[list[int], int]:
-    """First n coefficients of (a(z)/den)^(-1/2) with constant term rq/rp.
-
-    Newton's iteration w <- w + w (1 - (a/den) w^2) / 2; as for the
-    reciprocal, (a/den)(w/f)^2 = p/(den f^2) is 1 + O(z^h) once w/f is
-    right to h terms.
-    """
-    w, f = [rq], rp
-    while len(w) < n:
-        h = len(w)
-        m = min(2 * h, n)
-        p = _mul_ints(a, _mul_ints(w, w, m), m)
-        scale = 2 * den * f * f
-        w = [c * scale for c in w] + _mul_ints(w, [-c for c in p[h:m]], m - h)
-        w, f = _reduced(w, scale * f)
-    return w, f
+    g = gcd(*(e for zp in poly.values() for e, c in zp.items() if c)) or n
+    size = -(-n // g)  # coefficients in x
+    top = max(poly, default=0)
+    # P(v) scaled by sq^top R^m at x^m: K[p][e] = a_pe sq^(top - p) R^e
+    K = {}
+    for p, zp in poly.items():
+        terms = {e // g: c * sq ** (top - p) for e, c in zp.items() if c and e < n}
+        K[p] = [terms.get(e, 0) for e in range(max(terms, default=0) + 1)]
+    const = K.pop(0, [])
+    const += [0] * (size - len(const))
+    # sq^top P(seed, 0) and sq^(top - 1) P_v(seed, 0)
+    if const[0] + sum(row[0] * sp**p for p, row in K.items()):
+        raise SeriesError(f"seed {_ratio_text(sp, sq)} is not a root of P(v, 0)")
+    slope = sum(p * row[0] * sp ** (p - 1) for p, row in K.items())
+    if not slope:
+        raise SeriesError(
+            f"root at seed {_ratio_text(sp, sq)} is ramified (derivative vanishes at z=0); "
+            "apply a normalizing substitution before solving"
+        )
+    # W[i] holds v^powers[i]; halving p down to 1 reaches each power needed
+    powers = sorted({c for p in K for k in range(p.bit_length()) for c in (p >> k, -(-p >> k))})
+    at = {p: i for i, p in enumerate(powers)}
+    steps = [(i, at[(p + 1) // 2], at[p // 2]) for i, p in enumerate(powers) if p > 1]
+    W = [[sp**p] for p in powers]
+    lin = [p * sp ** (p - 1) for p in powers]
+    rows = [(at[p], row) for p, row in K.items()]
+    part = [0] * len(powers)  # x^m of each v^p with v_m still 0
+    R = 1
+    for m in range(1, size):
+        for i, q, r in steps:
+            a, b = W[q], W[r]
+            if q == r:
+                c = 2 * (sum(map(mul, a[1 : (m + 1) // 2], reversed(a))) + a[0] * part[q])
+                if not m % 2:
+                    c += a[m // 2] ** 2
+            else:
+                c = sum(map(mul, a[1:], reversed(b))) + a[0] * part[r] + b[0] * part[q]
+            part[i] = c
+        T = const[m]
+        for i, row in rows:
+            T += row[0] * part[i] + sum(map(mul, islice(row, 1, None), reversed(W[i])))
+        if T % slope:
+            f = slope // gcd(T, slope)
+            R *= f
+            for w in W:
+                w[:] = [x * f**e for e, x in enumerate(w)]
+            rows = [(i, [x * f**e for e, x in enumerate(row)]) for i, row in rows]
+            const = [x * f**e for e, x in enumerate(const)]
+            fm = f**m
+            part = [c * fm for c in part]
+            T *= fm
+        vm = -T // slope
+        for w, c, k in zip(W, part, lin):
+            w.append(c + k * vm)
+    nums = [0] * n
+    nums[::g] = W[0] if R == 1 else [x * R ** (size - 1 - m) for m, x in enumerate(W[0])]
+    return nums, sq * R ** (size - 1)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -362,11 +403,13 @@ class Series:
         The lead coefficient must be visible on the window; a series that
         is zero to its order has no reciprocal.
         """
-        a = self._nums
+        a, den = self._nums, self._den
         if not a:
             raise SeriesError("no reciprocal: series is zero to its order")
-        x, e = _reciprocal_ints(a, self._den, len(a))  # already canonical
-        return _raw(-self._val, tuple(x), e, len(a) - self._val)
+        (sp,), sq = _reduced([den], a[0])
+        # a(z) v - den = 0 with v(0) = den / a0
+        poly = {1: {i: x for i, x in enumerate(a) if x}, 0: {0: -den}}
+        return _canonical(-self._val, *_solve_ints(poly, sp, sq, len(a)))
 
     def sqrt(self) -> "Series":
         """Square root with positive leading coefficient.
@@ -389,10 +432,9 @@ class Series:
             raise SeriesError(
                 f"leading coefficient {_ratio_text(p, q)} is not the square of a rational"
             )
-        n = len(a)
-        w, f = _inverse_sqrt_ints(a, den, rp, rq, n)
-        # sqrt(a) = a * a^(-1/2)
-        return _canonical(self._val // 2, _mul_ints(a, w, n), den * f)
+        # den v^2 - a(z) = 0 with v(0) = rp / rq
+        poly = {2: {0: den}, 0: {i: -x for i, x in enumerate(a) if x}}
+        return _canonical(self._val // 2, *_solve_ints(poly, rp, rq, len(a)))
 
     # -- comparisons -------------------------------------------------------
 
@@ -491,47 +533,20 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     ``poly`` maps each v-power to {z-exponent: coefficient}, as `horner`
     reads it.  The seed must be a simple root of P(v, 0): a vanishing
     derivative means the root ramifies at z = 0 and needs a substitution
-    first (fractional-power expansions are out of scope).  Each iteration
-    doubles the number of correct coefficients, so step k works on a
-    window of min(2**k, order) coefficients only: with v right to h
-    terms, v - P(v)/P'(v) is right to 2h, and P'(v) is needed to just h
-    terms.  The residual is checked at the full order after the final
-    step and a nonzero residual raises.
+    first (fractional-power expansions are out of scope).  The
+    coefficients are fixed one at a time by `_solve_ints`, in z^g for g
+    the gcd of the table's z-exponents; the name is kept from the Newton
+    iteration this replaced.  The residual P(v) is then checked by
+    `horner` at the full order, and a nonzero residual raises.
     """
     sp, sq = _ratio(seed)
     if order < 1:
         raise ValueError("order must be at least 1")
-    deriv = {p - 1: {e: p * c for e, c in zp.items()} for p, zp in poly.items() if p}
-
-    def at_origin(q: dict) -> int:
-        # Q(sp/sq, 0) times lcm(coefficient denominators) * sq^degree: an
-        # integer that is zero exactly when Q(seed, 0) is
-        consts = [(p, *_ratio(zp.get(0, 0))) for p, zp in q.items()]
-        den = lcm(*(d for _, _, d in consts))
-        top = max((p for p, _, _ in consts), default=0)
-        return sum(c * (den // d) * sp**p * sq ** (top - p) for p, c, d in consts)
-
-    if at_origin(poly) != 0:
-        raise SeriesError(f"seed {_ratio_text(sp, sq)} is not a root of P(v, 0)")
-    if at_origin(deriv) == 0:
-        raise SeriesError(
-            f"root at seed {_ratio_text(sp, sq)} is ramified (derivative vanishes at z=0); "
-            "apply a normalizing substitution before solving"
-        )
-    v = _canonical(0, [sp], sq)
-    m = 1
-    while m < order:
-        h, m = m, min(2 * m, order)
-        # pad to O(z^m): zeros after a nonzero lead keep the form canonical
-        if v._nums:
-            v = _raw(v._val, v._nums + (0,) * (m - v._frontier), v._den, m)
-        else:
-            v = Series.zero(m)
-        residual = horner(poly, v).truncate(m)
-        if not residual.is_zero():
-            step = residual * horner(deriv, v.truncate(m - h)).reciprocal()
-            v = (v - step).truncate(m)
+    ratios = {p: {e: _ratio(c) for e, c in zp.items() if c} for p, zp in poly.items()}
+    scale = lcm(*(q for zp in ratios.values() for _, q in zp.values()))
+    ints = {p: {e: c * (scale // q) for e, (c, q) in zp.items()} for p, zp in ratios.items() if zp}
+    v = _canonical(0, *_solve_ints(ints, sp, sq, order))
     residual = horner(poly, v).truncate(order)
     if not residual.is_zero():
-        raise SeriesError("newton iteration failed to cancel the residual")
+        raise SeriesError("root expansion failed to cancel the residual")
     return v

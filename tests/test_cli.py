@@ -217,6 +217,18 @@ SERIES_DIGESTS = {
 }
 
 
+# sha256 of `series <selector> --order <order>` text output at orders
+# past `SERIES_DIGESTS`, where s1's denominators grow and R's square root
+# runs to large coefficients, recorded with the Newton solver (commit
+# c85b66e) so that the coefficient-by-coefficient solver that replaced it
+# is pinned to the same bytes.
+HIGH_ORDER_DIGESTS = {
+    ("total", 2048): "2547b7548d535754877b946d094fead459a3466d42c2d7409f86967894efb6c7",
+    ("s1", 1024): "6aef226431626a4941efaf44952b365909fdbf46cd56f26e6cd88429d917913f",
+    ("R", 1024): "73318aa3f3eae2cd094b4db0a05e03aebbdd1852aea773e70202adf41dd06461",
+}
+
+
 class TestSeriesBytes:
     @pytest.mark.parametrize("selector", sorted({sel for sel, _, _ in SERIES_DIGESTS}))
     def test_output_digests(self, capsys, selector):
@@ -228,6 +240,12 @@ class TestSeriesBytes:
             assert rc == 0
             got[key] = hashlib.sha256(out.encode()).hexdigest()
         assert got == expected
+
+    @pytest.mark.parametrize("selector, order", sorted(HIGH_ORDER_DIGESTS))
+    def test_high_order_digests(self, capsys, selector, order):
+        rc, out, _ = run(capsys, "series", selector, "--order", str(order))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == HIGH_ORDER_DIGESTS[selector, order]
 
 
 class TestRender:

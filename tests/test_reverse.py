@@ -80,7 +80,7 @@ class TestCancellingRoot:
         assert horner(RECIPROCAL_KERNEL, t1).truncate(26).is_zero()
 
     def test_inverts_the_surviving_root(self):
-        # two independent Newton solves whose product must be exactly 1
+        # two independent root solves whose product must be exactly 1
         t1 = rl_cancelling_root(30)
         s = good_root(2, 30)
         assert (t1 * s - 1).truncate(28).is_zero()

@@ -1,4 +1,4 @@
-"""Series-ring unit tests: exact arithmetic, precision tracking, Newton."""
+"""Series-ring unit tests: exact arithmetic, precision tracking, root solving."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from skewdyck import series as series_module
 from skewdyck.series import Series, SeriesError, horner, newton_root
 
 
@@ -208,6 +209,20 @@ class TestNewton:
         v = newton_root(eq, 1, 40)
         assert horner(eq, v).truncate(40).is_zero()
 
+    def test_corrupted_expansion_raises(self, monkeypatch):
+        # the full-order residual check catches a wrong last coefficient
+        solve = series_module._solve_ints
+
+        def corrupted(*args):
+            nums, den = solve(*args)
+            nums[-1] += 1
+            return nums, den
+
+        monkeypatch.setattr(series_module, "_solve_ints", corrupted)
+        eq = {2: {1: 1}, 1: {0: -1}, 0: {0: 1}}
+        with pytest.raises(SeriesError, match="failed to cancel the residual"):
+            newton_root(eq, 1, 12)
+
     def test_bad_seed_rejected(self):
         eq = {2: {1: 1}, 1: {0: -1}, 0: {0: 1}}
         with pytest.raises(SeriesError, match="not a root"):
@@ -232,9 +247,12 @@ class TestSerialization:
 
 # -- property tests against a plain-Fraction schoolbook reference ------------
 #
-# The engine runs its quadratic kernels on integer numerators with
-# precision-doubling Newton iterations; the references below are the
-# textbook coefficient recurrences on `Fraction`s, one term at a time.
+# The engine runs its quadratic kernels on integer numerators: products
+# by schoolbook, and roots, reciprocals and square roots one coefficient
+# at a time in the stride variable z^g, over denominators that grow only
+# when a division is inexact.  The references below are the textbook
+# coefficient recurrences on `Fraction`s, one term at a time in z, with
+# no stride and one denominator per coefficient.
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 leads = st.sampled_from(
@@ -285,14 +303,16 @@ def ref_root(table, seed, order):
     """Root of sum(z-poly * v^p) term by term: v_m = -[z^m] P(v_<m) / P_v(seed, 0)."""
 
     def times(x, y):
-        return [sum(x[i] * y[m - i] for i in range(m + 1)) for m in range(order)]
+        return [sum(x[i] * y[m - i] for i in range(m + 1) if x[i]) for m in range(len(x))]
 
     def evaluate(v):
-        acc = [Fraction(0)] * order
+        # P(v) on the window of v
+        n = len(v)
+        acc = [Fraction(0)] * n
         for p, zpoly in table.items():
-            term = [Fraction(0)] * order
+            term = [Fraction(0)] * n
             for e, c in zpoly.items():
-                if e < order:
+                if e < n:
                     term[e] = Fraction(c)
             for _ in range(p):
                 term = times(term, v)
@@ -300,9 +320,9 @@ def ref_root(table, seed, order):
         return acc
 
     slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in table.items() if p)
-    v = [seed] + [Fraction(0)] * (order - 1)
+    v = [seed]
     for m in range(1, order):
-        v[m] = -evaluate(v)[m] / slope
+        v.append(-evaluate(v + [Fraction(0)])[m] / slope)
     return Series(0, v)
 
 
@@ -325,6 +345,13 @@ def ref_horner(poly, v):
                 acc = term if acc is None else acc + term
     consts = {e: c for e, c in poly.get(0, {}).items() if e < acc.frontier}
     return acc + Series.poly(consts, acc.frontier)
+
+
+def stretched(b, g):
+    """b(z^g), known on the window b's window stretches to."""
+    coeffs = [0] * (g * b.order)
+    coeffs[::g] = b.coeffs
+    return Series(g * b.valuation, coeffs)
 
 
 polys = st.dictionaries(
@@ -398,6 +425,45 @@ class TestProperties:
         v = newton_root(table, seed, order)
         assert v == ref_root(table, seed, order).truncate(order)
         assert v.frontier == order
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data(), st.integers(2, 4), nonzero | st.just(Fraction(0)), st.integers(1, 40))
+    def test_newton_root_in_the_stride_variable(self, data, g, seed, order):
+        # every z-exponent a multiple of g: the solver works in x = z^g
+        table = data.draw(
+            st.dictionaries(
+                st.integers(1, 3),
+                st.dictionaries(st.integers(0, 3).map(lambda k: g * k), rationals, max_size=3),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        c0 = -sum(Fraction(zp.get(0, 0)) * seed**p for p, zp in table.items())
+        multiples = st.integers(1, 3).map(lambda k: g * k)
+        consts = data.draw(st.dictionaries(multiples, rationals, max_size=2))
+        table = {**table, 0: {**consts, 0: c0}}
+        slope = sum(p * Fraction(zp.get(0, 0)) * seed ** (p - 1) for p, zp in table.items() if p)
+        assume(slope != 0)
+        v = newton_root(table, seed, order)
+        assert v == ref_root(table, seed, order).truncate(order)
+        assert v.frontier == order
+
+    @settings(deadline=None, max_examples=100)
+    @given(series(nonzero_lead=True), st.integers(2, 4))
+    def test_reciprocal_of_a_strided_series(self, b, g):
+        a = stretched(b, g)
+        inv = a.reciprocal()
+        assert inv == ref_reciprocal(a)
+        assert a * inv == Series.poly({0: 1}, a.order)
+
+    @settings(deadline=None, max_examples=100)
+    @given(series(nonzero_lead=True), nonzero, st.integers(2, 4))
+    def test_sqrt_of_a_strided_series(self, b, r0, g):
+        a = stretched(b * (r0 * r0 / b.coeffs[0]), g)
+        a = a.shift(-(a.valuation % 2))
+        root = a.sqrt()
+        assert root == ref_sqrt(a, abs(r0))
+        assert root * root == a
 
     @settings(deadline=None, max_examples=200)
     @given(polys, series())
@@ -607,7 +673,7 @@ class TestRepresentation:
 
 # -- integer paths against the Fraction arithmetic they replace --------------
 #
-# Printing, scalar division, the square root's lead and Newton's seed
+# Printing, scalar division, the square root's lead and the root solver's seed
 # checks all run on integers; each must give what the same step gives on
 # `Fraction`s, error messages included.
 

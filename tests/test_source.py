@@ -58,18 +58,33 @@ def test_series_routes_never_read_the_table():
 def test_one_path_to_a_kernel_root():
     # every root is expanded by `kernel.series_root`: it is the package's
     # only call of `series.newton_root`, and no module but the kernel
-    # calls `substituted` (a module-level call counts as `<module>`)
-    callers = {"newton_root": [], "substituted": []}
+    # calls `substituted` (a module-level call counts as `<module>`).
+    # One engine, `_solve_ints`, expands every series root, reciprocal
+    # and square root, so a series has one way to be expanded: it has
+    # exactly these three callers, and no separate reciprocal or
+    # square-root loop is defined.
+    callers = {"newton_root": [], "substituted": [], "_solve_ints": []}
+    defined = set()
     for path in sorted(Path(skewdyck.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", None) or getattr(func, "attr", None)
-                    if name in callers:
-                        callers[name].append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+            scopes = [(getattr(top, "name", "<module>"), top)]
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+            for scope, body in scopes:
+                for node in ast.walk(body):
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined.add(node.name)
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "id", None) or getattr(func, "attr", None)
+                        if name in callers:
+                            callers[name].append(f"{path.stem}.{scope}")
     assert callers["newton_root"] == ["kernel.series_root"]
     assert {caller.partition(".")[0] for caller in callers["substituted"]} == {"kernel"}
+    assert sorted(callers["_solve_ints"]) == [
+        "series.Series.reciprocal", "series.Series.sqrt", "series.newton_root",
+    ]
+    assert not defined & {"_reciprocal_ints", "_inverse_sqrt_ints"}
 
 
 def package_imports(stem):

@@ -10,7 +10,7 @@ from skewdyck.verify import run_verification
 
 
 def test_one_run_expands_r_once(monkeypatch):
-    # every R check reads one expansion; each expansion is a Newton solve
+    # every R check reads one expansion; each expansion is a square-root solve
     calls = []
     real = closed_form.r_series
 
