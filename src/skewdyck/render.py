@@ -15,7 +15,8 @@ rebuilds only the depths past the prefix the checker confirmed.  A
 word's block is a head, the text at depth n and a tail, so a word costs
 the steps that changed, not all n.  A document holds its text but
 neither a word list nor any geometry.  The text of each grid point is
-formatted once per document, from a table over the box.  The SVG header,
+formatted once per document, from a table over the box, and so is the
+text a step adds from each start vertex.  The SVG header,
 the only text that needs the number of diagrams, is written after them.
 
 In the default overlay style the L-steps ride forward with the black
@@ -51,24 +52,40 @@ def _bodies(words, t: int, n: int, style: str, vt, path, mark, segment):
     ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
     vertex a to b.  Left style: ``segment(red, a, b)`` for each step.  The
     text the first i steps contribute is kept for every depth i, and only
-    the depths past the prefix the checker confirmed are rebuilt.
+    the depths past the prefix the checker confirmed are rebuilt.  A step's
+    end follows from its start, so each text a step adds is made once per
+    document, on first use, and every rebuilt depth is one concatenation.
     """
     L = Step.L
     check = WordChecker(t)
     if style == "red-overlay":
         start, sep, close = path
+        piece = {v: sep + text for v, text in vt.items()}
+        red = {}  # the mark of an L step, by its start vertex
         pts = [start + vt[0, 0]] * (n + 1)
         marks = [""] * (n + 1)
         for steps, verts, shared in words:
             for i in range(check.require(steps, shared), n):
-                pts[i + 1] = f"{pts[i]}{sep}{vt[verts[i + 1]]}"
-                marks[i + 1] = marks[i] + mark(verts[i], verts[i + 1]) if steps[i] is L else marks[i]
+                pts[i + 1] = pts[i] + piece[verts[i + 1]]
+                if steps[i] is L:
+                    a = verts[i]
+                    m = red.get(a)
+                    if m is None:
+                        m = red[a] = mark(a, verts[i + 1])
+                    marks[i + 1] = marks[i] + m
+                else:
+                    marks[i + 1] = marks[i]
             yield f"{pts[n]}{close}{marks[n]}" if n else ""  # the empty word draws no path
     else:
+        drawn = {}  # the line of a step, by (step, start vertex)
         lines = [""] * (n + 1)
         for steps, verts, shared in words:
             for i in range(check.require(steps, shared), n):
-                lines[i + 1] = lines[i] + segment(steps[i] is L, verts[i], verts[i + 1])
+                key = steps[i], verts[i]
+                line = drawn.get(key)
+                if line is None:
+                    line = drawn[key] = segment(steps[i] is L, verts[i], verts[i + 1])
+                lines[i + 1] = lines[i] + line
             yield lines[n]
 
 

@@ -36,33 +36,36 @@ once and hands it to `rl_g0`.
 Level-k prefix expressions from the right have no pleasant closed form
 (the three remaining reciprocal roots gang up in the denominator), so
 prefix counts are served by the counting table instead.
+
+The published coefficients and the seed of s1 are integer pairs (p, q)
+for p/q, which `series._ratio` reads, so loading this module, as
+`verify` and the `series s1` and `series rl-g0` selectors do, imports no
+`fractions`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .kernel import kernel_poly, reflected, series_root
 from .series import Series, SeriesError
 
 RECIPROCAL_KERNEL = reflected(kernel_poly(2))
 
-# Published coefficients of s1, for cross-checking the solver.
+# Published coefficients of s1, each (p, q) for p/q, for cross-checking the solver.
 S1_PUBLISHED = {
-    2: Fraction(1, 2),
-    5: Fraction(3, 16),
-    8: Fraction(17, 128),
-    11: Fraction(29, 256),
-    14: Fraction(861, 8192),
-    17: Fraction(6675, 65536),
-    20: Fraction(13231, 131072),
-    23: Fraction(52939, 524288),
+    2: (1, 2),
+    5: (3, 16),
+    8: (17, 128),
+    11: (29, 256),
+    14: (861, 8192),
+    17: (6675, 65536),
+    20: (13231, 131072),
+    23: (52939, 524288),
 }
 
 
 def rl_root_s1(order: int) -> Series:
     """The quartic kernel's valuation-2 root s1 = z^2/2 + ..., to O(z^order)."""
-    return series_root(kernel_poly(2), 2, Fraction(1, 2), order)
+    return series_root(kernel_poly(2), 2, (1, 2), order)
 
 
 def rl_cancelling_root(order: int) -> Series:

@@ -13,11 +13,15 @@ form: ``den > 0``, ``gcd(den, *nums) == 1`` and a nonzero leading
 numerator (a series that is zero on its window has ``nums == ()`` and
 ``den == 1``).  Equal series therefore have equal fields.  Every ring
 operation reads and writes that form, and so does printing (`__str__`
-and `to_json` reduce each coefficient by a gcd).  `fractions.Fraction`
-values are built only where coefficients are handed out (`coeff` and
-`coeffs`), and `fractions` is imported on that first use, so a route
-that only computes and prints, as text or JSON, never loads it.  A
-`Fraction` operand is still accepted anywhere an int is.  Floats are
+and `to_json` reduce each coefficient by a gcd).  `window` hands a run
+of coefficients out in the same form, as integer numerators over the
+common denominator, so a comparison with integers is exact without a
+division.  `fractions.Fraction` values are built only by `coeff` and
+`coeffs`, and `fractions` is imported on that first use, so a route
+that computes, compares and prints, as text or JSON, never loads it;
+only `oeis` reads a `Fraction`.  An exact rational is an int, a
+`Fraction` or an integer pair (p, q), and `_ratio` is its one reader.
+A `Fraction` operand is still accepted anywhere an int is.  Floats are
 rejected outright.
 A series is built from a coefficient list (`Series(valuation, coeffs)`),
 from a term dict (`Series.poly`) or as `Series.zero`.
@@ -80,11 +84,22 @@ def _is_scalar(x) -> bool:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact rational, in lowest terms."""
+    """(numerator, denominator) of an exact rational, in lowest terms with a
+    positive denominator: an int, a `Fraction` or an integer pair (p, q)."""
     if isinstance(x, int):
         return int(x), 1
     if _is_fraction(x):
         return x.numerator, x.denominator
+    if type(x) is tuple and len(x) == 2:
+        p, q = x
+        if not (isinstance(p, int) and isinstance(q, int)):
+            raise TypeError(f"exact rational pair of ints expected, got {x!r}")
+        if not q:
+            raise ZeroDivisionError(f"exact rational pair {x!r} has a zero denominator")
+        g = gcd(p, q)
+        if q < 0:
+            g = -g
+        return p // g, q // g
     # bool is an int subclass; no other types are exact
     raise TypeError(f"exact rational coefficient expected, got {type(x).__name__}")
 
@@ -293,22 +308,27 @@ class Series:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def coeff(self, n: int):
-        """Exact coefficient of z**n.
+    def window(self, lo: int, hi: int) -> tuple[list[int], int]:
+        """(nums, den): the coefficient of z**e is nums[e - lo] / den for
+        lo <= e < hi, with den the series' common denominator.
 
-        The coefficient is a `Fraction`.  Exponents below the valuation
-        are exactly zero for a normalized series; exponents at or beyond
-        the frontier are unknown and raise.
+        Exponents below the valuation are exactly zero for a normalized
+        series; exponents at or beyond the frontier are unknown and raise.
         """
-        if n >= self._frontier:
+        if hi > self._frontier:
             raise SeriesError(
-                f"coefficient of z^{n} requested, but the series is only known "
+                f"coefficient of z^{hi - 1} requested, but the series is only known "
                 f"on [{self._val}, {self._frontier})"
             )
-        fraction = _Fraction or _fraction()
-        if n < self._val:
-            return fraction(0)
-        return fraction(self._nums[n - self._val], self._den)
+        val = self._val
+        if lo >= val:
+            return list(self._nums[lo - val : hi - val]), self._den
+        return [0] * (min(hi, val) - lo) + list(self._nums[: max(hi - val, 0)]), self._den
+
+    def coeff(self, n: int):
+        """Exact coefficient of z**n, as a `Fraction`; read as `window` reads it."""
+        (x,), den = self.window(n, n + 1)
+        return (_Fraction or _fraction())(x, den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -531,7 +551,9 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     """Series root of P(v, z) = 0 with v(0) = seed, known to O(z**order).
 
     ``poly`` maps each v-power to {z-exponent: coefficient}, as `horner`
-    reads it.  The seed must be a simple root of P(v, 0): a vanishing
+    reads it.  The seed is an exact rational as `_ratio` reads it (an
+    int, a `Fraction` or a pair (p, q)), and it must be a simple root of
+    P(v, 0): a vanishing
     derivative means the root ramifies at z = 0 and needs a substitution
     first (fractional-power expansions are out of scope).  The
     coefficients are fixed one at a time by `_solve_ints`, in z^g for g

@@ -7,6 +7,14 @@ single adjudication line computed fresh on every run.
 
 The suite is one ordered table of checks (`_checks`): a name, a check
 function and its arguments per row, each run by one loop into a result.
+
+Every coefficient is compared as an exact integer: a series hands out a
+run of integer numerators over its common denominator (`Series.window`),
+and a numerator x matches an integer c exactly when x == den * c.  So no
+`Fraction` is built or imported on this route, and a published value (an
+int, a `Fraction` or an integer pair) is read by `series._ratio`.  Each
+value a detail string names is written by `series._ratio_text`, as
+`Fraction.__str__` writes it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import NamedTuple
 from . import closed_form, kernel, reverse
 from .automaton import LAYERS, dp_counts, verify_functional_equations
 from .paths import Step, walk
-from .series import Series, horner
+from .series import Series, _ratio, _ratio_text, horner
 
 Verdict = tuple[bool, str]
 
@@ -154,10 +162,13 @@ def _published_divergences(computed: Series, published: dict, order: int) -> tup
     """How many published coefficients below z^order were compared, and
     each one ``computed`` differs from, named with both values."""
     window = sorted(e for e in published if e < order)
-    return len(window), [
-        f"z^{e}: computed {computed.coeff(e)} vs published {published[e]}"
-        for e in window if computed.coeff(e) != published[e]
-    ]
+    diverging = []
+    for e in window:
+        (x,), den = computed.window(e, e + 1)
+        p, q = _ratio(published[e])
+        if x * q != p * den:
+            diverging.append(f"z^{e}: computed {_ratio_text(x, den)} vs published {_ratio_text(p, q)}")
+    return len(window), diverging
 
 
 def _published_check(computed: Series, published: dict, order: int) -> Verdict:
@@ -171,10 +182,10 @@ def _published_check(computed: Series, published: dict, order: int) -> Verdict:
 
 def _integer_coeff(series: Series, n: int, name: str) -> int:
     """[z^n] of a series that must have an integer there; checked, not rounded."""
-    c = series.coeff(n)
-    if c.denominator != 1:
-        raise ValueError(f"{name} has non-integer z^{n} coefficient {c}")
-    return c.numerator
+    (x,), den = series.window(n, n + 1)
+    if x % den:
+        raise ValueError(f"{name} has non-integer z^{n} coefficient {_ratio_text(x, den)}")
+    return x // den
 
 
 # the layer a nonempty word ends in, read off its last step
@@ -232,8 +243,9 @@ def _s6_check(s: Series, order: int) -> Verdict:
 def _totals_check(sol: kernel.KernelSolution) -> Verdict:
     n_hi = min(60, sol.total.frontier - 1)
     table = dp_counts(sol.t, n_hi, k_max=0)
+    nums, den = sol.total.window(0, n_hi + 1)
     return _matches(
-        (((n,), sol.total.coeff(n), table.closed_count(n)) for n in range(n_hi + 1)),
+        (((n,), x, den * table.closed_count(n)) for n, x in enumerate(nums)),
         f"exact match for all lengths <= {n_hi}", "first mismatch at length {}",
     )
 
@@ -249,11 +261,12 @@ def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
     table = dp_counts(sol.t, n_hi, k_max=k_hi)
     return _matches(
         (
-            ((layer, k, n), ser.coeff(n), table.count(n, k, layer))
+            ((layer, k, n), x, den * c)
             for layer in LAYERS
             for k in range(k_hi + 1)
-            for ser in (kernel.prefix_series(sol, layer, k, n_hi + 1),)  # one per column
-            for n in range(n_hi + 1)
+            # one series per column, compared with the whole table column
+            for nums, den in (kernel.prefix_series(sol, layer, k, n_hi + 1).window(0, n_hi + 1),)
+            for n, (x, c) in enumerate(zip(nums, table.column(k, layer)))
         ),
         f"closed forms match the table for k <= {k_hi}, n <= {n_hi}", "{}_{} differs at z^{}",
     )
@@ -268,8 +281,9 @@ def _recurrence_check(sol: kernel.KernelSolution, ord_rec: int) -> Verdict:
 
 
 def _narayana_check(r: Series) -> Verdict:
+    nums, den = r.window(1, 41)
     return _matches(
-        (((n,), closed_form.narayana_sum(n), r.coeff(n)) for n in range(1, 41)),
+        (((n,), den * closed_form.narayana_sum(n), x) for n, x in enumerate(nums, 1)),
         "narayana sum equals [z^n] R for n <= 40", "n={}",
     )
 

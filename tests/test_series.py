@@ -738,3 +738,45 @@ class TestIntegerPaths:
         with pytest.raises(SeriesError) as info:
             newton_root(eq, r + delta, 8)
         assert str(info.value) == f"seed {r + delta} is not a root of P(v, 0)"
+
+    @pytest.mark.parametrize(
+        "pair, ratio",
+        [((6, 4), (3, 2)), ((3, -6), (-1, 2)), ((-4, -8), (1, 2)), ((0, -5), (0, 1)), ((7, 1), (7, 1))],
+    )
+    def test_ratio_reduces_a_pair(self, pair, ratio):
+        # an integer pair (p, q) is p/q, in lowest terms with q > 0, as a Fraction reads it
+        assert series_module._ratio(pair) == ratio == series_module._ratio(Fraction(*pair))
+
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            ((1, 0), ZeroDivisionError),
+            ((1.0, 2), TypeError),
+            ((1, Fraction(1, 2)), TypeError),
+            (("1", 2), TypeError),
+            ((1, 2, 3), TypeError),
+        ],
+    )
+    def test_ratio_rejects_a_bad_pair(self, pair, error):
+        with pytest.raises(error):
+            series_module._ratio(pair)
+
+    def test_pair_seed_is_the_fraction_seed(self):
+        eq = {2: {0: 4}, 1: {1: 1}, 0: {0: -1}}  # 4 v^2 + z v - 1, v(0) = 1/2
+        assert newton_root(eq, (2, 4), 12) == newton_root(eq, Fraction(1, 2), 12)
+
+    @settings(deadline=None, max_examples=200)
+    @given(series(), st.integers(0, 6), st.integers(0, 16))
+    def test_window_reads_what_coeff_reads(self, s, below, width):
+        # from under the valuation up to any stop within the frontier, the
+        # numerators over the common denominator are the coefficients
+        lo = s.valuation - below
+        hi = min(lo + width, s.frontier)
+        nums, den = s.window(lo, hi)
+        assert all(type(x) is int for x in nums) and type(den) is int and den > 0
+        assert [Fraction(x, den) for x in nums] == [s.coeff(e) for e in range(lo, hi)]
+        with pytest.raises(SeriesError) as info:
+            s.window(lo, s.frontier + 1)
+        with pytest.raises(SeriesError) as coeff_info:
+            s.coeff(s.frontier)
+        assert str(info.value) == str(coeff_info.value)

@@ -349,7 +349,19 @@ _IMPORT_VECTORS = {
             "fractions", "json", "argparse",
         ],
     ),
-    "verify": (["verify", "--order", "16", "--t", "2"], ["dataclasses", "json", "argparse"]),
+    # the s1 seed and published values are integer pairs, read without `fractions`
+    "series-s1": (
+        ["series", "s1", "--order", "16"],
+        [
+            "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths", "skewdyck.verify",
+            "fractions", "decimal", "numbers", "json", "argparse",
+        ],
+    ),
+    # every comparison reads integer numerators over a common denominator
+    "verify": (
+        ["verify", "--order", "16", "--t", "2"],
+        ["dataclasses", "json", "argparse", "fractions", "decimal", "numbers"],
+    ),
     "oeis": (
         ["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"],
         ["argparse"],

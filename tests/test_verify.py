@@ -65,6 +65,60 @@ def test_published_fail_names_the_coefficient(monkeypatch, published, exponent, 
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [(name, detail)]
 
 
+def _halve_total(monkeypatch):
+    real = kernel.solve
+
+    def halved(t, order):
+        sol = real(t, order)
+        return sol._replace(total=sol.total / 2) if t == 2 else sol
+
+    monkeypatch.setattr(kernel, "solve", halved)
+
+
+def _halve_prefix(monkeypatch):
+    real = kernel.prefix_series
+
+    def halved(sol, layer, k, order):
+        series = real(sol, layer, k, order)
+        return series / 2 if (sol.t, layer, k) == (2, "F", 2) else series
+
+    monkeypatch.setattr(kernel, "prefix_series", halved)
+
+
+def _halve_r(monkeypatch):
+    real = closed_form.r_series
+    monkeypatch.setattr(closed_form, "r_series", lambda order: real(order) / 2)
+
+
+@pytest.mark.parametrize(
+    "halve, failed",
+    [
+        (_halve_total, [
+            ("kernel total vs table t=2", "first mismatch at length 0"),
+            ("reflected closed form", "both forms equal the LR total through z^15"),
+            ("length-15 adjudication", "error: kernel total has non-integer z^15 coefficient 563/2"),
+        ]),
+        (_halve_prefix, [
+            ("prefix closed forms vs table t=2", "F_2 differs at z^2"),
+            ("level recurrence t=2", "layer F"),
+        ]),
+        (_halve_r, [
+            ("narayana vs R", "n=1"),
+            ("R published coefficients", "error: R has non-integer z^0 coefficient 1/2"),
+            ("R defining quadratic", "(6zR - 1 - 2z)^2 = 1 - 8z + 4z^2"),
+        ]),
+    ],
+    ids=["total", "prefix", "R"],
+)
+def test_a_halved_series_fails_at_its_first_coefficient(monkeypatch, halve, failed):
+    # halving keeps every stored numerator and makes the denominator 2,
+    # so a comparison that read the numerators without the denominator
+    # would pass; each compared series must fail where it first differs
+    halve(monkeypatch)
+    report = run_verification(order=16, t_list=(2,))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == failed
+
+
 def test_an_empty_comparison_fails():
     # a comparison with nothing in its window says so and fails, as
     # `_zero_on_window` and `Series.agrees` already do
