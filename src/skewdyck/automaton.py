@@ -291,7 +291,10 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
 # constant at u^0 and terms (coefficient, layer, u-shift, z-shift,
 # dropped levels), so (-1, F, 0, 1, (1, 2)) is -z (F - u f1 - u^2 f2).
 # The tables come from the equations above, not from the edge list, so
-# the check stays independent of the table it checks.
+# the check stays independent of the table it checks.  `first_violation`
+# evaluates such a relation, and it has two callers: the layer equations
+# from u^0, and `verify`'s level recurrence, which hands it the kernel
+# polynomial's terms from u^(2t), where level 0 is checked.
 
 
 def _equations(t: int, direction: str) -> tuple:
@@ -331,16 +334,20 @@ def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: 
     return [
         f"{name} violated at {where}"
         for name, constant, terms in _equations(t, direction)
-        if (where := _first_violation(table, constant, terms, u_degree))
+        if (where := first_violation(table, constant, terms, 0, u_degree))
     ]
 
 
-def _first_violation(table: CountTable, constant: int, terms: tuple, u_degree: int) -> str:
+def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi: int) -> str:
     """"u^j z^e term r" for the first nonzero residual coefficient of one
-    equation, u^j then z^e upwards, or "".  A term (c, layer, du, dz, ...)
-    adds c times the integer cell at n = e - dz, k = j - du; the u^j
-    residual is built over every z^e at once from whole table columns."""
-    for j in range(u_degree + 1):
+    linear relation on the table's columns, u^j from ``lo`` to ``hi`` and
+    then z^e upwards, or "".  A term (c, layer, du, dz, dropped) adds c
+    times the integer cell at n = e - dz, k = j - du, unless k is dropped;
+    the u^j residual is built over every z^e at once from whole table
+    columns.  Its callers: `verify_functional_equations` (the layer
+    equations, from u^0) and `verify`'s level recurrence (the kernel's
+    terms c z^e u^p, from u^(2t), where level 0 is checked)."""
+    for j in range(lo, hi + 1):
         resid = [0] * (table.n_max + 1)
         if j == 0:
             resid[0] = constant

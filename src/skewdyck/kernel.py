@@ -42,7 +42,7 @@ answer.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .series import Series, SeriesError, newton_root
 
@@ -107,19 +107,6 @@ def series_root(poly: dict, valuation: int, seed, order: int) -> Series:
         raise ValueError(f"order must be >= {valuation + 1} to see the z^{valuation} lead")
     v = newton_root(substituted(poly, valuation), seed, order - valuation)
     return v.shift(valuation)
-
-
-def _weighted_sum(
-    coeffs_by_power: Mapping[int, Mapping[int, int]], powers: Sequence[Series]
-) -> Series:
-    """Sum of c z^e powers[p] over the terms c z^e u^p of the table."""
-    acc = None
-    for p, zpoly in coeffs_by_power.items():
-        up = powers[p]
-        for e, c in zpoly.items():
-            term = (up * c).shift(e)
-            acc = term if acc is None else acc + term
-    return acc
 
 
 def good_root(t: int, order: int) -> Series:
@@ -210,32 +197,3 @@ def prefix_series(solution: KernelSolution, layer, k: int, order: int) -> Series
             # both factors vanish at z^0, so their product is exact on the window
             out = out.truncate(order) * solution.s_inv_power(k).truncate(order)
     return out.truncate(order)
-
-
-def recurrence_residuals(columns: list[Series], t: int) -> list[Series]:
-    """Apply the kernel-induced level recurrence to consecutive columns.
-
-    The kernel K_t annihilates every layer column sequence a_k through
-
-        sum over u-powers m of K_t:  coeff_m(z) * a_(k + 2t - m) = 0,
-
-    so at t = 2, z a_k - a_(k+1) - z^2 a_(k+2) + 2 z a_(k+3)
-    - z^3 a_(k+4) = 0.  Returns one residual per checkable window position.
-    """
-    poly = kernel_poly(t)
-    depth = 2 * t
-    # u^p stands for column k + depth - p: the window read backwards
-    return [
-        _weighted_sum(poly, columns[k : k + depth + 1][::-1])
-        for k in range(len(columns) - depth)
-    ]
-
-
-def recurrence_check(solution: KernelSolution, layer, k_max: int, order: int) -> bool:
-    """Whether the order-2t level recurrence holds on the closed forms of
-    a solution through z^order, for levels k <= k_max, in the layer
-    with letter "F", "G" or "H"."""
-    t = solution.t
-    cols = [prefix_series(solution, layer, k, order + 2) for k in range(k_max + 2 * t + 1)]
-    residuals = recurrence_residuals(cols, t)
-    return all(r.truncate(order + 1).is_zero() for r in residuals[: k_max + 1])

@@ -553,12 +553,12 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     ``poly`` maps each v-power to {z-exponent: coefficient}, as `horner`
     reads it.  The seed is an exact rational as `_ratio` reads it (an
     int, a `Fraction` or a pair (p, q)), and it must be a simple root of
-    P(v, 0): a vanishing
-    derivative means the root ramifies at z = 0 and needs a substitution
-    first (fractional-power expansions are out of scope).  The
-    coefficients are fixed one at a time by `_solve_ints`, in z^g for g
-    the gcd of the table's z-exponents; the name is kept from the Newton
-    iteration this replaced.  The residual P(v) is then checked by
+    P(v, 0): a vanishing derivative means the root ramifies at z = 0 and
+    needs a substitution first (fractional-power expansions are out of
+    scope).  The coefficients are fixed one at a time by `_solve_ints`,
+    in z^g for g the gcd of the polynomial's own z-exponents, never read
+    from the counting table; the name is kept from the Newton iteration
+    this replaced.  The residual P(v) is then checked by
     `horner` at the full order, and a nonzero residual raises.
     """
     sp, sq = _ratio(seed)

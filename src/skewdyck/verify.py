@@ -1,9 +1,11 @@
 """The full cross-validation suite behind the `verify` command.
 
 Every closed form is measured against the exhaustive enumerator or the
-counting table; every root is measured against its kernel; and the one
-place the literature disagrees with itself (the length-15 count) gets a
-single adjudication line computed fresh on every run.
+counting table; every root is measured against its kernel, and the
+table's level columns against the kernel polynomial itself (the level
+recurrence, in integers, by the evaluator of the layer equations); and
+the one place the literature disagrees with itself (the length-15
+count) gets a single adjudication line computed fresh on every run.
 
 The suite is one ordered table of checks (`_checks`): a name, a check
 function and its arguments per row, each run by one loop into a result.
@@ -23,7 +25,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
-from .automaton import LAYERS, dp_counts, verify_functional_equations
+from .automaton import LAYERS, dp_counts, first_violation, verify_functional_equations
 from .paths import Step, walk
 from .series import Series, _ratio, _ratio_text, horner
 
@@ -124,7 +126,7 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
             (f"kernel total vs table t={t}", _totals_check, sol),
             (f"internal identity t={t}", _identity_check, sol),
             (f"prefix closed forms vs table t={t}", _prefix_check, sol, max(4, min(24, order - 12))),
-            (f"level recurrence t={t}", _recurrence_check, sol, max(2, min(30, order - 13))),
+            (f"level recurrence t={t}", _recurrence_check, t, max(2, min(30, order - 13))),
         )),
         ("narayana vs R", _narayana_check, r),
         ("R published coefficients", _r_published_check, r),
@@ -272,12 +274,17 @@ def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
     )
 
 
-def _recurrence_check(sol: kernel.KernelSolution, ord_rec: int) -> Verdict:
-    k_hi = 6
+def _recurrence_check(t: int, ord_rec: int) -> Verdict:
+    # the residual at level k is the u^(k + 2t) coefficient of K_t times
+    # the layer's column sum: each term c z^e u^p reads level k + 2t - p
+    k_hi, depth = 6, 2 * t
+    table = dp_counts(t, ord_rec, k_max=k_hi + depth)
+    poly = kernel.kernel_poly(t)
     for layer in LAYERS:
-        if not kernel.recurrence_check(sol, layer, k_hi, ord_rec):
+        terms = tuple((c, layer, p, e, ()) for p, zp in poly.items() for e, c in zp.items())
+        if first_violation(table, 0, terms, depth, depth + k_hi):
             return False, f"layer {layer}"
-    return True, f"order-{2 * sol.t} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
+    return True, f"order-{depth} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
 
 
 def _narayana_check(r: Series) -> Verdict:

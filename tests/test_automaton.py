@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdyck import automaton
-from skewdyck.automaton import LAYERS, dp_counts, verify_functional_equations
-from skewdyck.kernel import recurrence_residuals
+from skewdyck.automaton import LAYERS, dp_counts, first_violation, verify_functional_equations
+from skewdyck.kernel import kernel_poly
 from skewdyck.paths import Step, walk
-from skewdyck.series import Series
 
 
 def total(t, n):
@@ -324,13 +323,29 @@ class TestStridedWalk:
             assert len(row) == 3 and all(len(cells) <= bound for cells in row)
 
 
+def kernel_terms(t, layer):
+    # the kernel's terms c z^e u^p as relation terms on one layer's columns
+    return tuple((c, layer, p, e, ()) for p, zp in kernel_poly(t).items() for e, c in zp.items())
+
+
 class TestColumnRecurrence:
-    def test_t2_columns_satisfy_kernel_recurrence(self):
-        table = dp_counts(2, 24, k_max=12)
+    # K_t annihilates every level column: the u^(k + 2t) coefficient of
+    # K_t times a layer's column sum is the recurrence's residual at level k
+    @settings(deadline=None, max_examples=30)
+    @given(t=st.integers(2, 6), n_max=st.integers(0, 40))
+    def test_every_level_satisfies_kernel_recurrence(self, t, n_max):
+        # every level a word of at most n_max steps reaches, k <= n_max
+        table = dp_counts(t, n_max, k_max=n_max + 2 * t)
         for layer in LAYERS:
-            cols = [Series(0, [table.count(n, k, layer) for n in range(25)]) for k in range(11)]
-            for residual in recurrence_residuals(cols, 2):
-                assert residual.truncate(24).is_zero()
+            assert first_violation(table, 0, kernel_terms(t, layer), 2 * t, n_max + 2 * t) == ""
+
+    def test_bumped_cell_is_reported(self):
+        # level 10 at n = 19 first meets the residual at u^10, through the
+        # kernel's -z^3 u^0 term: z^(19 + 3)
+        table = dp_counts(2, 24, k_max=14)
+        table._grid[19][0][3] += 1  # row 19 stores levels 1, 4, 7, 10, ...
+        assert first_violation(table, 0, kernel_terms(2, "F"), 4, 14) == "u^10 z^22 term -1"
+        assert first_violation(table, 0, kernel_terms(2, "G"), 4, 14) == ""
 
 
 class TestFunctionalEquations:

@@ -6,21 +6,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.automaton import LAYERS, dp_counts
+from skewdyck.automaton import LAYERS, dp_counts, first_violation
 from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
     good_root,
     kernel_poly,
     prefix_series,
-    recurrence_check,
-    recurrence_residuals,
     series_root,
     solve,
     substituted,
 )
 from skewdyck.reverse import rl_cancelling_root, rl_root_s1
-from skewdyck.series import Series, SeriesError, horner
+from skewdyck.series import SeriesError, horner
 
 
 # ids "Layer.F", "Layer.G" and "Layer.H" keep these tests' names stable
@@ -323,22 +321,30 @@ class TestCrossRoute:
         ]
 
 
+def recurrence_violation(table, t, layer, lo, hi):
+    # the first nonzero u^lo..u^hi coefficient of K_t times the layer's columns
+    terms = tuple((c, layer, p, e, ()) for p, zp in kernel_poly(t).items() for e, c in zp.items())
+    return first_violation(table, 0, terms, lo, hi)
+
+
 class TestRecurrence:
+    # the table's level columns against the kernel polynomial, in integers
     @by_layer
     def test_order_30_k_to_6(self, layer):
-        assert recurrence_check(solve(2, 45), layer, 6, 30)
+        assert recurrence_violation(dp_counts(2, 30, k_max=10), 2, layer, 4, 10) == ""
 
     @pytest.mark.parametrize("t", [3, 4])
     def test_depth_2t(self, t):
-        sol = solve(t, 24)
+        # the recurrence holds from u^(2t), level 0, up; below it K_t times
+        # a column sum keeps the kernel equation's right side, which starts
+        # with -u^(2t-1) times the empty word
+        table = dp_counts(t, 20, k_max=4 + 2 * t)
         for layer in LAYERS:
-            assert recurrence_check(sol, layer, 4, 20)
-        cols = [Series.poly({0: 1}, 8)] * (2 * t + 3)
-        assert len(recurrence_residuals(cols, t)) == 3
+            assert recurrence_violation(table, t, layer, 2 * t, 2 * t + 4) == ""
+        assert recurrence_violation(table, t, "F", 2 * t - 1, 2 * t - 1) == f"u^{2 * t - 1} z^0 term -1"
 
     def test_detects_a_wrong_column(self):
-        # the residual of a column sequence that is not geometric in s
-        sol = solve(2, 24)
-        cols = [prefix_series(sol, "G", k, 20) for k in range(6)]
-        cols[2] = cols[2] + Series.poly({10: 1}, 20)
-        assert not all(r.truncate(19).is_zero() for r in recurrence_residuals(cols, 2))
+        # a column that is not the table's: one G cell at level 2 bumped
+        table = dp_counts(2, 20, k_max=8)
+        table._grid[11][1][0] += 1  # row 11 stores levels 2, 5, 8
+        assert recurrence_violation(table, 2, "G", 4, 8) == "u^4 z^13 term -1"

@@ -100,7 +100,6 @@ def _halve_r(monkeypatch):
         ]),
         (_halve_prefix, [
             ("prefix closed forms vs table t=2", "F_2 differs at z^2"),
-            ("level recurrence t=2", "layer F"),
         ]),
         (_halve_r, [
             ("narayana vs R", "n=1"),
@@ -163,6 +162,41 @@ def test_functional_equation_fail_names_the_violation(monkeypatch):
         ("functional-equations LR t=3", "layer-F violated at u^2 z^10 term -1"),
         ("functional-equations RL t=2", "layer-F violated at u^3 z^10 term -1"),
     ]
+
+
+def test_a_table_cell_past_the_prefix_window_fails_the_recurrence(monkeypatch):
+    # level 10 is above every other row's table window (the prefix row
+    # stops at k = 8); the level recurrence reads the n = 19 cell at u^10
+    # through the kernel's -z^3 term, at z^22, so from order 35 on, and
+    # only that row fails
+    real = verify.dp_counts
+
+    def tampered(t, n_max, k_max=None, direction="LR"):
+        table = real(t, n_max, k_max, direction)
+        if t == 2 and n_max >= 19 and table.k_max >= 10:
+            table._grid[19][0][3] += 1  # row 19 stores levels 1, 4, 7, 10, ...
+        return table
+
+    monkeypatch.setattr(verify, "dp_counts", tampered)
+    report = run_verification(order=40, t_list=(2,))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("level recurrence t=2", "layer F"),
+    ]
+
+
+def test_a_wrong_kernel_coefficient_fails_the_recurrence(monkeypatch):
+    # the row compares the table with `kernel_poly` itself: one changed
+    # coefficient (2z u^(t-1) read as 3z u^(t-1)) fails it
+    real = kernel.kernel_poly
+
+    def changed(t):
+        poly = real(t)
+        poly[t - 1] = {1: 3}
+        return poly
+
+    assert verify._recurrence_check(2, 20)[0]
+    monkeypatch.setattr(kernel, "kernel_poly", changed)
+    assert verify._recurrence_check(2, 20) == (False, "layer F")
 
 
 def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
