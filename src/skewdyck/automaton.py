@@ -94,12 +94,10 @@ def _period(arcs: list[tuple[int, int, int]]) -> tuple[int, int]:
 
 
 class _Sum(NamedTuple):
-    """One target's sum of shifted source rows within one level change."""
+    """One target's sum within one level change: the sum before it plus sources."""
 
     target: int  # layer index written
-    prior: int | None  # index of an earlier sum of this level change to extend
-    sources: tuple[int, ...]  # layer indices added on top of the prior sum
-    keep: bool  # a later sum reads this one, so it is made a list
+    sources: tuple[int, ...]  # layer indices added on top of the sum before
     into: bool  # an earlier level change wrote the target: add into the row
 
 
@@ -107,29 +105,24 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
     """(level change, sums) for each level change of the arcs, in arc order.
 
     Within one level change every source row is read at one shift, so
-    each is sliced once.  Targets are summed smallest source set first,
-    and a target whose sources contain an earlier target's extends the
-    largest such sum instead of re-adding it.  A sum that a later one
-    reads is made a list, because a ``map`` can be read only once.
+    each is sliced once.  The targets' source sets nest (a ``ValueError``
+    says where they do not), so the sums of one level change form one
+    chain, smallest set first: each extends the sum before it by the
+    sources that sum lacks.  Every sum but the last is made a list,
+    because the next one reads it and a ``map`` can be read only once.
     """
     changes: dict[int, dict[int, set[int]]] = {}
     for src, dst, delta in arcs:
         changes.setdefault(delta, {}).setdefault(dst, set()).add(src)
     plan, written = [], set()
     for delta, targets in changes.items():
-        made: list[set[int]] = []  # the source set of each sum so far
+        made: set[int] = set()  # the sources of the sum before
         sums: list[_Sum] = []
         for dst, srcs in sorted(targets.items(), key=lambda item: len(item[1])):
-            prior = max(
-                (i for i, done in enumerate(made) if done <= srcs),
-                key=lambda i: len(made[i]), default=None,
-            )
-            extra = srcs
-            if prior is not None:
-                extra = srcs - made[prior]
-                sums[prior] = sums[prior]._replace(keep=True)
-            made.append(srcs)
-            sums.append(_Sum(dst, prior, tuple(sorted(extra)), False, dst in written))
+            if not made <= srcs:
+                raise ValueError(f"level change {delta}: the targets' source sets do not nest")
+            sums.append(_Sum(dst, tuple(sorted(srcs - made)), dst in written))
+            made = srcs
         written.update(targets)
         plan.append((delta, sums))
     return plan
@@ -204,24 +197,22 @@ class CountTable:
         return sum(row[i][0] for i in self._closed)
 
 
-def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR") -> CountTable:
+def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTable:
     """Build the counting table for down-step size t.
 
-    ``k_max`` bounds the stored levels and defaults to n_max (no word
-    outlevels its step count going left to right).  Row n is walked up
-    to the highest level that n steps can reach and that can still fall
-    to k_max by step n_max, so every stored cell is exact.  Only the
+    ``k_max`` bounds the stored levels (left to right, k_max = n_max
+    stores them all: no word outlevels its step count).  Row n is walked
+    up to the highest level that n steps can reach and that can still
+    fall to k_max by step n_max, so every stored cell is exact.  Only the
     levels k = c*n (mod m) are walked and stored (see ``_period``), so a
     table takes O(n_max * k_max / m) memory.  Each row runs the plan of
     ``_plan``: one shifted slice per source row and level change, and
-    one sum per target, shared where source sets nest.
+    one chain of sums per level change, each extending the one before.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if k_max is None:
-        k_max = n_max
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if direction not in DIRECTIONS:
@@ -250,15 +241,13 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
             lo, top = max(0, -shift), min(width, len(prev[0]) - shift)
             if lo >= top:
                 continue
-            made = []
-            for dst, prior, sources, keep, into in sums:
-                cells = made[prior] if prior is not None else None
+            cells, last = None, len(sums) - 1
+            for i, (dst, sources, into) in enumerate(sums):
                 for src in sources:
                     part = prev[src][lo + shift : top + shift]
                     cells = part if cells is None else map(add, cells, part)
-                if keep:
+                if i < last:
                     cells = list(cells)
-                made.append(cells)
                 row[dst][lo:top] = map(add, cells, row[dst][lo:top]) if into else cells
         if base == 0:
             for layer in scan.pinned:
@@ -292,9 +281,10 @@ def dp_counts(t: int, n_max: int, k_max: int | None = None, direction: str = "LR
 # dropped levels), so (-1, F, 0, 1, (1, 2)) is -z (F - u f1 - u^2 f2).
 # The tables come from the equations above, not from the edge list, so
 # the check stays independent of the table it checks.  `first_violation`
-# evaluates such a relation, and it has two callers: the layer equations
-# from u^0, and `verify`'s level recurrence, which hands it the kernel
-# polynomial's terms from u^(2t), where level 0 is checked.
+# evaluates such a relation through its caller's z-bound, and it has two
+# callers: the layer equations from u^0, and `verify`'s level recurrence,
+# which hands it the kernel polynomial's terms from u^(2t), where level 0
+# is checked; both read the table they are handed.
 
 
 def _equations(t: int, direction: str) -> tuple:
@@ -318,8 +308,10 @@ def _equations(t: int, direction: str) -> tuple:
     )
 
 
-def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: str) -> list[str]:
-    """Check the summed layer equations on DP-derived truncations.
+def verify_functional_equations(
+    table: CountTable, t: int, u_degree: int, z_order: int, direction: str
+) -> list[str]:
+    """Check the summed layer equations on the columns of ``table``.
 
     Coefficients above ``u_degree`` are truncation artifacts of the
     finite u-window and are excluded; everything kept must vanish
@@ -330,25 +322,26 @@ def verify_functional_equations(t: int, u_degree: int, z_order: int, direction: 
     """
     if direction == "RL" and t != 2:
         raise ValueError("right-to-left equations are only established for t=2")
-    table = dp_counts(t, z_order, k_max=u_degree, direction=direction)
     return [
         f"{name} violated at {where}"
         for name, constant, terms in _equations(t, direction)
-        if (where := first_violation(table, constant, terms, 0, u_degree))
+        if (where := first_violation(table, constant, terms, 0, u_degree, z_order))
     ]
 
 
-def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi: int) -> str:
+def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi: int, z_hi: int) -> str:
     """"u^j z^e term r" for the first nonzero residual coefficient of one
     linear relation on the table's columns, u^j from ``lo`` to ``hi`` and
-    then z^e upwards, or "".  A term (c, layer, du, dz, dropped) adds c
-    times the integer cell at n = e - dz, k = j - du, unless k is dropped;
-    the u^j residual is built over every z^e at once from whole table
-    columns.  Its callers: `verify_functional_equations` (the layer
+    then z^e up to ``z_hi``, or "".  A term (c, layer, du, dz, dropped)
+    adds c times the integer cell at n = e - dz, k = j - du, unless k is
+    dropped; the u^j residual is built over every z^e at once from whole
+    table columns.  Its callers: `verify_functional_equations` (the layer
     equations, from u^0) and `verify`'s level recurrence (the kernel's
     terms c z^e u^p, from u^(2t), where level 0 is checked)."""
+    if z_hi > table.n_max:
+        raise ValueError(f"z^{z_hi} is past the table's lengths (n<={table.n_max})")
     for j in range(lo, hi + 1):
-        resid = [0] * (table.n_max + 1)
+        resid = [0] * (z_hi + 1)
         if j == 0:
             resid[0] = constant
         for c, layer, du, dz, dropped in terms:

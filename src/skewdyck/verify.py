@@ -9,6 +9,9 @@ count) gets a single adjudication line computed fresh on every run.
 
 The suite is one ordered table of checks (`_checks`): a name, a check
 function and its arguments per row, each run by one loop into a result.
+The kernel solutions, one counting table per t and direction, R and the
+right-to-left series are computed once per run, in `_checks`, and each
+is handed to every row that reads it; a row reads its own window of it.
 
 Every coefficient is compared as an exact integer: a series hands out a
 run of integer numerators over its common denominator (`Series.window`),
@@ -25,7 +28,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
-from .automaton import LAYERS, dp_counts, first_violation, verify_functional_equations
+from .automaton import LAYERS, CountTable, dp_counts, first_violation, verify_functional_equations
 from .paths import Step, walk
 from .series import Series, _ratio, _ratio_text, horner
 
@@ -104,29 +107,36 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
     """Every check of one run, in report order, as (name, check, *arguments).
 
     The kernel solutions (t = 2 always: the right-to-left and length-15
-    checks read it), the one expansion of R and the three right-to-left
-    series (the cancelling root t1, the closed total g0 built from it,
-    and the valuation-2 root s1) are computed here, once, and passed to
-    the checks."""
+    checks read it), one counting table per t and direction, the one
+    expansion of R and the three right-to-left series (the cancelling
+    root t1, the closed total g0 built from it, and the valuation-2 root
+    s1) are computed here, once, and passed to the checks."""
     sols = {t: kernel.solve(t, order) for t in sorted(set(t_list) | {2})}
+    lr, z_ord, ord_rec = sols[2], min(20, order - 1), max(2, min(30, order - 13))
+    n_enum, n_prefix = min(12, order - 1), max(4, min(24, order - 12))
+    # a table is as wide as its widest reader: lengths n <= min(60, order - 1)
+    # (totals) and n <= 30 (mirror); levels k <= 12 (enumeration), k <= 2t + 6
+    # (recurrence) and k <= 8 (equations, prefixes)
+    tables = {t: dp_counts(t, max(min(60, order - 1), 30), max(12, 2 * t + 6)) for t in sols}
+    rl_table = dp_counts(2, 30, 8, "RL")
     r = closed_form.r_series(max(order, 41))
     t1 = reverse.rl_cancelling_root(order + 2)  # two terms further: g0 keeps the window
     g0, t1 = reverse.rl_g0(order, t1=t1), t1.truncate(order)
     s1 = reverse.rl_root_s1(order)
-    lr, z_ord = sols[2], min(20, order - 1)
     s6 = [("good-root published comparison t=3", _s6_check, sols[3].s, order)] if 3 in sols else []
     return [
-        *((f"enumeration-vs-table t={t}", _enumeration_check, t, min(12, order - 1)) for t in t_list),
-        *((f"functional-equations LR t={t}", _equations_check, t, "LR", z_ord) for t in t_list),
-        ("functional-equations RL t=2", _equations_check, 2, "RL", z_ord),
+        *((f"enumeration-vs-table t={t}", _enumeration_check, tables[t], t, n_enum) for t in t_list),
+        *((f"functional-equations LR t={t}", _equations_check, tables[t], t, "LR", z_ord)
+          for t in t_list),
+        ("functional-equations RL t=2", _equations_check, rl_table, 2, "RL", z_ord),
         *((f"good-root residual t={t}", _residual_check, sol) for t, sol in sols.items()),
         ("good-root published coefficients t=2", _published_check, lr.s, kernel.S4_PUBLISHED, order),
         *s6,
         *(row for t, sol in sols.items() for row in (
-            (f"kernel total vs table t={t}", _totals_check, sol),
+            (f"kernel total vs table t={t}", _totals_check, tables[t], sol),
             (f"internal identity t={t}", _identity_check, sol),
-            (f"prefix closed forms vs table t={t}", _prefix_check, sol, max(4, min(24, order - 12))),
-            (f"level recurrence t={t}", _recurrence_check, t, max(2, min(30, order - 13))),
+            (f"prefix closed forms vs table t={t}", _prefix_check, tables[t], sol, n_prefix),
+            (f"level recurrence t={t}", _recurrence_check, tables[t], t, ord_rec),
         )),
         ("narayana vs R", _narayana_check, r),
         ("R published coefficients", _r_published_check, r),
@@ -135,8 +145,8 @@ def _checks(order: int, t_list: tuple[int, ...]) -> list[tuple]:
         ("valuation-2 root published coefficients", _published_check, s1, reverse.S1_PUBLISHED, order),
         ("reflected-kernel consistency", _reflected_roots_check, s1, t1, lr.s),
         ("reflected closed form", _reflected_g0_check, g0, t1, lr.total, order),
-        ("mirror consistency", _mirror_check, 30),
-        ("length-15 adjudication", _adjudication, r, lr.total),
+        ("mirror consistency", _mirror_check, tables[2], rl_table, 30),
+        ("length-15 adjudication", _adjudication, tables[2], r, lr.total),
     ]
 
 
@@ -203,8 +213,7 @@ def _walked_cells(t: int, n: int) -> Counter:
     )
 
 
-def _enumeration_check(t: int, n_hi: int) -> Verdict:
-    table = dp_counts(t, n_hi)
+def _enumeration_check(table: CountTable, t: int, n_hi: int) -> Verdict:
     return _matches(
         (
             ((n, k, layer), table.count(n, k, layer), cells[k, layer])
@@ -217,8 +226,8 @@ def _enumeration_check(t: int, n_hi: int) -> Verdict:
     )
 
 
-def _equations_check(t: int, direction: str, z_ord: int) -> Verdict:
-    violations = verify_functional_equations(t, 8, z_ord, direction)
+def _equations_check(table: CountTable, t: int, direction: str, z_ord: int) -> Verdict:
+    violations = verify_functional_equations(table, t, 8, z_ord, direction)
     return not violations, violations[0] if violations else ""
 
 
@@ -242,9 +251,8 @@ def _s6_check(s: Series, order: int) -> Verdict:
     return True, "published-value divergences (reported, not failures): " + "; ".join(diverging)
 
 
-def _totals_check(sol: kernel.KernelSolution) -> Verdict:
+def _totals_check(table: CountTable, sol: kernel.KernelSolution) -> Verdict:
     n_hi = min(60, sol.total.frontier - 1)
-    table = dp_counts(sol.t, n_hi, k_max=0)
     nums, den = sol.total.window(0, n_hi + 1)
     return _matches(
         (((n,), x, den * table.closed_count(n)) for n, x in enumerate(nums)),
@@ -258,9 +266,8 @@ def _identity_check(sol: kernel.KernelSolution) -> Verdict:
     return _zero_on_window(sol.h0 - rhs, f"h0 s^{sol.t} = z(g0 + h0)")
 
 
-def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
+def _prefix_check(table: CountTable, sol: kernel.KernelSolution, n_hi: int) -> Verdict:
     k_hi = 8
-    table = dp_counts(sol.t, n_hi, k_max=k_hi)
     return _matches(
         (
             ((layer, k, n), x, den * c)
@@ -274,15 +281,14 @@ def _prefix_check(sol: kernel.KernelSolution, n_hi: int) -> Verdict:
     )
 
 
-def _recurrence_check(t: int, ord_rec: int) -> Verdict:
+def _recurrence_check(table: CountTable, t: int, ord_rec: int) -> Verdict:
     # the residual at level k is the u^(k + 2t) coefficient of K_t times
     # the layer's column sum: each term c z^e u^p reads level k + 2t - p
     k_hi, depth = 6, 2 * t
-    table = dp_counts(t, ord_rec, k_max=k_hi + depth)
     poly = kernel.kernel_poly(t)
     for layer in LAYERS:
         terms = tuple((c, layer, p, e, ()) for p, zp in poly.items() for e, c in zp.items())
-        if first_violation(table, 0, terms, depth, depth + k_hi):
+        if first_violation(table, 0, terms, depth, depth + k_hi, ord_rec):
             return False, f"layer {layer}"
     return True, f"order-{depth} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
 
@@ -332,17 +338,16 @@ def _reflected_g0_check(g0: Series, t1: Series, total: Series, order: int) -> Ve
     return forms_ok and total_ok, f"both forms equal the LR total through z^{hi - 1}"
 
 
-def _mirror_check(n_hi: int) -> Verdict:
-    lr, rl = (dp_counts(2, n_hi, k_max=0, direction=d) for d in ("LR", "RL"))
+def _mirror_check(lr: CountTable, rl: CountTable, n_hi: int) -> Verdict:
     return _matches(
         (((n,), lr.closed_count(n), rl.closed_count(n)) for n in range(n_hi + 1)),
         f"table totals agree both directions, lengths <= {n_hi}", "first mismatch at length {}",
     )
 
 
-def _adjudication(r: Series, total: Series) -> Verdict:
+def _adjudication(table: CountTable, r: Series, total: Series) -> Verdict:
     """The single adjudication line for the diverging length-15 value."""
-    dp15 = dp_counts(2, 15, k_max=0).closed_count(15)
+    dp15 = table.closed_count(15)
     r5 = _integer_coeff(r, 5, "R")
     total15 = total if total.frontier > 15 else kernel.solve(2, 16).total
     k15 = _integer_coeff(total15, 15, "kernel total")

@@ -50,19 +50,19 @@ class TestTotals:
 
 class TestCells:
     def test_seed_is_layer_f(self):
-        table = dp_counts(2, 0)
+        table = dp_counts(2, 0, k_max=0)
         assert table.count(0, 0, "F") == 1
         assert table.count(0, 0, "G") == 0
         assert table.count(0, 0, "H") == 0
 
     def test_level_one_after_four_steps(self):
-        table = dp_counts(2, 4)
+        table = dp_counts(2, 4, k_max=4)
         assert table.count(4, 1, "F") == 1  # UUDU
         assert table.count(4, 1, "G") == 1  # UUUD
         assert table.count(4, 1, "H") == 0
 
     def test_level_zero_after_six_steps(self):
-        table = dp_counts(2, 6)
+        table = dp_counts(2, 6, k_max=6)
         assert table.count(6, 0, "F") == 0
         assert table.count(6, 0, "G") == 3
         assert table.count(6, 0, "H") == 1
@@ -86,7 +86,7 @@ class TestCells:
 
     def test_unknown_layer(self):
         # a bad letter is refused in the words kernel.prefix_series uses
-        table = dp_counts(2, 4)
+        table = dp_counts(2, 4, k_max=4)
         message = "layer must be one of 'F', 'G', 'H', got 'X'"
         with pytest.raises(ValueError, match=message):
             table.count(4, 1, "X")
@@ -95,25 +95,25 @@ class TestCells:
 
     def test_h_layer_unreachable_early(self):
         for t in (2, 3):
-            table = dp_counts(t, 2 * t)
+            table = dp_counts(t, 2 * t, k_max=2 * t)
             for n in range(2 * t):
                 for k in range(n + 1):
                     assert table.count(n, k, "H") == 0
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            dp_counts(1, 5)
+            dp_counts(1, 5, k_max=5)
         with pytest.raises(ValueError):
-            dp_counts(2, -1)
+            dp_counts(2, -1, k_max=-1)
         with pytest.raises(ValueError):
-            dp_counts(2, 5, direction="down")
+            dp_counts(2, 5, k_max=5, direction="down")
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("t", [2, 3])
     def test_every_cell_matches_enumeration(self, t):
         n_hi = 15
-        table = dp_counts(t, n_hi)
+        table = dp_counts(t, n_hi, k_max=n_hi)
         for n in range(n_hi + 1):
             cells = walked_cells(t, n)
             for k in range(n + 1):
@@ -130,7 +130,7 @@ class TestOracleEquivalence:
 
 class TestReversedTable:
     def test_seeds(self):
-        table = dp_counts(2, 0, direction="RL")
+        table = dp_counts(2, 0, k_max=0, direction="RL")
         assert table.count(0, 0, "G") == 1
         assert table.count(0, 0, "H") == 1
         assert table.count(0, 0, "F") == 0
@@ -145,7 +145,7 @@ class TestReversedTable:
         assert table.count(1, 2, "H") == 2
 
     def test_origin_f_cell_stays_zero(self):
-        table = dp_counts(2, 12, direction="RL")
+        table = dp_counts(2, 12, k_max=12, direction="RL")
         assert all(table.count(n, 0, "F") == 0 for n in range(13))
 
     def test_closed_counts_via_g_column(self):
@@ -250,7 +250,7 @@ class TestStridedWalk:
         direction=st.sampled_from(["LR", "RL"]),
     )
     def test_cells_match_dense_walk(self, t, n_max, k_max, direction):
-        table = dp_counts(t, n_max, k_max=k_max, direction=direction)
+        table = dp_counts(t, n_max, k_max=n_max if k_max is None else k_max, direction=direction)
         rows = dense_walk(t, n_max, direction, table.k_max)
         # every step changes the level by 1 (LR) or -1 (RL) mod t+1
         c = 1 if direction == "LR" else t
@@ -270,7 +270,7 @@ class TestStridedWalk:
         direction=st.sampled_from(["LR", "RL"]),
     )
     def test_column_matches_cells(self, t, n_max, k_max, direction):
-        table = dp_counts(t, n_max, k_max=k_max, direction=direction)
+        table = dp_counts(t, n_max, k_max=n_max if k_max is None else k_max, direction=direction)
         for k in range(table.k_max + 1):
             for layer in LAYERS:
                 want = [table.count(n, k, layer) for n in range(n_max + 1)]
@@ -289,35 +289,37 @@ class TestStridedWalk:
             assert len(read) == len(set(read))
             wanted = {dst: {s for s, d, change in arcs if d == dst and change == delta}
                       for _, dst, _ in arcs}
+            full = set()  # each sum extends the one before it
             for step in sums:
-                full = set(step.sources)
-                if step.prior is not None:
-                    full |= wanted[sums[step.prior].target]
+                full |= set(step.sources)
                 assert full == wanted[step.target]
 
     def test_plan_shares_nested_sums(self):
         F, G, H = 0, 1, 2
         plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["LR"])))
         # left to right at -t: H <- G+H, then G extends that sum by F
-        assert [(s.target, s.prior, s.sources, s.keep) for s in plan[-3]] == [
-            (H, None, (G, H), True), (G, 0, (F,), False),
-        ]
+        assert [(s.target, s.sources) for s in plan[-3]] == [(H, (G, H)), (G, (F,))]
         plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["RL"])))
         # right to left at -1, F and G share the F slice; at +t, G extends
         # F's G slice by H, and H is G's sum; F and G add into the row
-        assert [(s.target, s.prior, s.sources, s.into) for s in plan[-1]] == [
-            (F, None, (F,), False), (G, 0, (), False),
+        assert [(s.target, s.sources, s.into) for s in plan[-1]] == [
+            (F, (F,), False), (G, (), False),
         ]
-        assert [(s.target, s.prior, s.sources, s.keep, s.into) for s in plan[3]] == [
-            (F, None, (G,), True, True), (G, 0, (H,), True, True), (H, 1, (), False, False),
+        assert [(s.target, s.sources, s.into) for s in plan[3]] == [
+            (F, (G,), True), (G, (H,), True), (H, (), False),
         ]
+
+    def test_plan_refuses_sets_that_do_not_nest(self):
+        # two targets of one level change with disjoint sources form no chain
+        with pytest.raises(ValueError, match="level change 1: .* do not nest"):
+            automaton._plan([(0, 0, 1), (1, 1, 1)])
 
     @pytest.mark.parametrize("direction", ["LR", "RL"])
     @pytest.mark.parametrize("t", [2, 3, 4, 5])
     def test_stores_only_the_reachable_class(self, t, direction):
         # a full-window table keeps each row as three layer lists of one
         # level in t+1, not a zero-filled cell for every level up to k_max
-        table = dp_counts(t, 60, direction=direction)
+        table = dp_counts(t, 60, k_max=60, direction=direction)
         bound = table.k_max // (t + 1) + 1
         for row in table._grid:
             assert len(row) == 3 and all(len(cells) <= bound for cells in row)
@@ -337,37 +339,44 @@ class TestColumnRecurrence:
         # every level a word of at most n_max steps reaches, k <= n_max
         table = dp_counts(t, n_max, k_max=n_max + 2 * t)
         for layer in LAYERS:
-            assert first_violation(table, 0, kernel_terms(t, layer), 2 * t, n_max + 2 * t) == ""
+            assert first_violation(table, 0, kernel_terms(t, layer), 2 * t, n_max + 2 * t, n_max) == ""
 
     def test_bumped_cell_is_reported(self):
         # level 10 at n = 19 first meets the residual at u^10, through the
         # kernel's -z^3 u^0 term: z^(19 + 3)
         table = dp_counts(2, 24, k_max=14)
         table._grid[19][0][3] += 1  # row 19 stores levels 1, 4, 7, 10, ...
-        assert first_violation(table, 0, kernel_terms(2, "F"), 4, 14) == "u^10 z^22 term -1"
-        assert first_violation(table, 0, kernel_terms(2, "G"), 4, 14) == ""
+        assert first_violation(table, 0, kernel_terms(2, "F"), 4, 14, 24) == "u^10 z^22 term -1"
+        assert first_violation(table, 0, kernel_terms(2, "G"), 4, 14, 24) == ""
+        # the z-bound is the caller's: the kernel's -u^3 term reads the
+        # bumped cell at u^13 z^19, so through z^18 nothing is reached
+        assert first_violation(table, 0, kernel_terms(2, "F"), 4, 14, 19) == "u^13 z^19 term -1"
+        assert first_violation(table, 0, kernel_terms(2, "F"), 4, 14, 18) == ""
+
+    def test_z_bound_past_the_table_is_refused(self):
+        # a residual longer than the table's columns would check less than asked
+        table = dp_counts(2, 20, k_max=10)
+        with pytest.raises(ValueError, match="past the table's lengths"):
+            first_violation(table, 0, kernel_terms(2, "F"), 4, 10, 21)
 
 
 class TestFunctionalEquations:
+    # the equations are checked on a table they are handed, u^0..u^8 through z^20
     @pytest.mark.parametrize("t,direction", [(2, "LR"), (3, "LR"), (2, "RL")])
     def test_equations_hold(self, t, direction):
-        assert verify_functional_equations(t, 8, 20, direction) == []
+        table = dp_counts(t, 20, k_max=8, direction=direction)
+        assert verify_functional_equations(table, t, 8, 20, direction) == []
 
     @pytest.mark.parametrize("t,direction", [(2, "LR"), (3, "LR"), (2, "RL")])
-    def test_violation_is_reported_not_raised(self, t, direction, monkeypatch):
+    def test_violation_is_reported_not_raised(self, t, direction):
         # a corrupted table must produce a finding, not silence
-        real = automaton.dp_counts
-
-        def tampered(*args, **kwargs):
-            table = real(*args, **kwargs)
-            table._grid[9][1][0] += 1  # tamper with row 9's lowest stored G cell
-            return table
-
-        monkeypatch.setattr(automaton, "dp_counts", tampered)
-        violations = verify_functional_equations(t, 8, 20, direction)
+        table = dp_counts(t, 20, k_max=8, direction=direction)
+        table._grid[9][1][0] += 1  # tamper with row 9's lowest stored G cell
+        violations = verify_functional_equations(table, t, 8, 20, direction)
         assert violations and all(" violated at u^" in v for v in violations)
 
     def test_rl_requires_t2(self):
+        table = dp_counts(3, 20, k_max=8, direction="RL")
         with pytest.raises(ValueError, match="t=2"):
-            verify_functional_equations(3, 8, 20, "RL")
+            verify_functional_equations(table, 3, 8, 20, "RL")
 

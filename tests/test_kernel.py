@@ -322,9 +322,10 @@ class TestCrossRoute:
 
 
 def recurrence_violation(table, t, layer, lo, hi):
-    # the first nonzero u^lo..u^hi coefficient of K_t times the layer's columns
+    # the first nonzero u^lo..u^hi coefficient of K_t times the layer's
+    # columns, through the table's last length
     terms = tuple((c, layer, p, e, ()) for p, zp in kernel_poly(t).items() for e, c in zp.items())
-    return first_violation(table, 0, terms, lo, hi)
+    return first_violation(table, 0, terms, lo, hi, table.n_max)
 
 
 class TestRecurrence:

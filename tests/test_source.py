@@ -134,6 +134,23 @@ def test_table_route_imports_no_other_layer():
     assert package_imports("automaton") == set()
 
 
+def test_verify_builds_its_tables_in_one_place():
+    # one table per t and direction serves every row of a run, so a cell
+    # bumped in it reaches every row that reads it: in `verify`, only
+    # `_checks` names `dp_counts` (besides the import), and the layer
+    # equations check the table they are handed
+    pkg = Path(skewdyck.__file__).parent
+    named = []
+    for top in ast.parse((pkg / "verify.py").read_text()).body:
+        if not isinstance(top, (ast.Import, ast.ImportFrom)):
+            hits = [n for n in ast.walk(top) if isinstance(n, ast.Name) and n.id == "dp_counts"]
+            named += [f"{getattr(top, 'name', '<module>')}:{n.lineno}" for n in hits]
+    assert named and {where.partition(":")[0] for where in named} == {"_checks"}
+    tree = ast.parse((pkg / "automaton.py").read_text())
+    (check,) = [n for n in tree.body if getattr(n, "name", "") == "verify_functional_equations"]
+    assert not [n for n in ast.walk(check) if getattr(n, "id", getattr(n, "attr", "")) == "dp_counts"]
+
+
 def test_every_public_function_has_a_caller():
     # code that nothing in the package calls is dead weight: every public
     # top-level function or class must be named somewhere in the package

@@ -24,6 +24,31 @@ def test_one_run_expands_r_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "order,t_list,built",
+    [
+        (48, (2, 3, 4), [(2, "LR"), (3, "LR"), (4, "LR"), (2, "RL")]),
+        (64, (2,), [(2, "LR"), (2, "RL")]),
+        (96, (2, 3), [(2, "LR"), (3, "LR"), (2, "RL")]),
+    ],
+)
+def test_one_run_builds_one_table_per_t_and_direction(monkeypatch, order, t_list, built):
+    # every table row reads the run's one table for its t and direction,
+    # so a cell is the same in every row, and no row builds its own
+    calls = []
+    real = verify.dp_counts
+
+    def counted(t, n_max, k_max=None, direction="LR"):
+        calls.append((t, direction))
+        return real(t, n_max, k_max, direction)
+
+    monkeypatch.setattr(verify, "dp_counts", counted)
+    monkeypatch.setattr(automaton, "dp_counts", counted)
+    report = run_verification(order=order, t_list=t_list)
+    assert report.passed
+    assert calls == built
+
+
 @pytest.mark.parametrize("order", [8, 12])
 def test_reflected_residual_compared_on_its_window(monkeypatch, order):
     # the reflected kernel at 1/s1 is known through z^(order - 8):
@@ -143,24 +168,30 @@ def test_an_empty_comparison_fails():
 
 
 def test_functional_equation_fail_names_the_violation(monkeypatch):
-    # one tampered table cell breaks the F equation; the FAIL line says
-    # where, as the equation check finds it.  Only the equation check's
-    # tables are tampered with: `verify` holds its own `dp_counts` name.
-    # Row 9's lowest stored level is 0 at t = 2 (both directions) and 1 at
-    # t = 3, where level 0 is off the class nine steps reach.
-    real = automaton.dp_counts
+    # one tampered cell in every table of the run fails every row that
+    # reads it, and the equation rows say where, as the equation check
+    # finds it.  Row 9's lowest stored level is 0 at t = 2 (both
+    # directions) and 1 at t = 3, where level 0 is off the class nine
+    # steps reach, so the t = 3 total is untouched.  The prefix and
+    # recurrence rows stop below n = 9 at order 16.  `mirror consistency`
+    # still passes: the bump raises the LR and RL totals at length 9 by
+    # the same 1.
+    real = verify.dp_counts
 
     def tampered(*args, **kwargs):
         table = real(*args, **kwargs)
         table._grid[9][1][0] += 1  # row 9's lowest stored G cell
         return table
 
-    monkeypatch.setattr(automaton, "dp_counts", tampered)
+    monkeypatch.setattr(verify, "dp_counts", tampered)
     report = run_verification(order=16, t_list=(2, 3))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("enumeration-vs-table t=2", "cell mismatch at n=9, k=0, G"),
+        ("enumeration-vs-table t=3", "cell mismatch at n=9, k=1, G"),
         ("functional-equations LR t=2", "layer-F violated at u^1 z^10 term -1"),
         ("functional-equations LR t=3", "layer-F violated at u^2 z^10 term -1"),
         ("functional-equations RL t=2", "layer-F violated at u^3 z^10 term -1"),
+        ("kernel total vs table t=2", "first mismatch at length 9"),
     ]
 
 
@@ -194,9 +225,10 @@ def test_a_wrong_kernel_coefficient_fails_the_recurrence(monkeypatch):
         poly[t - 1] = {1: 3}
         return poly
 
-    assert verify._recurrence_check(2, 20)[0]
+    table = automaton.dp_counts(2, 20, k_max=10)
+    assert verify._recurrence_check(table, 2, 20)[0]
     monkeypatch.setattr(kernel, "kernel_poly", changed)
-    assert verify._recurrence_check(2, 20) == (False, "layer F")
+    assert verify._recurrence_check(table, 2, 20) == (False, "layer F")
 
 
 def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
