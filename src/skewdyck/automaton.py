@@ -164,20 +164,20 @@ class CountTable:
         j, residue = divmod(k, self._m)
         return cells[j] if residue == self._c * n % self._m and j < len(cells) else 0
 
-    def column(self, k: int, layer: str) -> list[int]:
-        """count(n, k, layer) for n = 0..n_max, reading only the rows whose
-        residue class holds level k."""
-        self._check(0, k)
+    def column(self, k: int, layer: str, length: int) -> list[int]:
+        """count(n, k, layer) for n = 0..length - 1, reading only the rows
+        whose residue class holds level k; 1 <= length <= n_max + 1."""
+        self._check(length - 1, k)
         try:
             i = _LIDX[layer]
         except KeyError:
             raise _bad_layer(layer) from None
         m, c = self._m, self._c
         j, residue = divmod(k, m)
-        out = [0] * (self.n_max + 1)
+        out = [0] * length
         for first in range(m):
             if c * first % m == residue:
-                for n in range(first, self.n_max + 1, m):
+                for n in range(first, length, m):
                     cells = self._grid[n][i]
                     if j < len(cells):
                         out[n] = cells[j]
@@ -334,10 +334,11 @@ def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi:
     linear relation on the table's columns, u^j from ``lo`` to ``hi`` and
     then z^e up to ``z_hi``, or "".  A term (c, layer, du, dz, dropped)
     adds c times the integer cell at n = e - dz, k = j - du, unless k is
-    dropped; the u^j residual is built over every z^e at once from whole
-    table columns.  Its callers: `verify_functional_equations` (the layer
-    equations, from u^0) and `verify`'s level recurrence (the kernel's
-    terms c z^e u^p, from u^(2t), where level 0 is checked)."""
+    dropped; the u^j residual is built over every z^e at once from the
+    table's columns, each read through length z_hi.  Its callers:
+    `verify_functional_equations` (the layer equations, from u^0) and
+    `verify`'s level recurrence (the kernel's terms c z^e u^p, from
+    u^(2t), where level 0 is checked)."""
     if z_hi > table.n_max:
         raise ValueError(f"z^{z_hi} is past the table's lengths (n<={table.n_max})")
     for j in range(lo, hi + 1):
@@ -346,7 +347,7 @@ def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi:
             resid[0] = constant
         for c, layer, du, dz, dropped in terms:
             if j >= du and j - du not in dropped:
-                column = table.column(j - du, layer)
+                column = table.column(j - du, layer, z_hi + 1)
                 resid[dz:] = [r + c * x for r, x in zip(resid[dz:], column)]
         for e, r in enumerate(resid):
             if r:

@@ -38,9 +38,8 @@ Level-k prefix expressions from the right have no pleasant closed form
 prefix counts are served by the counting table instead.
 
 The published coefficients and the seed of s1 are integer pairs (p, q)
-for p/q, which `series._ratio` reads, so loading this module, as
-`verify` and the `series s1` and `series rl-g0` selectors do, imports no
-`fractions`.
+for p/q, the package's one form of an exact rational, which
+`series._ratio` reads.
 """
 
 from __future__ import annotations

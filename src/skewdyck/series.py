@@ -16,13 +16,12 @@ operation reads and writes that form, and so does printing (`__str__`
 and `to_json` reduce each coefficient by a gcd).  `window` hands a run
 of coefficients out in the same form, as integer numerators over the
 common denominator, so a comparison with integers is exact without a
-division.  `fractions.Fraction` values are built only by `coeff` and
-`coeffs`, and `fractions` is imported on that first use, so a route
-that computes, compares and prints, as text or JSON, never loads it;
-only `oeis` reads a `Fraction`.  An exact rational is an int, a
-`Fraction` or an integer pair (p, q), and `_ratio` is its one reader.
-A `Fraction` operand is still accepted anywhere an int is.  Floats are
-rejected outright.
+division, and `integer_coeff` reads one coefficient that must be an
+integer.  An exact rational coefficient is an int or an integer pair
+(p, q) for p/q, and `_ratio` is its one reader; a scalar operand of
+``+ - * /`` is an int.  Anything else, a float or a `fractions.Fraction`,
+is refused with `TypeError`.  `coeffs` alone builds `Fraction`s, and
+imports `fractions` to do so; no package route reads it.
 A series is built from a coefficient list (`Series(valuation, coeffs)`),
 from a term dict (`Series.poly`) or as `Series.zero`.
 
@@ -48,7 +47,6 @@ z=0 must be removed by an explicit substitution before solving.
 
 from __future__ import annotations
 
-import sys
 from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -58,38 +56,11 @@ class SeriesError(ValueError):
     """An operation a truncated series cannot honestly perform."""
 
 
-_Fraction = None  # fractions.Fraction, once `_fraction` has imported it
-
-
-def _fraction():
-    """The `fractions.Fraction` class, imported on first use."""
-    global _Fraction
-    if _Fraction is None:
-        from fractions import Fraction
-
-        _Fraction = Fraction
-    return _Fraction
-
-
-def _is_fraction(x) -> bool:
-    # no Fraction exists before `fractions` is imported, so an unloaded
-    # module answers the test without importing it
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(x, fractions.Fraction)
-
-
-def _is_scalar(x) -> bool:
-    """Whether x is an exact rational scalar: an int or a `Fraction`."""
-    return isinstance(x, int) or _is_fraction(x)
-
-
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an exact rational, in lowest terms with a
-    positive denominator: an int, a `Fraction` or an integer pair (p, q)."""
+    positive denominator: an int or an integer pair (p, q)."""
     if isinstance(x, int):
         return int(x), 1
-    if _is_fraction(x):
-        return x.numerator, x.denominator
     if type(x) is tuple and len(x) == 2:
         p, q = x
         if not (isinstance(p, int) and isinstance(q, int)):
@@ -292,8 +263,12 @@ class Series:
 
     @property
     def coeffs(self) -> tuple:
-        den, fraction = self._den, _Fraction or _fraction()
-        return tuple(fraction(x, den) for x in self._nums)
+        """The window's coefficients as `Fraction`s.  No package route reads
+        them: the tests and the benchmark's layer trace do."""
+        from fractions import Fraction
+
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     @property
     def order(self) -> int:
@@ -325,18 +300,21 @@ class Series:
             return list(self._nums[lo - val : hi - val]), self._den
         return [0] * (min(hi, val) - lo) + list(self._nums[: max(hi - val, 0)]), self._den
 
-    def coeff(self, n: int):
-        """Exact coefficient of z**n, as a `Fraction`; read as `window` reads it."""
+    def integer_coeff(self, n: int, name: str) -> int:
+        """[z^n], which must be an integer; checked, not rounded.  ``name``
+        names the series in the error."""
         (x,), den = self.window(n, n + 1)
-        return (_Fraction or _fraction())(x, den)
+        if x % den:
+            raise ValueError(f"{name} has non-integer z^{n} coefficient {_ratio_text(x, den)}")
+        return x // den
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            if not _is_scalar(other):
+            if not isinstance(other, int):
                 return NotImplemented
-            if other == 0:
+            if not other:
                 return self
             other = Series.poly({0: other}, self._frontier)
         frontier = min(self._frontier, other._frontier)
@@ -355,7 +333,7 @@ class Series:
         return _raw(self._val, tuple(-x for x in self._nums), self._den, self._frontier)
 
     def __sub__(self, other):
-        if not (isinstance(other, Series) or _is_scalar(other)):
+        if not isinstance(other, (Series, int)):
             return NotImplemented
         return self + (-other)
 
@@ -364,12 +342,11 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            if not _is_scalar(other):
+            if not isinstance(other, int):
                 return NotImplemented
-            p, q = _ratio(other)
-            if not p:
+            if not other:
                 return Series.zero(self._frontier)
-            return _canonical(self._val, [x * p for x in self._nums], self._den * q)
+            return _canonical(self._val, [x * other for x in self._nums], self._den)
         frontier = min(self._frontier + other._val, other._frontier + self._val)
         if not self._nums or not other._nums:
             return Series.zero(frontier)
@@ -380,13 +357,12 @@ class Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if _is_scalar(other):
-            p, q = _ratio(other)
-            if not p:
+        if isinstance(other, int):
+            if not other:
                 raise ZeroDivisionError("series divided by zero scalar")
-            if p < 0:  # the denominator stays positive
-                p, q = -p, -q
-            return _canonical(self._val, [x * q for x in self._nums], self._den * p)
+            if other < 0:  # the denominator stays positive
+                return -self / -other
+            return _canonical(self._val, self._nums, self._den * other)
         if not isinstance(other, Series):
             return NotImplemented
         return self * other.reciprocal()
@@ -532,7 +508,8 @@ def horner(poly: dict, v: Series) -> Series:
     powers between two coefficients is one `Series.__pow__`, computed
     once per gap size (the kernels have two gaps of t - 1).
     """
-    powers = sorted((p for p, zp in poly.items() if any(zp.values())), reverse=True)
+    # a power whose coefficients are all zero, (0, q) pairs included, is absent
+    powers = sorted((p for p, zp in poly.items() if any(_ratio(c)[0] for c in zp.values())), reverse=True)
     max_zexp = max((e for zp in poly.values() for e in zp), default=0)
     frontier = v.order + max_zexp + 1 + max(powers, default=0) * max(v.valuation, 0)
     acc = Series.zero(frontier)
@@ -551,8 +528,8 @@ def newton_root(poly: dict, seed, order: int) -> Series:
     """Series root of P(v, z) = 0 with v(0) = seed, known to O(z**order).
 
     ``poly`` maps each v-power to {z-exponent: coefficient}, as `horner`
-    reads it.  The seed is an exact rational as `_ratio` reads it (an
-    int, a `Fraction` or a pair (p, q)), and it must be a simple root of
+    reads it, each coefficient an int or an integer pair (p, q) for p/q.
+    The seed is an int or such a pair too, and it must be a simple root of
     P(v, 0): a vanishing derivative means the root ramifies at z = 0 and
     needs a substitution first (fractional-power expansions are out of
     scope).  The coefficients are fixed one at a time by `_solve_ints`,

@@ -15,11 +15,9 @@ is handed to every row that reads it; a row reads its own window of it.
 
 Every coefficient is compared as an exact integer: a series hands out a
 run of integer numerators over its common denominator (`Series.window`),
-and a numerator x matches an integer c exactly when x == den * c.  So no
-`Fraction` is built or imported on this route, and a published value (an
-int, a `Fraction` or an integer pair) is read by `series._ratio`.  Each
-value a detail string names is written by `series._ratio_text`, as
-`Fraction.__str__` writes it.
+and a numerator x matches an integer c exactly when x == den * c.  A
+published value (an int or an integer pair) is read by `series._ratio`,
+and each value a detail string names is written by `series._ratio_text`.
 """
 
 from __future__ import annotations
@@ -192,14 +190,6 @@ def _published_check(computed: Series, published: dict, order: int) -> Verdict:
     return not diverging, "; ".join([f"{checked} published coefficients checked", *diverging])
 
 
-def _integer_coeff(series: Series, n: int, name: str) -> int:
-    """[z^n] of a series that must have an integer there; checked, not rounded."""
-    (x,), den = series.window(n, n + 1)
-    if x % den:
-        raise ValueError(f"{name} has non-integer z^{n} coefficient {_ratio_text(x, den)}")
-    return x // den
-
-
 # the layer a nonempty word ends in, read off its last step
 _LAST_STEP_LAYER = {Step.U: "F", Step.D: "G", Step.L: "H"}
 
@@ -273,9 +263,9 @@ def _prefix_check(table: CountTable, sol: kernel.KernelSolution, n_hi: int) -> V
             ((layer, k, n), x, den * c)
             for layer in LAYERS
             for k in range(k_hi + 1)
-            # one series per column, compared with the whole table column
+            # one series per column, compared with the table column through n_hi
             for nums, den in (kernel.prefix_series(sol, layer, k, n_hi + 1).window(0, n_hi + 1),)
-            for n, (x, c) in enumerate(zip(nums, table.column(k, layer)))
+            for n, (x, c) in enumerate(zip(nums, table.column(k, layer, n_hi + 1)))
         ),
         f"closed forms match the table for k <= {k_hi}, n <= {n_hi}", "{}_{} differs at z^{}",
     )
@@ -302,7 +292,7 @@ def _narayana_check(r: Series) -> Verdict:
 
 
 def _r_published_check(r: Series) -> Verdict:
-    got = [_integer_coeff(r, n, "R") for n in range(8)]
+    got = [r.integer_coeff(n, "R") for n in range(8)]
     return got == [1, 1, 4, 19, 100, 562, 3304, 20071], f"first coefficients {got}"
 
 
@@ -348,9 +338,9 @@ def _mirror_check(lr: CountTable, rl: CountTable, n_hi: int) -> Verdict:
 def _adjudication(table: CountTable, r: Series, total: Series) -> Verdict:
     """The single adjudication line for the diverging length-15 value."""
     dp15 = table.closed_count(15)
-    r5 = _integer_coeff(r, 5, "R")
+    r5 = r.integer_coeff(5, "R")
     total15 = total if total.frontier > 15 else kernel.solve(2, 16).total
-    k15 = _integer_coeff(total15, 15, "kernel total")
+    k15 = total15.integer_coeff(15, "kernel total")
     sides = [f"kernel-method value {k15}"] if dp15 == k15 else []
     sides += [f"closed-form R value {r5}"] if dp15 == r5 else []
     matched = " and ".join(sides) if sides else "neither published value"

@@ -91,7 +91,7 @@ class TestCells:
         with pytest.raises(ValueError, match=message):
             table.count(4, 1, "X")
         with pytest.raises(ValueError, match=message):
-            table.column(1, "X")
+            table.column(1, "X", 5)
 
     def test_h_layer_unreachable_early(self):
         for t in (2, 3):
@@ -268,15 +268,19 @@ class TestStridedWalk:
         n_max=st.integers(0, 40),
         k_max=st.one_of(st.none(), st.integers(0, 12)),
         direction=st.sampled_from(["LR", "RL"]),
+        length=st.integers(1, 41),
     )
-    def test_column_matches_cells(self, t, n_max, k_max, direction):
+    def test_column_matches_cells(self, t, n_max, k_max, direction, length):
         table = dp_counts(t, n_max, k_max=n_max if k_max is None else k_max, direction=direction)
+        length = min(length, n_max + 1)  # a column reads lengths n < length
         for k in range(table.k_max + 1):
             for layer in LAYERS:
                 want = [table.count(n, k, layer) for n in range(n_max + 1)]
-                assert table.column(k, layer) == want, (k, layer)
-        with pytest.raises(ValueError, match="outside the table bounds"):
-            table.column(table.k_max + 1, "F")
+                assert table.column(k, layer, n_max + 1) == want, (k, layer)
+                assert table.column(k, layer, length) == want[:length], (k, layer, length)
+        for k, bound in ((table.k_max + 1, n_max + 1), (0, n_max + 2), (0, 0)):
+            with pytest.raises(ValueError, match="outside the table bounds"):
+                table.column(k, "F", bound)
 
     @pytest.mark.parametrize("direction", ["LR", "RL"])
     @pytest.mark.parametrize("t", [2, 3, 7])

@@ -684,6 +684,50 @@ class TestOeis:
         assert out.splitlines()[0].startswith("| n |")
 
 
+    def test_non_integer_r_is_a_command_error(self, tmp_path, capsys, monkeypatch):
+        # only a corrupted R can reach the integer check; it names the coefficient
+        from skewdyck import oeis
+
+        r_series = oeis.r_series
+        monkeypatch.setattr(oeis, "r_series", lambda order: r_series(order) / 2)
+        rc, out, err = run(
+            capsys, "oeis", "A007564", "--n-max", "4", "--offline", "--cache-dir", str(tmp_path),
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: R has non-integer z^0 coefficient 1/2\n"
+
+
+# sha256 of `oeis A007564 --offline --n-max <n> --format <format>` stdout,
+# served from the bundled snapshot, so that a change to how R or the table
+# is read cannot alter a byte of the comparison unnoticed.
+OEIS_DIGESTS = {
+    (12, "table"): "7fd04edaddab63ee7e27b6aca4505aff30f9eb11df90f73230a5641084d06f7e",
+    (12, "csv"): "f3727f602b5fc6900807a8332722d2e87602485a660f342b84962ab056ecc522",
+    (12, "json"): "5a23d4393e86c09f5fb3f281bbddfa1a250912d6ae547b03bde5ce63472f3d11",
+    (12, "markdown"): "e54d8bbf93d0b7dce81449d9b385e2e9f73b5b9ab83ebfabc62018659d868c60",
+    (40, "table"): "d65e58868d5eafe5c5c8134b2acbca1b2930209d7743c1050196eabcf56095f1",
+    (40, "csv"): "26e7fb289eafb73b0b509560f0c1505fe3bfce31314f546fa8115b87d1715bfc",
+    (40, "json"): "39e835b735922c2532736462bdf7f3efc4208dc7c4490682ccf53386c9ebdc7b",
+    (40, "markdown"): "75c4b6e5f418f17af07389a5e8635fc3bfd5b22b30c24205f444caf07fb1aef0",
+    (1333, "table"): "4f33021dc1cd8659e16f161af33a31f73a02b6706ef1fc644101327958ada2de",
+    (1333, "csv"): "9808e3e1314d068e515ffd9555aa3b6191151eafb49f705aec6bcedb317834f3",
+    (1333, "json"): "9825643ea8cbc0bd48faca89a255aa18057f41f46f9c0be4c61ea2f4dbc9f3e5",
+    (1333, "markdown"): "207444cf1bd6f7d162b06bd0cae2f36d943a25f0faa64ffc9e29879dd1158b33",
+}
+
+
+class TestOeisBytes:
+    @pytest.mark.parametrize("vector", sorted(OEIS_DIGESTS))
+    def test_output_digest(self, tmp_path, capsys, vector):
+        n_max, fmt = vector
+        rc, out, _ = run(
+            capsys, "oeis", "A007564", "--n-max", str(n_max), "--offline",
+            "--cache-dir", str(tmp_path), "--format", fmt,
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == OEIS_DIGESTS[vector]
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, capsys):
         _, out1, _ = run(capsys, "series", "total", "--order", "24")

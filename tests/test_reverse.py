@@ -23,6 +23,12 @@ from skewdyck.reverse import (
 from skewdyck.series import Series, SeriesError, horner
 
 
+def coeff(s, n):
+    """[z^n] of s as a `Fraction`, read from `Series.window`."""
+    (x,), den = s.window(n, n + 1)
+    return Fraction(x, den)
+
+
 class TestDerivedEquations:
     # the hand-derived forms, which `substituted` and `reflected` must
     # reproduce: the equations `series_root` solves for s1 and t1
@@ -48,14 +54,14 @@ class TestS1:
         s1 = rl_root_s1(26)
         for e, c in S1_PUBLISHED.items():
             if e < 26:
-                assert s1.coeff(e) == Fraction(*c), e
+                assert coeff(s1, e) == Fraction(*c), e
 
     def test_gap_coefficients_vanish(self):
         s1 = rl_root_s1(16)
-        assert all(s1.coeff(e) == 0 for e in (0, 1, 3, 4, 6, 7))
+        assert all(coeff(s1, e) == 0 for e in (0, 1, 3, 4, 6, 7))
 
     def test_lead_is_half(self):
-        assert rl_root_s1(8).coeff(2) == Fraction(1, 2)
+        assert coeff(rl_root_s1(8), 2) == Fraction(1, 2)
 
     def test_quartic_residual_zero(self):
         s1 = rl_root_s1(30)
@@ -71,7 +77,7 @@ class TestCancellingRoot:
     def test_leading_terms(self):
         t1 = rl_cancelling_root(12)
         assert t1.valuation == 1
-        assert [t1.coeff(n) for n in range(1, 12)] == [
+        assert [coeff(t1, n) for n in range(1, 12)] == [
             1, 0, 0, 1, 0, 0, 3, 0, 0, 13, 0,
         ]
 
@@ -91,7 +97,7 @@ class TestRlG0:
         g0 = rl_g0(24)
         expected = {0: 1, 3: 1, 6: 4, 9: 19, 12: 100, 15: 563, 18: 3322, 21: 20285}
         for e, v in expected.items():
-            assert g0.coeff(e) == v
+            assert coeff(g0, e) == v
 
     def test_equals_lr_total_through_order_30(self):
         g0 = rl_g0(31)
@@ -114,7 +120,7 @@ class TestRlG0:
 
     def test_corrupted_root_is_loud(self):
         # a wrong-valuation root cannot cancel the 1/z term
-        fake = Series.poly({-2: Fraction(1, 2)}, 10)
+        fake = Series.poly({-2: (1, 2)}, 10)
         with pytest.raises(SeriesError, match="corrupted"):
             rl_g0(8, t1=fake)
 

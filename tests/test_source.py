@@ -34,6 +34,46 @@ def test_no_floats_in_series():
     assert not found, f"floats in series.py: {found}"
 
 
+def _fractions_imports(node, scope):
+    """The scopes, as dotted names, of each import of `fractions` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _fractions_imports(child, f"{scope}.{child.name}")
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in child.names] if isinstance(child, ast.Import) else [child.module or ""]
+            if any(name.split(".")[0] == "fractions" for name in names):
+                yield scope
+        else:
+            yield from _fractions_imports(child, scope)
+
+
+def test_fractions_is_imported_only_by_series_coeffs():
+    # an int or an integer pair is the package's one exact scalar; the
+    # `Fraction`s that `Series.coeffs` hands out are its only ones
+    found = []
+    for path in sorted(Path(skewdyck.__file__).parent.glob("*.py")):
+        found += _fractions_imports(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == ["series.Series.coeffs"]
+
+
+def test_benchmark_trace_names_series_methods():
+    # the benchmark's layer trace wraps `Series` methods by name and reads
+    # `coeffs` for the coefficient bit sizes; a method it names that is
+    # gone would fail only a traced run, so it fails here.  The trace is
+    # read, not imported.
+    from skewdyck.series import Series
+
+    path = Path(__file__).parents[1] / "bench" / "layertrace.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [names] = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SERIES_METHODS"]
+    ]
+    assert names and [name for name in names if name not in Series.__dict__] == []
+    assert "coeffs" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert isinstance(Series.__dict__["coeffs"], property)
+
+
 def test_series_routes_never_read_the_table():
     # the series must not be computed from the table, or the agreement
     # the package checks becomes a tautology: the series-side modules may
@@ -379,9 +419,10 @@ _IMPORT_VECTORS = {
         ["verify", "--order", "16", "--t", "2"],
         ["dataclasses", "json", "argparse", "fractions", "decimal", "numbers"],
     ),
+    # R is read as integers, from the stored numerators
     "oeis": (
         ["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"],
-        ["argparse"],
+        ["argparse", "fractions", "decimal", "numbers"],
     ),
 }
 
