@@ -31,7 +31,9 @@ plan, built from the edge list, adds each shared source sum once.
 
 This table is the oracle the closed forms are measured against, so the
 arithmetic is plain Python integers end to end: no modulus, no floats,
-no overflow.
+no overflow.  The module is the table route alone; the relations the
+table is checked against, the paper's layer equations among them, are
+written in `verify`, apart from this edge list.
 """
 
 from __future__ import annotations
@@ -259,97 +261,3 @@ def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTab
 
     closed = tuple(_LIDX[layer] for layer in scan.closed)
     return CountTable(n_max, k_max, closed, (m, c), grid)
-
-
-# -- functional-equation verification ---------------------------------------
-#
-# The layer generating functions F(u), G(u), H(u) (coefficient of u^k is
-# the level-k column) satisfy, left to right for general t:
-#
-#     F - 1   = u z (F + G)
-#     u^t G   = z (F - lowF) + z (G - lowG) + z (H - lowH)
-#     u^t H   = z (G - lowG) + z (H - lowH)
-#
-# where lowX drops the terms below u^t.  Right to left (t = 2):
-#
-#     u (F - u f1)        = u^3 z G + z (F - u f1 - u^2 f2)
-#     u (G - g0 - u g1)   = z (F - u f1 - u^2 f2) + u^3 z G + u^3 z H
-#     H - 1               = u^2 z G + u^2 z H
-#
-# Each equation is written below as left side minus right side: a
-# constant at u^0 and terms (coefficient, layer, u-shift, z-shift,
-# dropped levels), so (-1, F, 0, 1, (1, 2)) is -z (F - u f1 - u^2 f2).
-# The tables come from the equations above, not from the edge list, so
-# the check stays independent of the table it checks.  `first_violation`
-# evaluates such a relation through its caller's z-bound, and it has two
-# callers: the layer equations from u^0, and `verify`'s level recurrence,
-# which hands it the kernel polynomial's terms from u^(2t), where level 0
-# is checked; both read the table they are handed.
-
-
-def _equations(t: int, direction: str) -> tuple:
-    """(name, constant, terms) for each layer equation of a scan direction."""
-    F, G, H = LAYERS
-    if direction == "LR":
-        low = tuple(range(t))  # lowX: the levels below t
-        return (
-            ("layer-F", -1, ((1, F, 0, 0, ()), (-1, F, 1, 1, ()), (-1, G, 1, 1, ()))),
-            ("layer-G", 0, (
-                (1, G, t, 0, ()), (-1, F, 0, 1, low), (-1, G, 0, 1, low), (-1, H, 0, 1, low),
-            )),
-            ("layer-H", 0, ((1, H, t, 0, ()), (-1, G, 0, 1, low), (-1, H, 0, 1, low))),
-        )
-    return (  # right to left, t = 2
-        ("layer-F", 0, ((1, F, 1, 0, (1,)), (-1, G, 3, 1, ()), (-1, F, 0, 1, (1, 2)))),
-        ("layer-G", 0, (
-            (1, G, 1, 0, (0, 1)), (-1, F, 0, 1, (1, 2)), (-1, G, 3, 1, ()), (-1, H, 3, 1, ()),
-        )),
-        ("layer-H", -1, ((1, H, 0, 0, ()), (-1, G, 2, 1, ()), (-1, H, 2, 1, ()))),
-    )
-
-
-def verify_functional_equations(
-    table: CountTable, t: int, u_degree: int, z_order: int, direction: str
-) -> list[str]:
-    """Check the summed layer equations on the columns of ``table``.
-
-    Coefficients above ``u_degree`` are truncation artifacts of the
-    finite u-window and are excluded; everything kept must vanish
-    identically through ``z_order``.  Returns the first violated term of
-    each failing equation, as "layer-F violated at u^1 z^10 term -1";
-    an empty list means every equation holds.  Right-to-left equations
-    are only on record for t = 2.
-    """
-    if direction == "RL" and t != 2:
-        raise ValueError("right-to-left equations are only established for t=2")
-    return [
-        f"{name} violated at {where}"
-        for name, constant, terms in _equations(t, direction)
-        if (where := first_violation(table, constant, terms, 0, u_degree, z_order))
-    ]
-
-
-def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi: int, z_hi: int) -> str:
-    """"u^j z^e term r" for the first nonzero residual coefficient of one
-    linear relation on the table's columns, u^j from ``lo`` to ``hi`` and
-    then z^e up to ``z_hi``, or "".  A term (c, layer, du, dz, dropped)
-    adds c times the integer cell at n = e - dz, k = j - du, unless k is
-    dropped; the u^j residual is built over every z^e at once from the
-    table's columns, each read through length z_hi.  Its callers:
-    `verify_functional_equations` (the layer equations, from u^0) and
-    `verify`'s level recurrence (the kernel's terms c z^e u^p, from
-    u^(2t), where level 0 is checked)."""
-    if z_hi > table.n_max:
-        raise ValueError(f"z^{z_hi} is past the table's lengths (n<={table.n_max})")
-    for j in range(lo, hi + 1):
-        resid = [0] * (z_hi + 1)
-        if j == 0:
-            resid[0] = constant
-        for c, layer, du, dz, dropped in terms:
-            if j >= du and j - du not in dropped:
-                column = table.column(j - du, layer, z_hi + 1)
-                resid[dz:] = [r + c * x for r, x in zip(resid[dz:], column)]
-        for e, r in enumerate(resid):
-            if r:
-                return f"u^{j} z^{e} term {r}"
-    return ""

@@ -314,8 +314,8 @@ class Series:
         if not isinstance(other, Series):
             if not isinstance(other, int):
                 return NotImplemented
-            if not other:
-                return self
+            if not other or self._frontier <= 0:
+                return self  # the constant is zero or outside the window
             other = Series.poly({0: other}, self._frontier)
         frontier = min(self._frontier, other._frontier)
         lo = min(self._val, other._val, frontier)

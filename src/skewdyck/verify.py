@@ -2,10 +2,18 @@
 
 Every closed form is measured against the exhaustive enumerator or the
 counting table; every root is measured against its kernel, and the
-table's level columns against the kernel polynomial itself (the level
-recurrence, in integers, by the evaluator of the layer equations); and
-the one place the literature disagrees with itself (the length-15
-count) gets a single adjudication line computed fresh on every run.
+table's level columns against the paper's layer equations and the
+kernel polynomial itself; and the one place the literature disagrees
+with itself (the length-15 count) gets a single adjudication line
+computed fresh on every run.
+
+The route modules only compute; this module holds every relation they
+are measured against.  The layer equations (`_equations`) are written
+here from the paper, not from the table's edge list, and one integer
+evaluator, `first_violation`, runs a linear relation on the table's
+columns for both of its callers: the layer equations
+(`_equations_check`) and the kernel's level recurrence
+(`_recurrence_check`).
 
 The suite is one ordered table of checks (`_checks`): a name, a check
 function and its arguments per row, each run by one loop into a result.
@@ -26,7 +34,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
-from .automaton import LAYERS, CountTable, dp_counts, first_violation, verify_functional_equations
+from .automaton import LAYERS, CountTable, dp_counts
 from .paths import Step, walk
 from .series import Series, _ratio, _ratio_text, horner
 
@@ -216,9 +224,100 @@ def _enumeration_check(table: CountTable, t: int, n_hi: int) -> Verdict:
     )
 
 
+# -- the layer equations and the level recurrence ----------------------------
+#
+# The layer generating functions F(u), G(u), H(u) (coefficient of u^k is
+# the level-k column) satisfy, left to right for general t:
+#
+#     F - 1   = u z (F + G)
+#     u^t G   = z (F - lowF) + z (G - lowG) + z (H - lowH)
+#     u^t H   = z (G - lowG) + z (H - lowH)
+#
+# where lowX drops the terms below u^t.  Right to left (t = 2):
+#
+#     u (F - u f1)        = u^3 z G + z (F - u f1 - u^2 f2)
+#     u (G - g0 - u g1)   = z (F - u f1 - u^2 f2) + u^3 z G + u^3 z H
+#     H - 1               = u^2 z G + u^2 z H
+#
+# Each equation is written below as left side minus right side: a
+# constant at u^0 and terms (coefficient, layer, u-shift, z-shift,
+# dropped levels), so (-1, F, 0, 1, (1, 2)) is -z (F - u f1 - u^2 f2).
+# The tables come from the equations above, not from the edge list, so
+# the check stays independent of the table it checks.  `first_violation`
+# evaluates such a relation through its caller's z-bound, and it has two
+# callers: `_equations_check`, the layer equations from u^0, and
+# `_recurrence_check`, which hands it the kernel polynomial's terms from
+# u^(2t), where level 0 is checked; both read the table they are handed.
+
+
+def _equations(t: int, direction: str) -> tuple:
+    """(name, constant, terms) for each layer equation of a scan direction."""
+    F, G, H = LAYERS
+    if direction == "LR":
+        low = tuple(range(t))  # lowX: the levels below t
+        return (
+            ("layer-F", -1, ((1, F, 0, 0, ()), (-1, F, 1, 1, ()), (-1, G, 1, 1, ()))),
+            ("layer-G", 0, (
+                (1, G, t, 0, ()), (-1, F, 0, 1, low), (-1, G, 0, 1, low), (-1, H, 0, 1, low),
+            )),
+            ("layer-H", 0, ((1, H, t, 0, ()), (-1, G, 0, 1, low), (-1, H, 0, 1, low))),
+        )
+    if t != 2:
+        raise ValueError("right-to-left equations are only established for t=2")
+    return (
+        ("layer-F", 0, ((1, F, 1, 0, (1,)), (-1, G, 3, 1, ()), (-1, F, 0, 1, (1, 2)))),
+        ("layer-G", 0, (
+            (1, G, 1, 0, (0, 1)), (-1, F, 0, 1, (1, 2)), (-1, G, 3, 1, ()), (-1, H, 3, 1, ()),
+        )),
+        ("layer-H", -1, ((1, H, 0, 0, ()), (-1, G, 2, 1, ()), (-1, H, 2, 1, ()))),
+    )
+
+
+def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi: int, z_hi: int) -> str:
+    """"u^j z^e term r" for the first nonzero residual coefficient of one
+    linear relation on the table's columns, u^j from ``lo`` to ``hi`` and
+    then z^e up to ``z_hi``, or "".  A term (c, layer, du, dz, dropped)
+    adds c times the integer cell at n = e - dz, k = j - du, unless k is
+    dropped; the u^j residual is built over every z^e at once from the
+    table's columns, each read through length z_hi.  Its callers:
+    `_equations_check` (the layer equations, from u^0) and
+    `_recurrence_check` (the kernel's terms c z^e u^p, from u^(2t), where
+    level 0 is checked)."""
+    if z_hi > table.n_max:
+        raise ValueError(f"z^{z_hi} is past the table's lengths (n<={table.n_max})")
+    for j in range(lo, hi + 1):
+        resid = [0] * (z_hi + 1)
+        if j == 0:
+            resid[0] = constant
+        for c, layer, du, dz, dropped in terms:
+            if j >= du and j - du not in dropped:
+                column = table.column(j - du, layer, z_hi + 1)
+                resid[dz:] = [r + c * x for r, x in zip(resid[dz:], column)]
+        for e, r in enumerate(resid):
+            if r:
+                return f"u^{j} z^{e} term {r}"
+    return ""
+
+
 def _equations_check(table: CountTable, t: int, direction: str, z_ord: int) -> Verdict:
-    violations = verify_functional_equations(table, t, 8, z_ord, direction)
-    return not violations, violations[0] if violations else ""
+    # u^0..u^8 through z^z_ord: coefficients above u^8 are truncation
+    # artifacts of the finite u-window; the first violated term fails
+    for name, constant, terms in _equations(t, direction):
+        if where := first_violation(table, constant, terms, 0, 8, z_ord):
+            return False, f"{name} violated at {where}"
+    return True, ""
+
+
+def _recurrence_check(table: CountTable, t: int, ord_rec: int) -> Verdict:
+    # the residual at level k is the u^(k + 2t) coefficient of K_t times
+    # the layer's column sum: each term c z^e u^p reads level k + 2t - p
+    k_hi, depth = 6, 2 * t
+    poly = kernel.kernel_poly(t)
+    for layer in LAYERS:
+        terms = tuple((c, layer, p, e, ()) for p, zp in poly.items() for e, c in zp.items())
+        if first_violation(table, 0, terms, depth, depth + k_hi, ord_rec):
+            return False, f"layer {layer}"
+    return True, f"order-{depth} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
 
 
 def _residual_check(sol: kernel.KernelSolution) -> Verdict:
@@ -269,18 +368,6 @@ def _prefix_check(table: CountTable, sol: kernel.KernelSolution, n_hi: int) -> V
         ),
         f"closed forms match the table for k <= {k_hi}, n <= {n_hi}", "{}_{} differs at z^{}",
     )
-
-
-def _recurrence_check(table: CountTable, t: int, ord_rec: int) -> Verdict:
-    # the residual at level k is the u^(k + 2t) coefficient of K_t times
-    # the layer's column sum: each term c z^e u^p reads level k + 2t - p
-    k_hi, depth = 6, 2 * t
-    poly = kernel.kernel_poly(t)
-    for layer in LAYERS:
-        terms = tuple((c, layer, p, e, ()) for p, zp in poly.items() for e, c in zp.items())
-        if first_violation(table, 0, terms, depth, depth + k_hi, ord_rec):
-            return False, f"layer {layer}"
-    return True, f"order-{depth} level recurrence holds through z^{ord_rec}, k <= {k_hi}"
 
 
 def _narayana_check(r: Series) -> Verdict:

@@ -1,4 +1,5 @@
-"""Counting-table tests: oracle equivalence, totals, functional equations."""
+"""Counting-table tests: oracle equivalence, totals, the split identity, and
+the table against the kernel recurrence and the layer equations."""
 
 from collections import Counter
 
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewdyck import automaton
-from skewdyck.automaton import LAYERS, dp_counts, first_violation, verify_functional_equations
+from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
 from skewdyck.paths import Step, walk
+from skewdyck.verify import _equations, _equations_check, first_violation
 
 
 def total(t, n):
@@ -128,6 +130,24 @@ class TestOracleEquivalence:
             assert total(t, n) == sum(1 for _ in walk(t, n))
 
 
+def failed_splits(lr, rl, t):
+    # the splits (n, a) of n = a + b, a >= 1, at which the closed count
+    # of length n is not the sum over states (k, X) of LR(a, k, X) times
+    # RL(b, k, X): a word splits after step a at a state the LR table
+    # reaches in a steps and from which the RL table closes it in b
+    n_max = lr.n_max
+    return [
+        (a + b, a)
+        for a in range(1, n_max + 1)
+        for b in range(n_max - a + 1)
+        if lr.closed_count(a + b) != sum(
+            lr.count(a, k, layer) * rl.count(b, k, layer)
+            for k in range(min(a, t * b) + 1)
+            for layer in LAYERS
+        )
+    ]
+
+
 class TestReversedTable:
     def test_seeds(self):
         table = dp_counts(2, 0, k_max=0, direction="RL")
@@ -171,6 +191,25 @@ class TestReversedTable:
         lr = dp_counts(t, 40, k_max=0)
         rl = dp_counts(t, 40, k_max=0, direction="RL")
         assert [lr.closed_count(n) for n in range(41)] == [rl.closed_count(n) for n in range(41)]
+
+    # the split identity holds for any edge list: it tests the two scan
+    # directions of `dp_counts` against each other (the row plan, the
+    # seeds, the pins and the stored classes), not the edges themselves;
+    # a = 0 is left out, as RL pins the level-0 F cell the empty word is in
+    @settings(deadline=None, max_examples=30)
+    @given(t=st.integers(2, 6), n_max=st.integers(1, 40))
+    def test_tables_multiply_at_every_split(self, t, n_max):
+        lr = dp_counts(t, n_max, k_max=n_max)
+        rl = dp_counts(t, n_max, k_max=n_max, direction="RL")
+        assert failed_splits(lr, rl, t) == []
+
+    def test_a_bumped_cell_fails_the_splits_that_read_it(self):
+        # the mirror row and the RL equations read neither level 5 nor
+        # length 25 of the RL table; the splits through (25, 5, G) do
+        lr = dp_counts(2, 40, k_max=40)
+        rl = dp_counts(2, 40, k_max=40, direction="RL")
+        rl._grid[25][1][1] += 1  # row 25 stores levels 2, 5, 8, ...
+        assert failed_splits(lr, rl, 2) == [(33, 8), (36, 11), (39, 14)]
 
 
 class TestRandomCells:
@@ -365,22 +404,26 @@ class TestColumnRecurrence:
 
 
 class TestFunctionalEquations:
-    # the equations are checked on a table they are handed, u^0..u^8 through z^20
-    @pytest.mark.parametrize("t,direction", [(2, "LR"), (3, "LR"), (2, "RL")])
+    # `verify` checks the equations on a table it is handed, u^0..u^8
+    # through z^20; it runs the left-to-right ones at every t
+    cases = [(2, "LR"), (3, "LR"), (2, "RL"), *((t, "LR") for t in range(4, 9))]
+
+    @pytest.mark.parametrize("t,direction", cases)
     def test_equations_hold(self, t, direction):
         table = dp_counts(t, 20, k_max=8, direction=direction)
-        assert verify_functional_equations(table, t, 8, 20, direction) == []
+        assert _equations_check(table, t, direction, 20) == (True, "")
 
-    @pytest.mark.parametrize("t,direction", [(2, "LR"), (3, "LR"), (2, "RL")])
+    @pytest.mark.parametrize("t,direction", cases)
     def test_violation_is_reported_not_raised(self, t, direction):
         # a corrupted table must produce a finding, not silence
         table = dp_counts(t, 20, k_max=8, direction=direction)
         table._grid[9][1][0] += 1  # tamper with row 9's lowest stored G cell
-        violations = verify_functional_equations(table, t, 8, 20, direction)
-        assert violations and all(" violated at u^" in v for v in violations)
+        ok, detail = _equations_check(table, t, direction, 20)
+        assert not ok and " violated at u^" in detail
 
     def test_rl_requires_t2(self):
+        with pytest.raises(ValueError, match="t=2"):
+            _equations(3, "RL")
         table = dp_counts(3, 20, k_max=8, direction="RL")
         with pytest.raises(ValueError, match="t=2"):
-            verify_functional_equations(table, 3, 8, 20, "RL")
-
+            _equations_check(table, 3, "RL", 20)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.automaton import LAYERS, dp_counts, first_violation
+from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import (
     S4_PUBLISHED,
     S6_PUBLISHED,
@@ -19,6 +19,7 @@ from skewdyck.kernel import (
 )
 from skewdyck.reverse import rl_cancelling_root, rl_root_s1
 from skewdyck.series import SeriesError, horner
+from skewdyck.verify import first_violation
 
 
 # ids "Layer.F", "Layer.G" and "Layer.H" keep these tests' names stable

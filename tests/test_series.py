@@ -91,6 +91,13 @@ class TestArithmetic:
         a = Series.poly({0: 1}, 12)
         b = Series.poly({0: 1}, 5)
         assert (a + b).frontier == 5
+        # an int is a term at z^0: on a window that ends at or below z^0
+        # it is outside, and the sum is the series, as with a series term
+        s = Series.poly({-3: 1}, 0)
+        assert s + 1 == s - 1 == s + b == s
+        assert 1 - s == -s
+        assert Series.zero(0) + 5 == 5 + Series.zero(0) == Series.zero(0)
+        assert Series.zero(-2) - 3 == Series.zero(-2)
 
     def test_mul_frontier_shifts_with_valuation(self):
         # a = z^-2 known to O(z^4): 6 coefficients; times z^3 exactly

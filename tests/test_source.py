@@ -177,8 +177,8 @@ def test_table_route_imports_no_other_layer():
 def test_verify_builds_its_tables_in_one_place():
     # one table per t and direction serves every row of a run, so a cell
     # bumped in it reaches every row that reads it: in `verify`, only
-    # `_checks` names `dp_counts` (besides the import), and the layer
-    # equations check the table they are handed
+    # `_checks` names `dp_counts` (besides the import), so the layer
+    # equations and the level recurrence check the table they are handed
     pkg = Path(skewdyck.__file__).parent
     named = []
     for top in ast.parse((pkg / "verify.py").read_text()).body:
@@ -186,9 +186,27 @@ def test_verify_builds_its_tables_in_one_place():
             hits = [n for n in ast.walk(top) if isinstance(n, ast.Name) and n.id == "dp_counts"]
             named += [f"{getattr(top, 'name', '<module>')}:{n.lineno}" for n in hits]
     assert named and {where.partition(":")[0] for where in named} == {"_checks"}
+
+
+def test_layer_equations_stay_apart_from_the_edge_list():
+    # the layer equations are written from the paper, so that they check
+    # the edge list rather than restate it: `verify` imports and reads no
+    # private name of `automaton` (such as `_lr_edges`, `_arcs`, `_SCANS`
+    # or `_plan`), and `automaton` holds the table route alone, none of
+    # the relations the table is measured against
+    pkg = Path(skewdyck.__file__).parent
+    private = []
+    for node in ast.walk(ast.parse((pkg / "verify.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("automaton", "skewdyck.automaton"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "automaton":
+            private += [node.attr] if node.attr.startswith("_") else []
+    assert not private, f"verify reads automaton's private names: {private}"
+    # every name `automaton` binds: a definition, an import or an assignment
     tree = ast.parse((pkg / "automaton.py").read_text())
-    (check,) = [n for n in tree.body if getattr(n, "name", "") == "verify_functional_equations"]
-    assert not [n for n in ast.walk(check) if getattr(n, "id", getattr(n, "attr", "")) == "dp_counts"]
+    bound = {getattr(n, "asname", None) or getattr(n, "name", None) for n in ast.walk(tree)}
+    bound |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert not bound & {"first_violation", "_equations", "verify_functional_equations"}
 
 
 def test_every_public_function_has_a_caller():
