@@ -1,4 +1,4 @@
-"""Step alphabet, the word rules, and the depth-first word walk.
+"""Step alphabet, the word rules, and the meet-in-the-middle word walk.
 
 A skew t-Dyck word is a sequence of `Step` members over {U, D, L} where U
 climbs one unit and both down-steps drop t units; the word must stay on
@@ -7,20 +7,31 @@ words end back on the axis.  The drawing convention stretches down-steps:
 U maps to (+1, +1), D to (+2, -t), and L either to a true left step
 (-2, -t) or, in the default overlay style, to a forward (+2, -t) segment
 tagged red so the emitters can offset it visually.  A vertex's y is its
-level in either style.  `walk` is the one source of words: it visits the
-valid words depth first, computing each prefix's vertices once for every
-word below it, and says with each word how many leading steps it shares
-with the word before; `grid_box` bounds them all from t and n alone.
-`WordChecker` is the one check of the word rules: it keeps the level and
-the previous step at each depth of the last word it checked, so the next
-word is checked from where the two part, once the claimed common prefix
-is confirmed against its own copy.
+level in either style.
+
+`halves` is the one source of words.  A word of length n is a first half
+of length h = ceil(n/2) and a second half of the other n - h steps.  The
+walk visits the first halves depth first, computing each prefix's vertices
+once for every first half below it, and hands over with each first half
+the tuple of second halves that complete it.  That tuple depends only on
+the junction state (the level, the last step and the steps still to come),
+so it is built once per state and shared by every first half that reaches
+it.  A second half is a `Half`, its first step and the `Half` after it
+(`END` is the empty one), so halves that end alike share their ends, and
+`Half.runs` splits a tuple of halves by first step into runs whose rests
+are again tuples of halves.  `walk` is the per-word view: the same words,
+flattened, in the same lexicographic order.  `grid_box` bounds them all
+from t and n alone.  `WordChecker` is the one check of the word rules: it
+checks a first half from its first step and each second half once per
+junction state it is attached at, one run's first step at a time.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from itertools import groupby
+from operator import attrgetter
 
 
 class Step(Enum):
@@ -53,6 +64,13 @@ def _level_deltas(t: int) -> dict[Step, int]:
     return {Step.U: 1, Step.D: -t, Step.L: -t}
 
 
+@cache
+def step_vectors(t: int, style: str) -> dict[Step, tuple[int, int]]:
+    """(dx, dy) of each step in geometry ``style``: dy is its level change
+    (one table per t and style)."""
+    return {s: (_STEP_DX[style][s], dy) for s, dy in _level_deltas(t).items()}
+
+
 def _require_t(t) -> None:
     if not isinstance(t, int) or t < 2:
         raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
@@ -67,86 +85,137 @@ _U, _L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
 
 
 class _Invalid(ValueError):
-    """A broken word rule, as `WordChecker.require` raises it: the rule's
-    name and the index of the step it is reported at."""
+    """A broken word rule, as `WordChecker` raises it: the rule's name and
+    the index of the step it is reported at."""
 
     def __init__(self, rule: str, index: int):
         self.rule, self.index = rule, index
         super().__init__(f"invalid word (invalid: {rule} at index {index})")
 
 
-class WordChecker:
-    """The word rules over a run of words over one t, each checked from
-    the depth where it parts from the word checked before it.
+class Half:
+    """A second half: its first ``step`` and the ``rest`` of it, another
+    `Half`.  `END`, whose step is None, is the empty half.
 
-    The checker keeps the steps of the last word's valid prefix and the
-    level after each of them (so the previous step and the level at each
-    depth).  A claimed common prefix is confirmed against that copy, not
-    trusted; a claim that does not hold restarts the check at depth 0.
+    The walk makes one `Half` per first step, level and rest, so halves
+    that end alike share their rest; halves compare by identity.
     """
 
-    __slots__ = ("_delta", "_steps", "_levels")
+    __slots__ = ("step", "rest")
+
+    def __init__(self, step: Step | None, rest: Half | None):
+        self.step, self.rest = step, rest
+
+    @staticmethod
+    def runs(seconds: tuple):
+        """(step, rests) for each run of consecutive halves of ``seconds``
+        that open with the same step, in order: the step is checked and
+        drawn once for the run, and ``rests``, what follows it in each half,
+        is again a tuple of halves.  In walk order a run holds every half of
+        its tuple that opens with its step.  A run of empty halves has step
+        None."""
+        for s, run in groupby(seconds, _step_of):
+            yield s, tuple(map(_rest_of, run))
+
+
+END = Half(None, None)  # the empty second half, the rest of every last step
+
+_step_of, _rest_of = attrgetter("step"), attrgetter("rest")
+
+
+class WordChecker:
+    """The word rules over the halves of one walk over one t.
+
+    Rules, by name and in the order they are checked at each step:
+    "first-step" (a nonempty word starts with U), "UL" and "LU" (the
+    forbidden adjacent pairs, reported at the index of the pair's first
+    step), and "below-axis" (a prefix dips under level 0); a second half
+    must also end on the axis ("not-closed", at the index of the word's
+    last step).  Each is a rule on one step and the state before it (the
+    level and the last step, None before the first), so a word is checked
+    exactly as a first half and then a second half from the first half's
+    end state.  The error carries the rule and the index, counted from the
+    word's first step, as ``rule`` and ``index``.  The checker remembers
+    the tuples of second halves it passed from each state and checks none
+    of them twice.
+    """
+
+    __slots__ = ("_delta", "_passed")
 
     def __init__(self, t: int):
         _require_t(t)
         self._delta = _level_deltas(t)
-        self._steps: list[Step] = []  # a valid prefix of the last word, all of it if valid
-        self._levels = [0]  # the level after each step of that prefix
+        self._passed = set()  # (halves, level, last step): the tuple passed from that state
 
-    def require(self, steps, shared: int = 0) -> int:
-        """Raise ValueError, naming the first broken rule, unless ``steps`` is valid.
-
-        Rules, by name and in the order they are checked at each step:
-        "first-step" (a nonempty word starts with U), "UL" and "LU" (the
-        forbidden adjacent pairs, reported at the index of the pair's first
-        step), and "below-axis" (a prefix dips under level 0).  The error
-        carries the rule and that index as ``rule`` and ``index``.
-
-        ``shared`` claims that many leading steps in common with the word
-        checked last; only the steps after a confirmed claim are checked.
-        Returns the depth the check resumed at: ``shared``, or 0.
-        """
-        known, levels = self._steps, self._levels
-        if not (0 <= shared <= len(known) and steps[:shared] == known[:shared]):
-            shared = 0
-        del known[shared:], levels[shared + 1 :]
-        new = steps[shared:]
-        _require_steps(new)
-        if not shared and new and new[0] is not _U:
+    def _step(self, depth: int, level: int, last, s) -> int:
+        """The level after step ``s`` at ``depth``; raise ValueError on a broken rule."""
+        delta = self._delta.get(s)
+        if delta is None:
+            raise TypeError("steps must be Step members")
+        if last is None and s is not _U:
             raise _Invalid("first-step", 0)
-        delta = self._delta
-        level = levels[shared]
-        prev = known[-1] if shared else None
-        for i, s in enumerate(new, shared):
-            if prev is _U and s is _L:
-                raise _Invalid("UL", i - 1)
-            if prev is _L and s is _U:
-                raise _Invalid("LU", i - 1)
-            level += delta[s]
-            if level < 0:
-                raise _Invalid("below-axis", i)
-            known.append(s)
-            levels.append(level)
-            prev = s
-        return shared
+        if last is _U and s is _L:
+            raise _Invalid("UL", depth - 1)
+        if last is _L and s is _U:
+            raise _Invalid("LU", depth - 1)
+        level += delta
+        if level < 0:
+            raise _Invalid("below-axis", depth)
+        return level
+
+    def require(self, steps) -> tuple[int, int, Step | None]:
+        """Raise, naming the first broken rule, unless ``steps`` is a valid
+        word (or the first half of one), checked from its first step.
+
+        Returns its end state (depth, level, last step), the junction state
+        to check its second halves from.
+        """
+        _require_steps(steps)
+        level, last = 0, None
+        for depth, s in enumerate(steps):
+            level, last = self._step(depth, level, last, s), s
+        return len(steps), level, last
+
+    def require_seconds(self, junction: tuple, seconds: tuple) -> None:
+        """Raise, naming the first broken rule of the first bad word, unless
+        every half of ``seconds`` closes a valid word after the state
+        ``junction`` (which `require` returned).  A tuple already passed
+        from the same level and last step costs one lookup."""
+        depth, level, last = junction
+        if (seconds, level, last) not in self._passed:
+            self._require_halves(depth, level, last, seconds)
+
+    def _require_halves(self, depth: int, level: int, last, seconds: tuple) -> None:
+        """Check ``seconds`` after the state (depth, level, last): called once
+        per (tuple, level, last step), so once per (junction state, half).
+
+        Each run of halves that open with one step has that step checked
+        once, and the tuple of their rests after it, so the words are checked
+        in order, each shared step once.
+        """
+        for s, rests in Half.runs(seconds):
+            if s is None:
+                if level:
+                    raise _Invalid("not-closed", depth - 1)
+                continue
+            after = self._step(depth, level, last, s)
+            if (rests, after, s) not in self._passed:
+                self._require_halves(depth + 1, after, s, rests)
+        self._passed.add((seconds, level, last))
 
 
-def walk(
-    t: int,
-    n: int,
-    closed_only: bool = True,
-    style: str = "red-overlay",
-    plain: bool = False,
-):
-    """Depth-first walk over the valid words of length n, in lexicographic order.
+def halves(t: int, n: int, *, style: str, plain: bool, closed_only: bool = True):
+    """Depth-first walk over the valid words of length n, split in two halves.
 
-    Yields the live step list and live vertex list (n + 1 points in geometry ``style``)
-    of each word; both change as the walk moves on, so a caller copies what it keeps.
-    With them comes ``shared``, the number of leading steps the word has in common
-    with the word yielded before it (0 for the first): the lowest depth the walk
-    backed up to in between.  ``plain`` leaves L out.  Lengths above
-    `DEFAULT_ENUMERATION_CAP` are refused on the call, before any word: use the
-    counting table.
+    Yields, in lexicographic order, the live step list and live vertex list
+    (h + 1 points in geometry ``style``) of each first half of length
+    h = ceil(n/2) that some second half completes, and with them the tuple
+    of those second halves (`Half` chains of n - h steps), in lexicographic
+    order.  The lists change as the walk moves on, so a caller copies what
+    it keeps; the tuple is the same object for every first half that ends
+    at the same level with the same step.  ``plain`` leaves L out.  Lengths
+    above `DEFAULT_ENUMERATION_CAP` are refused on the call, before any
+    word: use the counting table.
     """
     _require_t(t)
     if n < 0:
@@ -157,47 +226,83 @@ def walk(
             "use the automaton counting table (dp_counts) instead"
         )
     if style not in GEOMETRY_MODES:
-        raise ValueError(f"mode must be one of {GEOMETRY_MODES}, got {style!r}")
-    return _walk(t, n, closed_only, _STEP_DX[style], plain)
+        raise ValueError(f"style must be one of {GEOMETRY_MODES}, got {style!r}")
+    return _halves(t, n, closed_only, step_vectors(t, style), plain)
 
 
-def _walk(t: int, n: int, closed_only: bool, dx: dict[Step, int], plain: bool):
-    """The generator behind `walk`, over checked arguments."""
-    U, D, L = ((s, _level_deltas(t)[s], dx[s]) for s in STEP_ORDER)
-    # the word rules: U first, no UL, no LU; the level bounds keep it on or above the axis
-    follow = {None: (U,), Step.U: (U, D), Step.D: (U, D) if plain else (U, D, L), Step.L: (D, L)}
-    steps, verts = [], [(0, 0)]
+def _halves(t: int, n: int, closed_only: bool, vectors: dict, plain: bool):
+    """The generator behind `halves`, over checked arguments."""
     if closed_only and n % (t + 1):
         return  # each step moves the level by 1 mod t+1, so no word closes
-    if n == 0:
-        yield steps, verts, 0
-        return
-    shared = 0
-    todo = [iter(follow[None])]  # the untried next steps, one iterator per depth
-    while todo:
-        left = n - len(todo)  # steps still to come after the next one
-        top = t * left if closed_only else n  # a closed word falls t a step at most
+    U, D, L = ((s, *vectors[s]) for s in STEP_ORDER)
+    # the word rules: U first, no UL, no LU; the level bounds keep it on or above the axis
+    follow = {None: (U,), Step.U: (U, D), Step.D: (U, D) if plain else (U, D, L), Step.L: (D, L)}
+    made, opened = {}, {}  # second halves by state, and by first step, level and length
+
+    def seconds(level: int, last, r: int) -> tuple:
+        # the tuple of second halves of r steps after `last` at `level`,
+        # made once per state; the halves that open with one step s are
+        # made once for every state that allows s, so halves that end
+        # alike share their rest
+        got = made.get((level, last, r))
+        if got is None:
+            found = [] if r else [END]
+            top = t * (r - 1) if closed_only else n  # a closed word falls t a step at most
+            for s, _, dy in follow[last] if r else ():
+                if 0 <= level + dy <= top:
+                    led = opened.get((s, level + dy, r))
+                    if led is None:
+                        led = opened[s, level + dy, r] = [Half(s, rest) for rest in seconds(level + dy, s, r - 1)]
+                    found += led
+            got = made[level, last, r] = tuple(found)
+        return got
+
+    h = n - n // 2
+    steps, verts = [], [(0, 0)]
+
+    def firsts(depth: int, last):
+        # the first halves below the prefix `steps`, depth first
         x, y = verts[-1]
-        for s, dy, run in todo[-1]:
-            level = y + dy
-            if not 0 <= level <= top:
-                continue
-            steps.append(s)
-            verts.append((x + run, level))
-            if left:
-                todo.append(iter(follow[s]))
-                break
-            yield steps, verts, shared
-            steps.pop()
-            verts.pop()
-            shared = n - 1  # the depth just backed up to
-        else:  # every next step of this prefix is tried: back up one step
-            todo.pop()
-            if steps:
+        if depth == h:
+            rest = seconds(y, last, n - h)
+            if rest:
+                yield steps, verts, rest
+            return
+        top = t * (n - depth - 1) if closed_only else n
+        for s, run, dy in follow[last]:
+            if 0 <= y + dy <= top:
+                steps.append(s)
+                verts.append((x + run, y + dy))
+                yield from firsts(depth + 1, s)
                 steps.pop()
                 verts.pop()
-                if len(steps) < shared:
-                    shared = len(steps)
+
+    yield from firsts(0, None)
+
+
+def walk(t: int, n: int, *, style: str, plain: bool, closed_only: bool):
+    """The words of `halves`, whole and in the same order: yields each word's
+    step list and vertex list (n + 1 points), both new for every word.
+    Arguments are checked, and refused, on the call as by `halves`."""
+    walked = halves(t, n, style=style, plain=plain, closed_only=closed_only)
+    return _words(walked, step_vectors(t, style))
+
+
+def _words(walked, vectors: dict):
+    """Each first half of ``walked`` joined to each of its second halves."""
+    for steps, verts, seconds in walked:
+        for half in seconds:
+            word, points = steps.copy(), verts.copy()
+            x, y = verts[-1]
+            while half is not END:
+                s = half.step
+                dx, dy = vectors[s]
+                x += dx
+                y += dy
+                word.append(s)
+                points.append((x, y))
+                half = half.rest
+            yield word, points
 
 
 def grid_box(t: int, n: int) -> tuple[int, int]:

@@ -2,22 +2,22 @@
 
 Both emitters lay every diagram of a document onto one shared grid box,
 which `paths.grid_box` works out from t and n, and draw from one walk of
-`paths` (called before any table over the box is built) rather than from
-a word list.  The walk hands over each word's live step and vertex lists
-and the number of leading steps it shares with the word before.  One
-`paths.WordChecker` per document checks every drawn word against all
-the word rules.  It does not trust the walk's count: it confirms the
-shared prefix against its own copy of the last word and resumes the
-check past it, or restarts at depth 0.  Each emitter keeps, for every
-depth i, the text the first i steps contribute (the path's points and
-the red marks in overlay style, one line per segment in left style) and
-rebuilds only the depths past the prefix the checker confirmed.  A
-word's block is a head, the text at depth n and a tail, so a word costs
-the steps that changed, not all n.  A document holds its text but
-neither a word list nor any geometry.  The text of each grid point is
-formatted once per document, from a table over the box, and so is the
-text a step adds from each start vertex.  The SVG header,
-the only text that needs the number of diagrams, is written after them.
+`paths.halves` (called before any table over the box is built) rather
+than from a word list.  The walk hands over each first half's live step
+and vertex lists and the tuple of second halves that complete it, one
+tuple per junction state.  One `paths.WordChecker` per document checks
+every drawn word against all the word rules: each first half from its
+first step, and each second half once per junction state, from the state
+the checker derived from the first half itself, never from the walk.
+The text is memoised at every level.  The text a step adds is made once
+per (step, start vertex); a second half's text once per (half, start
+vertex), from its first step's text and its rest's memoised text; and the
+list of a junction's texts once per (tuple, start vertex).  A first half's
+text is joined from its steps' texts, so a word costs one concatenation.
+A document holds its text and the memos, but neither a word list nor any
+whole word's geometry.  The text of each grid point is formatted once per
+document, from a table over the box.  The SVG header, the only text that
+needs the number of diagrams, is written after them.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
@@ -30,7 +30,7 @@ count of quarter units.
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import Step, WordChecker, grid_box, walk
+from .paths import Half, Step, WordChecker, grid_box, halves, step_vectors
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -45,48 +45,81 @@ def _vertex_text(x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
     return {(x, y): fmt(x, y) for x in range(x_max + 1) for y in range(y_max + 1)}
 
 
-def _bodies(words, t: int, n: int, style: str, vt, path, mark, segment):
-    """The body text of each word of the walk ``words``, in walk order.
+class _HalfTexts:
+    """The (path, marks) text of second halves drawn from a start vertex.
+
+    A half's text is its first step's text, ``step_text(s, a, b)`` for step
+    s from vertex a to b, joined to the text of its rest from b.  The halves
+    of a run (`paths.Half.runs`) are made together from the texts of their
+    rests, so each (half, start vertex) is made once, and the list of a
+    junction's tuple once per start vertex.
+    """
+
+    __slots__ = ("_vectors", "_step_text", "_lists", "_runs")
+
+    def __init__(self, vectors: dict, step_text):
+        self._vectors, self._step_text = vectors, step_text
+        self._lists = {}  # the texts of a tuple of halves, by (tuple, start vertex)
+        self._runs = {}  # the texts of a run, by (step, rests, start vertex)
+
+    def __call__(self, seconds: tuple, start: tuple) -> list:
+        """The texts of the halves ``seconds`` drawn from ``start``, in order."""
+        got = self._lists.get((seconds, start))
+        if got is None:
+            got = []
+            for s, rests in Half.runs(seconds):
+                if s is None:
+                    got += [("", "")] * len(rests)
+                else:
+                    got += self._runs.get((s, rests, start)) or self._run(s, rests, start)
+            self._lists[seconds, start] = got
+        return got
+
+    def _run(self, s: Step, rests: tuple, start: tuple) -> list:
+        """The texts of the halves that open with step ``s`` from ``start``
+        and go on as ``rests``: called once per (run, start vertex)."""
+        dx, dy = self._vectors[s]
+        stop = start[0] + dx, start[1] + dy
+        path, marks = self._step_text(s, start, stop)
+        got = self._runs[s, rests, start] = [(path + p, marks + m) for p, m in self(rests, stop)]
+        return got
+
+
+def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
+    """(a, b, texts) for each first half of the walk ``walked``, in walk
+    order: the bodies of its words are a + p + b + m for each (p, m) in
+    ``texts``, one per second half.
 
     Overlay style: ``path`` = (open, separator, close) around the texts
     ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
-    vertex a to b.  Left style: ``segment(red, a, b)`` for each step.  The
-    text the first i steps contribute is kept for every depth i, and only
-    the depths past the prefix the checker confirmed are rebuilt.  A step's
-    end follows from its start, so each text a step adds is made once per
-    document, on first use, and every rebuilt depth is one concatenation.
+    vertex a to b; a and p are path text, b and m red marks.  Left style:
+    ``segment(red, a, b)`` for each step, in a and p.  A step's text is made
+    once per (step, start vertex), a second half's once per (half, start
+    vertex) and a junction's list once per (tuple, start vertex).
     """
-    L = Step.L
+    L, overlay = Step.L, style == "red-overlay"
     check = WordChecker(t)
-    if style == "red-overlay":
-        start, sep, close = path
-        piece = {v: sep + text for v, text in vt.items()}
-        red = {}  # the mark of an L step, by its start vertex
-        pts = [start + vt[0, 0]] * (n + 1)
-        marks = [""] * (n + 1)
-        for steps, verts, shared in words:
-            for i in range(check.require(steps, shared), n):
-                pts[i + 1] = pts[i] + piece[verts[i + 1]]
-                if steps[i] is L:
-                    a = verts[i]
-                    m = red.get(a)
-                    if m is None:
-                        m = red[a] = mark(a, verts[i + 1])
-                    marks[i + 1] = marks[i] + m
-                else:
-                    marks[i + 1] = marks[i]
-            yield f"{pts[n]}{close}{marks[n]}" if n else ""  # the empty word draws no path
-    else:
-        drawn = {}  # the line of a step, by (step, start vertex)
-        lines = [""] * (n + 1)
-        for steps, verts, shared in words:
-            for i in range(check.require(steps, shared), n):
-                key = steps[i], verts[i]
-                line = drawn.get(key)
-                if line is None:
-                    line = drawn[key] = segment(steps[i] is L, verts[i], verts[i + 1])
-                lines[i + 1] = lines[i] + line
-            yield lines[n]
+    start, sep, close = path
+    made = {}  # the text of a step, by (step, start vertex)
+
+    def step_text(s, a, b):
+        got = made.get((s, a))
+        if got is None:
+            if overlay:
+                got = sep + vt[b], mark(a, b) if s is L else ""
+            else:
+                got = segment(s is L, a, b), ""
+            made[s, a] = got
+        return got
+
+    texts = _HalfTexts(step_vectors(t, style), step_text)
+    for steps, verts, seconds in walked:
+        check.require_seconds(check.require(steps), seconds)
+        first = [step_text(s, verts[i], verts[i + 1]) for i, s in enumerate(steps)]
+        a, b = "".join(p for p, _ in first), "".join(m for _, m in first)
+        if overlay and n:  # the empty word draws no path
+            a, b = f"{start}{vt[0, 0]}{a}", close + b
+        yield a, b, texts(seconds, verts[-1])
 
 
 def render_tikz(
@@ -97,7 +130,7 @@ def render_tikz(
     mirrored: bool,
 ) -> str:
     """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
-    words = walk(t, n, style=style, plain=plain)
+    walked = halves(t, n, style=style, plain=plain)
     x_max, y_max = grid_box(t, n)
     vt = _vertex_text(x_max, y_max, "({},{})".format)
     indent = "\t\t" if mirrored else "\t"
@@ -123,8 +156,13 @@ def render_tikz(
         return f"\n{indent}\\draw[{'thick,red' if red else 'thick'}] {vt[a]} -- {vt[b]};"
 
     path = (f"\n{indent}\\draw[thick] ", " -- ", ";")
-    blocks = [f"{head}{body}{tail}" for body in _bodies(words, t, n, style, vt, path, mark, segment)]
-    return "\n".join(blocks) or "\n"  # no diagrams: a lone newline
+    # one string per first half: the pieces the last join copies are few
+    # and large, not one small string per word
+    chunks = [
+        "\n".join([f"{head}{a}{p}{b}{m}{tail}" for p, m in texts])
+        for a, b, texts in _bodies(walked, t, n, style, vt, path, mark, segment)
+    ]
+    return "\n".join(chunks) or "\n"  # no diagrams: a lone newline
 
 
 _SVG_CELL = 20
@@ -141,7 +179,7 @@ def render_svg(
     mirrored: bool,
 ) -> str:
     """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
-    words = walk(t, n, style=style, plain=plain)
+    walked = halves(t, n, style=style, plain=plain)
     cols, rows = grid_box(t, n)
     dia_w = cols * _SVG_CELL
     dia_h = rows * _SVG_CELL
@@ -177,12 +215,13 @@ def render_svg(
         f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
     )
     out = [""]  # the header, written once the diagrams are counted
-    for idx, body in enumerate(_bodies(words, t, n, style, vt, path, mark, segment)):
-        # a row is only narrower than _SVG_PER_ROW when it is the one row
-        r, c = divmod(idx, _SVG_PER_ROW)
-        tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
-        ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
-        out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{body}\n  </g>')
+    for a, b, texts in _bodies(walked, t, n, style, vt, path, mark, segment):
+        for p, m in texts:
+            # a row is only narrower than _SVG_PER_ROW when it is the one row
+            r, c = divmod(len(out) - 1, _SVG_PER_ROW)
+            tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
+            ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
+            out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{a}{p}{b}{m}\n  </g>')
     count = len(out) - 1
     per_row = min(_SVG_PER_ROW, max(count, 1))
     n_rows = (count + per_row - 1) // per_row

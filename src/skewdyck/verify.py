@@ -207,7 +207,7 @@ def _walked_cells(t: int, n: int) -> Counter:
     every style, and the empty word is in layer F."""
     return Counter(
         (verts[-1][1], _LAST_STEP_LAYER[steps[-1]] if steps else "F")
-        for steps, verts, _ in walk(t, n, closed_only=False)
+        for steps, verts in walk(t, n, style="red-overlay", plain=False, closed_only=False)
     )
 
 

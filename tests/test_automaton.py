@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from skewdyck import automaton
 from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
-from skewdyck.paths import Step, walk
+from skewdyck.paths import Step
 from skewdyck.verify import _equations, _equations_check, first_violation
+from test_paths import walk_of
 
 
 def total(t, n):
@@ -26,7 +27,7 @@ def walked_cells(t, n):
     layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
     return Counter(
         (sum(1 if s is Step.U else -t for s in steps), layer_of[steps[-1]] if steps else "F")
-        for steps, _, _ in walk(t, n, closed_only=False)
+        for steps, _ in walk_of(t, n, closed_only=False)
     )
 
 
@@ -40,7 +41,7 @@ class TestTotals:
 
     def test_t3_small(self):
         assert total(3, 4) == 1
-        assert ["".join(s.value for s in steps) for steps, _, _ in walk(3, 8)] == [
+        assert ["".join(s.value for s in steps) for steps, _ in walk_of(3, 8)] == [
             "UUUUUUDD", "UUUUUUDL", "UUUUUDUD", "UUUUDUUD", "UUUDUUUD",
         ]
         assert total(3, 8) == 5
@@ -127,7 +128,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("t", [2, 3])
     def test_closed_counts_match_enumeration(self, t):
         for n in range(16):
-            assert total(t, n) == sum(1 for _ in walk(t, n))
+            assert total(t, n) == sum(1 for _ in walk_of(t, n))
 
 
 def failed_splits(lr, rl, t):

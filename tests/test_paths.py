@@ -3,9 +3,12 @@
 Words are the Step tuples the walk yields.  The brute-force checkers below
 are direct transcriptions of the word rules and never call the library
 checker, and `reference_vertices` chains literal step vectors, so the
-exhaustive comparisons are a genuine second opinion.
+exhaustive comparisons are a genuine second opinion.  The walk goes over
+first halves and hands each the tuple of second halves that complete it;
+`walk` is its per-word view.
 """
 
+import functools
 import itertools
 import re
 
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.paths import GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, walk
+from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Half, Step, WordChecker, halves, walk
 
 
 def brute_valid(t, text):
@@ -57,14 +60,45 @@ def reference_validate(t, steps):
     return None
 
 
-def verdict(checker, steps, shared=0):
+def reference_closed(t, steps):
+    # the reference verdict of a word the walk hands out as closed: the word
+    # rules, then "not-closed" at the last step of a word off the axis
+    broken = reference_validate(t, steps)
+    if broken is None and brute_level(t, steps):
+        return "not-closed", len(steps) - 1
+    return broken
+
+
+def verdict(checker, steps):
     # `WordChecker.require` in the reference's terms: None, or the rule and
     # index the raised error carries
     try:
-        checker.require(steps, shared)
+        checker.require(steps)
     except ValueError as exc:
         return exc.rule, exc.index
     return None
+
+
+def chain(steps):
+    # a second half holding ``steps``, as the walk builds one
+    half = END
+    for s in reversed(steps):
+        half = Half(s, half)
+    return half
+
+
+def unchain(half):
+    # the steps of a second half
+    steps = []
+    while half is not END:
+        steps.append(half.step)
+        half = half.rest
+    return tuple(steps)
+
+
+def walk_of(t, n, closed_only=True, style="red-overlay", plain=False):
+    # the per-word walk, with the arguments most tests leave alone
+    return walk(t, n, style=style, plain=plain, closed_only=closed_only)
 
 
 def reference_vertices(t, steps, style):
@@ -83,13 +117,13 @@ def reference_vertices(t, steps, style):
 
 
 def walked_words(t, n, closed_only=True, plain=False):
-    # the walk's words, copied out of its live step list
-    return [tuple(steps) for steps, _, _ in walk(t, n, closed_only, plain=plain)]
+    # the walk's words, as tuples
+    return [tuple(steps) for steps, _ in walk_of(t, n, closed_only, plain=plain)]
 
 
 def walked_vertices(t, steps, style="red-overlay"):
-    # the vertices the walk yields with the word, copied out of its live list
-    for walked, verts, _ in walk(t, len(steps), closed_only=False, style=style):
+    # the vertices the walk yields with the word
+    for walked, verts in walk_of(t, len(steps), closed_only=False, style=style):
         if tuple(walked) == steps:
             return tuple(verts)
     raise AssertionError(f"the walk never yields {text(steps)}")
@@ -189,7 +223,7 @@ class TestEnumerate:
 
     def test_non_integer_t_rejected(self):
         with pytest.raises(ValueError):
-            walk(2.0, 3)
+            walk_of(2.0, 3)
 
     def test_sorted_and_unique(self):
         words = [text(x) for x in walked_words(2, 12)]
@@ -216,7 +250,7 @@ class TestEnumerate:
 
     def test_cap_refusal_mentions_the_table(self):
         with pytest.raises(ValueError, match="counting table"):
-            walk(2, 25)
+            walk_of(2, 25)
 
 
 class TestRealize:
@@ -225,7 +259,7 @@ class TestRealize:
         assert walked_vertices(2, word("UUD")) == ((0, 0), (1, 1), (2, 2), (4, 0))
 
     def test_empty_geometry(self):
-        assert [(steps, verts) for steps, verts, _ in walk(2, 0)] == [([], [(0, 0)])]
+        assert [(steps, verts) for steps, verts in walk_of(2, 0)] == [([], [(0, 0)])]
 
     def test_left_mode_walks_backwards(self):
         verts = walked_vertices(2, word("UUUUDL"), style="left")
@@ -243,8 +277,8 @@ class TestRealize:
             WordChecker(2).require(word("UUL"))
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            walk(2, 3, style="sideways")  # refused on the call, before any word
+        with pytest.raises(ValueError, match="style must be one of"):
+            walk_of(2, 3, style="sideways")  # refused on the call, before any word
 
 
 class TestWalk:
@@ -269,119 +303,192 @@ class TestWalk:
                     ]
                     for style in GEOMETRY_MODES:
                         got = []
-                        for steps, verts, _ in walk(t, n, closed_only, style=style, plain=plain):
+                        for steps, verts in walk_of(t, n, closed_only, style, plain):
                             assert tuple(verts) == reference_vertices(t, steps, style)
                             got.append(tuple(steps))
                         assert got == expected, (t, n, closed_only, plain, style)
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        t=st.integers(2, 5),
+        n=st.integers(0, 15),
+        closed_only=st.booleans(),
+        plain=st.booleans(),
+        style=st.sampled_from(GEOMETRY_MODES),
+    )
+    @example(t=2, n=15, closed_only=False, plain=False, style="left")  # the most words
+    @example(t=3, n=12, closed_only=True, plain=False, style="red-overlay")
+    def test_flattened_halves_match_brute_force(self, t, n, closed_only, plain, style):
+        # the half walk, flattened, yields the reference's words in its
+        # order, each with the vertices `reference_vertices` gives it
+        expected = [
+            w
+            for w in brute_words(t, n)
+            if (brute_level(t, w) == 0 or not closed_only) and not (plain and Step.L in w)
+        ]
+        got = []
+        for steps, verts in walk(t, n, style=style, plain=plain, closed_only=closed_only):
+            assert tuple(verts) == reference_vertices(t, steps, style)
+            got.append(tuple(steps))
+        assert got == expected
+
     @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_shared_is_the_common_prefix(self, t):
+    def test_seconds_are_shared_per_junction(self, t):
+        # each first half has length ceil(n/2) and is yielded once, exactly
+        # when some second half completes it; its tuple holds those second
+        # halves in order, and is the same object for every first half that
+        # ends at the same level with the same step
         for n in range(13):
             for closed_only in (True, False):
                 for plain in (True, False):
-                    for style in GEOMETRY_MODES:
-                        last = None
-                        for steps, _, shared in walk(t, n, closed_only, style=style, plain=plain):
-                            expected = 0 if last is None else common_prefix(last, steps)
-                            assert shared == expected, (t, n, closed_only, plain, style, steps)
-                            last = steps.copy()
+                    words = walked_words(t, n, closed_only, plain)
+                    h = n - n // 2
+                    tuples = {}
+                    seen = []
+                    for steps, verts, seconds in halves(t, n, style="left", plain=plain, closed_only=closed_only):
+                        first = tuple(steps)
+                        assert len(first) == h and verts[-1] == reference_vertices(t, first, "left")[-1]
+                        assert [first + unchain(half) for half in seconds] == [w for w in words if w[:h] == first]
+                        assert tuples.setdefault((verts[-1][1], first[-1:]), seconds) is seconds
+                        seen.append(first)
+                    assert seen == sorted({w[:h] for w in words}, key=lambda w: [STEP_ORDER.index(x) for x in w])
 
     def test_bad_arguments(self):
         # refused on the call, before any word is asked for
         for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
             with pytest.raises(ValueError):
-                walk(*args)
+                walk_of(*args)
+            with pytest.raises(ValueError):
+                halves(*args, style="left", plain=True)
 
 
 U, D, L = STEP_ORDER
 
 
-def common_prefix(a, b):
-    k = 0
-    while k < min(len(a), len(b)) and a[k] is b[k]:
-        k += 1
-    return k
+@functools.cache
+def brute_words(t, n):
+    # every valid word of length n in lexicographic order: each valid word
+    # of length n - 1 followed by each step the reference rules accept
+    # after it (the rules are local, so a valid word's prefixes are valid)
+    if n == 0:
+        return [()]
+    return [w + (s,) for w in brute_words(t, n - 1) for s in STEP_ORDER if reference_validate(t, w + (s,)) is None]
+
+
+def reference_word(t, steps):
+    # a second half's verdict, step by step: a member that is not a Step
+    # refuses the word where it stands, after the rules of the steps before it
+    for k, s in enumerate(steps):
+        if not isinstance(s, Step):
+            return reference_validate(t, steps[:k]) or "type"
+    return reference_closed(t, steps)
+
+
+def expected_verdict(t, first, seconds):
+    # what checking ``first`` and then ``seconds`` from its end must raise:
+    # a first half with a member that is not a Step is refused whole, then
+    # the first half's own rules, then the first bad word in tuple order
+    if not all(isinstance(s, Step) for s in first):
+        return "type"
+    broken = reference_validate(t, first)
+    for half in seconds:
+        broken = broken or reference_word(t, tuple(first) + unchain(half))
+    return broken
+
+
+def check_halves(checker, t, first, seconds):
+    # one first half and its tuple through `checker`, as a document checks them
+    junction = checker.require(first)
+    assert junction == (len(first), brute_level(t, first), first[-1] if first else None)
+    checker.require_seconds(junction, seconds)
 
 
 @st.composite
 def checked_runs(draw):
-    # a run of step lists, each keeping some prefix of the one before, with a
-    # claimed shared count that is right, overstated, understated or wild.
-    # Most added steps keep the word valid, so the checks reach deep; the
-    # rest are any step or, now and then, not a Step member at all.
-    t = draw(st.integers(2, 5))
-    run, last = [], []
+    # a run of first halves, each handed a tuple of second halves: the
+    # walk's own pairs; the walk's tuples attached at another first half,
+    # that is at the wrong junction state; and first halves or halves with
+    # a step changed, now and then to a member that is not a Step.  Tuples
+    # and halves recur, so the checker meets them again at other states.
+    t = draw(st.integers(2, 4))
+    walked = halves(
+        t, draw(st.integers(0, 12)), style="left", plain=draw(st.booleans()), closed_only=draw(st.booleans())
+    )
+    real = [(list(steps), seconds) for steps, _, seconds in walked] or [([U], (chain([D]),))]
+    tuples = [seconds for _, seconds in real]
+    run = []
     for _ in range(draw(st.integers(1, 8))):
-        keep = draw(st.integers(0, len(last)))
-        steps = last[:keep]
-        for pick in draw(st.lists(st.integers(0, 19), max_size=10)):
-            text = "".join(s.value if isinstance(s, Step) else "?" for s in steps)
-            allowed = [s for s in STEP_ORDER if brute_valid(t, text + s.value)]
-            if pick < 16 and allowed:
-                steps.append(allowed[pick % len(allowed)])
-            else:
-                steps.append((*STEP_ORDER, "U", None)[pick % 5])
-        true = common_prefix(last, steps)
-        shared = draw(st.sampled_from([true, true + 1, true - 1, keep, len(steps)]) | st.integers(-3, 14))
-        run.append((steps, shared))
-        last = steps
+        first, seconds = draw(st.sampled_from(real))
+        first = list(first)
+        if draw(st.booleans()):
+            seconds = draw(st.sampled_from(tuples))
+        if first and draw(st.integers(0, 3)) == 0:
+            first[draw(st.integers(0, len(first) - 1))] = draw(st.sampled_from((*STEP_ORDER, "U", None)))
+        if draw(st.integers(0, 2)) == 0:
+            changed = list(seconds)
+            i = draw(st.integers(0, len(changed) - 1))
+            if changed[i] is not END:
+                changed[i] = Half(draw(st.sampled_from((*STEP_ORDER, "U"))), changed[i].rest)
+            seconds = tuple(changed)
+            tuples.append(seconds)
+        run.append((first, seconds))
     return t, run
 
 
 class TestWordChecker:
     @settings(deadline=None, max_examples=500)
     @given(checked_runs())
-    # a claim past the end of the last word; one over a prefix whose word
-    # was refused for a step that is not a Step member; and a resumption at
-    # a depth the word before did not reach, whose level is not the level
-    # the word before that had there
-    @example((2, [([U, U, D], 0), ([U, U, L], 5)]))
-    @example((2, [([U, U], 0), ([U, "U"], 1), ([U, U, D], 2)]))
-    @example((2, [([U, U, U, U], 0), ([U, U, D], 2), ([U, U, D, D], 3)]))
+    # a valid second half at the wrong junction: a UL across it, a dip
+    # below the axis past it, and a word that ends off the axis; and a
+    # tuple passed at one state, met again at another
+    @example((2, [([U, U, U], (chain([L, D, D]),))]))
+    @example((2, [([U, U, D], (chain([U, D, D]), chain([U, D, L]), chain([D, U, D])))]))
+    @example((2, [([U, U, D], (chain([U, U, D]),)), ([U, U, U], (chain([U, U, D]),))]))
+    @example((2, [([U, U, U], (END,))]))
     def test_resumed_check_matches_reference(self, case):
-        # one checker over the whole run gives each word the verdict
-        # `reference_validate` gives it from scratch, and refuses a word
-        # holding anything but Step members whatever its claim
+        # one checker over the whole run, resuming each word at its
+        # junction, gives each first half and tuple the verdict of the
+        # first bad word the reference finds from scratch, and refuses a
+        # first half holding anything but Step members
         t, run = case
         checker = WordChecker(t)
-        last, last_ok = [], False
-        for steps, shared in run:
-            if not all(isinstance(s, Step) for s in steps):
-                with pytest.raises(TypeError, match="^steps must be Step members$"):
-                    checker.require(steps, shared)
-                last, last_ok = steps, False
-                continue
-            expected = reference_validate(t, steps)
+        for first, seconds in run:
+            expected = expected_verdict(t, first, seconds)
             if expected is None:
-                depth = checker.require(steps, shared)
-                # the check resumed inside a prefix that really is shared,
-                # and past all of a true claim after a valid word
-                assert depth in (0, shared)
-                assert steps[:depth] == last[:depth]
-                if last_ok and 0 <= shared <= common_prefix(last, steps):
-                    assert depth == shared
+                check_halves(checker, t, first, seconds)
+            elif expected == "type":
+                with pytest.raises(TypeError, match="^steps must be Step members$"):
+                    check_halves(checker, t, first, seconds)
             else:
                 message = "invalid word (invalid: {} at index {})".format(*expected)
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
-                    checker.require(steps, shared)
+                    check_halves(checker, t, first, seconds)
                 assert (raised.value.rule, raised.value.index) == expected
-            last, last_ok = steps, expected is None
 
     def test_every_pair_of_short_words(self):
-        # each word of length <= 4 checked right after each other one, under
-        # every claim from -1 to 5
-        words = [list(p) for n in range(5) for p in itertools.product(STEP_ORDER, repeat=n)]
-        expected = [reference_validate(2, steps) for steps in words]
-        for first in words:
-            for steps, want in zip(words, expected):
-                for shared in range(-1, 6):
-                    checker = WordChecker(2)
-                    verdict(checker, first)
-                    assert verdict(checker, steps, shared) == want, (first, steps, shared)
+        # each word of length <= 4, cut at every point into a first half and
+        # one second half, through one checker per t: the halves share their
+        # rests, so most of them were passed before at another state
+        @functools.cache
+        def shared(steps):
+            return END if not steps else Half(steps[0], shared(steps[1:]))
+
+        for t in (2, 3):
+            checker = WordChecker(t)
+            for n in range(5):
+                for word in itertools.product(STEP_ORDER, repeat=n):
+                    want = reference_closed(t, word)
+                    for cut in range(n + 1):
+                        try:
+                            check_halves(checker, t, word[:cut], (shared(word[cut:]),))
+                            got = None
+                        except ValueError as exc:
+                            got = exc.rule, exc.index
+                        assert got == want, (t, word, cut)
 
     def test_bad_t_refused_as_by_walk(self):
         for t in (1, 2.0, "3"):
             with pytest.raises(ValueError) as from_walk:
-                walk(t, 0)
+                walk_of(t, 0)
             with pytest.raises(ValueError, match=re.escape(str(from_walk.value))):
                 WordChecker(t)

@@ -2,6 +2,7 @@
 
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
-from skewdyck.paths import GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, grid_box, walk
+from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, grid_box
 from skewdyck.render import _quarters, render_document
-from test_paths import reference_vertices, walked_words
+from test_paths import brute_level, brute_words, chain, reference_vertices, unchain, walk_of, walked_words
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -52,13 +53,13 @@ def mode_words(t, n, mode):
 
 class TestWordSelection:
     def test_plain_mode_drops_marked_words(self):
-        words = [tuple(steps) for steps, _, _ in walk(2, 9, plain=True)]
+        words = [tuple(steps) for steps, _ in walk_of(2, 9, plain=True)]
         assert len(words) == 12
         assert words == mode_words(2, 9, "plain")
 
     def test_skew_mode_keeps_all(self):
-        assert sum(1 for _ in walk(2, 9)) == 19
-        assert sum(1 for _ in walk(2, 9, plain=True)) == 12
+        assert sum(1 for _ in walk_of(2, 9)) == 19
+        assert sum(1 for _ in walk_of(2, 9, plain=True)) == 12
 
     def test_bad_mode(self):
         for fmt in ("svg", "tikz"):
@@ -162,16 +163,21 @@ class TestGridBox:
 @pytest.mark.parametrize("mode", RENDER_MODES)
 def test_document_walks_the_words_once(monkeypatch, mode, fmt):
     # the box comes from (t, n) and the diagram count from the drawing
-    # itself, so a document runs one walk, from whichever module
+    # itself, so a document runs one walk, from whichever module, and
+    # draws from the halves, never from the per-word view
     calls = []
-    real_walk = paths.walk
+    real_halves = paths.halves
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real_walk(*args, **kwargs)
+        return real_halves(*args, **kwargs)
 
-    monkeypatch.setattr(paths, "walk", counted)
-    monkeypatch.setattr(render, "walk", counted)
+    def per_word(*args, **kwargs):
+        raise AssertionError("a document walked the words one by one")
+
+    monkeypatch.setattr(paths, "halves", counted)
+    monkeypatch.setattr(render, "halves", counted)
+    monkeypatch.setattr(paths, "walk", per_word)
     render_document(2, 9, mode, "red-overlay", False, fmt)
     assert len(calls) == 1
 
@@ -189,49 +195,116 @@ def test_diagram_count_is_the_table_count(t, n):
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # a document checks each word once and holds one word at a time: when a
-    # word is checked, no word the walk yielded before it is still alive
-    class Live(list):  # a step list that can be weakly referenced
+    # a document checks each word once and holds one first half at a time:
+    # when a first half is checked, no step or vertex list the walk yielded
+    # before it is still alive, and the words the checks cover, each first
+    # half joined to each half of its tuple, are the walk's words once each
+    class Live(list):  # a list that can be weakly referenced
         __slots__ = ("__weakref__",)
 
-    words = walked_words(2, 9)
-    refs, alive, checked = [], [], []
-    real_walk, real_require = render.walk, WordChecker.require
+    refs, alive, checked, last = [], [], [], []
+    real_halves, real_require, real_seconds = render.halves, WordChecker.require, WordChecker.require_seconds
 
-    def fresh_walk(*args, **kwargs):
-        for steps, verts, shared in real_walk(*args, **kwargs):
-            yield Live(steps), verts, shared
+    def fresh_halves(*args, **kwargs):
+        for steps, verts, seconds in real_halves(*args, **kwargs):
+            yield Live(steps), Live(verts), seconds
 
-    def tracked(self, steps, shared=0):
+    def tracked(self, steps):
         alive.append(sum(ref() is not None for ref in refs))
         refs.append(weakref.ref(steps))
-        checked.append(tuple(steps))
-        return real_require(self, steps, shared)
+        last[:] = steps
+        return real_require(self, steps)
 
-    monkeypatch.setattr(render, "walk", fresh_walk)
+    def covered(self, junction, seconds):
+        checked.extend(tuple(last) + unchain(half) for half in seconds)
+        return real_seconds(self, junction, seconds)
+
+    monkeypatch.setattr(render, "halves", fresh_halves)
     monkeypatch.setattr(WordChecker, "require", tracked)
+    monkeypatch.setattr(WordChecker, "require_seconds", covered)
     render_document(2, 9, "skew", "red-overlay", False, fmt)
-    assert checked == words
+    assert checked == walked_words(2, 9)
     assert len(checked) == 19
+    assert len(alive) == len({w[:5] for w in checked}) == 4  # the first halves, of length 5
     assert max(alive) == 0
 
 
-U, D, L = STEP_ORDER
-_OVERLAY_UUUUDD = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (6, 2), (8, 0)]
+@pytest.mark.parametrize("fmt", ["svg", "tikz"])
+@pytest.mark.parametrize("style", GEOMETRY_MODES)
+def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
+    # a count, not a timing: a document makes the text of each (second
+    # half, start vertex) once and checks each (second half, junction
+    # state) once, and no others, however many words share them
+    formatted, checked, walked = Counter(), Counter(), []
+    real_halves, real_run, real_check = render.halves, render._HalfTexts._run, WordChecker._require_halves
 
-# (n, the words a broken walk yields, the error), keyed by the test id
-# after the format
+    def recorded(*args, **kwargs):
+        for steps, verts, seconds in real_halves(*args, **kwargs):
+            walked.append((steps[-1], verts[-1], seconds))
+            yield steps, verts, seconds
+
+    def run(self, s, rests, start):
+        formatted.update((s, rest, start) for rest in rests)
+        return real_run(self, s, rests, start)
+
+    def check(self, depth, level, last, seconds):
+        checked.update((half, level, last) for half in seconds)
+        return real_check(self, depth, level, last, seconds)
+
+    monkeypatch.setattr(render, "halves", recorded)
+    monkeypatch.setattr(render._HalfTexts, "_run", run)
+    monkeypatch.setattr(WordChecker, "_require_halves", check)
+    render_document(3, 16, "skew", style, False, fmt)
+    # every (half, start vertex) and (half, level, step before it) the words pass
+    vectors = {Step.U: (1, 1), Step.D: (2, -3), Step.L: (-2 if style == "left" else 2, -3)}
+    halves_at, states = set(), set()
+    words = 0
+    for first_last, junction, seconds in walked:
+        for half in seconds:
+            words += 1
+            (x, y), last = junction, first_last
+            while half is not END:
+                halves_at.add((half.step, half.rest, (x, y)))
+                states.add((half, y, last))
+                (dx, dy), last = vectors[half.step], half.step
+                x, y, half = x + dx, y + dy, half.rest
+            states.add((END, y, last))
+    assert words == 216
+    assert set(formatted) == halves_at and set(formatted.values()) == {1}
+    assert set(checked) == states and set(checked.values()) == {1}
+
+
+U, D, L = STEP_ORDER
+
+
+def overlay_first(letters):
+    # a first half of the walk, with its overlay vertices at t = 2
+    steps = [Step(ch) for ch in letters]
+    return steps, list(reference_vertices(2, steps, "red-overlay"))
+
+
+def halves_of(*texts):
+    return tuple(chain([Step(ch) for ch in text]) for text in texts)
+
+
+# (n, what a broken walk yields, the error), keyed by the test id after the
+# format; every second half below is one the walk makes at some junction
 _BAD_WALKS = {
-    # a word the walk should never yield
-    "": (3, [([U, L, D], [(0, 0), (1, 1), (3, -1), (5, -3)], 0)], "UL at index 0"),
-    # UUUULD has UUUUDD's overlay vertices and hides a UL behind a shared
-    # count one too high: a checker that believed the count would resume
-    # past the UL and pass the word
-    "-overstated-shared": (
+    # a first half the walk should never yield
+    "": (3, [(*overlay_first("UL"), halves_of("D"))], "UL at index 0"),
+    # a second half the walk should never make
+    "-bad-second-half": (6, [(*overlay_first("UUU"), halves_of("UDD", "ULD"))], "UL at index 3"),
+    # LDD closes UUUUUD (level 6, after D), but after UUU (level 3, after U)
+    # it makes a UL across the junction
+    "-wrong-junction-UL": (6, [(*overlay_first("UUU"), halves_of("LDD"))], "UL at index 2"),
+    # UUU's tuple attached after UUD (level 0): UDD dips below the axis
+    "-wrong-junction-below-axis": (
         6,
-        [([U, U, U, U, D, D], _OVERLAY_UUUUDD, 0), ([U, U, U, U, L, D], _OVERLAY_UUUUDD, 5)],
-        "UL at index 3",
+        [(*overlay_first("UUU"), halves_of("UDD", "UDL", "DUD")), (*overlay_first("UUD"), halves_of("UDD"))],
+        "below-axis at index 4",
     ),
+    # UUD closes UUD UUD but leaves UUU UUD at level 3
+    "-not-closed": (6, [(*overlay_first("UUU"), halves_of("UUD"))], "not-closed at index 5"),
 }
 
 
@@ -245,10 +318,100 @@ _BAD_WALKS = {
 )
 def test_drawn_words_are_validated(monkeypatch, fmt, n, walked, error):
     # a word the walk should never yield is refused by the word check,
-    # whatever prefix the walk claims it shares with the word before
+    # whichever half it is wrong in and whatever junction the walk attaches
+    # a second half at; the index counts from the word's first step
     def bad_walk(t, n, **kwargs):
         yield from walked
 
-    monkeypatch.setattr(render, "walk", bad_walk)
+    monkeypatch.setattr(render, "halves", bad_walk)
     with pytest.raises(ValueError, match=f"^{re.escape(f'invalid word (invalid: {error})')}$"):
         render_document(2, n, "skew", "red-overlay", False, fmt)
+
+
+def reference_document(t, n, mode, style, mirrored, fmt):
+    # the document drawn word by word, from the reference words and
+    # vertices: the bytes the emitters must give
+    words = [
+        w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (mode == "plain" and L in w)
+    ]
+    m = 0 if n % (t + 1) else n // (t + 1)
+    cols, rows = max(1, (t + 2) * m), max(1, t * m)
+    drawn = [(w, reference_vertices(t, w, style)) for w in words]
+    if fmt == "tikz":
+        pad = "\t\t" if mirrored else "\t"
+        blocks = []
+        for w, verts in drawn:
+            lines = ["\\begin{tikzpicture}[scale=0.2]"]
+            lines += ["\t\\begin{scope}[xscale=-1,yscale=1]"] if mirrored else []
+            lines.append(f"{pad}\\draw[help lines] (0,0) grid ({cols},{rows});")
+            segments = list(zip(w, verts, verts[1:]))
+            if style == "red-overlay":
+                if n:
+                    lines.append(f"{pad}\\draw[thick] " + " -- ".join(f"({x},{y})" for x, y in verts) + ";")
+                for s, (x0, y0), (x1, y1) in segments:
+                    if s is L:
+                        nudged = reference_fmt(Fraction(4 * x0 + 1, 4)), reference_fmt(Fraction(4 * y1 + 1, 4))
+                        lines.append(f"{pad}\\draw[thick,red] ({nudged[0]},{y0}) -- ({x1},{nudged[1]});")
+            else:
+                for s, (x0, y0), (x1, y1) in segments:
+                    lines.append(f"{pad}\\draw[{'thick,red' if s is L else 'thick'}] ({x0},{y0}) -- ({x1},{y1});")
+            lines += ["\t\\end{scope}"] if mirrored else []
+            blocks.append("\n".join([*lines, "\\end{tikzpicture}", ""]))
+        return "\n".join(blocks) or "\n"
+    w_px, h_px = cols * 20, rows * 20
+
+    def px(x):
+        return (cols - x) * 20 if mirrored else x * 20
+
+    grid = [f"M{gx * 20} 0V{h_px}" for gx in range(cols + 1)] + [f"M0 {gy * 20}H{w_px}" for gy in range(rows + 1)]
+    out = []
+    for idx, (w, verts) in enumerate(drawn):
+        r, c = divmod(idx, 4)
+        lines = [
+            f'  <g class="diagram" transform="translate({10 + c * (w_px + 14)},{10 + r * (h_px + 14)})">',
+            f'    <path class="grid" d="{" ".join(grid)}" stroke="#cccccc" stroke-width="0.5" fill="none"/>',
+        ]
+        segments = list(zip(w, verts, verts[1:]))
+        if style == "red-overlay":
+            if n:
+                points = " ".join(f"{px(x)},{(rows - y) * 20}" for x, y in verts)
+                lines.append(f'    <polyline class="path" points="{points}" stroke="black" stroke-width="2" fill="none"/>')
+            for s, (x0, y0), (x1, y1) in segments:
+                if s is L:
+                    lines.append(
+                        f'    <line class="skew" x1="{px(x0) + (-5 if mirrored else 5)}" y1="{(rows - y0) * 20}" '
+                        f'x2="{px(x1)}" y2="{(rows - y1) * 20 - 5}" stroke="red" stroke-width="2"/>'
+                    )
+        else:
+            for s, (x0, y0), (x1, y1) in segments:
+                cls, color = ("skew", "red") if s is L else ("path", "black")
+                lines.append(
+                    f'    <line class="{cls}" x1="{px(x0)}" y1="{(rows - y0) * 20}" '
+                    f'x2="{px(x1)}" y2="{(rows - y1) * 20}" stroke="{color}" stroke-width="2"/>'
+                )
+        out.append("\n".join([*lines, "  </g>"]))
+    per_row = min(4, max(len(out), 1))
+    n_rows = -(-len(out) // per_row)
+    doc_w = 20 + per_row * w_px + (per_row - 1) * 14
+    doc_h = 20 + n_rows * h_px + max(n_rows - 1, 0) * 14
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{doc_w}" height="{doc_h}" viewBox="0 0 {doc_w} {doc_h}">'
+    return "\n".join([head, *out, "</svg>", ""])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    t=st.integers(2, 5),
+    n=st.integers(0, 15),
+    mode=st.sampled_from(RENDER_MODES),
+    style=st.sampled_from(GEOMETRY_MODES),
+    mirrored=st.booleans(),
+    fmt=st.sampled_from(["svg", "tikz"]),
+)
+@example(t=2, n=15, mode="skew", style="red-overlay", mirrored=True, fmt="svg")  # 229 diagrams
+@example(t=3, n=12, mode="skew", style="left", mirrored=True, fmt="tikz")
+@example(t=2, n=0, mode="plain", style="red-overlay", mirrored=False, fmt="tikz")  # the empty word
+@example(t=4, n=7, mode="skew", style="left", mirrored=False, fmt="svg")  # no diagram
+def test_document_is_the_words_drawn_one_by_one(t, n, mode, style, mirrored, fmt):
+    # the halves, their memoised texts and the one join per word give the
+    # bytes the per-word reference gives
+    assert render_document(t, n, mode, style, mirrored, fmt) == reference_document(t, n, mode, style, mirrored, fmt)
