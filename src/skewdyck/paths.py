@@ -1,4 +1,4 @@
-"""Step alphabet, the word rules, and the meet-in-the-middle word walk.
+"""Step alphabet, the word rules, and the two word walks.
 
 A skew t-Dyck word is a sequence of `Step` members over {U, D, L} where U
 climbs one unit and both down-steps drop t units; the word must stay on
@@ -9,21 +9,22 @@ U maps to (+1, +1), D to (+2, -t), and L either to a true left step
 tagged red so the emitters can offset it visually.  A vertex's y is its
 level in either style.
 
-`halves` is the one source of words.  A word of length n is a first half
-of length h = ceil(n/2) and a second half of the other n - h steps.  The
-walk visits the first halves depth first, computing each prefix's vertices
-once for every first half below it, and hands over with each first half
-the tuple of second halves that complete it.  That tuple depends only on
-the junction state (the level, the last step and the steps still to come),
-so it is built once per state and shared by every first half that reaches
-it.  A second half is a `Half`, its first step and the `Half` after it
-(`END` is the empty one), so halves that end alike share their ends, and
-`Half.runs` splits a tuple of halves by first step into runs whose rests
-are again tuples of halves.  `walk` is the per-word view: the same words,
-flattened, in the same lexicographic order.  `grid_box` bounds them all
-from t and n alone.  `WordChecker` is the one check of the word rules: it
-checks a first half from its first step and each second half once per
-junction state it is attached at, one run's first step at a time.
+`_FOLLOW`, the steps allowed after each last step, is the one table the
+walks generate words by.  `prefix_ends` walks the tree of words up to a
+length, closed or not, depth first, so each open word is visited once.
+`halves` walks the closed words of one length: a first half of length
+h = ceil(n/2), visited depth first so each prefix's vertices are computed
+once, and with it the tuple of second halves (the other n - h steps) that
+complete it.  That tuple depends only on the junction state (the level,
+the last step and the steps still to come), so it is built once per state
+and shared by every first half that reaches it.  A second half is a
+`Half`, its first step and the `Half` after it (`END` is the empty one),
+so halves that end alike share their ends, and `Half.runs` splits a tuple
+of halves by first step into runs whose rests are again tuples of halves.
+`grid_box` bounds them all from t and n alone.  `WordChecker` is the one
+check of the word rules, written apart from `_FOLLOW`: it checks a first
+half from its first step and each second half once per junction state it
+is attached at, one run's first step at a time.
 """
 
 from __future__ import annotations
@@ -76,12 +77,26 @@ def _require_t(t) -> None:
         raise ValueError(f"down-step magnitude t must be an integer >= 2, got {t}")
 
 
+def _require_length(n) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(
+            f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
+            "use the automaton counting table (dp_counts) instead"
+        )
+
+
 def _require_steps(steps) -> None:
     if not _STEPS.issuperset(steps):
         raise TypeError("steps must be Step members")
 
 
-_U, _L = Step.U, Step.L  # bound once: EnumType's __getattr__ hook slows Step.X
+_U, _D, _L = STEP_ORDER  # bound once: EnumType's __getattr__ hook slows Step.X
+
+# the steps that may follow each last step (None before the first), in step
+# order: U first, no UL, no LU.  A plain word leaves L out.
+_FOLLOW = {None: (_U,), _U: (_U, _D), _D: (_U, _D, _L), _L: (_D, _L)}
 
 
 class _Invalid(ValueError):
@@ -204,8 +219,30 @@ class WordChecker:
         self._passed.add((seconds, level, last))
 
 
-def halves(t: int, n: int, *, style: str, plain: bool, closed_only: bool = True):
-    """Depth-first walk over the valid words of length n, split in two halves.
+def prefix_ends(t: int, n_max: int):
+    """(length, level, last step) of every valid word of length <= n_max,
+    closed or not, once each: a depth-first walk of the tree of words, in
+    lexicographic order.  The empty word is (0, 0, None).  Arguments are
+    checked, and refused, on the call as by `halves`."""
+    _require_t(t)
+    _require_length(n_max)
+    return _prefix_ends(_level_deltas(t), n_max)
+
+
+def _prefix_ends(delta: dict, n_max: int):
+    """The generator behind `prefix_ends`, over checked arguments."""
+    # (step, level change) of each step's followers, reversed: the stack pops them in order
+    pushed = {last: [(s, delta[s]) for s in reversed(steps)] for last, steps in _FOLLOW.items()}
+    stack = [(0, 0, None)]
+    while stack:
+        node = n, level, last = stack.pop()
+        yield node
+        if n < n_max:
+            stack += [(n + 1, level + dy, s) for s, dy in pushed[last] if level + dy >= 0]
+
+
+def halves(t: int, n: int, *, style: str, plain: bool):
+    """Depth-first walk over the closed words of length n, split in two halves.
 
     Yields, in lexicographic order, the live step list and live vertex list
     (h + 1 points in geometry ``style``) of each first half of length
@@ -218,25 +255,18 @@ def halves(t: int, n: int, *, style: str, plain: bool, closed_only: bool = True)
     word: use the counting table.
     """
     _require_t(t)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(
-            f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
-            "use the automaton counting table (dp_counts) instead"
-        )
+    _require_length(n)
     if style not in GEOMETRY_MODES:
         raise ValueError(f"style must be one of {GEOMETRY_MODES}, got {style!r}")
-    return _halves(t, n, closed_only, step_vectors(t, style), plain)
+    return _halves(t, n, step_vectors(t, style), plain)
 
 
-def _halves(t: int, n: int, closed_only: bool, vectors: dict, plain: bool):
+def _halves(t: int, n: int, vectors: dict, plain: bool):
     """The generator behind `halves`, over checked arguments."""
-    if closed_only and n % (t + 1):
+    if n % (t + 1):
         return  # each step moves the level by 1 mod t+1, so no word closes
-    U, D, L = ((s, *vectors[s]) for s in STEP_ORDER)
-    # the word rules: U first, no UL, no LU; the level bounds keep it on or above the axis
-    follow = {None: (U,), Step.U: (U, D), Step.D: (U, D) if plain else (U, D, L), Step.L: (D, L)}
+    skip = _L if plain else None
+    follow = {last: tuple((s, *vectors[s]) for s in steps if s is not skip) for last, steps in _FOLLOW.items()}
     made, opened = {}, {}  # second halves by state, and by first step, level and length
 
     def seconds(level: int, last, r: int) -> tuple:
@@ -247,9 +277,8 @@ def _halves(t: int, n: int, closed_only: bool, vectors: dict, plain: bool):
         got = made.get((level, last, r))
         if got is None:
             found = [] if r else [END]
-            top = t * (r - 1) if closed_only else n  # a closed word falls t a step at most
             for s, _, dy in follow[last] if r else ():
-                if 0 <= level + dy <= top:
+                if 0 <= level + dy <= t * (r - 1):  # a closed word falls t a step at most
                     led = opened.get((s, level + dy, r))
                     if led is None:
                         led = opened[s, level + dy, r] = [Half(s, rest) for rest in seconds(level + dy, s, r - 1)]
@@ -268,7 +297,7 @@ def _halves(t: int, n: int, closed_only: bool, vectors: dict, plain: bool):
             if rest:
                 yield steps, verts, rest
             return
-        top = t * (n - depth - 1) if closed_only else n
+        top = t * (n - depth - 1)
         for s, run, dy in follow[last]:
             if 0 <= y + dy <= top:
                 steps.append(s)
@@ -278,31 +307,6 @@ def _halves(t: int, n: int, closed_only: bool, vectors: dict, plain: bool):
                 verts.pop()
 
     yield from firsts(0, None)
-
-
-def walk(t: int, n: int, *, style: str, plain: bool, closed_only: bool):
-    """The words of `halves`, whole and in the same order: yields each word's
-    step list and vertex list (n + 1 points), both new for every word.
-    Arguments are checked, and refused, on the call as by `halves`."""
-    walked = halves(t, n, style=style, plain=plain, closed_only=closed_only)
-    return _words(walked, step_vectors(t, style))
-
-
-def _words(walked, vectors: dict):
-    """Each first half of ``walked`` joined to each of its second halves."""
-    for steps, verts, seconds in walked:
-        for half in seconds:
-            word, points = steps.copy(), verts.copy()
-            x, y = verts[-1]
-            while half is not END:
-                s = half.step
-                dx, dy = vectors[s]
-                x += dx
-                y += dy
-                word.append(s)
-                points.append((x, y))
-                half = half.rest
-            yield word, points
 
 
 def grid_box(t: int, n: int) -> tuple[int, int]:

@@ -20,6 +20,8 @@ function and its arguments per row, each run by one loop into a result.
 The kernel solutions, one counting table per t and direction, R and the
 right-to-left series are computed once per run, in `_checks`, and each
 is handed to every row that reads it; a row reads its own window of it.
+The enumeration row tallies one depth-first walk per t over every word of
+length <= 12 (`paths.prefix_ends`) by length, level and layer.
 
 Every coefficient is compared as an exact integer: a series hands out a
 run of integer numerators over its common denominator (`Series.window`),
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 from . import closed_form, kernel, reverse
 from .automaton import LAYERS, CountTable, dp_counts
-from .paths import Step, walk
+from .paths import Step, prefix_ends
 from .series import Series, _ratio, _ratio_text, horner
 
 Verdict = tuple[bool, str]
@@ -198,25 +200,16 @@ def _published_check(computed: Series, published: dict, order: int) -> Verdict:
     return not diverging, "; ".join([f"{checked} published coefficients checked", *diverging])
 
 
-# the layer a nonempty word ends in, read off its last step
-_LAST_STEP_LAYER = {Step.U: "F", Step.D: "G", Step.L: "H"}
-
-
-def _walked_cells(t: int, n: int) -> Counter:
-    """The words of length n counted by (level, layer): y is the level in
-    every style, and the empty word is in layer F."""
-    return Counter(
-        (verts[-1][1], _LAST_STEP_LAYER[steps[-1]] if steps else "F")
-        for steps, verts in walk(t, n, style="red-overlay", plain=False, closed_only=False)
-    )
+# the layer a word ends in, read off its last step; the empty word is in F
+_LAST_STEP_LAYER = {None: "F", Step.U: "F", Step.D: "G", Step.L: "H"}
 
 
 def _enumeration_check(table: CountTable, t: int, n_hi: int) -> Verdict:
+    cells = Counter((n, k, _LAST_STEP_LAYER[last]) for n, k, last in prefix_ends(t, n_hi))
     return _matches(
         (
-            ((n, k, layer), table.count(n, k, layer), cells[k, layer])
+            ((n, k, layer), table.count(n, k, layer), cells[n, k, layer])
             for n in range(n_hi + 1)
-            for cells in (_walked_cells(t, n),)  # one walk per length
             for k in range(n + 1)
             for layer in LAYERS
         ),
@@ -285,13 +278,16 @@ def first_violation(table: CountTable, constant: int, terms: tuple, lo: int, hi:
     level 0 is checked)."""
     if z_hi > table.n_max:
         raise ValueError(f"z^{z_hi} is past the table's lengths (n<={table.n_max})")
+    columns = {}  # (level, layer): each column is read once per call
     for j in range(lo, hi + 1):
         resid = [0] * (z_hi + 1)
         if j == 0:
             resid[0] = constant
         for c, layer, du, dz, dropped in terms:
             if j >= du and j - du not in dropped:
-                column = table.column(j - du, layer, z_hi + 1)
+                column = columns.get((j - du, layer))
+                if column is None:
+                    column = columns[j - du, layer] = table.column(j - du, layer, z_hi + 1)
                 resid[dz:] = [r + c * x for r, x in zip(resid[dz:], column)]
         for e, r in enumerate(resid):
             if r:

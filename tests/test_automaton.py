@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from skewdyck import automaton
 from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
-from skewdyck.paths import Step
+from skewdyck.paths import Step, prefix_ends
 from skewdyck.verify import _equations, _equations_check, first_violation
 from test_paths import walk_of
 
@@ -21,14 +21,11 @@ def total(t, n):
 
 
 def walked_cells(t, n):
-    # the walk's words of length n, counted by (final level, layer): the
-    # level summed from the steps, the layer read off the last step, and
-    # the empty word in layer F
-    layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
-    return Counter(
-        (sum(1 if s is Step.U else -t for s in steps), layer_of[steps[-1]] if steps else "F")
-        for steps, _ in walk_of(t, n, closed_only=False)
-    )
+    # the words of length n from the open-word walk, counted by (final
+    # level, layer): the layer read off the last step, and the empty word
+    # in layer F
+    layer_of = {None: "F", Step.U: "F", Step.D: "G", Step.L: "H"}
+    return Counter((level, layer_of[last]) for length, level, last in prefix_ends(t, n) if length == n)
 
 
 class TestTotals:

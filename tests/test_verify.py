@@ -2,8 +2,9 @@
 
 import pytest
 
-from skewdyck import automaton, closed_form, kernel, reverse, verify
+from skewdyck import automaton, closed_form, kernel, paths, reverse, verify
 from skewdyck.cli import main
+from skewdyck.paths import Step
 from skewdyck.verify import run_verification
 
 
@@ -45,6 +46,60 @@ def test_one_run_builds_one_table_per_t_and_direction(monkeypatch, order, t_list
     report = run_verification(order=order, t_list=t_list)
     assert report.passed
     assert calls == built
+
+
+@pytest.mark.parametrize("order,t_list", [(48, (2, 3, 4)), (64, (2,)), (96, (2, 3))])
+def test_one_run_walks_the_words_once_per_t(monkeypatch, order, t_list):
+    # the enumeration row of each t reads one walk of the tree of words,
+    # every length at once, and no row walks the closed words in halves
+    walked, halved = [], []
+    real, real_halves = paths.prefix_ends, paths.halves
+
+    def counted(t, n_max):
+        walked.append(t)
+        return real(t, n_max)
+
+    def recorded(*args, **kwargs):
+        halved.append(args)
+        return real_halves(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "prefix_ends", counted)
+    monkeypatch.setattr(paths, "prefix_ends", counted)
+    monkeypatch.setattr(paths, "halves", recorded)
+    report = run_verification(order=order, t_list=t_list)
+    assert report.passed
+    assert walked == list(t_list)
+    assert halved == []
+
+
+def test_a_word_rule_dropped_from_the_walk_fails_the_enumeration(monkeypatch):
+    # allow UL in the walk's rule table: UUL (t = 2) and UUUL (t = 3) close
+    # in layer H, where the table counts nothing, and only the enumeration
+    # rows fail
+    monkeypatch.setitem(paths._FOLLOW, Step.U, (Step.U, Step.D, Step.L))
+    report = run_verification(order=64, t_list=(2, 3))
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("enumeration-vs-table t=2", "cell mismatch at n=3, k=0, H"),
+        ("enumeration-vs-table t=3", "cell mismatch at n=4, k=0, H"),
+    ]
+
+
+def test_a_bumped_cell_fails_the_enumeration(monkeypatch):
+    # one cell of the t = 2 table inside the enumeration window (n = 12,
+    # level 3, layer G) fails that row at that cell; the t = 3 row passes
+    real = verify.dp_counts
+
+    def tampered(t, n_max, k_max=None, direction="LR"):
+        table = real(t, n_max, k_max, direction)
+        if (t, direction) == (2, "LR"):
+            table._grid[12][1][1] += 1  # row 12 stores levels 0, 3, 6, ...
+        return table
+
+    monkeypatch.setattr(verify, "dp_counts", tampered)
+    report = run_verification(order=64, t_list=(2, 3))
+    rows = {c.name: (c.passed, c.detail) for c in report.checks}
+    assert rows["enumeration-vs-table t=2"] == (False, "cell mismatch at n=12, k=3, G")
+    assert rows["enumeration-vs-table t=3"][0]
 
 
 @pytest.mark.parametrize("order", [8, 12])
