@@ -14,25 +14,23 @@ walks generate words by.  `prefix_ends` walks the tree of words up to a
 length, closed or not, depth first, so each open word is visited once.
 `halves` walks the closed words of one length: a first half of length
 h = ceil(n/2), visited depth first so each prefix's vertices are computed
-once, and with it the tuple of second halves (the other n - h steps) that
-complete it.  That tuple depends only on the junction state (the level,
+once, and with it the node of second halves (the other n - h steps) that
+complete it.  That node depends only on the junction state (the level,
 the last step and the steps still to come), so it is built once per state
-and shared by every first half that reaches it.  A second half is a
-`Half`, its first step and the `Half` after it (`END` is the empty one),
-so halves that end alike share their ends, and `Half.runs` splits a tuple
-of halves by first step into runs whose rests are again tuples of halves.
-`grid_box` bounds them all from t and n alone.  `WordChecker` is the one
-check of the word rules, written apart from `_FOLLOW`: it checks a first
-half from its first step and each second half once per junction state it
-is attached at, one run's first step at a time.
+and shared by every first half that reaches it.  A `Node` is a tuple of
+(step, rest) edges in step order, where ``rest`` is the node of the state
+after the step (`END`, with no edge, is the empty half), so the second
+halves form a DAG with one node per state and halves that end alike share
+their ends.  `grid_box` bounds them all from t and n alone.  `WordChecker`
+is the one check of the word rules, written apart from `_FOLLOW`: it
+checks a first half from its first step and each node once per state it
+is reached at, one edge's step at a time.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from itertools import groupby
-from operator import attrgetter
 
 
 class Step(Enum):
@@ -78,8 +76,8 @@ def _require_t(t) -> None:
 
 
 def _require_length(n) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"length n must be an integer >= 0, got {n}")
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
             f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
@@ -108,34 +106,23 @@ class _Invalid(ValueError):
         super().__init__(f"invalid word (invalid: {rule} at index {index})")
 
 
-class Half:
-    """A second half: its first ``step`` and the ``rest`` of it, another
-    `Half`.  `END`, whose step is None, is the empty half.
+class Node(tuple):
+    """The second halves after one state: a tuple of (step, rest) edges in
+    step order, ``rest`` being the node after that step.  `END`, with no
+    edge, is the empty half; a node the walk hands out is `END` or has
+    edges, and every edge leads to `END` or to a node with edges.
 
-    The walk makes one `Half` per first step, level and rest, so halves
-    that end alike share their rest; halves compare by identity.
+    Nodes hash and compare by identity, so a memo keyed by a node costs
+    one pointer, not a walk of the DAG below it.
     """
 
-    __slots__ = ("step", "rest")
-
-    def __init__(self, step: Step | None, rest: Half | None):
-        self.step, self.rest = step, rest
-
-    @staticmethod
-    def runs(seconds: tuple):
-        """(step, rests) for each run of consecutive halves of ``seconds``
-        that open with the same step, in order: the step is checked and
-        drawn once for the run, and ``rests``, what follows it in each half,
-        is again a tuple of halves.  In walk order a run holds every half of
-        its tuple that opens with its step.  A run of empty halves has step
-        None."""
-        for s, run in groupby(seconds, _step_of):
-            yield s, tuple(map(_rest_of, run))
+    __slots__ = ()
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
-END = Half(None, None)  # the empty second half, the rest of every last step
-
-_step_of, _rest_of = attrgetter("step"), attrgetter("rest")
+END = Node()  # the empty second half, the rest of every last step
 
 
 class WordChecker:
@@ -151,7 +138,7 @@ class WordChecker:
     exactly as a first half and then a second half from the first half's
     end state.  The error carries the rule and the index, counted from the
     word's first step, as ``rule`` and ``index``.  The checker remembers
-    the tuples of second halves it passed from each state and checks none
+    the nodes of second halves it passed from each state and checks none
     of them twice.
     """
 
@@ -160,7 +147,7 @@ class WordChecker:
     def __init__(self, t: int):
         _require_t(t)
         self._delta = _level_deltas(t)
-        self._passed = set()  # (halves, level, last step): the tuple passed from that state
+        self._passed = set()  # (node, level, last step): the node passed from that state
 
     def _step(self, depth: int, level: int, last, s) -> int:
         """The level after step ``s`` at ``depth``; raise ValueError on a broken rule."""
@@ -191,32 +178,30 @@ class WordChecker:
             level, last = self._step(depth, level, last, s), s
         return len(steps), level, last
 
-    def require_seconds(self, junction: tuple, seconds: tuple) -> None:
+    def require_seconds(self, junction: tuple, node: Node) -> None:
         """Raise, naming the first broken rule of the first bad word, unless
-        every half of ``seconds`` closes a valid word after the state
-        ``junction`` (which `require` returned).  A tuple already passed
-        from the same level and last step costs one lookup."""
+        every second half under ``node`` closes a valid word after the state
+        ``junction`` (which `require` returned).  A node already passed from
+        the same level and last step costs one lookup."""
         depth, level, last = junction
-        if (seconds, level, last) not in self._passed:
-            self._require_halves(depth, level, last, seconds)
+        if (node, level, last) not in self._passed:
+            self._require_node(depth, level, last, node)
 
-    def _require_halves(self, depth: int, level: int, last, seconds: tuple) -> None:
-        """Check ``seconds`` after the state (depth, level, last): called once
-        per (tuple, level, last step), so once per (junction state, half).
+    def _require_node(self, depth: int, level: int, last, node: Node) -> None:
+        """Check ``node`` after the state (depth, level, last): called once
+        per (node, level, last step).
 
-        Each run of halves that open with one step has that step checked
-        once, and the tuple of their rests after it, so the words are checked
-        in order, each shared step once.
+        Each edge has its step checked once, and then its rest from the
+        state after it, so the words are checked in order, each shared step
+        once.
         """
-        for s, rests in Half.runs(seconds):
-            if s is None:
-                if level:
-                    raise _Invalid("not-closed", depth - 1)
-                continue
+        if node is END and level:
+            raise _Invalid("not-closed", depth - 1)
+        for s, rest in node:
             after = self._step(depth, level, last, s)
-            if (rests, after, s) not in self._passed:
-                self._require_halves(depth + 1, after, s, rests)
-        self._passed.add((seconds, level, last))
+            if (rest, after, s) not in self._passed:
+                self._require_node(depth + 1, after, s, rest)
+        self._passed.add((node, level, last))
 
 
 def prefix_ends(t: int, n_max: int):
@@ -235,8 +220,8 @@ def _prefix_ends(delta: dict, n_max: int):
     pushed = {last: [(s, delta[s]) for s in reversed(steps)] for last, steps in _FOLLOW.items()}
     stack = [(0, 0, None)]
     while stack:
-        node = n, level, last = stack.pop()
-        yield node
+        end = n, level, last = stack.pop()
+        yield end
         if n < n_max:
             stack += [(n + 1, level + dy, s) for s, dy in pushed[last] if level + dy >= 0]
 
@@ -246,13 +231,14 @@ def halves(t: int, n: int, *, style: str, plain: bool):
 
     Yields, in lexicographic order, the live step list and live vertex list
     (h + 1 points in geometry ``style``) of each first half of length
-    h = ceil(n/2) that some second half completes, and with them the tuple
-    of those second halves (`Half` chains of n - h steps), in lexicographic
-    order.  The lists change as the walk moves on, so a caller copies what
-    it keeps; the tuple is the same object for every first half that ends
-    at the same level with the same step.  ``plain`` leaves L out.  Lengths
-    above `DEFAULT_ENUMERATION_CAP` are refused on the call, before any
-    word: use the counting table.
+    h = ceil(n/2) that some second half completes, and with them the `Node`
+    of those second halves (of n - h steps), whose edges lead to them in
+    lexicographic order.  The lists change as the walk moves on, so a
+    caller copies what it keeps; the node is the same object for every
+    first half that ends at the same level with the same step.  ``plain``
+    leaves L out.  Lengths above `DEFAULT_ENUMERATION_CAP`, and lengths
+    that are not ints, are refused on the call, before any word: use the
+    counting table.
     """
     _require_t(t)
     _require_length(n)
@@ -267,23 +253,21 @@ def _halves(t: int, n: int, vectors: dict, plain: bool):
         return  # each step moves the level by 1 mod t+1, so no word closes
     skip = _L if plain else None
     follow = {last: tuple((s, *vectors[s]) for s in steps if s is not skip) for last, steps in _FOLLOW.items()}
-    made, opened = {}, {}  # second halves by state, and by first step, level and length
+    made = {}  # the node of second halves, by state
 
-    def seconds(level: int, last, r: int) -> tuple:
-        # the tuple of second halves of r steps after `last` at `level`,
-        # made once per state; the halves that open with one step s are
-        # made once for every state that allows s, so halves that end
-        # alike share their rest
+    def seconds(level: int, last, r: int) -> Node:
+        # the node of the second halves of r steps after `last` at `level`,
+        # made once per state; an edge whose rest has no completion (an
+        # empty node that is not `END`) is dropped
         got = made.get((level, last, r))
         if got is None:
-            found = [] if r else [END]
+            edges = []
             for s, _, dy in follow[last] if r else ():
                 if 0 <= level + dy <= t * (r - 1):  # a closed word falls t a step at most
-                    led = opened.get((s, level + dy, r))
-                    if led is None:
-                        led = opened[s, level + dy, r] = [Half(s, rest) for rest in seconds(level + dy, s, r - 1)]
-                    found += led
-            got = made[level, last, r] = tuple(found)
+                    rest = seconds(level + dy, s, r - 1)
+                    if rest or rest is END:
+                        edges.append((s, rest))
+            got = made[level, last, r] = Node(edges) if r else END
         return got
 
     h = n - n // 2
@@ -294,7 +278,7 @@ def _halves(t: int, n: int, vectors: dict, plain: bool):
         x, y = verts[-1]
         if depth == h:
             rest = seconds(y, last, n - h)
-            if rest:
+            if rest or rest is END:
                 yield steps, verts, rest
             return
         top = t * (n - depth - 1)

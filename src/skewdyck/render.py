@@ -4,18 +4,19 @@ Both emitters lay every diagram of a document onto one shared grid box,
 which `paths.grid_box` works out from t and n, and draw from one walk of
 `paths.halves` (called before any table over the box is built) rather
 than from a word list.  The walk hands over each first half's live step
-and vertex lists and the tuple of second halves that complete it, one
-tuple per junction state.  One `paths.WordChecker` per document checks
-every drawn word against all the word rules: each first half from its
-first step, and each second half once per junction state, from the state
-the checker derived from the first half itself, never from the walk.
-The text is memoised at every level.  The text a step adds is made once
-per (step, start vertex); a second half's text once per (half, start
-vertex), from its first step's text and its rest's memoised text; and the
-list of a junction's texts once per (tuple, start vertex).  A first half's
-text is joined from its steps' texts, so a word costs one concatenation.
-A document holds its text and the memos, but neither a word list nor any
-whole word's geometry.  The text of each grid point is formatted once per
+and vertex lists and the node of second halves that complete it, one
+node per junction state, whose (step, rest) edges lead to nodes again.
+One `paths.WordChecker` per document checks every drawn word against all
+the word rules: each first half from its first step, and each node once
+per state it is reached at, from the state the checker derived from the
+first half itself, never from the walk.  The text is memoised at every
+level.  The text a step adds is made once per (step, start vertex); the
+texts of an edge's halves once per (step, rest, start vertex), from the
+step's text and its rest's memoised texts; and the list of a node's
+texts once per (node, start vertex).  A first half's text is joined
+from its steps' texts, so a word costs one concatenation.  A document
+holds its text and the memos, but neither a word list nor any whole
+word's geometry.  The text of each grid point is formatted once per
 document, from a table over the box.  The SVG header, the only text that
 needs the number of diagrams, is written after them.
 
@@ -30,7 +31,7 @@ count of quarter units.
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import Half, Step, WordChecker, grid_box, halves, step_vectors
+from .paths import END, Node, Step, WordChecker, grid_box, halves, step_vectors
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -48,40 +49,37 @@ def _vertex_text(x_max: int, y_max: int, fmt) -> dict[tuple[int, int], str]:
 class _HalfTexts:
     """The (path, marks) text of second halves drawn from a start vertex.
 
-    A half's text is its first step's text, ``step_text(s, a, b)`` for step
-    s from vertex a to b, joined to the text of its rest from b.  The halves
-    of a run (`paths.Half.runs`) are made together from the texts of their
-    rests, so each (half, start vertex) is made once, and the list of a
-    junction's tuple once per start vertex.
+    The halves under an edge (step s, rest) are ``step_text(s, a, b)``, for
+    step s from vertex a to b, joined to each text of the rest's halves
+    from b.  They are made together once per (step, rest, start vertex),
+    and the list of a node's texts once per (node, start vertex).  The step
+    is in the key, as D and L both lead into `paths.END`.
     """
 
     __slots__ = ("_vectors", "_step_text", "_lists", "_runs")
 
     def __init__(self, vectors: dict, step_text):
         self._vectors, self._step_text = vectors, step_text
-        self._lists = {}  # the texts of a tuple of halves, by (tuple, start vertex)
-        self._runs = {}  # the texts of a run, by (step, rests, start vertex)
+        self._lists = {}  # the texts of a node's halves, by (node, start vertex)
+        self._runs = {}  # the texts of an edge's halves, by (step, rest, start vertex)
 
-    def __call__(self, seconds: tuple, start: tuple) -> list:
-        """The texts of the halves ``seconds`` drawn from ``start``, in order."""
-        got = self._lists.get((seconds, start))
+    def __call__(self, node: Node, start: tuple) -> list:
+        """The texts of the halves under ``node`` drawn from ``start``, in order."""
+        got = self._lists.get((node, start))
         if got is None:
-            got = []
-            for s, rests in Half.runs(seconds):
-                if s is None:
-                    got += [("", "")] * len(rests)
-                else:
-                    got += self._runs.get((s, rests, start)) or self._run(s, rests, start)
-            self._lists[seconds, start] = got
+            got = [("", "")] if node is END else []
+            for s, rest in node:
+                got += self._runs.get((s, rest, start)) or self._run(s, rest, start)
+            self._lists[node, start] = got
         return got
 
-    def _run(self, s: Step, rests: tuple, start: tuple) -> list:
+    def _run(self, s: Step, rest: Node, start: tuple) -> list:
         """The texts of the halves that open with step ``s`` from ``start``
-        and go on as ``rests``: called once per (run, start vertex)."""
+        and go on under ``rest``: called once per (step, rest, start vertex)."""
         dx, dy = self._vectors[s]
         stop = start[0] + dx, start[1] + dy
         path, marks = self._step_text(s, start, stop)
-        got = self._runs[s, rests, start] = [(path + p, marks + m) for p, m in self(rests, stop)]
+        got = self._runs[s, rest, start] = [(path + p, marks + m) for p, m in self(rest, stop)]
         return got
 
 
@@ -94,8 +92,8 @@ def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
     ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
     vertex a to b; a and p are path text, b and m red marks.  Left style:
     ``segment(red, a, b)`` for each step, in a and p.  A step's text is made
-    once per (step, start vertex), a second half's once per (half, start
-    vertex) and a junction's list once per (tuple, start vertex).
+    once per (step, start vertex), an edge's halves' once per (step, rest,
+    start vertex) and a node's list once per (node, start vertex).
     """
     L, overlay = Step.L, style == "red-overlay"
     check = WordChecker(t)
@@ -113,13 +111,13 @@ def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
         return got
 
     texts = _HalfTexts(step_vectors(t, style), step_text)
-    for steps, verts, seconds in walked:
-        check.require_seconds(check.require(steps), seconds)
+    for steps, verts, node in walked:
+        check.require_seconds(check.require(steps), node)
         first = [step_text(s, verts[i], verts[i + 1]) for i, s in enumerate(steps)]
         a, b = "".join(p for p, _ in first), "".join(m for _, m in first)
         if overlay and n:  # the empty word draws no path
             a, b = f"{start}{vt[0, 0]}{a}", close + b
-        yield a, b, texts(seconds, verts[-1])
+        yield a, b, texts(node, verts[-1])
 
 
 def render_tikz(

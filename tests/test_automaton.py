@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from skewdyck import automaton
 from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
-from skewdyck.paths import Step, prefix_ends
+from skewdyck.paths import Step, halves, prefix_ends
 from skewdyck.verify import _equations, _equations_check, first_violation
-from test_paths import walk_of
+from test_paths import walk_of, words_of
 
 
 def total(t, n):
@@ -125,7 +125,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("t", [2, 3])
     def test_closed_counts_match_enumeration(self, t):
         for n in range(16):
-            assert total(t, n) == sum(1 for _ in walk_of(t, n))
+            assert total(t, n) == sum(len(words_of(node)) for *_, node in halves(t, n, style="left", plain=False))
 
 
 def failed_splits(lr, rl, t):

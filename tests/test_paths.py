@@ -4,8 +4,9 @@ Words are the Step tuples the walks yield.  The brute-force checkers below
 are direct transcriptions of the word rules and never call the library
 checker, and `reference_vertices` chains literal step vectors, so the
 exhaustive comparisons are a genuine second opinion.  The closed-word walk
-goes over first halves and hands each the tuple of second halves that
-complete it; `walk_of` flattens it into whole words.  The open-word walk
+goes over first halves and hands each the node of second halves that
+complete it; `words_of` reads a node's second halves, and `walk_of`
+flattens the walk into whole words.  The open-word walk
 yields each word's length, level and last step, and is compared with the
 brute-force words.
 """
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewdyck.automaton import dp_counts
 from skewdyck.paths import (
-    END, GEOMETRY_MODES, STEP_ORDER, Half, Step, WordChecker, halves, prefix_ends, step_vectors,
+    END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, halves, prefix_ends, step_vectors,
 )
 
 
@@ -83,33 +85,35 @@ def verdict(checker, steps):
     return None
 
 
-def chain(steps):
-    # a second half holding ``steps``, as the walk builds one
-    half = END
-    for s in reversed(steps):
-        half = Half(s, half)
-    return half
+def words_of(node):
+    # the second halves under a node, as step tuples in edge order: `END`
+    # holds the empty one, and an edge (s, rest) the halves s + w, w under rest
+    if node is END:
+        return [()]
+    return [(s, *w) for s, rest in node for w in words_of(rest)]
 
 
-def unchain(half):
-    # the steps of a second half
-    steps = []
-    while half is not END:
-        steps.append(half.step)
-        half = half.rest
-    return tuple(steps)
+def node_of(*words):
+    # a node holding the second halves ``words``: one edge per first step,
+    # in the order the words first use it
+    if words == ((),):
+        return END
+    rests = {}
+    for w in words:
+        rests.setdefault(w[0], []).append(w[1:])
+    return Node((s, node_of(*ws)) for s, ws in rests.items())
 
 
 def walk_of(t, n, style="red-overlay", plain=False):
     # the closed words of `halves`, whole and in walk order: each first half
-    # joined to each of its second halves, the second half's vertices chained
+    # joined to each second half under its node, the second half's vertices chained
     # from the library's step vectors; (steps, vertices) lists per word
     walked = halves(t, n, style=style, plain=plain)  # arguments refused here, on the call
     vectors, words = step_vectors(t, style), []
-    for steps, verts, seconds in walked:
-        for half in seconds:
+    for steps, verts, node in walked:
+        for half in words_of(node):
             word, points = list(steps), list(verts)
-            for s in unchain(half):
+            for s in half:
                 (x, y), (dx, dy) = points[-1], vectors[s]
                 word.append(s)
                 points.append((x + dx, y + dy))
@@ -339,28 +343,75 @@ class TestWalk:
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_seconds_are_shared_per_junction(self, t):
         # each first half has length ceil(n/2) and is yielded once, exactly
-        # when some second half completes it; its tuple holds those second
+        # when some second half completes it; its node holds those second
         # halves in order, and is the same object for every first half that
         # ends at the same level with the same step
         for n in range(13):
             for plain in (True, False):
                 words = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
                 h = n - n // 2
-                tuples = {}
+                nodes = {}
                 seen = []
-                for steps, verts, seconds in halves(t, n, style="left", plain=plain):
+                for steps, verts, node in halves(t, n, style="left", plain=plain):
                     first = tuple(steps)
                     assert len(first) == h and verts[-1] == reference_vertices(t, first, "left")[-1]
-                    assert [first + unchain(half) for half in seconds] == [w for w in words if w[:h] == first]
-                    assert tuples.setdefault((verts[-1][1], first[-1:]), seconds) is seconds
+                    assert [first + w for w in words_of(node)] == [w for w in words if w[:h] == first]
+                    assert nodes.setdefault((verts[-1][1], first[-1:]), node) is node
                     seen.append(first)
                 assert seen == sorted({w[:h] for w in words}, key=lambda w: [STEP_ORDER.index(x) for x in w])
 
     def test_bad_arguments(self):
         # refused on the call, before any word is asked for
-        for args in [(1, 3), (2.0, 3), (2, -1), (2, 25)]:
+        for args in [(1, 3), (2.0, 3), (2, -1), (2, 25), (2, 3.0), (2, "3")]:
             with pytest.raises(ValueError):
                 halves(*args, style="left", plain=True)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @pytest.mark.parametrize("plain", [True, False])
+    def test_empty_word_is_one_first_half_at_end(self, t, plain):
+        # n = 0: one empty first half, whose node is `END` itself (an empty
+        # node, so falsy, yet the one second half of the empty word)
+        for style in GEOMETRY_MODES:
+            walked = [(list(steps), list(verts), node) for steps, verts, node in halves(t, 0, style=style, plain=plain)]
+            assert walked == [([], [(0, 0)], END)]  # nodes compare by identity
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_nodes_count_the_right_to_left_table(self, t):
+        # F3: the right-to-left table counts the completions of a state, so
+        # the words under the node of a junction (level, last step) with
+        # r >= 1 steps left are RL(r, level, layer of the last step); and
+        # every node below a junction is `END` or has edges, so no edge
+        # leads to a dead end
+        layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
+        counts = {END: 1}
+
+        def count(node):
+            got = counts.get(node)
+            if got is None:
+                assert node, "an edge leads to a node with no completion"
+                got = counts[node] = sum(count(rest) for _, rest in node)
+            return got
+
+        for n in range(t + 1, 25, t + 1):
+            rl, r = dp_counts(t, n, n, "RL"), n // 2
+            junctions = 0
+            for steps, verts, node in halves(t, n, style="left", plain=False):
+                assert count(node) == rl.count(r, verts[-1][1], layer_of[steps[-1]]), (n, steps)
+                junctions += 1
+            assert junctions
+
+
+class TestNode:
+    def test_hashes_and_compares_by_identity(self):
+        # a memo keyed by a node must not hash or compare through the DAG
+        # below it: equal edges make distinct nodes, and contents that
+        # cannot be hashed do not stop a node from hashing
+        a, b = Node(((U, END),)), Node(((U, END),))
+        assert a != b and not a == b and a == a and not a != a
+        assert hash(a) == object.__hash__(a) and {a: 1}.get(b) is None
+        assert Node() != END and hash(Node(([],)))
+        junction = next(node for *_, node in halves(2, 6, style="left", plain=False))
+        assert type(junction) is Node and hash(junction) == object.__hash__(junction)
 
 
 def ends_of(words, t):
@@ -388,7 +439,10 @@ class TestPrefixEnds:
 
     def test_bad_arguments(self):
         # refused on the call, before any end is asked for
-        for args, match in [((1, 3), "t must"), ((2.0, 3), "t must"), ((2, -1), ">= 0"), ((2, 25), "counting table")]:
+        for args, match in [
+            ((1, 3), "t must"), ((2.0, 3), "t must"), ((2, -1), ">= 0"), ((2, 25), "counting table"),
+            ((2, 2.5), "must be an integer"), ((2, 3.0), "must be an integer"),
+        ]:
             with pytest.raises(ValueError, match=match):
                 prefix_ends(*args)
 
@@ -415,52 +469,51 @@ def reference_word(t, steps):
     return reference_closed(t, steps)
 
 
-def expected_verdict(t, first, seconds):
-    # what checking ``first`` and then ``seconds`` from its end must raise:
+def expected_verdict(t, first, node):
+    # what checking ``first`` and then ``node`` from its end must raise:
     # a first half with a member that is not a Step is refused whole, then
-    # the first half's own rules, then the first bad word in tuple order
+    # the first half's own rules, then the first bad word in edge order
     if not all(isinstance(s, Step) for s in first):
         return "type"
     broken = reference_validate(t, first)
-    for half in seconds:
-        broken = broken or reference_word(t, tuple(first) + unchain(half))
+    for half in words_of(node):
+        broken = broken or reference_word(t, tuple(first) + half)
     return broken
 
 
-def check_halves(checker, t, first, seconds):
-    # one first half and its tuple through `checker`, as a document checks them
+def check_halves(checker, t, first, node):
+    # one first half and its node through `checker`, as a document checks them
     junction = checker.require(first)
     assert junction == (len(first), brute_level(t, first), first[-1] if first else None)
-    checker.require_seconds(junction, seconds)
+    checker.require_seconds(junction, node)
 
 
 @st.composite
 def checked_runs(draw):
-    # a run of first halves, each handed a tuple of second halves: the
-    # walk's own pairs; the walk's tuples attached at another first half,
-    # that is at the wrong junction state; and first halves or halves with
-    # a step changed, now and then to a member that is not a Step.  Tuples
-    # and halves recur, so the checker meets them again at other states.
+    # a run of first halves, each handed a node of second halves: the
+    # walk's own pairs; the walk's nodes attached at another first half,
+    # that is at the wrong junction state; and first halves or edges with
+    # a step changed, now and then to a member that is not a Step.  Nodes
+    # recur, so the checker meets them again at other states.
     t = draw(st.integers(2, 4))
     walked = halves(t, draw(st.integers(0, 12)), style="left", plain=draw(st.booleans()))
-    real = [(list(steps), seconds) for steps, _, seconds in walked] or [([U], (chain([D]),))]
-    tuples = [seconds for _, seconds in real]
+    real = [(list(steps), node) for steps, _, node in walked] or [([U], node_of((D,)))]
+    nodes = [node for _, node in real]
     run = []
     for _ in range(draw(st.integers(1, 8))):
-        first, seconds = draw(st.sampled_from(real))
+        first, node = draw(st.sampled_from(real))
         first = list(first)
         if draw(st.booleans()):
-            seconds = draw(st.sampled_from(tuples))
+            node = draw(st.sampled_from(nodes))
         if first and draw(st.integers(0, 3)) == 0:
             first[draw(st.integers(0, len(first) - 1))] = draw(st.sampled_from((*STEP_ORDER, "U", None)))
-        if draw(st.integers(0, 2)) == 0:
-            changed = list(seconds)
-            i = draw(st.integers(0, len(changed) - 1))
-            if changed[i] is not END:
-                changed[i] = Half(draw(st.sampled_from((*STEP_ORDER, "U"))), changed[i].rest)
-            seconds = tuple(changed)
-            tuples.append(seconds)
-        run.append((first, seconds))
+        if node and draw(st.integers(0, 2)) == 0:
+            edges = list(node)
+            i = draw(st.integers(0, len(edges) - 1))
+            edges[i] = draw(st.sampled_from((*STEP_ORDER, "U"))), edges[i][1]
+            node = Node(edges)
+            nodes.append(node)
+        run.append((first, node))
     return t, run
 
 
@@ -470,10 +523,10 @@ class TestWordChecker:
     # a valid second half at the wrong junction: a UL across it, a dip
     # below the axis past it, and a word that ends off the axis; and a
     # tuple passed at one state, met again at another
-    @example((2, [([U, U, U], (chain([L, D, D]),))]))
-    @example((2, [([U, U, D], (chain([U, D, D]), chain([U, D, L]), chain([D, U, D])))]))
-    @example((2, [([U, U, D], (chain([U, U, D]),)), ([U, U, U], (chain([U, U, D]),))]))
-    @example((2, [([U, U, U], (END,))]))
+    @example((2, [([U, U, U], node_of((L, D, D)))]))
+    @example((2, [([U, U, D], node_of((U, D, D), (U, D, L), (D, U, D)))]))
+    @example((2, [([U, U, D], node_of((U, U, D))), ([U, U, U], node_of((U, U, D)))]))
+    @example((2, [([U, U, U], END)]))
     def test_resumed_check_matches_reference(self, case):
         # one checker over the whole run, resuming each word at its
         # junction, gives each first half and tuple the verdict of the
@@ -481,26 +534,26 @@ class TestWordChecker:
         # first half holding anything but Step members
         t, run = case
         checker = WordChecker(t)
-        for first, seconds in run:
-            expected = expected_verdict(t, first, seconds)
+        for first, node in run:
+            expected = expected_verdict(t, first, node)
             if expected is None:
-                check_halves(checker, t, first, seconds)
+                check_halves(checker, t, first, node)
             elif expected == "type":
                 with pytest.raises(TypeError, match="^steps must be Step members$"):
-                    check_halves(checker, t, first, seconds)
+                    check_halves(checker, t, first, node)
             else:
                 message = "invalid word (invalid: {} at index {})".format(*expected)
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
-                    check_halves(checker, t, first, seconds)
+                    check_halves(checker, t, first, node)
                 assert (raised.value.rule, raised.value.index) == expected
 
     def test_every_pair_of_short_words(self):
         # each word of length <= 4, cut at every point into a first half and
-        # one second half, through one checker per t: the halves share their
+        # one second half, through one checker per t: the nodes share their
         # rests, so most of them were passed before at another state
         @functools.cache
         def shared(steps):
-            return END if not steps else Half(steps[0], shared(steps[1:]))
+            return END if not steps else Node([(steps[0], shared(steps[1:]))])
 
         for t in (2, 3):
             checker = WordChecker(t)
@@ -509,7 +562,7 @@ class TestWordChecker:
                     want = reference_closed(t, word)
                     for cut in range(n + 1):
                         try:
-                            check_halves(checker, t, word[:cut], (shared(word[cut:]),))
+                            check_halves(checker, t, word[:cut], shared(word[cut:]))
                             got = None
                         except ValueError as exc:
                             got = exc.rule, exc.index

@@ -13,7 +13,7 @@ from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
 from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, grid_box
 from skewdyck.render import _quarters, render_document
-from test_paths import brute_level, brute_words, chain, reference_vertices, unchain, walk_of, walked_words
+from test_paths import brute_level, brute_words, node_of, reference_vertices, walk_of, walked_words, words_of
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -65,6 +65,14 @@ class TestWordSelection:
         for fmt in ("svg", "tikz"):
             with pytest.raises(ValueError, match="mode"):
                 render_document(2, 9, "fancy", "red-overlay", False, fmt)
+
+    def test_non_integer_length_refused(self):
+        # a length that is not an int is refused by the walk, before the
+        # grid box is built from it
+        for fmt in ("svg", "tikz"):
+            for n in (3.0, 2.5, "3"):
+                with pytest.raises(ValueError, match="length n must be an integer"):
+                    render_document(2, n, "skew", "red-overlay", False, fmt)
 
 
 class TestSvg:
@@ -193,7 +201,7 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
     # a document checks each word once and holds one first half at a time:
     # when a first half is checked, no step or vertex list the walk yielded
     # before it is still alive, and the words the checks cover, each first
-    # half joined to each half of its tuple, are the walk's words once each
+    # half joined to each half under its node, are the walk's words once each
     class Live(list):  # a list that can be weakly referenced
         __slots__ = ("__weakref__",)
 
@@ -201,8 +209,8 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
     real_halves, real_require, real_seconds = render.halves, WordChecker.require, WordChecker.require_seconds
 
     def fresh_halves(*args, **kwargs):
-        for steps, verts, seconds in real_halves(*args, **kwargs):
-            yield Live(steps), Live(verts), seconds
+        for steps, verts, node in real_halves(*args, **kwargs):
+            yield Live(steps), Live(verts), node
 
     def tracked(self, steps):
         alive.append(sum(ref() is not None for ref in refs))
@@ -210,9 +218,9 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
         last[:] = steps
         return real_require(self, steps)
 
-    def covered(self, junction, seconds):
-        checked.extend(tuple(last) + unchain(half) for half in seconds)
-        return real_seconds(self, junction, seconds)
+    def covered(self, junction, node):
+        checked.extend(tuple(last) + half for half in words_of(node))
+        return real_seconds(self, junction, node)
 
     monkeypatch.setattr(render, "halves", fresh_halves)
     monkeypatch.setattr(WordChecker, "require", tracked)
@@ -227,45 +235,48 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 @pytest.mark.parametrize("style", GEOMETRY_MODES)
 def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
-    # a count, not a timing: a document makes the text of each (second
-    # half, start vertex) once and checks each (second half, junction
-    # state) once, and no others, however many words share them
+    # a count, not a timing: a document makes the texts of each (step,
+    # rest, start vertex) once and checks each (node, level, step before
+    # it) once, and no others, however many words share them
     formatted, checked, walked = Counter(), Counter(), []
-    real_halves, real_run, real_check = render.halves, render._HalfTexts._run, WordChecker._require_halves
+    real_halves, real_run, real_check = render.halves, render._HalfTexts._run, WordChecker._require_node
 
     def recorded(*args, **kwargs):
-        for steps, verts, seconds in real_halves(*args, **kwargs):
-            walked.append((steps[-1], verts[-1], seconds))
-            yield steps, verts, seconds
+        for steps, verts, node in real_halves(*args, **kwargs):
+            walked.append((steps[-1], verts[-1], node))
+            yield steps, verts, node
 
-    def run(self, s, rests, start):
-        formatted.update((s, rest, start) for rest in rests)
-        return real_run(self, s, rests, start)
+    def run(self, s, rest, start):
+        formatted[s, rest, start] += 1
+        return real_run(self, s, rest, start)
 
-    def check(self, depth, level, last, seconds):
-        checked.update((half, level, last) for half in seconds)
-        return real_check(self, depth, level, last, seconds)
+    def check(self, depth, level, last, node):
+        checked[node, level, last] += 1
+        return real_check(self, depth, level, last, node)
 
     monkeypatch.setattr(render, "halves", recorded)
     monkeypatch.setattr(render._HalfTexts, "_run", run)
-    monkeypatch.setattr(WordChecker, "_require_halves", check)
+    monkeypatch.setattr(WordChecker, "_require_node", check)
     render_document(3, 16, "skew", style, False, fmt)
-    # every (half, start vertex) and (half, level, step before it) the words pass
+    # every (step, rest, start vertex) and (node, level, step before it)
+    # the words pass, found by following each word's edges
     vectors = {Step.U: (1, 1), Step.D: (2, -3), Step.L: (-2 if style == "left" else 2, -3)}
-    halves_at, states = set(), set()
-    words = 0
-    for first_last, junction, seconds in walked:
-        for half in seconds:
-            words += 1
-            (x, y), last = junction, first_last
-            while half is not END:
-                halves_at.add((half.step, half.rest, (x, y)))
-                states.add((half, y, last))
-                (dx, dy), last = vectors[half.step], half.step
-                x, y, half = x + dx, y + dy, half.rest
-            states.add((END, y, last))
-    assert words == 216
-    assert set(formatted) == halves_at and set(formatted.values()) == {1}
+    edges_at, states = set(), set()
+
+    def follow(node, x, y, last):
+        # the words under ``node`` from vertex (x, y) after step ``last``
+        states.add((node, y, last))
+        if node is END:
+            return 1
+        words = 0
+        for s, rest in node:
+            edges_at.add((s, rest, (x, y)))
+            dx, dy = vectors[s]
+            words += follow(rest, x + dx, y + dy, s)
+        return words
+
+    assert sum(follow(node, *junction, first_last) for first_last, junction, node in walked) == 216
+    assert set(formatted) == edges_at and set(formatted.values()) == {1}
     assert set(checked) == states and set(checked.values()) == {1}
 
 
@@ -279,7 +290,7 @@ def overlay_first(letters):
 
 
 def halves_of(*texts):
-    return tuple(chain([Step(ch) for ch in text]) for text in texts)
+    return node_of(*(tuple(Step(ch) for ch in text) for text in texts))
 
 
 # (n, what a broken walk yields, the error), keyed by the test id after the
