@@ -169,6 +169,8 @@ class CountTable:
     def column(self, k: int, layer: str, length: int) -> list[int]:
         """count(n, k, layer) for n = 0..length - 1, reading only the rows
         whose residue class holds level k; 1 <= length <= n_max + 1."""
+        if length < 1:
+            raise ValueError(f"column length must be >= 1, got {length}")
         self._check(length - 1, k)
         try:
             i = _LIDX[layer]

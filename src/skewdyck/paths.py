@@ -12,19 +12,15 @@ level in either style.
 `_FOLLOW`, the steps allowed after each last step, is the one table the
 walks generate words by.  `prefix_ends` walks the tree of words up to a
 length, closed or not, depth first, so each open word is visited once.
-`halves` walks the closed words of one length: a first half of length
-h = ceil(n/2), visited depth first so each prefix's vertices are computed
-once, and with it the node of second halves (the other n - h steps) that
-complete it.  That node depends only on the junction state (the level,
-the last step and the steps still to come), so it is built once per state
-and shared by every first half that reaches it.  A `Node` is a tuple of
-(step, rest) edges in step order, where ``rest`` is the node of the state
-after the step (`END`, with no edge, is the empty half), so the second
-halves form a DAG with one node per state and halves that end alike share
-their ends.  `grid_box` bounds them all from t and n alone.  `WordChecker`
-is the one check of the word rules, written apart from `_FOLLOW`: it
-checks a first half from its first step and each node once per state it
-is reached at, one edge's step at a time.
+`words` builds the closed words of one length as a DAG with one node per
+automaton state (the level, the last step and the steps still to come):
+a `Node` is a tuple of (step, rest) edges in step order, where ``rest`` is
+the node of the state after the step (`END`, with no edge, after the last
+step), so words that end alike share their ends and the root, the node of
+the empty word, spells every word on its paths to `END`.  `grid_box`
+bounds them all from t and n alone.  `WordChecker` is the one check of the
+word rules, written apart from `_FOLLOW`: it checks each node once per
+state it is reached at, one edge's step at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ class Step(Enum):
 
 # canonical (and lexicographic) step order: U < D < L
 STEP_ORDER = (Step.U, Step.D, Step.L)
-_STEPS = frozenset(Step)
 
 DEFAULT_ENUMERATION_CAP = 24
 
@@ -85,11 +80,6 @@ def _require_length(n) -> None:
         )
 
 
-def _require_steps(steps) -> None:
-    if not _STEPS.issuperset(steps):
-        raise TypeError("steps must be Step members")
-
-
 _U, _D, _L = STEP_ORDER  # bound once: EnumType's __getattr__ hook slows Step.X
 
 # the steps that may follow each last step (None before the first), in step
@@ -107,10 +97,10 @@ class _Invalid(ValueError):
 
 
 class Node(tuple):
-    """The second halves after one state: a tuple of (step, rest) edges in
-    step order, ``rest`` being the node after that step.  `END`, with no
-    edge, is the empty half; a node the walk hands out is `END` or has
-    edges, and every edge leads to `END` or to a node with edges.
+    """The ends of the words after one state: a tuple of (step, rest) edges
+    in step order, ``rest`` being the node after that step.  `END`, with no
+    edge, is the empty end; every edge of a node `words` builds leads to
+    `END` or to a node with edges.
 
     Nodes hash and compare by identity, so a memo keyed by a node costs
     one pointer, not a walk of the DAG below it.
@@ -122,24 +112,23 @@ class Node(tuple):
     __ne__ = object.__ne__
 
 
-END = Node()  # the empty second half, the rest of every last step
+END = Node()  # the empty end, the rest of every last step
 
 
 class WordChecker:
-    """The word rules over the halves of one walk over one t.
+    """The word rules over the DAGs of words of one t.
 
     Rules, by name and in the order they are checked at each step:
     "first-step" (a nonempty word starts with U), "UL" and "LU" (the
     forbidden adjacent pairs, reported at the index of the pair's first
-    step), and "below-axis" (a prefix dips under level 0); a second half
-    must also end on the axis ("not-closed", at the index of the word's
-    last step).  Each is a rule on one step and the state before it (the
-    level and the last step, None before the first), so a word is checked
-    exactly as a first half and then a second half from the first half's
-    end state.  The error carries the rule and the index, counted from the
-    word's first step, as ``rule`` and ``index``.  The checker remembers
-    the nodes of second halves it passed from each state and checks none
-    of them twice.
+    step), and "below-axis" (a prefix dips under level 0); a word must
+    also end on the axis ("not-closed", at the index of its last step).
+    Each is a rule on one step and the state before it (the level and the
+    last step, None before the first), so a node is checked from the state
+    it is reached at.  The error carries the rule and the index, counted
+    from the word's first step, as ``rule`` and ``index``.  The checker
+    remembers the nodes it passed from each state and checks none of them
+    twice.
     """
 
     __slots__ = ("_delta", "_passed")
@@ -165,27 +154,12 @@ class WordChecker:
             raise _Invalid("below-axis", depth)
         return level
 
-    def require(self, steps) -> tuple[int, int, Step | None]:
-        """Raise, naming the first broken rule, unless ``steps`` is a valid
-        word (or the first half of one), checked from its first step.
-
-        Returns its end state (depth, level, last step), the junction state
-        to check its second halves from.
-        """
-        _require_steps(steps)
-        level, last = 0, None
-        for depth, s in enumerate(steps):
-            level, last = self._step(depth, level, last, s), s
-        return len(steps), level, last
-
-    def require_seconds(self, junction: tuple, node: Node) -> None:
-        """Raise, naming the first broken rule of the first bad word, unless
-        every second half under ``node`` closes a valid word after the state
-        ``junction`` (which `require` returned).  A node already passed from
-        the same level and last step costs one lookup."""
-        depth, level, last = junction
-        if (node, level, last) not in self._passed:
-            self._require_node(depth, level, last, node)
+    def require(self, root: Node) -> None:
+        """Raise, naming the first broken rule of the first bad word in
+        edge order, unless every word under ``root`` is a valid closed word,
+        checked from its first step.  A root already passed costs one lookup."""
+        if (root, 0, None) not in self._passed:
+            self._require_node(0, 0, None, root)
 
     def _require_node(self, depth: int, level: int, last, node: Node) -> None:
         """Check ``node`` after the state (depth, level, last): called once
@@ -208,7 +182,7 @@ def prefix_ends(t: int, n_max: int):
     """(length, level, last step) of every valid word of length <= n_max,
     closed or not, once each: a depth-first walk of the tree of words, in
     lexicographic order.  The empty word is (0, 0, None).  Arguments are
-    checked, and refused, on the call as by `halves`."""
+    checked, and refused, on the call as by `words`."""
     _require_t(t)
     _require_length(n_max)
     return _prefix_ends(_level_deltas(t), n_max)
@@ -226,71 +200,40 @@ def _prefix_ends(delta: dict, n_max: int):
             stack += [(n + 1, level + dy, s) for s, dy in pushed[last] if level + dy >= 0]
 
 
-def halves(t: int, n: int, *, style: str, plain: bool):
-    """Depth-first walk over the closed words of length n, split in two halves.
+def words(t: int, n: int, *, plain: bool) -> Node:
+    """The closed words of length n (L-free ones if ``plain``), as the
+    root of their DAG: the `Node` of the state (level 0, no step yet, n
+    steps left), whose paths to `END` spell the words in lexicographic
+    order.
 
-    Yields, in lexicographic order, the live step list and live vertex list
-    (h + 1 points in geometry ``style``) of each first half of length
-    h = ceil(n/2) that some second half completes, and with them the `Node`
-    of those second halves (of n - h steps), whose edges lead to them in
-    lexicographic order.  The lists change as the walk moves on, so a
-    caller copies what it keeps; the node is the same object for every
-    first half that ends at the same level with the same step.  ``plain``
-    leaves L out.  Lengths above `DEFAULT_ENUMERATION_CAP`, and lengths
-    that are not ints, are refused on the call, before any word: use the
-    counting table.
+    Each node is made once per state, and an edge whose rest has no
+    completion is dropped, so every edge leads to `END` or to a node with
+    edges.  The root is `END` at n = 0, and an empty node that is not
+    `END` when no word closes.  Lengths above `DEFAULT_ENUMERATION_CAP`,
+    and lengths that are not ints, are refused: use the counting table.
     """
     _require_t(t)
     _require_length(n)
-    if style not in GEOMETRY_MODES:
-        raise ValueError(f"style must be one of {GEOMETRY_MODES}, got {style!r}")
-    return _halves(t, n, step_vectors(t, style), plain)
-
-
-def _halves(t: int, n: int, vectors: dict, plain: bool):
-    """The generator behind `halves`, over checked arguments."""
     if n % (t + 1):
-        return  # each step moves the level by 1 mod t+1, so no word closes
-    skip = _L if plain else None
-    follow = {last: tuple((s, *vectors[s]) for s in steps if s is not skip) for last, steps in _FOLLOW.items()}
-    made = {}  # the node of second halves, by state
+        return Node()  # each step moves the level by 1 mod t+1, so no word closes
+    delta, skip = _level_deltas(t), _L if plain else None
+    follow = {last: tuple((s, delta[s]) for s in steps if s is not skip) for last, steps in _FOLLOW.items()}
+    made = {}  # the node of each state
 
-    def seconds(level: int, last, r: int) -> Node:
-        # the node of the second halves of r steps after `last` at `level`,
-        # made once per state; an edge whose rest has no completion (an
-        # empty node that is not `END`) is dropped
+    def node(level: int, last, r: int) -> Node:
+        # the node of the words' last r steps after `last` at `level`
         got = made.get((level, last, r))
         if got is None:
             edges = []
-            for s, _, dy in follow[last] if r else ():
+            for s, dy in follow[last] if r else ():
                 if 0 <= level + dy <= t * (r - 1):  # a closed word falls t a step at most
-                    rest = seconds(level + dy, s, r - 1)
+                    rest = node(level + dy, s, r - 1)
                     if rest or rest is END:
                         edges.append((s, rest))
             got = made[level, last, r] = Node(edges) if r else END
         return got
 
-    h = n - n // 2
-    steps, verts = [], [(0, 0)]
-
-    def firsts(depth: int, last):
-        # the first halves below the prefix `steps`, depth first
-        x, y = verts[-1]
-        if depth == h:
-            rest = seconds(y, last, n - h)
-            if rest or rest is END:
-                yield steps, verts, rest
-            return
-        top = t * (n - depth - 1)
-        for s, run, dy in follow[last]:
-            if 0 <= y + dy <= top:
-                steps.append(s)
-                verts.append((x + run, y + dy))
-                yield from firsts(depth + 1, s)
-                steps.pop()
-                verts.pop()
-
-    yield from firsts(0, None)
+    return node(0, None, n)
 
 
 def grid_box(t: int, n: int) -> tuple[int, int]:

@@ -1,24 +1,23 @@
 """SVG and TikZ emitters for path diagrams.
 
 Both emitters lay every diagram of a document onto one shared grid box,
-which `paths.grid_box` works out from t and n, and draw from one walk of
-`paths.halves` (called before any table over the box is built) rather
-than from a word list.  The walk hands over each first half's live step
-and vertex lists and the node of second halves that complete it, one
-node per junction state, whose (step, rest) edges lead to nodes again.
-One `paths.WordChecker` per document checks every drawn word against all
-the word rules: each first half from its first step, and each node once
-per state it is reached at, from the state the checker derived from the
-first half itself, never from the walk.  The text is memoised at every
-level.  The text a step adds is made once per (step, start vertex); the
-texts of an edge's halves once per (step, rest, start vertex), from the
-step's text and its rest's memoised texts; and the list of a node's
-texts once per (node, start vertex).  A first half's text is joined
-from its steps' texts, so a word costs one concatenation.  A document
-holds its text and the memos, but neither a word list nor any whole
-word's geometry.  The text of each grid point is formatted once per
-document, from a table over the box.  The SVG header, the only text that
-needs the number of diagrams, is written after them.
+which `paths.grid_box` works out from t and n, and draw from the one DAG
+`paths.words` builds (called before any table over the box is built)
+rather than from a word list: a root whose (step, rest) edges lead to
+nodes again, one node per state.  One `paths.WordChecker` per document
+checks every word under the root against all the word rules, each node
+once per state it is reached at, before any text is made.  The emitters
+walk the root's edges down to depth h = ceil(n/2), carrying each first
+half's end vertex and text, and hand the node each first half reaches to
+the memoised texts of its second halves.  The text a step adds is made
+once per (step, start vertex); the texts of an edge's halves below depth
+h once per (step, rest, start vertex), from the step's text and its
+rest's memoised texts; and the list of a node's texts once per (node,
+start vertex).  So a word costs one concatenation.  A document holds its
+text and the memos, but neither a word list nor any whole word's
+geometry.  The text of each grid point is formatted once per document,
+from a table over the box.  The SVG header, the only text that needs the
+number of diagrams, is written after them.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
@@ -31,7 +30,7 @@ count of quarter units.
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import END, Node, Step, WordChecker, grid_box, halves, step_vectors
+from .paths import END, GEOMETRY_MODES, Node, Step, WordChecker, grid_box, step_vectors, words
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -83,10 +82,10 @@ class _HalfTexts:
         return got
 
 
-def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
-    """(a, b, texts) for each first half of the walk ``walked``, in walk
-    order: the bodies of its words are a + p + b + m for each (p, m) in
-    ``texts``, one per second half.
+def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
+    """(a, b, texts) for each first half of the words under ``root``, in
+    lexicographic order: the bodies of its words are a + p + b + m for each
+    (p, m) in ``texts``, one per second half.
 
     Overlay style: ``path`` = (open, separator, close) around the texts
     ``vt`` gives the vertices, then ``mark(a, b)`` for each L step from
@@ -95,8 +94,8 @@ def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
     once per (step, start vertex), an edge's halves' once per (step, rest,
     start vertex) and a node's list once per (node, start vertex).
     """
+    WordChecker(t).require(root)
     L, overlay = Step.L, style == "red-overlay"
-    check = WordChecker(t)
     start, sep, close = path
     made = {}  # the text of a step, by (step, start vertex)
 
@@ -110,14 +109,21 @@ def _bodies(walked, t: int, n: int, style: str, vt, path, mark, segment):
             made[s, a] = got
         return got
 
-    texts = _HalfTexts(step_vectors(t, style), step_text)
-    for steps, verts, node in walked:
-        check.require_seconds(check.require(steps), node)
-        first = [step_text(s, verts[i], verts[i + 1]) for i, s in enumerate(steps)]
-        a, b = "".join(p for p, _ in first), "".join(m for _, m in first)
-        if overlay and n:  # the empty word draws no path
-            a, b = f"{start}{vt[0, 0]}{a}", close + b
-        yield a, b, texts(node, verts[-1])
+    vectors = step_vectors(t, style)
+    texts = _HalfTexts(vectors, step_text)
+    a, b = (f"{start}{vt[0, 0]}", close) if overlay and n else ("", "")  # the empty word draws no path
+    # (node, end vertex, a, b, steps to depth h) of each first-half prefix, the next on top
+    stack = [(root, (0, 0), a, b, n - n // 2)]
+    while stack:
+        node, at, a, b, left = stack.pop()
+        if not left:
+            yield a, b, texts(node, at)
+            continue
+        for s, rest in reversed(node):
+            dx, dy = vectors[s]
+            to = at[0] + dx, at[1] + dy
+            p, m = step_text(s, at, to)
+            stack.append((rest, to, a + p, b + m, left - 1))
 
 
 def render_tikz(
@@ -128,7 +134,7 @@ def render_tikz(
     mirrored: bool,
 ) -> str:
     """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
-    walked = halves(t, n, style=style, plain=plain)
+    root = words(t, n, plain=plain)
     x_max, y_max = grid_box(t, n)
     vt = _vertex_text(x_max, y_max, "({},{})".format)
     indent = "\t\t" if mirrored else "\t"
@@ -158,7 +164,7 @@ def render_tikz(
     # and large, not one small string per word
     chunks = [
         "\n".join([f"{head}{a}{p}{b}{m}{tail}" for p, m in texts])
-        for a, b, texts in _bodies(walked, t, n, style, vt, path, mark, segment)
+        for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment)
     ]
     return "\n".join(chunks) or "\n"  # no diagrams: a lone newline
 
@@ -177,7 +183,7 @@ def render_svg(
     mirrored: bool,
 ) -> str:
     """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
-    walked = halves(t, n, style=style, plain=plain)
+    root = words(t, n, plain=plain)
     cols, rows = grid_box(t, n)
     dia_w = cols * _SVG_CELL
     dia_h = rows * _SVG_CELL
@@ -213,7 +219,7 @@ def render_svg(
         f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
     )
     out = [""]  # the header, written once the diagrams are counted
-    for a, b, texts in _bodies(walked, t, n, style, vt, path, mark, segment):
+    for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment):
         for p, m in texts:
             # a row is only narrower than _SVG_PER_ROW when it is the one row
             r, c = divmod(len(out) - 1, _SVG_PER_ROW)
@@ -244,5 +250,7 @@ def render_document(
         raise ValueError(f"mode must be one of {RENDER_MODES}, got {mode!r}")
     if fmt not in ("svg", "tikz"):
         raise ValueError(f"format must be 'svg' or 'tikz', got {fmt!r}")
+    if style not in GEOMETRY_MODES:
+        raise ValueError(f"style must be one of {GEOMETRY_MODES}, got {style!r}")
     emit = render_svg if fmt == "svg" else render_tikz
     return emit(t, n, mode == "plain", style=style, mirrored=mirrored)

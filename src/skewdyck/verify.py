@@ -98,6 +98,8 @@ def run_verification(order: int, t_list: tuple[int, ...]) -> VerificationReport:
     """
     if order < 8:
         raise ValueError("order must be >= 8")
+    if not t_list:
+        raise ValueError("t_list must hold at least one t")
     t_list = tuple(dict.fromkeys(t_list))  # each t once, first-seen order
     report = VerificationReport(order=order, t_list=t_list)
     if order < 32:

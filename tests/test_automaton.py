@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from skewdyck import automaton
 from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
-from skewdyck.paths import Step, halves, prefix_ends
+from skewdyck.paths import Step, prefix_ends, words
 from skewdyck.verify import _equations, _equations_check, first_violation
 from test_paths import walk_of, words_of
 
@@ -125,7 +125,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("t", [2, 3])
     def test_closed_counts_match_enumeration(self, t):
         for n in range(16):
-            assert total(t, n) == sum(len(words_of(node)) for *_, node in halves(t, n, style="left", plain=False))
+            assert total(t, n) == len(words_of(words(t, n, plain=False)))
 
 
 def failed_splits(lr, rl, t):
@@ -315,9 +315,12 @@ class TestStridedWalk:
                 want = [table.count(n, k, layer) for n in range(n_max + 1)]
                 assert table.column(k, layer, n_max + 1) == want, (k, layer)
                 assert table.column(k, layer, length) == want[:length], (k, layer, length)
-        for k, bound in ((table.k_max + 1, n_max + 1), (0, n_max + 2), (0, 0)):
+        for k, bound in ((table.k_max + 1, n_max + 1), (0, n_max + 2)):
             with pytest.raises(ValueError, match="outside the table bounds"):
                 table.column(k, "F", bound)
+        for bound in (0, -1):  # a length below 1 is named, not read as a cell
+            with pytest.raises(ValueError, match=f"^column length must be >= 1, got {bound}$"):
+                table.column(0, "F", bound)
 
     @pytest.mark.parametrize("direction", ["LR", "RL"])
     @pytest.mark.parametrize("t", [2, 3, 7])

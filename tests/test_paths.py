@@ -3,12 +3,12 @@
 Words are the Step tuples the walks yield.  The brute-force checkers below
 are direct transcriptions of the word rules and never call the library
 checker, and `reference_vertices` chains literal step vectors, so the
-exhaustive comparisons are a genuine second opinion.  The closed-word walk
-goes over first halves and hands each the node of second halves that
-complete it; `words_of` reads a node's second halves, and `walk_of`
-flattens the walk into whole words.  The open-word walk
-yields each word's length, level and last step, and is compared with the
-brute-force words.
+exhaustive comparisons are a genuine second opinion.  The closed words
+of one length come as the root of a DAG with one node per state;
+`words_of` reads the words under a node, and `walk_of` flattens the root
+into whole words with their vertices.  The open-word walk yields each
+word's length, level and last step, and is compared with the brute-force
+words.
 """
 
 import functools
@@ -19,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skewdyck import render
 from skewdyck.automaton import dp_counts
 from skewdyck.paths import (
-    END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, halves, prefix_ends, step_vectors,
+    END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, prefix_ends, step_vectors, words,
 )
 
 
@@ -75,27 +76,33 @@ def reference_closed(t, steps):
     return broken
 
 
+def chain(steps, rest=END):
+    # the one-word DAG: ``steps`` as a chain of one-edge nodes, then ``rest``
+    return Node([(steps[0], chain(steps[1:], rest))]) if steps else rest
+
+
 def verdict(checker, steps):
-    # `WordChecker.require` in the reference's terms: None, or the rule and
-    # index the raised error carries
+    # `WordChecker.require` on the one-word chain, in the reference's terms:
+    # None, or the rule and index the raised error carries (a valid open
+    # word fails only "not-closed", at its last index)
     try:
-        checker.require(steps)
+        checker.require(chain(steps))
     except ValueError as exc:
         return exc.rule, exc.index
     return None
 
 
 def words_of(node):
-    # the second halves under a node, as step tuples in edge order: `END`
-    # holds the empty one, and an edge (s, rest) the halves s + w, w under rest
+    # the words under a node, as step tuples in edge order: `END` holds the
+    # empty one, and an edge (s, rest) the words s + w, w under rest
     if node is END:
         return [()]
     return [(s, *w) for s, rest in node for w in words_of(rest)]
 
 
 def node_of(*words):
-    # a node holding the second halves ``words``: one edge per first step,
-    # in the order the words first use it
+    # a node holding the words ``words``: one edge per first step, in the
+    # order the words first use it
     if words == ((),):
         return END
     rests = {}
@@ -105,20 +112,18 @@ def node_of(*words):
 
 
 def walk_of(t, n, style="red-overlay", plain=False):
-    # the closed words of `halves`, whole and in walk order: each first half
-    # joined to each second half under its node, the second half's vertices chained
-    # from the library's step vectors; (steps, vertices) lists per word
-    walked = halves(t, n, style=style, plain=plain)  # arguments refused here, on the call
-    vectors, words = step_vectors(t, style), []
-    for steps, verts, node in walked:
-        for half in words_of(node):
-            word, points = list(steps), list(verts)
-            for s in half:
-                (x, y), (dx, dy) = points[-1], vectors[s]
-                word.append(s)
-                points.append((x + dx, y + dy))
-            words.append((word, points))
-    return words
+    # the closed words of `words`, whole and in edge order, each with its
+    # vertices chained from the library's step vectors; (steps, vertices)
+    # lists per word
+    root = words(t, n, plain=plain)  # arguments refused here, on the call
+    vectors, walked = step_vectors(t, style), []
+    for word in words_of(root):
+        points = [(0, 0)]
+        for s in word:
+            (x, y), (dx, dy) = points[-1], vectors[s]
+            points.append((x + dx, y + dy))
+        walked.append((list(word), points))
+    return walked
 
 
 def reference_vertices(t, steps, style):
@@ -168,7 +173,7 @@ class TestValidate:
 
     def test_ul_reported_with_index(self):
         with pytest.raises(ValueError, match=re.escape("invalid word (invalid: UL at index 1)")):
-            WordChecker(2).require(word("UUL"))
+            WordChecker(2).require(chain(word("UUL")))
         assert verdict(WordChecker(2), word("UUL")) == ("UL", 1)
 
     def test_lu_reported(self):
@@ -195,14 +200,18 @@ class TestValidate:
 
     def test_non_step_rejected(self):
         with pytest.raises(TypeError, match="Step members"):
-            WordChecker(2).require((Step.U, "U", Step.D))
+            WordChecker(2).require(chain((Step.U, "U", Step.D)))
 
     def test_exhaustive_against_brute_force(self):
+        # a valid word passes when it closes, and fails only "not-closed"
+        # at its last index when it does not
         for t in (2, 3):
             checker = WordChecker(t)
             for n in range(7):
                 for steps in itertools.product(STEP_ORDER, repeat=n):
-                    assert (verdict(checker, steps) is None) == brute_valid(t, text(steps)), steps
+                    got, valid = verdict(checker, steps), brute_valid(t, text(steps))
+                    assert (got in (None, ("not-closed", n - 1))) == valid, steps
+                    assert (got is None) == (valid and brute_level(t, steps) == 0), steps
 
 
 class TestValidateDifferential:
@@ -212,7 +221,7 @@ class TestValidateDifferential:
         steps=st.lists(st.sampled_from(STEP_ORDER), max_size=14),
     )
     def test_same_result_as_reference(self, t, steps):
-        assert verdict(WordChecker(t), steps) == reference_validate(t, steps)
+        assert verdict(WordChecker(t), steps) == reference_closed(t, steps)
 
 
 class TestIsClosed:
@@ -291,11 +300,18 @@ class TestRealize:
 
     def test_invalid_word_rejected(self):
         with pytest.raises(ValueError, match="invalid"):
-            WordChecker(2).require(word("UUL"))
+            WordChecker(2).require(chain(word("UUL")))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="style must be one of"):
-            walk_of(2, 3, style="sideways")  # refused on the call, before any word
+    def test_unknown_mode_rejected(self, monkeypatch):
+        # the document refuses the style before any word or table over the box
+        def unreached(*args, **kwargs):
+            raise AssertionError("reached past the style check")
+
+        monkeypatch.setattr(render, "words", unreached)
+        monkeypatch.setattr(render, "grid_box", unreached)
+        for fmt in ("svg", "tikz"):
+            with pytest.raises(ValueError, match="style must be one of"):
+                render.render_document(2, 3, "skew", "sideways", False, fmt)
 
 
 class TestWalk:
@@ -342,63 +358,71 @@ class TestWalk:
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_seconds_are_shared_per_junction(self, t):
-        # each first half has length ceil(n/2) and is yielded once, exactly
-        # when some second half completes it; its node holds those second
-        # halves in order, and is the same object for every first half that
-        # ends at the same level with the same step
+        # the node reached after each prefix of a word holds exactly the
+        # words' ends after that prefix, in order, and is the same object
+        # for every prefix that reaches the same state: the same length,
+        # level and last step
         for n in range(13):
             for plain in (True, False):
-                words = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
-                h = n - n // 2
-                nodes = {}
-                seen = []
-                for steps, verts, node in halves(t, n, style="left", plain=plain):
-                    first = tuple(steps)
-                    assert len(first) == h and verts[-1] == reference_vertices(t, first, "left")[-1]
-                    assert [first + w for w in words_of(node)] == [w for w in words if w[:h] == first]
-                    assert nodes.setdefault((verts[-1][1], first[-1:]), node) is node
-                    seen.append(first)
-                assert seen == sorted({w[:h] for w in words}, key=lambda w: [STEP_ORDER.index(x) for x in w])
+                want = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
+                root, nodes = words(t, n, plain=plain), {}
+                for w in want:
+                    node = root
+                    for d in range(n + 1):
+                        prefix = w[:d]
+                        assert [prefix + e for e in words_of(node)] == [v for v in want if v[:d] == prefix]
+                        assert nodes.setdefault((d, brute_level(t, prefix), prefix[-1:]), node) is node
+                        node = dict(node).get(w[d]) if d < n else None
 
     def test_bad_arguments(self):
-        # refused on the call, before any word is asked for
+        # refused on the call
         for args in [(1, 3), (2.0, 3), (2, -1), (2, 25), (2, 3.0), (2, "3")]:
             with pytest.raises(ValueError):
-                halves(*args, style="left", plain=True)
+                words(*args, plain=True)
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     @pytest.mark.parametrize("plain", [True, False])
     def test_empty_word_is_one_first_half_at_end(self, t, plain):
-        # n = 0: one empty first half, whose node is `END` itself (an empty
-        # node, so falsy, yet the one second half of the empty word)
-        for style in GEOMETRY_MODES:
-            walked = [(list(steps), list(verts), node) for steps, verts, node in halves(t, 0, style=style, plain=plain)]
-            assert walked == [([], [(0, 0)], END)]  # nodes compare by identity
+        # n = 0: the root is `END` itself (an empty node, so falsy, yet the
+        # one empty word); a length no word closes at is an empty node that
+        # is not `END`
+        assert words(t, 0, plain=plain) is END
+        assert words(t, t, plain=plain) == () and words(t, t, plain=plain) is not END
+        assert type(words(t, t, plain=plain)) is Node
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_nodes_count_the_right_to_left_table(self, t):
         # F3: the right-to-left table counts the completions of a state, so
-        # the words under the node of a junction (level, last step) with
-        # r >= 1 steps left are RL(r, level, layer of the last step); and
-        # every node below a junction is `END` or has edges, so no edge
-        # leads to a dead end
+        # the words under the node reached after a step, with r steps left,
+        # are RL(r, level, layer of the step), and the root's words are the
+        # closed count (the RL level-0 F cell is pinned, so the root, with
+        # no step before it, is read from the closed count); every node
+        # reached is `END` or has edges, so no edge leads to a dead end
         layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
-        counts = {END: 1}
+        states = 0  # the roots and the states reached after a step
+        for n in range(25):
+            rl, counts = dp_counts(t, n, n, "RL"), {END: 1}
 
-        def count(node):
-            got = counts.get(node)
-            if got is None:
-                assert node, "an edge leads to a node with no completion"
-                got = counts[node] = sum(count(rest) for _, rest in node)
-            return got
+            def count(node):
+                got = counts.get(node)
+                if got is None:
+                    got = counts[node] = sum(count(rest) for _, rest in node)
+                return got
 
-        for n in range(t + 1, 25, t + 1):
-            rl, r = dp_counts(t, n, n, "RL"), n // 2
-            junctions = 0
-            for steps, verts, node in halves(t, n, style="left", plain=False):
-                assert count(node) == rl.count(r, verts[-1][1], layer_of[steps[-1]]), (n, steps)
-                junctions += 1
-            assert junctions
+            root, seen = words(t, n, plain=False), set()
+            assert count(root) == dp_counts(t, n, 0).closed_count(n), n
+            stack = [(root, 0, n)]
+            while stack:
+                node, level, r = stack.pop()
+                for s, rest in node:
+                    after = level + (1 if s is Step.U else -t)
+                    if (rest, after, s) not in seen:
+                        seen.add((rest, after, s))
+                        assert rest or rest is END, "an edge leads to a node with no completion"
+                        assert count(rest) == rl.count(r - 1, after, layer_of[s]), (n, r, after, s)
+                        stack.append((rest, after, r - 1))
+            states += 1 + len(seen)
+        assert states == {2: 567, 3: 364, 4: 165}[t]
 
 
 class TestNode:
@@ -410,8 +434,8 @@ class TestNode:
         assert a != b and not a == b and a == a and not a != a
         assert hash(a) == object.__hash__(a) and {a: 1}.get(b) is None
         assert Node() != END and hash(Node(([],)))
-        junction = next(node for *_, node in halves(2, 6, style="left", plain=False))
-        assert type(junction) is Node and hash(junction) == object.__hash__(junction)
+        root = words(2, 6, plain=False)
+        assert type(root) is Node and hash(root) == object.__hash__(root)
 
 
 def ends_of(words, t):
@@ -461,7 +485,7 @@ def brute_words(t, n):
 
 
 def reference_word(t, steps):
-    # a second half's verdict, step by step: a member that is not a Step
+    # a word's verdict, step by step: a member that is not a Step
     # refuses the word where it stands, after the rules of the steps before it
     for k, s in enumerate(steps):
         if not isinstance(s, Step):
@@ -469,91 +493,111 @@ def reference_word(t, steps):
     return reference_closed(t, steps)
 
 
-def expected_verdict(t, first, node):
-    # what checking ``first`` and then ``node`` from its end must raise:
-    # a first half with a member that is not a Step is refused whole, then
-    # the first half's own rules, then the first bad word in edge order
-    if not all(isinstance(s, Step) for s in first):
-        return "type"
-    broken = reference_validate(t, first)
-    for half in words_of(node):
-        broken = broken or reference_word(t, tuple(first) + half)
-    return broken
+def expected_verdict(t, root):
+    # what checking ``root`` must raise: the verdict of the first bad word
+    # in edge order, or None
+    for w in words_of(root):
+        broken = reference_word(t, w)
+        if broken:
+            return broken
+    return None
 
 
-def check_halves(checker, t, first, node):
-    # one first half and its node through `checker`, as a document checks them
-    junction = checker.require(first)
-    assert junction == (len(first), brute_level(t, first), first[-1] if first else None)
-    checker.require_seconds(junction, node)
+def heights(root):
+    # the longest path to a node with no edge from every node under ``root``
+    found = {}
+
+    def height(node):
+        if node not in found:
+            found[node] = max((1 + height(rest) for _, rest in node), default=0)
+        return found[node]
+
+    height(root)
+    return found
+
+
+def replaced(node, old, new, memo):
+    # the DAG under ``node`` with ``old`` swapped for ``new`` wherever it
+    # is met; nodes without ``old`` below them are kept, so sharing is kept
+    if node is old:
+        return new
+    got = memo.get(node)
+    if got is None:
+        edges = [(s, replaced(rest, old, new, memo)) for s, rest in node]
+        kept = all(got is rest for (_, got), (_, rest) in zip(edges, node))
+        got = memo[node] = node if kept else Node(edges)
+    return got
 
 
 @st.composite
 def checked_runs(draw):
-    # a run of first halves, each handed a node of second halves: the
-    # walk's own pairs; the walk's nodes attached at another first half,
-    # that is at the wrong junction state; and first halves or edges with
-    # a step changed, now and then to a member that is not a Step.  Nodes
-    # recur, so the checker meets them again at other states.
+    # a run of roots over one t: the roots of `words` and copies with one
+    # node's edge changed, either its step (now and then to a member that
+    # is not a Step) or its rest (to another node lower in the DAG, so
+    # reached at the wrong state).  Nodes recur across the run and within
+    # a root, so the checker meets them again at other states.
     t = draw(st.integers(2, 4))
-    walked = halves(t, draw(st.integers(0, 12)), style="left", plain=draw(st.booleans()))
-    real = [(list(steps), node) for steps, _, node in walked] or [([U], node_of((D,)))]
-    nodes = [node for _, node in real]
+    real = [words(t, draw(st.integers(0, 12)), plain=draw(st.booleans())) for _ in range(2)]
+    real = [root for root in real if root] or [node_of((U, U, D))]
     run = []
     for _ in range(draw(st.integers(1, 8))):
-        first, node = draw(st.sampled_from(real))
-        first = list(first)
-        if draw(st.booleans()):
-            node = draw(st.sampled_from(nodes))
-        if first and draw(st.integers(0, 3)) == 0:
-            first[draw(st.integers(0, len(first) - 1))] = draw(st.sampled_from((*STEP_ORDER, "U", None)))
-        if node and draw(st.integers(0, 2)) == 0:
+        root = draw(st.sampled_from(real))
+        if draw(st.integers(0, 2)):
+            height = heights(root)
+            node = draw(st.sampled_from([node for node in height if node]))
             edges = list(node)
             i = draw(st.integers(0, len(edges) - 1))
-            edges[i] = draw(st.sampled_from((*STEP_ORDER, "U"))), edges[i][1]
-            node = Node(edges)
-            nodes.append(node)
-        run.append((first, node))
+            s, rest = edges[i]
+            # a node lower than this one, so the DAG stays acyclic
+            lower = [other for other, h in height.items() if h < height[node] and other is not rest]
+            if lower and draw(st.booleans()):
+                rest = draw(st.sampled_from(lower))
+            else:
+                s = draw(st.sampled_from((*STEP_ORDER, "U")))
+            edges[i] = s, rest
+            root = replaced(root, node, Node(edges), {})
+            real.append(root)
+        run.append(root)
     return t, run
 
 
 class TestWordChecker:
     @settings(deadline=None, max_examples=500)
     @given(checked_runs())
-    # a valid second half at the wrong junction: a UL across it, a dip
-    # below the axis past it, and a word that ends off the axis; and a
-    # tuple passed at one state, met again at another
-    @example((2, [([U, U, U], node_of((L, D, D)))]))
-    @example((2, [([U, U, D], node_of((U, D, D), (U, D, L), (D, U, D)))]))
-    @example((2, [([U, U, D], node_of((U, U, D))), ([U, U, U], node_of((U, U, D)))]))
-    @example((2, [([U, U, U], END)]))
+    # a valid end at the wrong state: a UL across it, a dip below the
+    # axis past it, and a word that ends off the axis; and a node passed
+    # at one state, met again at another
+    @example((2, [chain((U, U, U), node_of((L, D, D)))]))
+    @example((2, [chain((U, U), Node([(U, node_of((U, D, D), (U, D, L), (D, U, D))),
+                                      (D, node_of((U, D, D)))]))]))
+    @example((2, [chain((U, U, D), node_of((U, U, D))), chain((U, U, U), node_of((U, U, D)))]))
+    @example((2, [chain((U, U, U))]))
     def test_resumed_check_matches_reference(self, case):
-        # one checker over the whole run, resuming each word at its
-        # junction, gives each first half and tuple the verdict of the
+        # one checker over the whole run gives each root the verdict of the
         # first bad word the reference finds from scratch, and refuses a
-        # first half holding anything but Step members
+        # word holding anything but Step members where it stands
         t, run = case
         checker = WordChecker(t)
-        for first, node in run:
-            expected = expected_verdict(t, first, node)
+        for root in run:
+            expected = expected_verdict(t, root)
             if expected is None:
-                check_halves(checker, t, first, node)
+                checker.require(root)
             elif expected == "type":
                 with pytest.raises(TypeError, match="^steps must be Step members$"):
-                    check_halves(checker, t, first, node)
+                    checker.require(root)
             else:
                 message = "invalid word (invalid: {} at index {})".format(*expected)
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
-                    check_halves(checker, t, first, node)
+                    checker.require(root)
                 assert (raised.value.rule, raised.value.index) == expected
 
     def test_every_pair_of_short_words(self):
-        # each word of length <= 4, cut at every point into a first half and
-        # one second half, through one checker per t: the nodes share their
-        # rests, so most of them were passed before at another state
+        # each word of length <= 4, cut at every point into a chain and one
+        # shared end, through one checker per t: the ends are shared, so
+        # most of them were passed before at another state
         @functools.cache
         def shared(steps):
-            return END if not steps else Node([(steps[0], shared(steps[1:]))])
+            return chain(steps)
 
         for t in (2, 3):
             checker = WordChecker(t)
@@ -562,7 +606,7 @@ class TestWordChecker:
                     want = reference_closed(t, word)
                     for cut in range(n + 1):
                         try:
-                            check_halves(checker, t, word[:cut], shared(word[cut:]))
+                            checker.require(chain(word[:cut], shared(word[cut:])))
                             got = None
                         except ValueError as exc:
                             got = exc.rule, exc.index

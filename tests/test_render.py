@@ -1,7 +1,6 @@
 """Figure emitters: diagram counts, red marks, golden structure."""
 
 import re
-import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 
 from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
-from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Step, WordChecker, grid_box
+from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, grid_box
 from skewdyck.render import _quarters, render_document
-from test_paths import brute_level, brute_words, node_of, reference_vertices, walk_of, walked_words, words_of
+from test_paths import brute_level, brute_words, chain, node_of, reference_vertices, walk_of, walked_words, words_of
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
 \t\\draw[help lines] (0,0) grid (4,2);
@@ -171,16 +170,16 @@ class TestGridBox:
 @pytest.mark.parametrize("mode", RENDER_MODES)
 def test_document_walks_the_words_once(monkeypatch, mode, fmt):
     # the box comes from (t, n) and the diagram count from the drawing
-    # itself, so a document runs one walk, from whichever module
+    # itself, so a document builds one DAG of words, from whichever module
     calls = []
-    real_halves = paths.halves
+    real_words = paths.words
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return real_halves(*args, **kwargs)
+        return real_words(*args, **kwargs)
 
-    monkeypatch.setattr(paths, "halves", counted)
-    monkeypatch.setattr(render, "halves", counted)
+    monkeypatch.setattr(paths, "words", counted)
+    monkeypatch.setattr(render, "words", counted)
     render_document(2, 9, mode, "red-overlay", False, fmt)
     assert len(calls) == 1
 
@@ -198,53 +197,46 @@ def test_diagram_count_is_the_table_count(t, n):
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
-    # a document checks each word once and holds one first half at a time:
-    # when a first half is checked, no step or vertex list the walk yielded
-    # before it is still alive, and the words the checks cover, each first
-    # half joined to each half under its node, are the walk's words once each
-    class Live(list):  # a list that can be weakly referenced
-        __slots__ = ("__weakref__",)
+    # a document checks each word once, and holds no word: the words reach
+    # it only as the root `words` builds, which one `require` checks before
+    # any text is made, and they are the walk's words once each
+    roots, checked, formatted = [], [], []
+    real_words, real_require, real_run = render.words, WordChecker.require, render._HalfTexts._run
 
-    refs, alive, checked, last = [], [], [], []
-    real_halves, real_require, real_seconds = render.halves, WordChecker.require, WordChecker.require_seconds
+    def recorded(*args, **kwargs):
+        roots.append(real_words(*args, **kwargs))
+        return roots[-1]
 
-    def fresh_halves(*args, **kwargs):
-        for steps, verts, node in real_halves(*args, **kwargs):
-            yield Live(steps), Live(verts), node
+    def tracked(self, root):
+        checked.append((root, len(formatted)))
+        return real_require(self, root)
 
-    def tracked(self, steps):
-        alive.append(sum(ref() is not None for ref in refs))
-        refs.append(weakref.ref(steps))
-        last[:] = steps
-        return real_require(self, steps)
+    def run(self, *args):
+        formatted.append(args)
+        return real_run(self, *args)
 
-    def covered(self, junction, node):
-        checked.extend(tuple(last) + half for half in words_of(node))
-        return real_seconds(self, junction, node)
-
-    monkeypatch.setattr(render, "halves", fresh_halves)
+    monkeypatch.setattr(render, "words", recorded)
     monkeypatch.setattr(WordChecker, "require", tracked)
-    monkeypatch.setattr(WordChecker, "require_seconds", covered)
+    monkeypatch.setattr(render._HalfTexts, "_run", run)
     render_document(2, 9, "skew", "red-overlay", False, fmt)
-    assert checked == walked_words(2, 9)
-    assert len(checked) == 19
-    assert len(alive) == len({w[:5] for w in checked}) == 4  # the first halves, of length 5
-    assert max(alive) == 0
+    assert len(roots) == 1 and checked == [(roots[0], 0)] and formatted
+    assert words_of(roots[0]) == walked_words(2, 9)
+    assert len(walked_words(2, 9)) == 19
 
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 @pytest.mark.parametrize("style", GEOMETRY_MODES)
 def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
     # a count, not a timing: a document makes the texts of each (step,
-    # rest, start vertex) once and checks each (node, level, step before
-    # it) once, and no others, however many words share them
-    formatted, checked, walked = Counter(), Counter(), []
-    real_halves, real_run, real_check = render.halves, render._HalfTexts._run, WordChecker._require_node
+    # rest, start vertex) below depth h = ceil(n/2) once and checks each
+    # (node, level, step before it) once, and no others, however many
+    # words share them
+    formatted, checked, roots = Counter(), Counter(), []
+    real_words, real_run, real_check = render.words, render._HalfTexts._run, WordChecker._require_node
 
     def recorded(*args, **kwargs):
-        for steps, verts, node in real_halves(*args, **kwargs):
-            walked.append((steps[-1], verts[-1], node))
-            yield steps, verts, node
+        roots.append(real_words(*args, **kwargs))
+        return roots[-1]
 
     def run(self, s, rest, start):
         formatted[s, rest, start] += 1
@@ -254,82 +246,81 @@ def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
         checked[node, level, last] += 1
         return real_check(self, depth, level, last, node)
 
-    monkeypatch.setattr(render, "halves", recorded)
+    monkeypatch.setattr(render, "words", recorded)
     monkeypatch.setattr(render._HalfTexts, "_run", run)
     monkeypatch.setattr(WordChecker, "_require_node", check)
-    render_document(3, 16, "skew", style, False, fmt)
-    # every (step, rest, start vertex) and (node, level, step before it)
-    # the words pass, found by following each word's edges
-    vectors = {Step.U: (1, 1), Step.D: (2, -3), Step.L: (-2 if style == "left" else 2, -3)}
-    edges_at, states = set(), set()
+    # an even and an odd length: the first halves take the odd step
+    for t, n, count in ((3, 16, 216), (2, 15, 563)):
+        for seen in (formatted, checked, roots):
+            seen.clear()
+        render_document(t, n, "skew", style, False, fmt)
+        # every (step, rest, start vertex) below depth h and every (node,
+        # level, step before it) the words pass, found by following each
+        # word's edges from the root
+        vectors = {Step.U: (1, 1), Step.D: (2, -t), Step.L: (-2 if style == "left" else 2, -t)}
+        edges_at, states = set(), set()
 
-    def follow(node, x, y, last):
-        # the words under ``node`` from vertex (x, y) after step ``last``
-        states.add((node, y, last))
-        if node is END:
-            return 1
-        words = 0
-        for s, rest in node:
-            edges_at.add((s, rest, (x, y)))
-            dx, dy = vectors[s]
-            words += follow(rest, x + dx, y + dy, s)
-        return words
+        def follow(node, x, y, last, depth):
+            # the words under ``node`` from vertex (x, y) after step ``last``
+            states.add((node, y, last))
+            if node is END:
+                return 1
+            words = 0
+            for s, rest in node:
+                if depth >= n - n // 2:
+                    edges_at.add((s, rest, (x, y)))
+                dx, dy = vectors[s]
+                words += follow(rest, x + dx, y + dy, s, depth + 1)
+            return words
 
-    assert sum(follow(node, *junction, first_last) for first_last, junction, node in walked) == 216
-    assert set(formatted) == edges_at and set(formatted.values()) == {1}
-    assert set(checked) == states and set(checked.values()) == {1}
+        assert follow(*roots, 0, 0, None, 0) == count
+        assert set(formatted) == edges_at and set(formatted.values()) == {1}
+        assert set(checked) == states and set(checked.values()) == {1}
 
 
 U, D, L = STEP_ORDER
 
 
-def overlay_first(letters):
-    # a first half of the walk, with its overlay vertices at t = 2
-    steps = [Step(ch) for ch in letters]
-    return steps, list(reference_vertices(2, steps, "red-overlay"))
-
-
-def halves_of(*texts):
+def root_of(*texts):
     return node_of(*(tuple(Step(ch) for ch in text) for text in texts))
 
 
-# (n, what a broken walk yields, the error), keyed by the test id after the
-# format; every second half below is one the walk makes at some junction
-_BAD_WALKS = {
-    # a first half the walk should never yield
-    "": (3, [(*overlay_first("UL"), halves_of("D"))], "UL at index 0"),
-    # a second half the walk should never make
-    "-bad-second-half": (6, [(*overlay_first("UUU"), halves_of("UDD", "ULD"))], "UL at index 3"),
-    # LDD closes UUUUUD (level 6, after D), but after UUU (level 3, after U)
-    # it makes a UL across the junction
-    "-wrong-junction-UL": (6, [(*overlay_first("UUU"), halves_of("LDD"))], "UL at index 2"),
-    # UUU's tuple attached after UUD (level 0): UDD dips below the axis
+# (n, the root a broken `words` returns, the error), keyed by the test id
+# after the format; every end below is one `words` makes at some state
+_BAD_ROOTS = {
+    # a word `words` should never make
+    "": (3, root_of("ULD"), "UL at index 0"),
+    # a word broken in its second half
+    "-bad-second-half": (6, root_of("UUUUDD", "UUUULD"), "UL at index 3"),
+    # LDD ends UUUUUD (level 6, after D), but after UUU (level 3, after U)
+    # it makes a UL across the junction at depth h
+    "-wrong-junction-UL": (6, chain((U, U, U), root_of("LDD")), "UL at index 2"),
+    # one node of ends shared after UUU (level 3) and after UUD (level 0),
+    # where UDD dips below the axis: passed at one state, it is checked
+    # again at the other
     "-wrong-junction-below-axis": (
         6,
-        [(*overlay_first("UUU"), halves_of("UDD", "UDL", "DUD")), (*overlay_first("UUD"), halves_of("UDD"))],
+        chain((U, U), Node((s, shared) for shared in [root_of("UDD", "UDL", "DUD")] for s in (U, D))),
         "below-axis at index 4",
     ),
     # UUD closes UUD UUD but leaves UUU UUD at level 3
-    "-not-closed": (6, [(*overlay_first("UUU"), halves_of("UUD"))], "not-closed at index 5"),
+    "-not-closed": (6, chain((U, U, U), root_of("UUD")), "not-closed at index 5"),
 }
 
 
 @pytest.mark.parametrize(
-    "fmt, n, walked, error",
+    "fmt, n, root, error",
     [
         pytest.param(fmt, *case, id=fmt + name)
-        for name, case in _BAD_WALKS.items()
+        for name, case in _BAD_ROOTS.items()
         for fmt in ("svg", "tikz")
     ],
 )
-def test_drawn_words_are_validated(monkeypatch, fmt, n, walked, error):
-    # a word the walk should never yield is refused by the word check,
-    # whichever half it is wrong in and whatever junction the walk attaches
-    # a second half at; the index counts from the word's first step
-    def bad_walk(t, n, **kwargs):
-        yield from walked
-
-    monkeypatch.setattr(render, "halves", bad_walk)
+def test_drawn_words_are_validated(monkeypatch, fmt, n, root, error):
+    # a word `words` should never make is refused by the word check,
+    # whichever half it is wrong in and whatever state a shared node is
+    # reached at; the index counts from the word's first step
+    monkeypatch.setattr(render, "words", lambda t, n, *, plain: root)
     with pytest.raises(ValueError, match=f"^{re.escape(f'invalid word (invalid: {error})')}$"):
         render_document(2, n, "skew", "red-overlay", False, fmt)
 

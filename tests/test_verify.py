@@ -51,25 +51,25 @@ def test_one_run_builds_one_table_per_t_and_direction(monkeypatch, order, t_list
 @pytest.mark.parametrize("order,t_list", [(48, (2, 3, 4)), (64, (2,)), (96, (2, 3))])
 def test_one_run_walks_the_words_once_per_t(monkeypatch, order, t_list):
     # the enumeration row of each t reads one walk of the tree of words,
-    # every length at once, and no row walks the closed words in halves
-    walked, halved = [], []
-    real, real_halves = paths.prefix_ends, paths.halves
+    # every length at once, and no row builds a DAG of closed words
+    walked, built = [], []
+    real, real_words = paths.prefix_ends, paths.words
 
     def counted(t, n_max):
         walked.append(t)
         return real(t, n_max)
 
     def recorded(*args, **kwargs):
-        halved.append(args)
-        return real_halves(*args, **kwargs)
+        built.append(args)
+        return real_words(*args, **kwargs)
 
     monkeypatch.setattr(verify, "prefix_ends", counted)
     monkeypatch.setattr(paths, "prefix_ends", counted)
-    monkeypatch.setattr(paths, "halves", recorded)
+    monkeypatch.setattr(paths, "words", recorded)
     report = run_verification(order=order, t_list=t_list)
     assert report.passed
     assert walked == list(t_list)
-    assert halved == []
+    assert built == []
 
 
 def test_a_word_rule_dropped_from_the_walk_fails_the_enumeration(monkeypatch):
@@ -306,3 +306,13 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
         "length-15 adjudication",
     ]
     assert lines[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize(
+    "order, t_list, message", [(16, (), "t_list must hold at least one t"), (7, (2,), "order must be >= 8")]
+)
+def test_a_run_that_would_check_nothing_is_refused(order, t_list, message):
+    # with no t, no enumeration or left-to-right layer-equation row would
+    # run, and the rows left would pass a run that checked neither
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_verification(order, t_list)
