@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add
-from typing import NamedTuple
 
 LAYERS = ("F", "G", "H")
 _LIDX = {layer: i for i, layer in enumerate(LAYERS)}  # a layer's index in a row
@@ -55,29 +54,25 @@ def _lr_edges(t: int) -> tuple[tuple[str, str, int], ...]:
     )
 
 
-class _Scan(NamedTuple):
-    """What a scan direction fixes besides the direction of the arrows."""
-
-    backward: bool  # walk every edge from its target to its sources
-    seeds: str  # letters of the level-0 layers holding the empty word
-    closed: str  # letters of the level-0 layers summed into the closed count
-    pinned: str  # letters of the level-0 layers held at zero after step 0
-
-
+# What a scan direction fixes: (backward, seeds, closed, pinned).  Backward
+# walks every edge from its target to its sources; the others are the
+# letters of the level-0 layers that hold the empty word, that are summed
+# into the closed count, and that are held at zero after step 0.
 _SCANS = {
-    "LR": _Scan(False, seeds="F", closed="FGH", pinned=""),
-    "RL": _Scan(True, seeds="GH", closed="G", pinned="F"),
+    "LR": (False, "F", "FGH", ""),
+    "RL": (True, "GH", "G", "F"),
 }
 
 DIRECTIONS = tuple(_SCANS)
 
 
-def _arcs(t: int, scan: _Scan) -> list[tuple[int, int, int]]:
-    """(source index, target index, level change) for every arrow of a scan."""
+def _arcs(t: int, backward: bool) -> list[tuple[int, int, int]]:
+    """(source index, target index, level change) for every arrow of a
+    scan, each edge walked from its target to its sources if ``backward``."""
     arcs = []
     for sources, target, delta in _lr_edges(t):
         for source in sources:
-            if scan.backward:
+            if backward:
                 arcs.append((_LIDX[target], _LIDX[source], -delta))
             else:
                 arcs.append((_LIDX[source], _LIDX[target], delta))
@@ -95,16 +90,13 @@ def _period(arcs: list[tuple[int, int, int]]) -> tuple[int, int]:
     return m, deltas[0] % m
 
 
-class _Sum(NamedTuple):
-    """One target's sum within one level change: the sum before it plus sources."""
-
-    target: int  # layer index written
-    sources: tuple[int, ...]  # layer indices added on top of the sum before
-    into: bool  # an earlier level change wrote the target: add into the row
-
-
-def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
+def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[tuple]]]:
     """(level change, sums) for each level change of the arcs, in arc order.
+
+    A sum is (target, sources, into), one target's sum within one level
+    change: the sum before it plus ``sources``, written to the layer index
+    ``target``, added into the row if ``into`` (an earlier level change
+    wrote the target).
 
     Within one level change every source row is read at one shift, so
     each is sliced once.  The targets' source sets nest (a ``ValueError``
@@ -119,11 +111,11 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[_Sum]]]:
     plan, written = [], set()
     for delta, targets in changes.items():
         made: set[int] = set()  # the sources of the sum before
-        sums: list[_Sum] = []
+        sums: list[tuple] = []
         for dst, srcs in sorted(targets.items(), key=lambda item: len(item[1])):
             if not made <= srcs:
                 raise ValueError(f"level change {delta}: the targets' source sets do not nest")
-            sums.append(_Sum(dst, tuple(sorted(srcs - made)), dst in written))
+            sums.append((dst, tuple(sorted(srcs - made)), dst in written))
             made = srcs
         written.update(targets)
         plan.append((delta, sums))
@@ -222,15 +214,15 @@ def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTab
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}")
 
-    scan = _SCANS[direction]
-    arcs = _arcs(t, scan)
+    backward, seeds, closed, pinned = _SCANS[direction]
+    arcs = _arcs(t, backward)
     rise = max(delta for _, _, delta in arcs)
     drop = -min(delta for _, _, delta in arcs)
     m, c = _period(arcs)
     plan = _plan(arcs)
 
     prev = [[0], [0], [0]]  # prev[layer-index][j] is level prev_base + m*j
-    for layer in scan.seeds:
+    for layer in seeds:
         prev[_LIDX[layer]][0] = 1
     prev_base = 0
     grid = [prev]
@@ -254,12 +246,11 @@ def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTab
                     cells = list(cells)
                 row[dst][lo:top] = map(add, cells, row[dst][lo:top]) if into else cells
         if base == 0:
-            for layer in scan.pinned:
+            for layer in pinned:
                 row[_LIDX[layer]][0] = 0
         stored = (k_max - base) // m + 1  # levels base, base + m, ... <= k_max
         f, g, h = row
         grid.append(row if width <= stored else [f[:stored], g[:stored], h[:stored]])
         prev, prev_base = row, base
 
-    closed = tuple(_LIDX[layer] for layer in scan.closed)
-    return CountTable(n_max, k_max, closed, (m, c), grid)
+    return CountTable(n_max, k_max, tuple(_LIDX[layer] for layer in closed), (m, c), grid)

@@ -42,7 +42,7 @@ answer.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .series import Series, SeriesError, newton_root
 
@@ -118,7 +118,7 @@ def good_root(t: int, order: int) -> Series:
     return series_root(kernel_poly(t), -1, 1, order)
 
 
-class KernelSolution(NamedTuple):
+class KernelSolution(namedtuple("KernelSolution", "t order s g0 h0 total s_inv_powers")):
     """The solution for one t, derived from the surviving root s.
 
     The level-k prefix series follow the geometric law f_k = s^-k,
@@ -127,13 +127,7 @@ class KernelSolution(NamedTuple):
     solution holding s^-1 itself, on the window of ``s``.
     """
 
-    t: int
-    order: int
-    s: Series
-    g0: Series
-    h0: Series
-    total: Series
-    s_inv_powers: dict
+    __slots__ = ()
 
     def s_inv_power(self, k: int) -> Series:
         """s^(-k) for k >= 1 as s^-floor(k/2) s^-ceil(k/2), each computed once per solution."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 from .automaton import dp_counts
@@ -58,7 +57,8 @@ def _bundled_text(seq_id: str) -> str | None:
     name = _BUNDLED.get(seq_id)
     if name is None:
         return None
-    return (resources.files("skewdyck") / "data" / name).read_text()
+    # read beside the module: `importlib.resources` would load `typing` and `zipfile`
+    return (Path(__file__).parent / "data" / name).read_text()
 
 
 def b_file_url(seq_id: str) -> str:

@@ -1,9 +1,10 @@
-"""Step alphabet, the word rules, and the two word walks.
+"""The step letters, the word rules, and the two word walks.
 
-A skew t-Dyck word is a sequence of `Step` members over {U, D, L} where U
-climbs one unit and both down-steps drop t units; the word must stay on
-or above the axis and may not contain UL or LU as adjacent pairs.  Closed
-words end back on the axis.  The drawing convention stretches down-steps:
+A step is one of the plain strings "U", "D" and "L", as the paper writes
+them, and a skew t-Dyck word is a sequence of them: U climbs one unit
+and both down-steps drop t units.  The word must stay on or above the
+axis and may not contain UL or LU as adjacent pairs.  Closed words end
+back on the axis.  The drawing convention stretches down-steps:
 U maps to (+1, +1), D to (+2, -t), and L either to a true left step
 (-2, -t) or, in the default overlay style, to a forward (+2, -t) segment
 tagged red so the emitters can offset it visually.  A vertex's y is its
@@ -25,43 +26,26 @@ state it is reached at, one edge's step at a time.
 
 from __future__ import annotations
 
-from enum import Enum
-from functools import cache
-
-
-class Step(Enum):
-    U = "U"
-    D = "D"
-    L = "L"
-
-    # members are singletons compared by identity; Enum's own __hash__
-    # hashes the name in Python, which dominated every step lookup
-    __hash__ = object.__hash__
-
-
 # canonical (and lexicographic) step order: U < D < L
-STEP_ORDER = (Step.U, Step.D, Step.L)
+STEP_ORDER = ("U", "D", "L")
 
 DEFAULT_ENUMERATION_CAP = 24
 
 # horizontal run of each step per geometry mode; the rise is its level change
 _STEP_DX = {
-    "red-overlay": {Step.U: 1, Step.D: 2, Step.L: 2},
-    "left": {Step.U: 1, Step.D: 2, Step.L: -2},
+    "red-overlay": {"U": 1, "D": 2, "L": 2},
+    "left": {"U": 1, "D": 2, "L": -2},
 }
 GEOMETRY_MODES = tuple(_STEP_DX)
 
 
-@cache
-def _level_deltas(t: int) -> dict[Step, int]:
-    """Level change of each step: U climbs one unit, D and L drop t (one table per t)."""
-    return {Step.U: 1, Step.D: -t, Step.L: -t}
+def _level_deltas(t: int) -> dict[str, int]:
+    """Level change of each step: U climbs one unit, D and L drop t."""
+    return {"U": 1, "D": -t, "L": -t}
 
 
-@cache
-def step_vectors(t: int, style: str) -> dict[Step, tuple[int, int]]:
-    """(dx, dy) of each step in geometry ``style``: dy is its level change
-    (one table per t and style)."""
+def step_vectors(t: int, style: str) -> dict[str, tuple[int, int]]:
+    """(dx, dy) of each step in geometry ``style``: dy is its level change."""
     return {s: (_STEP_DX[style][s], dy) for s, dy in _level_deltas(t).items()}
 
 
@@ -76,15 +60,13 @@ def _require_length(n) -> None:
     if n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(
             f"length {n} exceeds the exhaustive-enumeration cap ({DEFAULT_ENUMERATION_CAP}); "
-            "use the automaton counting table (dp_counts) instead"
+            "use the automaton counting table instead (`skewdyck count`, or dp_counts in the library)"
         )
 
 
-_U, _D, _L = STEP_ORDER  # bound once: EnumType's __getattr__ hook slows Step.X
-
 # the steps that may follow each last step (None before the first), in step
 # order: U first, no UL, no LU.  A plain word leaves L out.
-_FOLLOW = {None: (_U,), _U: (_U, _D), _D: (_U, _D, _L), _L: (_D, _L)}
+_FOLLOW = {None: ("U",), "U": ("U", "D"), "D": ("U", "D", "L"), "L": ("D", "L")}
 
 
 class _Invalid(ValueError):
@@ -142,12 +124,12 @@ class WordChecker:
         """The level after step ``s`` at ``depth``; raise ValueError on a broken rule."""
         delta = self._delta.get(s)
         if delta is None:
-            raise TypeError("steps must be Step members")
-        if last is None and s is not _U:
+            raise TypeError("steps must be the letters 'U', 'D' and 'L'")
+        if last is None and s != "U":
             raise _Invalid("first-step", 0)
-        if last is _U and s is _L:
+        if last == "U" and s == "L":
             raise _Invalid("UL", depth - 1)
-        if last is _L and s is _U:
+        if last == "L" and s == "U":
             raise _Invalid("LU", depth - 1)
         level += delta
         if level < 0:
@@ -216,8 +198,8 @@ def words(t: int, n: int, *, plain: bool) -> Node:
     _require_length(n)
     if n % (t + 1):
         return Node()  # each step moves the level by 1 mod t+1, so no word closes
-    delta, skip = _level_deltas(t), _L if plain else None
-    follow = {last: tuple((s, delta[s]) for s in steps if s is not skip) for last, steps in _FOLLOW.items()}
+    delta, skip = _level_deltas(t), "L" if plain else None
+    follow = {last: tuple((s, delta[s]) for s in steps if s != skip) for last, steps in _FOLLOW.items()}
     made = {}  # the node of each state
 
     def node(level: int, last, r: int) -> Node:

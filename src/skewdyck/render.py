@@ -30,7 +30,7 @@ count of quarter units.
 from __future__ import annotations
 
 from . import RENDER_MODES
-from .paths import END, GEOMETRY_MODES, Node, Step, WordChecker, grid_box, step_vectors, words
+from .paths import END, GEOMETRY_MODES, Node, WordChecker, grid_box, step_vectors, words
 
 OVERLAY_SHIFT = 1  # in quarter units: the red copy sits a quarter unit off
 
@@ -72,7 +72,7 @@ class _HalfTexts:
             self._lists[node, start] = got
         return got
 
-    def _run(self, s: Step, rest: Node, start: tuple) -> list:
+    def _run(self, s: str, rest: Node, start: tuple) -> list:
         """The texts of the halves that open with step ``s`` from ``start``
         and go on under ``rest``: called once per (step, rest, start vertex)."""
         dx, dy = self._vectors[s]
@@ -95,7 +95,7 @@ def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
     start vertex) and a node's list once per (node, start vertex).
     """
     WordChecker(t).require(root)
-    L, overlay = Step.L, style == "red-overlay"
+    overlay = style == "red-overlay"
     start, sep, close = path
     made = {}  # the text of a step, by (step, start vertex)
 
@@ -103,9 +103,9 @@ def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
         got = made.get((s, a))
         if got is None:
             if overlay:
-                got = sep + vt[b], mark(a, b) if s is L else ""
+                got = sep + vt[b], mark(a, b) if s == "L" else ""
             else:
-                got = segment(s is L, a, b), ""
+                got = segment(s == "L", a, b), ""
             made[s, a] = got
         return got
 

@@ -32,21 +32,17 @@ and each value a detail string names is written by `series._ratio_text`.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import closed_form, kernel, reverse
 from .automaton import LAYERS, CountTable, dp_counts
-from .paths import Step, prefix_ends
+from .paths import prefix_ends
 from .series import Series, _ratio, _ratio_text, horner
 
 Verdict = tuple[bool, str]
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 class VerificationReport:
@@ -203,7 +199,7 @@ def _published_check(computed: Series, published: dict, order: int) -> Verdict:
 
 
 # the layer a word ends in, read off its last step; the empty word is in F
-_LAST_STEP_LAYER = {None: "F", Step.U: "F", Step.D: "G", Step.L: "H"}
+_LAST_STEP_LAYER = {None: "F", "U": "F", "D": "G", "L": "H"}
 
 
 def _enumeration_check(table: CountTable, t: int, n_hi: int) -> Verdict:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from skewdyck import automaton
 from skewdyck.automaton import LAYERS, dp_counts
 from skewdyck.kernel import kernel_poly
-from skewdyck.paths import Step, prefix_ends, words
+from skewdyck.paths import prefix_ends, words
 from skewdyck.verify import _equations, _equations_check, first_violation
 from test_paths import walk_of, words_of
 
@@ -24,7 +24,7 @@ def walked_cells(t, n):
     # the words of length n from the open-word walk, counted by (final
     # level, layer): the layer read off the last step, and the empty word
     # in layer F
-    layer_of = {None: "F", Step.U: "F", Step.D: "G", Step.L: "H"}
+    layer_of = {None: "F", "U": "F", "D": "G", "L": "H"}
     return Counter((level, layer_of[last]) for length, level, last in prefix_ends(t, n) if length == n)
 
 
@@ -38,7 +38,7 @@ class TestTotals:
 
     def test_t3_small(self):
         assert total(3, 4) == 1
-        assert ["".join(s.value for s in steps) for steps, _ in walk_of(3, 8)] == [
+        assert ["".join(steps) for steps, _ in walk_of(3, 8)] == [
             "UUUUUUDD", "UUUUUUDL", "UUUUUDUD", "UUUUDUUD", "UUUDUUUD",
         ]
         assert total(3, 8) == 5
@@ -327,29 +327,30 @@ class TestStridedWalk:
     def test_plan_slices_each_source_once(self, t, direction):
         # the plan sums, for every level change, exactly the arcs' sources
         # of each target, and reads each source row once per level change
-        arcs = automaton._arcs(t, automaton._SCANS[direction])
+        backward = automaton._SCANS[direction][0]
+        arcs = automaton._arcs(t, backward)
         for delta, sums in automaton._plan(arcs):
-            read = [src for step in sums for src in step.sources]
+            read = [src for _, sources, _ in sums for src in sources]
             assert len(read) == len(set(read))
             wanted = {dst: {s for s, d, change in arcs if d == dst and change == delta}
                       for _, dst, _ in arcs}
             full = set()  # each sum extends the one before it
-            for step in sums:
-                full |= set(step.sources)
-                assert full == wanted[step.target]
+            for target, sources, _ in sums:
+                full |= set(sources)
+                assert full == wanted[target]
 
     def test_plan_shares_nested_sums(self):
         F, G, H = 0, 1, 2
-        plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["LR"])))
+        plan = dict(automaton._plan(automaton._arcs(3, backward=False)))
         # left to right at -t: H <- G+H, then G extends that sum by F
-        assert [(s.target, s.sources) for s in plan[-3]] == [(H, (G, H)), (G, (F,))]
-        plan = dict(automaton._plan(automaton._arcs(3, automaton._SCANS["RL"])))
+        assert [(target, sources) for target, sources, _ in plan[-3]] == [(H, (G, H)), (G, (F,))]
+        plan = dict(automaton._plan(automaton._arcs(3, backward=True)))
         # right to left at -1, F and G share the F slice; at +t, G extends
         # F's G slice by H, and H is G's sum; F and G add into the row
-        assert [(s.target, s.sources, s.into) for s in plan[-1]] == [
+        assert plan[-1] == [
             (F, (F,), False), (G, (), False),
         ]
-        assert [(s.target, s.sources, s.into) for s in plan[3]] == [
+        assert plan[3] == [
             (F, (G,), True), (G, (H,), True), (H, (), False),
         ]
 

@@ -277,7 +277,7 @@ class TestRender:
             target.write_bytes(before)
         rc, out, err = run(capsys, "render", "--t", "2", "--n", "27", "--out", str(target))
         assert rc == 1
-        assert "cap" in err
+        assert "cap" in err and "use the automaton counting table instead (`skewdyck count`" in err
         assert out == ""
         assert (target.read_bytes() if target.exists() else None) == before
 

@@ -1,6 +1,6 @@
 """Word validation, enumeration, and the walks' vertices and ends.
 
-Words are the Step tuples the walks yield.  The brute-force checkers below
+Words are the tuples of step letters the walks yield.  The brute-force checkers below
 are direct transcriptions of the word rules and never call the library
 checker, and `reference_vertices` chains literal step vectors, so the
 exhaustive comparisons are a genuine second opinion.  The closed words
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from skewdyck import render
 from skewdyck.automaton import dp_counts
 from skewdyck.paths import (
-    END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, prefix_ends, step_vectors, words,
+    END, GEOMETRY_MODES, STEP_ORDER, Node, WordChecker, prefix_ends, step_vectors, words,
 )
 
 
@@ -44,7 +44,7 @@ def brute_valid(t, text):
 
 
 def brute_level(t, steps):
-    return sum(1 if s is Step.U else -t for s in steps)
+    return sum(1 if s == "U" else -t for s in steps)
 
 
 def reference_validate(t, steps):
@@ -54,13 +54,13 @@ def reference_validate(t, steps):
     level = 0
     prev = None
     for i, s in enumerate(steps):
-        if i == 0 and s is not Step.U:
+        if i == 0 and s != "U":
             return "first-step", 0
-        if prev is Step.U and s is Step.L:
+        if prev == "U" and s == "L":
             return "UL", i - 1
-        if prev is Step.L and s is Step.U:
+        if prev == "L" and s == "U":
             return "LU", i - 1
-        level += 1 if s is Step.U else -t
+        level += 1 if s == "U" else -t
         if level < 0:
             return "below-axis", i
         prev = s
@@ -130,9 +130,9 @@ def reference_vertices(t, steps, style):
     # the drawing convention as literal step vectors: U (1, 1), D (2, -t),
     # and L (-2, -t) in the left style or (2, -t) in the red overlay
     vectors = {
-        Step.U: (1, 1),
-        Step.D: (2, -t),
-        Step.L: (-2, -t) if style == "left" else (2, -t),
+        "U": (1, 1),
+        "D": (2, -t),
+        "L": (-2, -t) if style == "left" else (2, -t),
     }
     verts = [(0, 0)]
     for s in steps:
@@ -155,11 +155,11 @@ def walked_vertices(t, steps, style="red-overlay"):
 
 
 def word(letters):
-    return tuple(Step(ch) for ch in letters)
+    return tuple(letters)
 
 
 def text(steps):
-    return "".join(s.value for s in steps)
+    return "".join(steps)
 
 
 def step_lex_key(letters):
@@ -199,8 +199,8 @@ class TestValidate:
             WordChecker(1)
 
     def test_non_step_rejected(self):
-        with pytest.raises(TypeError, match="Step members"):
-            WordChecker(2).require(chain((Step.U, "U", Step.D)))
+        with pytest.raises(TypeError, match="steps must be the letters"):
+            WordChecker(2).require(chain(("U", "u", "D")))
 
     def test_exhaustive_against_brute_force(self):
         # a valid word passes when it closes, and fails only "not-closed"
@@ -232,7 +232,7 @@ class TestIsClosed:
             assert walked_vertices(2, word("UUD"), style)[-1][1] == 0
             assert walked_vertices(2, word("UUUUDL"), style)[-1][1] == 0
         # an open word ends off the axis: UU is no closed word, and ends at level 2
-        assert walked_words(2, 2) == [] and (2, 2, Step.U) in prefix_ends(2, 2)
+        assert walked_words(2, 2) == [] and (2, 2, "U") in prefix_ends(2, 2)
 
 
 class TestEnumerate:
@@ -262,7 +262,7 @@ class TestEnumerate:
                 (
                     "".join(letters)
                     for letters in itertools.product("UDL", repeat=n)
-                    if brute_valid(2, "".join(letters)) and brute_level(2, map(Step, letters)) == 0
+                    if brute_valid(2, "".join(letters)) and brute_level(2, letters) == 0
                 ),
                 key=step_lex_key,
             )
@@ -328,7 +328,7 @@ class TestWalk:
             ]
             for plain in (True, False):
                 expected = [
-                    steps for steps in valid if brute_level(t, steps) == 0 and not (plain and Step.L in steps)
+                    steps for steps in valid if brute_level(t, steps) == 0 and not (plain and "L" in steps)
                 ]
                 for style in GEOMETRY_MODES:
                     got = []
@@ -349,7 +349,7 @@ class TestWalk:
     def test_flattened_halves_match_brute_force(self, t, n, plain, style):
         # the half walk, flattened, yields the reference's closed words in
         # its order, each with the vertices `reference_vertices` gives it
-        expected = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
+        expected = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and "L" in w)]
         got = []
         for steps, verts in walk_of(t, n, style, plain):
             assert tuple(verts) == reference_vertices(t, steps, style)
@@ -364,7 +364,7 @@ class TestWalk:
         # level and last step
         for n in range(13):
             for plain in (True, False):
-                want = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and Step.L in w)]
+                want = [w for w in brute_words(t, n) if brute_level(t, w) == 0 and not (plain and "L" in w)]
                 root, nodes = words(t, n, plain=plain), {}
                 for w in want:
                     node = root
@@ -398,7 +398,7 @@ class TestWalk:
         # closed count (the RL level-0 F cell is pinned, so the root, with
         # no step before it, is read from the closed count); every node
         # reached is `END` or has edges, so no edge leads to a dead end
-        layer_of = {Step.U: "F", Step.D: "G", Step.L: "H"}
+        layer_of = {"U": "F", "D": "G", "L": "H"}
         states = 0  # the roots and the states reached after a step
         for n in range(25):
             rl, counts = dp_counts(t, n, n, "RL"), {END: 1}
@@ -415,7 +415,7 @@ class TestWalk:
             while stack:
                 node, level, r = stack.pop()
                 for s, rest in node:
-                    after = level + (1 if s is Step.U else -t)
+                    after = level + (1 if s == "U" else -t)
                     if (rest, after, s) not in seen:
                         seen.add((rest, after, s))
                         assert rest or rest is END, "an edge leads to a node with no completion"
@@ -485,10 +485,11 @@ def brute_words(t, n):
 
 
 def reference_word(t, steps):
-    # a word's verdict, step by step: a member that is not a Step
-    # refuses the word where it stands, after the rules of the steps before it
+    # a word's verdict, step by step: a member that is not one of the step
+    # letters refuses the word where it stands, after the rules of the
+    # steps before it
     for k, s in enumerate(steps):
-        if not isinstance(s, Step):
+        if s not in ("U", "D", "L"):
             return reference_validate(t, steps[:k]) or "type"
     return reference_closed(t, steps)
 
@@ -533,7 +534,7 @@ def replaced(node, old, new, memo):
 def checked_runs(draw):
     # a run of roots over one t: the roots of `words` and copies with one
     # node's edge changed, either its step (now and then to a member that
-    # is not a Step) or its rest (to another node lower in the DAG, so
+    # is not one of the letters: another string, an int or None) or its rest (to another node lower in the DAG, so
     # reached at the wrong state).  Nodes recur across the run and within
     # a root, so the checker meets them again at other states.
     t = draw(st.integers(2, 4))
@@ -553,7 +554,7 @@ def checked_runs(draw):
             if lower and draw(st.booleans()):
                 rest = draw(st.sampled_from(lower))
             else:
-                s = draw(st.sampled_from((*STEP_ORDER, "U")))
+                s = draw(st.sampled_from((*STEP_ORDER, "u", "X", "", 1, None)))
             edges[i] = s, rest
             root = replaced(root, node, Node(edges), {})
             real.append(root)
@@ -572,10 +573,11 @@ class TestWordChecker:
                                       (D, node_of((U, D, D)))]))]))
     @example((2, [chain((U, U, D), node_of((U, U, D))), chain((U, U, U), node_of((U, U, D)))]))
     @example((2, [chain((U, U, U))]))
+    @example((2, [chain((U, U, D), node_of((U, U, D))), chain((U, U, D), node_of((U, "u", D)))]))
     def test_resumed_check_matches_reference(self, case):
         # one checker over the whole run gives each root the verdict of the
         # first bad word the reference finds from scratch, and refuses a
-        # word holding anything but Step members where it stands
+        # word holding anything but the step letters where it stands
         t, run = case
         checker = WordChecker(t)
         for root in run:
@@ -583,7 +585,7 @@ class TestWordChecker:
             if expected is None:
                 checker.require(root)
             elif expected == "type":
-                with pytest.raises(TypeError, match="^steps must be Step members$"):
+                with pytest.raises(TypeError, match="^steps must be the letters 'U', 'D' and 'L'$"):
                     checker.require(root)
             else:
                 message = "invalid word (invalid: {} at index {})".format(*expected)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
-from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Node, Step, WordChecker, grid_box
+from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Node, WordChecker, grid_box
 from skewdyck.render import _quarters, render_document
 from test_paths import brute_level, brute_words, chain, node_of, reference_vertices, walk_of, walked_words, words_of
 
@@ -46,7 +46,7 @@ def mode_words(t, n, mode):
     # reference selection: every closed word, or the L-free ones
     words = walked_words(t, n)
     if mode == "plain":
-        words = [w for w in words if Step.L not in w]
+        words = [w for w in words if "L" not in w]
     return words
 
 
@@ -84,7 +84,7 @@ class TestSvg:
     def test_red_segment_count_matches_marked_steps(self):
         skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
         marked = sum(
-            1 for w in walked_words(2, 9) for s in w if s is Step.L
+            1 for w in walked_words(2, 9) for s in w if s == "L"
         )
         assert marked == 8
         assert skew.count('class="skew"') == marked
@@ -257,7 +257,7 @@ def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
         # every (step, rest, start vertex) below depth h and every (node,
         # level, step before it) the words pass, found by following each
         # word's edges from the root
-        vectors = {Step.U: (1, 1), Step.D: (2, -t), Step.L: (-2 if style == "left" else 2, -t)}
+        vectors = {"U": (1, 1), "D": (2, -t), "L": (-2 if style == "left" else 2, -t)}
         edges_at, states = set(), set()
 
         def follow(node, x, y, last, depth):
@@ -282,7 +282,7 @@ U, D, L = STEP_ORDER
 
 
 def root_of(*texts):
-    return node_of(*(tuple(Step(ch) for ch in text) for text in texts))
+    return node_of(*(tuple(text) for text in texts))
 
 
 # (n, the root a broken `words` returns, the error), keyed by the test id

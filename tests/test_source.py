@@ -332,7 +332,10 @@ def test_one_process_exit():
 
 def test_no_costly_imports():
     # dataclasses pulls in inspect, and json is needed only where JSON is
-    # written; either at module level would tax every command's start-up
+    # written; either at module level would tax every command's start-up.
+    # typing, enum and functools are imported nowhere: a step is its
+    # letter and a record a plain tuple or a `collections.namedtuple`, and
+    # this holds whatever modules a host's `site` happens to preload
     found = []
     for path in sorted(Path(skewdyck.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -350,7 +353,9 @@ def test_no_costly_imports():
             else:
                 continue
             for name in (name.partition(".")[0] for name in names):
-                if name == "dataclasses" or (name == "json" and id(node) not in in_functions):
+                if name in ("dataclasses", "typing", "enum", "functools") or (
+                    name == "json" and id(node) not in in_functions
+                ):
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert not found, f"costly imports in the package: {found}"
 
@@ -375,21 +380,25 @@ _LAYERS = [
 # (argv, modules the command must not load).  Each command imports only
 # the layers on its own route, and a well-formed command needs no
 # argparse, which only help and usage errors load; `-S` keeps site hooks
-# out of the picture.
+# out of the picture.  No command loads `typing`, and one that loads no
+# `json` or `re` loads no `enum` or `functools` either: a step is its
+# letter and a record a plain tuple or a `collections.namedtuple`.
 _IMPORT_VECTORS = {
-    "help": (["--help"], [*_LAYERS, "fractions", "dataclasses", "json"]),
+    "help": (["--help"], [*_LAYERS, "fractions", "dataclasses", "json", "typing"]),
+    # the table and the CLI need no `collections` at all
     "count": (
         ["count", "--n", "0:20"],
         [
             "skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions", "dataclasses",
-            "argparse",
+            "argparse", "typing", "enum", "functools", "collections",
         ],
     ),
     "render": (
         ["render", "--n", "6"],
         [
             "skewdyck.series", "skewdyck.automaton", "skewdyck.kernel",
-            "dataclasses", "fractions", "typing", "json", "argparse",
+            "dataclasses", "fractions", "typing", "json", "argparse", "enum", "functools",
+            "collections",
         ],
     ),
     # a series selector loads its own route only, and printing a series
@@ -399,7 +408,7 @@ _IMPORT_VECTORS = {
         [
             "skewdyck.paths", "skewdyck.render", "skewdyck.verify", "skewdyck.oeis",
             "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton",
-            "fractions", "json", "dataclasses", "argparse",
+            "fractions", "json", "dataclasses", "argparse", "typing", "enum", "functools",
         ],
     ),
     # JSON output is written from the stored integers too
@@ -407,21 +416,21 @@ _IMPORT_VECTORS = {
         ["series", "total", "--order", "16", "--format", "json"],
         [
             "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths",
-            "fractions", "decimal", "numbers", "argparse",
+            "fractions", "decimal", "numbers", "argparse", "typing",
         ],
     ),
     "series-R": (
         ["series", "R", "--order", "16"],
         [
             "skewdyck.kernel", "skewdyck.reverse", "skewdyck.automaton", "skewdyck.paths",
-            "fractions", "json", "argparse",
+            "fractions", "json", "argparse", "typing", "enum", "functools",
         ],
     ),
     "series-prefix": (
         ["series", "prefix:G:4", "--order", "16"],
         [
             "skewdyck.reverse", "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths",
-            "fractions", "json", "argparse",
+            "fractions", "json", "argparse", "typing", "enum", "functools",
         ],
     ),
     # the s1 seed and published values are integer pairs, read without `fractions`
@@ -429,29 +438,36 @@ _IMPORT_VECTORS = {
         ["series", "s1", "--order", "16"],
         [
             "skewdyck.closed_form", "skewdyck.automaton", "skewdyck.paths", "skewdyck.verify",
-            "fractions", "decimal", "numbers", "json", "argparse",
+            "fractions", "decimal", "numbers", "json", "argparse", "typing", "enum", "functools",
         ],
     ),
     # every comparison reads integer numerators over a common denominator
     "verify": (
         ["verify", "--order", "16", "--t", "2"],
-        ["dataclasses", "json", "argparse", "fractions", "decimal", "numbers"],
+        [
+            "dataclasses", "json", "argparse", "fractions", "decimal", "numbers",
+            "typing", "enum", "functools",
+        ],
     ),
-    # R is read as integers, from the stored numerators
+    # R is read as integers, from the stored numerators; the bundled
+    # snapshot is read beside the module, without `importlib.resources`
     "oeis": (
         ["oeis", "A007564", "--n-max", "3", "--offline", "--cache-dir", "{tmp}"],
-        ["argparse", "fractions", "decimal", "numbers"],
+        ["argparse", "fractions", "decimal", "numbers", "typing"],
     ),
 }
 
+# stdout is swapped by hand: `contextlib` would load `functools` and `collections`
 _RUN_AND_LIST_MODULES = """
-import contextlib, io, sys
+import io, sys
 from skewdyck import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    try:
-        code = cli.main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
+stdout, sys.stdout = sys.stdout, io.StringIO()
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+finally:
+    sys.stdout = stdout
 print(code)
 print("\\n".join(sorted(sys.modules)))
 """

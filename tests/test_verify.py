@@ -4,7 +4,6 @@ import pytest
 
 from skewdyck import automaton, closed_form, kernel, paths, reverse, verify
 from skewdyck.cli import main
-from skewdyck.paths import Step
 from skewdyck.verify import run_verification
 
 
@@ -76,7 +75,7 @@ def test_a_word_rule_dropped_from_the_walk_fails_the_enumeration(monkeypatch):
     # allow UL in the walk's rule table: UUL (t = 2) and UUUL (t = 3) close
     # in layer H, where the table counts nothing, and only the enumeration
     # rows fail
-    monkeypatch.setitem(paths._FOLLOW, Step.U, (Step.U, Step.D, Step.L))
+    monkeypatch.setitem(paths._FOLLOW, "U", ("U", "D", "L"))
     report = run_verification(order=64, t_list=(2, 3))
     assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
         ("enumeration-vs-table t=2", "cell mismatch at n=3, k=0, H"),
