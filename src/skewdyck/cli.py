@@ -185,13 +185,14 @@ def _cmd_series(args) -> int:
 def _cmd_render(args) -> int:
     from .render import render_document
 
-    doc = render_document(args.t, args.n, args.mode, args.style, args.mirrored, args.format)
+    # every refusal comes before the file is opened; each piece is written as it is made
+    pieces = render_document(args.t, args.n, args.mode, args.style, args.mirrored, args.format)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(doc)
+            fh.writelines(pieces)
         sys.stdout.write(f"wrote {args.out}\n")
     else:
-        sys.stdout.write(doc)
+        sys.stdout.writelines(pieces)
     return 0
 
 

@@ -1,23 +1,29 @@
 """SVG and TikZ emitters for path diagrams.
 
+`render_document` checks its arguments, builds the one DAG of words
+`paths.words` makes for the figure (before any table over the box is
+built) and checks every word under its root against all the word rules
+with one `paths.WordChecker`, each node once per state it is reached at,
+all before it returns.  It returns the document as an iterator of text
+pieces, made as they are read: one per first half, after the SVG header.
+So a refused figure writes nothing, and no whole-document string, list
+of diagrams or encoded copy is ever built.
+
 Both emitters lay every diagram of a document onto one shared grid box,
-which `paths.grid_box` works out from t and n, and draw from the one DAG
-`paths.words` builds (called before any table over the box is built)
-rather than from a word list: a root whose (step, rest) edges lead to
-nodes again, one node per state.  One `paths.WordChecker` per document
-checks every word under the root against all the word rules, each node
-once per state it is reached at, before any text is made.  The emitters
-walk the root's edges down to depth h = ceil(n/2), carrying each first
-half's end vertex and text, and hand the node each first half reaches to
-the memoised texts of its second halves.  The text a step adds is made
-once per (step, start vertex); the texts of an edge's halves below depth
-h once per (step, rest, start vertex), from the step's text and its
-rest's memoised texts; and the list of a node's texts once per (node,
-start vertex).  So a word costs one concatenation.  A document holds its
-text and the memos, but neither a word list nor any whole word's
-geometry.  The text of each grid point is formatted once per document,
-from a table over the box.  The SVG header, the only text that needs the
-number of diagrams, is written after them.
+which `paths.grid_box` works out from t and n, and draw from the root:
+a node whose (step, rest) edges lead to nodes again, one node per state.
+The emitters walk the root's edges down to depth h = ceil(n/2), carrying
+each first half's end vertex and text, and hand the node each first half
+reaches to the memoised texts of its second halves.  The text a step
+adds is made once per (step, start vertex); the texts of an edge's
+halves below depth h once per (step, rest, start vertex), from the
+step's text and its rest's memoised texts; and the list of a node's
+texts once per (node, start vertex).  So a word costs one concatenation.
+A document holds the memos and one piece at a time, but neither a word
+list nor any whole word's geometry.  The text of each grid point is
+formatted once per document, from a table over the box.  The SVG
+header, the only text that needs the number of diagrams, is sized from
+the words under the root, counted once per node before the first body.
 
 In the default overlay style the L-steps ride forward with the black
 polyline and a red copy, nudged by a quarter unit, marks them; in left
@@ -82,6 +88,19 @@ class _HalfTexts:
         return got
 
 
+def _word_count(root: Node) -> int:
+    """The number of words under ``root``, its paths to `END`: each node counted once."""
+    counts = {END: 1}
+
+    def count(node):
+        got = counts.get(node)
+        if got is None:
+            got = counts[node] = sum(count(rest) for _, rest in node)
+        return got
+
+    return count(root)
+
+
 def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
     """(a, b, texts) for each first half of the words under ``root``, in
     lexicographic order: the bodies of its words are a + p + b + m for each
@@ -94,7 +113,6 @@ def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
     once per (step, start vertex), an edge's halves' once per (step, rest,
     start vertex) and a node's list once per (node, start vertex).
     """
-    WordChecker(t).require(root)
     overlay = style == "red-overlay"
     start, sep, close = path
     made = {}  # the text of a step, by (step, start vertex)
@@ -126,15 +144,10 @@ def _bodies(root: Node, t: int, n: int, style: str, vt, path, mark, segment):
             stack.append((rest, to, a + p, b + m, left - 1))
 
 
-def render_tikz(
-    t: int,
-    n: int,
-    plain: bool,
-    style: str,
-    mirrored: bool,
-) -> str:
-    """One tikzpicture per closed word (L-free ones if ``plain``): grid, path, red marks."""
-    root = words(t, n, plain=plain)
+def _tikz(root: Node, t: int, n: int, style: str, mirrored: bool):
+    """One tikzpicture per word under ``root`` (grid, path, red marks), in
+    pieces: one per first half, each tikzpicture ending in a newline and
+    a blank line between two."""
     x_max, y_max = grid_box(t, n)
     vt = _vertex_text(x_max, y_max, "({},{})".format)
     indent = "\t\t" if mirrored else "\t"
@@ -143,8 +156,7 @@ def render_tikz(
         head.append("\t\\begin{scope}[xscale=-1,yscale=1]")
     head.append(f"{indent}\\draw[help lines] (0,0) grid ({x_max},{y_max});")
     tail = ["\t\\end{scope}"] if mirrored else []
-    # each block ends in a newline, so no copy of the whole document adds one
-    tail += ["\\end{tikzpicture}", ""]
+    tail += ["\\end{tikzpicture}", ""]  # each block ends in a newline
     head, tail = "\n".join(head), "\n" + "\n".join(tail)
 
     def mark(a, b):
@@ -160,13 +172,13 @@ def render_tikz(
         return f"\n{indent}\\draw[{'thick,red' if red else 'thick'}] {vt[a]} -- {vt[b]};"
 
     path = (f"\n{indent}\\draw[thick] ", " -- ", ";")
-    # one string per first half: the pieces the last join copies are few
-    # and large, not one small string per word
-    chunks = [
-        "\n".join([f"{head}{a}{p}{b}{m}{tail}" for p, m in texts])
-        for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment)
-    ]
-    return "\n".join(chunks) or "\n"  # no diagrams: a lone newline
+    blocks = []  # pieces join as blocks do, by a newline: each piece after the first opens with it
+    for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment):
+        blocks += [f"{head}{a}{p}{b}{m}{tail}" for p, m in texts]
+        yield "\n".join(blocks)
+        blocks = [""]
+    if not blocks:
+        yield "\n"  # no diagrams: a lone newline
 
 
 _SVG_CELL = 20
@@ -175,15 +187,9 @@ _SVG_GAP = 14
 _SVG_PER_ROW = 4
 
 
-def render_svg(
-    t: int,
-    n: int,
-    plain: bool,
-    style: str,
-    mirrored: bool,
-) -> str:
-    """One SVG document, one <g class="diagram"> per closed word (L-free ones if ``plain``)."""
-    root = words(t, n, plain=plain)
+def _svg(root: Node, t: int, n: int, style: str, mirrored: bool):
+    """One SVG document, one <g class="diagram"> per word under ``root``, in
+    pieces: the header, one piece per first half, and the closing tag."""
     cols, rows = grid_box(t, n)
     dia_w = cols * _SVG_CELL
     dia_h = rows * _SVG_CELL
@@ -218,23 +224,25 @@ def render_svg(
         f'    <path class="grid" d="{" ".join(grid)}" '
         f'stroke="#cccccc" stroke-width="0.5" fill="none"/>'
     )
-    out = [""]  # the header, written once the diagrams are counted
-    for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment):
-        for p, m in texts:
-            # a row is only narrower than _SVG_PER_ROW when it is the one row
-            r, c = divmod(len(out) - 1, _SVG_PER_ROW)
-            tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
-            ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
-            out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{a}{p}{b}{m}\n  </g>')
-    count = len(out) - 1
+    # a row is only narrower than _SVG_PER_ROW when it is the one row
+    count = _word_count(root)
     per_row = min(_SVG_PER_ROW, max(count, 1))
     n_rows = (count + per_row - 1) // per_row
     doc_w = _SVG_MARGIN * 2 + per_row * dia_w + (per_row - 1) * _SVG_GAP
     doc_h = _SVG_MARGIN * 2 + n_rows * dia_h + max(n_rows - 1, 0) * _SVG_GAP
     size = f'width="{doc_w}" height="{doc_h}" viewBox="0 0 {doc_w} {doc_h}"'
-    out[0] = f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" {size}>'
-    out += ["</svg>", ""]  # the empty last line ends the text in a newline
-    return "\n".join(out)
+    yield f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" {size}>'
+    drawn = 0
+    for a, b, texts in _bodies(root, t, n, style, vt, path, mark, segment):
+        out = [""]  # each diagram opens with a newline
+        for p, m in texts:
+            r, c = divmod(drawn, _SVG_PER_ROW)
+            drawn += 1
+            tx = _SVG_MARGIN + c * (dia_w + _SVG_GAP)
+            ty = _SVG_MARGIN + r * (dia_h + _SVG_GAP)
+            out.append(f'  <g class="diagram" transform="translate({tx},{ty})">\n{grid_path}{a}{p}{b}{m}\n  </g>')
+        yield "\n".join(out)
+    yield "\n</svg>\n"
 
 
 def render_document(
@@ -244,13 +252,18 @@ def render_document(
     style: str,
     mirrored: bool,
     fmt: str,
-) -> str:
-    """All closed diagrams of length n in one document: every word, or the L-free ones."""
+):
+    """All closed diagrams of length n in one document, every word or the
+    L-free ones, as an iterator of text pieces whose concatenation is the
+    document.  Every refusal, of an argument or of a word, comes before
+    this returns; the pieces are made as they are read."""
     if mode not in RENDER_MODES:
         raise ValueError(f"mode must be one of {RENDER_MODES}, got {mode!r}")
     if fmt not in ("svg", "tikz"):
         raise ValueError(f"format must be 'svg' or 'tikz', got {fmt!r}")
     if style not in GEOMETRY_MODES:
         raise ValueError(f"style must be one of {GEOMETRY_MODES}, got {style!r}")
-    emit = render_svg if fmt == "svg" else render_tikz
-    return emit(t, n, mode == "plain", style=style, mirrored=mirrored)
+    root = words(t, n, plain=mode == "plain")
+    WordChecker(t).require(root)
+    emit = _svg if fmt == "svg" else _tikz
+    return emit(root, t, n, style, mirrored)

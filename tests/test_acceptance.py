@@ -146,15 +146,15 @@ def test_c10_functional_equations(verify64):
 
 def test_c11_rendering():
     with criterion("C11", "12 plain and 19 skew diagrams at length 9, golden structure"):
-        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
-        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
+        plain = "".join(render_document(2, 9, "plain", "red-overlay", False, "svg"))
+        skew = "".join(render_document(2, 9, "skew", "red-overlay", False, "svg"))
         assert plain.count('class="diagram"') == 12
         assert skew.count('class="diagram"') == 19
-        tikz = render_document(2, 9, "skew", "red-overlay", False, "tikz")
+        tikz = "".join(render_document(2, 9, "skew", "red-overlay", False, "tikz"))
         assert tikz.count("\\begin{tikzpicture}") == 19
         assert tikz.count("\\draw[thick,red]") == 8
         # golden structure at length 3 (full document frozen in test_render)
-        frozen = render_document(2, 3, "skew", "red-overlay", False, "tikz")
+        frozen = "".join(render_document(2, 3, "skew", "red-overlay", False, "tikz"))
         assert "\\draw[thick] (0,0) -- (1,1) -- (2,2) -- (4,0);" in frozen
 
 

@@ -822,6 +822,25 @@ class TestProcess:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
 
+    def test_reader_closing_the_pipe_on_a_figure(self):
+        # a figure is written a piece at a time, so a write after the reader
+        # has gone fails and the command reports it, as `count` does
+        with subprocess.Popen(
+            child_command("render", "--t", "3", "--n", "24", "--format", "tikz"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+        ) as proc:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+    def test_figure_on_stdout_is_the_out_file(self):
+        # the pieces written to stdout are the bytes `--out` writes
+        vector = (3, 24, "skew", "red-overlay", False, "tikz")
+        proc = spawn("render", "--t", "3", "--n", "24", "--format", "tikz")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == HEAVY_RENDER_DIGESTS[vector]
+
     def test_closed_stdout_is_a_command_error(self):
         proc = spawn("count", "--n", "3", stdout=None, preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr) == (1, b"error: standard output is closed\n")

@@ -1,6 +1,8 @@
 """Figure emitters: diagram counts, red marks, golden structure."""
 
+import hashlib
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from skewdyck import RENDER_MODES, paths, render
 from skewdyck.automaton import dp_counts
 from skewdyck.paths import END, GEOMETRY_MODES, STEP_ORDER, Node, WordChecker, grid_box
 from skewdyck.render import _quarters, render_document
+from test_cli import HEAVY_RENDER_DIGESTS
 from test_paths import brute_level, brute_words, chain, node_of, reference_vertices, walk_of, walked_words, words_of
 
 GOLDEN_TIKZ_N3 = """\\begin{tikzpicture}[scale=0.2]
@@ -27,6 +30,11 @@ GOLDEN_SVG_N3 = """<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="
   </g>
 </svg>
 """
+
+
+def document(*args) -> str:
+    # the pieces `render_document` yields, joined: the bytes a render writes
+    return "".join(render_document(*args))
 
 
 def reference_fmt(x):
@@ -76,13 +84,13 @@ class TestWordSelection:
 
 class TestSvg:
     def test_diagram_counts(self):
-        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
-        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
+        plain = document(2, 9, "plain", "red-overlay", False, "svg")
+        skew = document(2, 9, "skew", "red-overlay", False, "svg")
         assert plain.count('class="diagram"') == 12
         assert skew.count('class="diagram"') == 19
 
     def test_red_segment_count_matches_marked_steps(self):
-        skew = render_document(2, 9, "skew", "red-overlay", False, "svg")
+        skew = document(2, 9, "skew", "red-overlay", False, "svg")
         marked = sum(
             1 for w in walked_words(2, 9) for s in w if s == "L"
         )
@@ -90,49 +98,49 @@ class TestSvg:
         assert skew.count('class="skew"') == marked
 
     def test_plain_has_no_red(self):
-        plain = render_document(2, 9, "plain", "red-overlay", False, "svg")
+        plain = document(2, 9, "plain", "red-overlay", False, "svg")
         assert 'stroke="red"' not in plain
 
     def test_golden_n3(self):
-        assert render_document(2, 3, "skew", "red-overlay", False, "svg") == GOLDEN_SVG_N3
+        assert document(2, 3, "skew", "red-overlay", False, "svg") == GOLDEN_SVG_N3
 
     def test_left_style_emits_per_segment_lines(self):
-        doc = render_document(2, 6, "skew", "left", False, "svg")
+        doc = document(2, 6, "skew", "left", False, "svg")
         assert "polyline" not in doc
         assert 'stroke="red"' in doc
 
     def test_mirrored_flips_x(self):
-        doc = render_document(2, 3, "skew", "red-overlay", True, "svg")
+        doc = document(2, 3, "skew", "red-overlay", True, "svg")
         assert 'points="80,40 60,20 40,0 0,40"' in doc
 
     def test_deterministic(self):
-        a = render_document(2, 9, "skew", "red-overlay", False, "svg")
-        b = render_document(2, 9, "skew", "red-overlay", False, "svg")
+        a = document(2, 9, "skew", "red-overlay", False, "svg")
+        b = document(2, 9, "skew", "red-overlay", False, "svg")
         assert a == b
 
 
 class TestTikz:
     def test_diagram_counts(self):
-        plain = render_document(2, 9, "plain", "red-overlay", False, "tikz")
-        skew = render_document(2, 9, "skew", "red-overlay", False, "tikz")
+        plain = document(2, 9, "plain", "red-overlay", False, "tikz")
+        skew = document(2, 9, "skew", "red-overlay", False, "tikz")
         assert plain.count("\\begin{tikzpicture}") == 12
         assert skew.count("\\begin{tikzpicture}") == 19
 
     def test_golden_n3(self):
-        assert render_document(2, 3, "skew", "red-overlay", False, "tikz") == GOLDEN_TIKZ_N3
+        assert document(2, 3, "skew", "red-overlay", False, "tikz") == GOLDEN_TIKZ_N3
 
     def test_overlay_marks_use_quarter_offsets(self):
         # UUUUDL's marked step runs (6,2) -> (8,0); its red copy is nudged
-        doc = render_document(2, 6, "skew", "red-overlay", False, "tikz")
+        doc = document(2, 6, "skew", "red-overlay", False, "tikz")
         assert "\\draw[thick,red] (6.25,2) -- (8,0.25);" in doc
 
     def test_mirrored_wraps_in_scope(self):
-        doc = render_document(2, 3, "skew", "red-overlay", True, "tikz")
+        doc = document(2, 3, "skew", "red-overlay", True, "tikz")
         assert "\\begin{scope}[xscale=-1,yscale=1]" in doc
         assert "\\end{scope}" in doc
 
     def test_grid_is_shared_across_document(self):
-        doc = render_document(2, 9, "skew", "red-overlay", False, "tikz")
+        doc = document(2, 9, "skew", "red-overlay", False, "tikz")
         grids = {line.strip() for line in doc.splitlines() if "grid" in line}
         assert len(grids) == 1
 
@@ -169,8 +177,8 @@ class TestGridBox:
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
 @pytest.mark.parametrize("mode", RENDER_MODES)
 def test_document_walks_the_words_once(monkeypatch, mode, fmt):
-    # the box comes from (t, n) and the diagram count from the drawing
-    # itself, so a document builds one DAG of words, from whichever module
+    # the box comes from (t, n) and the diagram count from the DAG the
+    # document draws, so a document builds one DAG of words, from whichever module
     calls = []
     real_words = paths.words
 
@@ -180,19 +188,65 @@ def test_document_walks_the_words_once(monkeypatch, mode, fmt):
 
     monkeypatch.setattr(paths, "words", counted)
     monkeypatch.setattr(render, "words", counted)
-    render_document(2, 9, mode, "red-overlay", False, fmt)
+    document(2, 9, mode, "red-overlay", False, fmt)
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("t, n", [(t, n) for t in (2, 3, 4) for n in range(16)])
 def test_diagram_count_is_the_table_count(t, n):
-    # the count the SVG header is sized from comes from the drawing pass;
-    # tie it to the counting table, which enumerates nothing
+    # the diagrams drawn are the words of the DAG; tie their count to the
+    # counting table, which enumerates nothing
     want = dp_counts(t, n, k_max=0).closed_count(n)
-    svg = render_document(t, n, "skew", "red-overlay", False, "svg")
-    tikz = render_document(t, n, "skew", "red-overlay", False, "tikz")
+    svg = document(t, n, "skew", "red-overlay", False, "svg")
+    tikz = document(t, n, "skew", "red-overlay", False, "tikz")
     assert svg.count('class="diagram"') == want
     assert tikz.count("\\begin{tikzpicture}") == want
+
+
+_SVG_SIZE = re.compile(r'^<svg [^>]* width="(\d+)" height="(\d+)" viewBox="0 0 (\d+) (\d+)">\n')
+
+
+@pytest.mark.parametrize("mode", RENDER_MODES)
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_svg_header_fits_the_diagrams_written(t, mode):
+    # the header comes before any diagram, sized from a count of the DAG's
+    # words; it must fit the diagrams the same document goes on to draw:
+    # none, one narrow row (three at t = 2, n = 6, plain) and several rows
+    counts = set()
+    for n in range(16):
+        doc = document(t, n, mode, "red-overlay", False, "svg")
+        count = doc.count('<g class="diagram"')
+        counts.add(count)
+        cell_w, cell_h = (20 * side for side in grid_box(t, n))
+        per_row = min(4, max(count, 1))
+        rows = -(-count // per_row)
+        width = 20 + per_row * cell_w + (per_row - 1) * 14
+        height = 20 + rows * cell_h + max(rows - 1, 0) * 14
+        got = tuple(map(int, _SVG_SIZE.match(doc).groups()))
+        assert got == (width, height, width, height), (t, n)
+    assert 0 in counts and max(counts) > 4
+    if (t, mode) == (2, "plain"):
+        assert 3 in counts
+
+
+def test_streamed_figure_never_holds_the_document():
+    # the pieces are made as they are read: a sink that keeps only a digest
+    # and a length sees the heaviest benchmark figure while the traced peak
+    # stays below the document's own length
+    vector = (3, 24, "skew", "red-overlay", False, "tikz")
+    digest, length = hashlib.sha256(), 0
+    tracemalloc.start()
+    try:
+        for piece in render_document(3, 24, "skew", "red-overlay", False, "tikz"):
+            data = piece.encode()
+            digest.update(data)
+            length += len(data)
+            del piece, data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == HEAVY_RENDER_DIGESTS[vector]
+    assert peak < length, (peak, length)
 
 
 @pytest.mark.parametrize("fmt", ["svg", "tikz"])
@@ -218,7 +272,7 @@ def test_document_holds_no_list_of_geometries(monkeypatch, fmt):
     monkeypatch.setattr(render, "words", recorded)
     monkeypatch.setattr(WordChecker, "require", tracked)
     monkeypatch.setattr(render._HalfTexts, "_run", run)
-    render_document(2, 9, "skew", "red-overlay", False, fmt)
+    document(2, 9, "skew", "red-overlay", False, fmt)
     assert len(roots) == 1 and checked == [(roots[0], 0)] and formatted
     assert words_of(roots[0]) == walked_words(2, 9)
     assert len(walked_words(2, 9)) == 19
@@ -253,7 +307,7 @@ def test_each_half_is_formatted_and_checked_once(monkeypatch, style, fmt):
     for t, n, count in ((3, 16, 216), (2, 15, 563)):
         for seen in (formatted, checked, roots):
             seen.clear()
-        render_document(t, n, "skew", style, False, fmt)
+        document(t, n, "skew", style, False, fmt)
         # every (step, rest, start vertex) below depth h and every (node,
         # level, step before it) the words pass, found by following each
         # word's edges from the root
@@ -411,4 +465,4 @@ def reference_document(t, n, mode, style, mirrored, fmt):
 def test_document_is_the_words_drawn_one_by_one(t, n, mode, style, mirrored, fmt):
     # the halves, their memoised texts and the one join per word give the
     # bytes the per-word reference gives
-    assert render_document(t, n, mode, style, mirrored, fmt) == reference_document(t, n, mode, style, mirrored, fmt)
+    assert document(t, n, mode, style, mirrored, fmt) == reference_document(t, n, mode, style, mirrored, fmt)
