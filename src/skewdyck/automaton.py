@@ -22,12 +22,29 @@ Every level change is congruent to one residue c modulo a period m
 (the gcd of the differences between the changes; m = t+1 in both
 directions, c = 1 left to right and c = t right to left), so a word of
 n steps sits at a level k = c*n (mod m).  Each walked row holds only
-that residue class, and every arrow becomes one index shift per row.
-The walk computes only the levels that can still fall back into the
-stored window, and the table stores the walked rows themselves, clipped
-to k_max: a table of levels k <= k_max takes O(n * k_max / m) memory,
-and the cells off the class read zero without being stored.  One row
-plan, built from the edge list, adds each shared source sum once.
+that residue class, and every arrow becomes one shift per row.  The
+walk computes only the levels that can still fall back into the stored
+window, and the table stores the walked cells of each row up to k_max:
+a table of levels k <= k_max takes O(n * k_max / m) memory, and the
+cells off the class read zero without being stored.  One row plan,
+built from the edge list, adds each shared source sum once.
+
+A walked row is packed: one int per layer, whose field j, W bits wide,
+holds the level base + m*j.  A sum of rows is one int addition, a level
+change one shift by a whole number of fields, and the pinned level-0
+cell is cleared with one mask.  The fields shifted out below field 0
+are the levels below 0.  W is a whole number of bytes above the bit
+length of the previous row's total, a bound kept per layer: the bounds
+of a row's sources, less the field that fell below level 0 and the
+pinned cell.  A new cell, and every partial sum on the way to it, adds
+distinct fields of the previous row, so it stays below that total and
+no field carries into the next.  When the bound outgrows W, the fields
+are widened with headroom.  The fields above the window's top hi are
+cut with one mask only once the row holds several of them, which is
+exact: while hi is the highest level n steps reach, the fields above it
+are zero; after that, hi falls by the largest drop each row, so a level
+above hi feeds only levels above the next row's hi.  The stored cells
+are read out of the low fields.
 
 This table is the oracle the closed forms are measured against, so the
 arithmetic is plain Python integers end to end: no modulus, no floats,
@@ -39,10 +56,10 @@ written in `verify`, apart from this edge list.
 from __future__ import annotations
 
 from math import gcd
-from operator import add
 
 LAYERS = ("F", "G", "H")
 _LIDX = {layer: i for i, layer in enumerate(LAYERS)}  # a layer's index in a row
+_SLACK = 8  # fields a walked row may hold above its window before they are cut
 
 
 def _lr_edges(t: int) -> tuple[tuple[str, str, int], ...]:
@@ -99,11 +116,10 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[tuple]]]:
     wrote the target).
 
     Within one level change every source row is read at one shift, so
-    each is sliced once.  The targets' source sets nest (a ``ValueError``
+    each is read once.  The targets' source sets nest (a ``ValueError``
     says where they do not), so the sums of one level change form one
     chain, smallest set first: each extends the sum before it by the
-    sources that sum lacks.  Every sum but the last is made a list,
-    because the next one reads it and a ``map`` can be read only once.
+    sources that sum lacks.
     """
     changes: dict[int, dict[int, set[int]]] = {}
     for src, dst, delta in arcs:
@@ -120,6 +136,55 @@ def _plan(arcs: list[tuple[int, int, int]]) -> list[tuple[int, list[tuple]]]:
         written.update(targets)
         plan.append((delta, sums))
     return plan
+
+
+def _slot_bytes(total: int) -> int:
+    """Bytes per field of a packed row after a row whose fields sum to at
+    most ``total``: the fewest whole bytes above its bit length."""
+    return total.bit_length() // 8 + 1
+
+
+def _steps(plan, m: int, c: int, size: int):
+    """(field bits, field-0 mask, steps) for fields of ``size`` bytes.
+
+    steps[r] is (ops, grow) for the rows n = r (mod m): ops holds one
+    (shift in bits, first source, sums) per level change of ``plan``, the
+    first sum less the source its chain starts from, and grow is the
+    number of fields the row gains at its top.
+    """
+    bits = 8 * size
+    steps = []
+    for r in range(m):
+        base, prev_base = c * r % m, c * (r - 1) % m
+        ops, grow = [], 0
+        for delta, sums in plan:
+            shift = (base - delta - prev_base) // m  # target field j reads field j + shift
+            grow = max(grow, -shift)
+            (dst, sources, into), rest = sums[0], sums[1:]
+            ops.append((shift * bits, sources[0], [(dst, sources[1:], into), *rest]))
+        steps.append((ops, grow))
+    return bits, (1 << bits) - 1, steps
+
+
+def _widen(x: int, size: int, wide: int) -> int:
+    """The packed row ``x`` with each field of ``size`` bytes widened to ``wide``."""
+    data = x.to_bytes(-(-x.bit_length() // (8 * size)) * size, "little")
+    fields = [data[i : i + size] for i in range(0, len(data), size)]
+    return int.from_bytes(bytes(wide - size).join(fields), "little")
+
+
+_from_bytes = int.from_bytes  # looked up once, not once per cell
+
+
+def _cells(row: list[int], size: int, count: int, one: int) -> list[list[int]]:
+    """The lowest ``count`` fields of each layer of the packed ``row``, as ints."""
+    if count <= 1:
+        return [[x & one] if count else [] for x in row]
+    end = size * count
+    mask = (1 << 8 * end) - 1
+    data = b"".join([(x & mask).to_bytes(end, "little") for x in row])
+    cells = [_from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return [cells[:count], cells[count : 2 * count], cells[2 * count :]]
 
 
 def _bad_layer(layer) -> ValueError:
@@ -202,8 +267,14 @@ def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTab
     fall to k_max by step n_max, so every stored cell is exact.  Only the
     levels k = c*n (mod m) are walked and stored (see ``_period``), so a
     table takes O(n_max * k_max / m) memory.  Each row runs the plan of
-    ``_plan``: one shifted slice per source row and level change, and
-    one chain of sums per level change, each extending the one before.
+    ``_plan``: one chain of sums per level change, each extending the
+    one before, and one shift per target.
+
+    The rows are packed, one int per layer (see the module docstring).
+    The width rule is ``_slot_bytes``: a new cell sums distinct fields of
+    the row before, so a field wider than that row's total cannot carry.
+    The fields above the window are cut a few rows at a time, which is
+    exact: a level above one row's top feeds only levels above the next.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -221,36 +292,64 @@ def dp_counts(t: int, n_max: int, k_max: int, direction: str = "LR") -> CountTab
     m, c = _period(arcs)
     plan = _plan(arcs)
 
-    prev = [[0], [0], [0]]  # prev[layer-index][j] is level prev_base + m*j
+    # The rows' ints grow row by row, and glibc maps each block above its
+    # mmap threshold afresh, raising the threshold only to the largest
+    # block freed so far: at n_max = 4000 nearly every sum would fault its
+    # pages in anew (ten times the minor faults of a walk over lists).
+    # Freeing one untouched block wider than any row keeps them on the
+    # heap: a row holds at most rise*n_max/m + 1 + _SLACK fields, of at
+    # most n_max/4 + 3 bytes (its total is below 2 * 3**n_max).
+    bytes(min(16 << 20, (rise * n_max // m + 1 + _SLACK) * (n_max // 4 + 3)))
+    pin = [_LIDX[layer] for layer in pinned]
+    row = [0, 0, 0]  # row[layer-index]: field j holds level base + m*j
     for layer in seeds:
-        prev[_LIDX[layer]][0] = 1
-    prev_base = 0
-    grid = [prev]
+        row[_LIDX[layer]] = 1
+    totals = row[:]  # per layer, a bound on the sum of the row's fields
+    grid = [[[cell] for cell in row]]
+    size = _slot_bytes(sum(totals))
+    bits, one, steps = _steps(plan, m, c, size)
+    held = 1  # fields the row may hold, the window's and those above it
     for n in range(1, n_max + 1):
+        need = _slot_bytes(sum(totals))
+        if need > size:  # widen with headroom: widening copies every row
+            wide = need + need // 8 + 1
+            row = [_widen(x, size, wide) for x in row]
+            size = wide
+            bits, one, steps = _steps(plan, m, c, size)
         base = c * n % m
         hi = min(rise * n, k_max + drop * (n_max - n))
         width = (hi - base) // m + 1  # levels base, base + m, ... <= hi
-        row = [[0] * width, [0] * width, [0] * width]  # F, G, H
-        for delta, sums in plan:
-            # row cell j reads prev cell j + shift, at level (base + m*j) - delta
-            shift = (base - delta - prev_base) // m
-            lo, top = max(0, -shift), min(width, len(prev[0]) - shift)
-            if lo >= top:
-                continue
-            cells, last = None, len(sums) - 1
-            for i, (dst, sources, into) in enumerate(sums):
+        new, news = [0, 0, 0], [0, 0, 0]
+        ops, grow = steps[n % m]
+        for shift, first, sums in ops:
+            acc, tot = row[first], totals[first]
+            for dst, sources, into in sums:
                 for src in sources:
-                    part = prev[src][lo + shift : top + shift]
-                    cells = part if cells is None else map(add, cells, part)
-                if i < last:
-                    cells = list(cells)
-                row[dst][lo:top] = map(add, cells, row[dst][lo:top]) if into else cells
+                    acc += row[src]
+                    tot += totals[src]
+                if shift > 0:  # the fields below level 0 fall off; the bound sheds field 0
+                    cell, part = acc >> shift, tot - (acc & one)
+                elif shift:
+                    cell, part = acc << -shift, tot
+                else:  # x >> 0 would copy x
+                    cell, part = acc, tot
+                if into:
+                    new[dst] += cell
+                    news[dst] += part
+                else:
+                    new[dst], news[dst] = cell, part
         if base == 0:
-            for layer in pinned:
-                row[_LIDX[layer]][0] = 0
-        stored = (k_max - base) // m + 1  # levels base, base + m, ... <= k_max
-        f, g, h = row
-        grid.append(row if width <= stored else [f[:stored], g[:stored], h[:stored]])
-        prev, prev_base = row, base
+            for i in pin:
+                low = new[i] & one
+                new[i] -= low
+                news[i] -= low
+        held += grow
+        if held > width + _SLACK:  # cut the fields above hi, a few rows at a time
+            mask = (1 << bits * width) - 1
+            new = [x & mask for x in new]
+            held = width
+        stored = min(width, (k_max - base) // m + 1)  # levels <= k_max
+        grid.append(_cells(new, size, stored, one))
+        row, totals = new, news
 
     return CountTable(n_max, k_max, tuple(_LIDX[layer] for layer in closed), (m, c), grid)

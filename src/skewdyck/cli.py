@@ -112,13 +112,22 @@ _n_range_arg.__name__ = "length"  # argparse names the type in "invalid ... valu
 
 
 def _emit_table(headers: list[str], rows: list[list], fmt: str) -> str:
+    """The table in one of the output formats.
+
+    Every string it writes is a fixed header, ``str`` of an int, ``-``,
+    ``yes`` or ``NO``, none with a character JSON escapes, so the JSON form
+    is written directly, in the bytes ``json.dumps(records, indent=2)``
+    writes: a list of one object per row, each cell a string.
+    """
     cells = [[str(c) for c in row] for row in rows]  # each cell as text, once
     if fmt == "csv":
         return "\n".join(",".join(row) for row in [headers, *cells]) + "\n"
     if fmt == "json":
-        import json
-
-        return json.dumps([dict(zip(headers, row)) for row in cells], indent=2) + "\n"
+        if not cells:
+            return "[]\n"
+        keys = [f'    "{h}": "' for h in headers]
+        records = ["  {\n" + '",\n'.join(map(str.__add__, keys, row)) + '"\n  }' for row in cells]
+        return "[\n" + ",\n".join(records) + "\n]\n"
     if fmt == "markdown":
         lines = ["| " + " | ".join(headers) + " |"]
         lines.append("|" + "|".join("---" for _ in headers) + "|")

@@ -370,6 +370,60 @@ class TestStridedWalk:
             assert len(row) == 3 and all(len(cells) <= bound for cells in row)
 
 
+@pytest.fixture(scope="module")
+def dense_200():
+    # dense_walk rows to n = 200, one walk per (t, direction); the walk
+    # prunes nothing, so its rows serve every n_max <= 200 and every k_max
+    walks = {}
+
+    def rows(t, direction):
+        if (t, direction) not in walks:
+            walks[t, direction] = dense_walk(t, 200, direction, 200)
+        return walks[t, direction]
+
+    return rows
+
+
+def mismatches(table, rows):
+    return [
+        (n, k, layer)
+        for n in range(table.n_max + 1)
+        for k in range(table.k_max + 1)
+        for layer in LAYERS
+        if table.count(n, k, layer) != rows[n][layer][k]
+    ]
+
+
+class TestPackedRows:
+    # a walked row packs each layer into one int, a field of whole bytes
+    # per level; the fields widen as the counts grow, several times by
+    # n = 120, and the window's top is clipped a few rows at a time
+    @pytest.mark.parametrize("direction", ["LR", "RL"])
+    @pytest.mark.parametrize("t", [2, 3, 5])
+    @pytest.mark.parametrize("n_max", [120, 200])
+    def test_widened_rows_match_dense_walk(self, dense_200, t, n_max, direction):
+        for k_max in (0, 12, n_max):
+            table = dp_counts(t, n_max, k_max=k_max, direction=direction)
+            assert mismatches(table, dense_200(t, direction)) == [], k_max
+
+    @pytest.mark.parametrize("direction", ["LR", "RL"])
+    def test_one_byte_narrower_fields_carry(self, dense_200, monkeypatch, direction):
+        # the width rule is load-bearing: one byte less and some field
+        # carries into the next, so the table no longer matches the walk
+        # (a field keeps at least one byte: a zero-width field holds nothing)
+        width = automaton._slot_bytes
+        monkeypatch.setattr(automaton, "_slot_bytes", lambda total: max(1, width(total) - 1))
+        for k_max in (0, 12, 120):
+            table = dp_counts(2, 120, k_max=k_max, direction=direction)
+            assert mismatches(table, dense_200(2, direction)) != [], k_max
+
+    def test_slot_is_whole_bytes_above_the_total(self):
+        # the fewest whole bytes whose bits exceed the total's bit length
+        for total, size in ((0, 1), (1, 1), (127, 1), (128, 2), (2**63 - 1, 8), (2**63, 9)):
+            assert automaton._slot_bytes(total) == size, total
+            assert 8 * (size - 1) <= total.bit_length() < 8 * size
+
+
 def kernel_terms(t, layer):
     # the kernel's terms c z^e u^p as relation terms on one layer's columns
     return tuple((c, layer, p, e, ()) for p, zp in kernel_poly(t).items() for e, c in zp.items())

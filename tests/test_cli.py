@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import skewdyck
 from skewdyck import render
-from skewdyck.cli import _parse_plain, build_parser, main
+from skewdyck.cli import _emit_table, _parse_plain, build_parser, main
 from skewdyck.render import render_document
 from skewdyck.series import Series
 
@@ -76,6 +76,30 @@ class TestCountBytes:
         rc, out, _ = run(capsys, "count", *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == COUNT_DIGESTS[argv]
+
+    def test_benchmark_count_vectors(self, capsys):
+        # every `count` vector the benchmark can draw (52 of them: t, the
+        # length range and the four formats) against the digest it checks;
+        # the file is only read
+        expected = Path(__file__).parents[1] / "bench" / "expected.json"
+        digests = json.loads(expected.read_text())["digests"]
+        vectors = sorted(argv for argv in digests if argv.split()[0] == "count")
+        assert vectors
+        for argv in vectors:
+            rc, out, _ = run(capsys, *argv.split())
+            assert rc == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[argv], argv
+
+    @pytest.mark.parametrize("rows", [[], [[3, 1]], [[n, 7**n] for n in range(12)]])
+    def test_json_is_what_json_dumps_writes(self, rows):
+        # the JSON table is written without the json module, in its bytes
+        for headers, body in (
+            (["length", "count"], rows),
+            (["n", "oeis", "table(3n)", "R", "oeis=table", "oeis=R"],
+             [[n, "-", c, c, "yes", "NO"] for n, c in rows]),
+        ):
+            records = [dict(zip(headers, map(str, row))) for row in body]
+            assert _emit_table(headers, body, "json") == json.dumps(records, indent=2) + "\n"
 
 
 class TestSeries:

@@ -393,6 +393,14 @@ _IMPORT_VECTORS = {
             "argparse", "typing", "enum", "functools", "collections",
         ],
     ),
+    # the JSON table is written without the json module
+    "count-json": (
+        ["count", "--n", "0:20", "--format", "json"],
+        [
+            "skewdyck.series", "skewdyck.kernel", "skewdyck.paths", "fractions", "dataclasses",
+            "json", "argparse", "typing", "enum", "functools", "collections",
+        ],
+    ),
     "render": (
         ["render", "--n", "6"],
         [
